@@ -7,13 +7,21 @@ each g the map e -> g·e is a bijection from src(g)E1 onto rng(g)E1.
 On paths the action runs edge by edge, restricting as it goes; vertices
 are length-zero paths with g·v = rng(g) and g|_v = g.
 
-Explicit groupoids must satisfy the two product laws
+Every action must satisfy the unit law u_v·e = e, u_v|_e = u_{src e};
+on explicit groupoids it must also satisfy the two product laws
 
     (hg)·e = h·(g·e)        (hg)|_e = (h|_{g·e}) (g|_e)
 
-which are validated exhaustively.  Behavioral models carry the same
-act/restrict tables on states; every state is assumed to describe the
-behavior of at least one actual element.
+All three are validated exhaustively, edge by edge.  The
+inverse-restriction law (g|_p)⁻¹ = g⁻¹|_{g·p} on paths is implied, so it
+is not checked.  Take h = g⁻¹ in the product law and use the unit law:
+
+    g⁻¹|_{g·e} (g|_e) = (g⁻¹g)|_e = u_{src e},  so  g⁻¹|_{g·e} = (g|_e)⁻¹;
+    for p = e p':  g⁻¹|_{g·p} = (g⁻¹|_{g·e})|_{g|_e·p'} = ((g|_e)⁻¹)|_{g|_e·p'}
+                 = ((g|_e)|_{p'})⁻¹ = (g|_p)⁻¹   by induction on |p|.
+
+Behavioral models carry the same act/restrict tables on states; every
+state is assumed to describe the behavior of at least one actual element.
 """
 
 from dataclasses import dataclass
@@ -85,6 +93,17 @@ class SelfSimilarAction:
     # -- validation --------------------------------------------------------
 
     def validate(self):
+        """Problems with the action, as strings; empty when it is valid.
+
+        Checks, in order, stopping after the first stage that finds any:
+        the graph and the groupoid; which pairs (g, e) carry table entries;
+        that each g acts as a bijection src(g)E1 -> rng(g)E1 with
+        restrictions of the right source and range; and the unit law.
+        On an explicit groupoid it then checks both product laws on every
+        composable (h, g, e).  No path is enumerated: the
+        inverse-restriction law on paths is implied (see the module
+        docstring).
+        """
         problems = []
         problems += ["graph: " + m for m in self.graph.validate()]
         problems += ["groupoid: " + m for m in self.groupoid.validate()]
@@ -165,15 +184,6 @@ class SelfSimilarAction:
                         if lhs != rhs:
                             problems.append(
                                 "(hg)|_e law fails at (%r, %r, %r)" % (h, g, e.name))
-            # spot check: (g|_p)^{-1} = g^{-1}|_{g·p} on short paths
-            for g in gpd.elements():
-                for p in graph.paths_from(gpd.src(g), 3):
-                    lhs = gpd.inv(self.restrict_path(g, p))
-                    rhs = self.restrict_path(gpd.inv(g), self.act_path(g, p))
-                    if lhs != rhs:
-                        problems.append(
-                            "inverse-restriction law fails at (%r, %s)" % (g, p))
-                        break
         return problems
 
 
@@ -681,16 +691,6 @@ def nucleus(action):
         out.add(g)
         stack.extend(h for (_, h) in arrows[g])
     return tuple(sorted(out))
-
-
-def deep_restriction_layers(action, g, depth):
-    """layers[k] = set of elements appearing as restrictions of g at depth k."""
-    arrows = restriction_digraph(action)
-    layers = [{g}]
-    for _ in range(depth):
-        cur = layers[-1]
-        layers.append({h for x in cur for (_, h) in arrows[x]})
-    return layers
 
 
 def pseudo_free(action):

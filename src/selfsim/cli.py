@@ -5,6 +5,7 @@ Exit codes: 0 success, 1 domain failure, 2 usage or parse failure.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -61,15 +62,70 @@ def _require_valid(system):
     return True
 
 
+def _edge_names(data, what):
+    if not (isinstance(data, list) and all(isinstance(e, str) for e in data)):
+        raise UsageError("%s must be a JSON array of edge names" % what)
+    return data
+
+
+def _optional_name(data, key, what):
+    value = data.get(key)
+    if value is not None and not isinstance(value, str):
+        raise UsageError("%s: %r must be a JSON string" % (what, key))
+    return value
+
+
 def _path_arg(action, data, what):
-    if isinstance(data, (list, tuple)):
+    if isinstance(data, list):
         if not data:
             raise UsageError("%s: an empty path needs a base "
                              "({\"base\": v, \"edges\": []})" % what)
-        return action.graph.path(data)
+        return action.graph.path(_edge_names(data, what))
     if isinstance(data, dict):
-        return action.graph.path(data.get("edges", ()), base=data.get("base"))
+        edges = _edge_names(data.get("edges", []), what + " edges")
+        return action.graph.path(edges, base=_optional_name(data, "base", what))
     raise UsageError("%s must be a JSON array of edges or an object" % what)
+
+
+def _point_shape(data, what):
+    """data, once it has the shape actions.point_from_json reads: an edge
+    array, or an object with optional "prefix"/"period" edge arrays and an
+    optional "base" vertex name."""
+    if isinstance(data, list):
+        return _edge_names(data, what)
+    if not isinstance(data, dict):
+        raise UsageError("%s must be a JSON array of edges or an object" % what)
+    for key in ("prefix", "period"):
+        _edge_names(data.get(key, []), "%s %s" % (what, key))
+    _optional_name(data, "base", what)
+    return data
+
+
+def _triple_shape(data, what):
+    """data, once it has the shape semigroup.from_json reads:
+    {"zero": true}, or "alpha" and "beta" edge arrays and a "g" name."""
+    if not isinstance(data, dict):
+        raise UsageError("%s must be a JSON object" % what)
+    if not data.get("zero"):
+        missing = [k for k in ("alpha", "g", "beta") if k not in data]
+        if missing:
+            raise UsageError("%s lacks %s" % (what, ", ".join(missing)))
+        if not isinstance(data["g"], str):
+            raise UsageError("%s: 'g' must be a JSON string" % what)
+        _edge_names(data["alpha"], what + " alpha")
+        _edge_names(data["beta"], what + " beta")
+    return data
+
+
+def _germ_shape(data, what):
+    """data, once it has the shape germs.from_json reads: a triple plus a
+    point "xi" (a zero triple is left for from_json to refuse)."""
+    _triple_shape(data, what)
+    if not data.get("zero"):
+        if "xi" not in data:
+            raise UsageError("%s lacks xi" % what)
+        _point_shape(data["xi"], what + " xi")
+    return data
 
 
 # -- commands ---------------------------------------------------------------
@@ -105,7 +161,8 @@ def cmd_semigroup(args):
               for (k, a) in enumerate(args.args)]
 
     def triple(k):
-        return sg.from_json(action, parsed[k])
+        return sg.from_json(
+            action, _triple_shape(parsed[k], "argument %d" % (k + 1)))
 
     if op == "mul":
         _check_arity(parsed, 2, "semigroup mul S T")
@@ -134,7 +191,8 @@ def cmd_germ(args):
               for (k, a) in enumerate(args.args)]
 
     def germ(k):
-        return germs.from_json(action, parsed[k])
+        return germs.from_json(
+            action, _germ_shape(parsed[k], "argument %d" % (k + 1)))
 
     if op == "eq":
         _check_arity(parsed, 2, "germ eq A B")
@@ -153,7 +211,7 @@ def cmd_germ(args):
         _emit({"in_core": germs.in_core(action, germ(0))})
     elif op == "xbar":
         _check_arity(parsed, 1, "germ xbar X")
-        x = point_from_json(action.graph, parsed[0])
+        x = point_from_json(action.graph, _point_shape(parsed[0], "X"))
         data = germs.xbar(action, x)
         _emit({"point": point_to_json(data["point"]),
                "size": data["size"],
@@ -189,8 +247,8 @@ def cmd_twist(args):
             twists.extend_bowtie(twist, parsed[0], p))})
     elif op == "omega":
         _check_arity(parsed, 2, "twist omega S T")
-        s = sg.from_json(action, parsed[0])
-        t = sg.from_json(action, parsed[1])
+        s = sg.from_json(action, _triple_shape(parsed[0], "S"))
+        t = sg.from_json(action, _triple_shape(parsed[1], "T"))
         w = twists.omega(twist, s, t)
         _emit({"zero": True} if w is None else {"phase": twists.phase_str(w)})
     elif op == "verify":
@@ -226,7 +284,8 @@ def cmd_kernel(args):
 
 def cmd_hum(args):
     system = _load(args.system)
-    x = point_from_json(system.graph, _json_arg(args.point, "POINT"))
+    x = point_from_json(system.graph,
+                        _point_shape(_json_arg(args.point, "POINT"), "POINT"))
     out = germs.hum_for_point(system.action, x)
     _emit(out)
     return 0
@@ -257,15 +316,18 @@ def _check_arity(parsed, n, usage):
 # -- argument parsing -------------------------------------------------------
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built on first use and kept for the process.
+
+    Subcommands are dispatched by name in main, so the parser holds no
+    reference to the cmd_* functions."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=["json", "text"], default="json",
                         help="output format (default json)")
     common.add_argument("--bound", type=int, default=3, metavar="L",
                         help="truncation length for brute-force "
                              "verifications (default 3)")
-    common.add_argument("--seed", type=int, default=0,
-                        help="sampling seed (reserved for randomized checks)")
     common.add_argument("--scope", choices=["strict", "model"],
                         default="model",
                         help="whether on-model verdicts propagate into "
@@ -280,12 +342,10 @@ def _build_parser():
     p = sub.add_parser("validate", parents=[common],
                        help="run every structural and algebraic check")
     p.add_argument("system", help="system file or bundled example name")
-    p.set_defaults(fn=cmd_validate)
 
     p = sub.add_parser("report", parents=[common],
                        help="full condition and consequence report")
     p.add_argument("system")
-    p.set_defaults(fn=cmd_report)
 
     p = sub.add_parser("semigroup", parents=[common],
                        help="triple arithmetic")
@@ -294,7 +354,6 @@ def _build_parser():
     p.add_argument("args", nargs="*",
                    help="JSON arguments, e.g. "
                         "'{\"alpha\": [\"e\"], \"g\": \"1\", \"beta\": []}'")
-    p.set_defaults(fn=cmd_semigroup)
 
     p = sub.add_parser("germ", parents=[common], help="germ calculus")
     p.add_argument("system")
@@ -302,45 +361,38 @@ def _build_parser():
                                   "in-core", "xbar"])
     p.add_argument("args", nargs="*",
                    help="JSON germs (triple plus \"xi\") or points")
-    p.set_defaults(fn=cmd_germ)
 
     p = sub.add_parser("twist", parents=[common], help="twist calculus")
     p.add_argument("system")
     p.add_argument("op", choices=["validate", "extend", "omega", "verify"])
     p.add_argument("args", nargs="*")
-    p.set_defaults(fn=cmd_twist)
 
     p = sub.add_parser("nucleus", parents=[common],
                        help="the minimal recurrent set of elements")
     p.add_argument("system")
-    p.set_defaults(fn=cmd_nucleus)
 
     p = sub.add_parser("kernel", parents=[common],
                        help="kernel and tight kernel of the action")
     p.add_argument("system")
-    p.set_defaults(fn=cmd_kernel)
 
     p = sub.add_parser("hum", parents=[common],
                        help="group summation test at a boundary point")
     p.add_argument("system")
     p.add_argument("point", help="JSON point, e.g. "
                                  "'{\"prefix\": [], \"period\": [\"e\"]}'")
-    p.set_defaults(fn=cmd_hum)
 
     p = sub.add_parser("export-dot", parents=[common], help="DOT exports")
     p.add_argument("system")
     p.add_argument("--what", default="graph",
                    help="graph | restriction | fixing:<element>")
-    p.set_defaults(fn=cmd_export_dot)
 
     return parser
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        return globals()["cmd_" + args.cmd.replace("-", "_")](args)
     except UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return 2

@@ -91,10 +91,6 @@ class DirectedGraph:
     def sources(self):
         return tuple(v for v in self.vertices if self.is_source(v))
 
-    def vertex_class(self, v):
-        """'source' if v receives no edge, else 'regular' (graphs here are finite)."""
-        return "source" if self.is_source(v) else "regular"
-
     def has_entrance_vertex(self, v):
         """True when v receives at least two edges."""
         return len(self.received_by(v)) >= 2

@@ -105,16 +105,9 @@ class ExplicitGroupoid:
         return tuple(g for g in self.elements()
                      if self.src(g) == v and self.rng(g) == v)
 
-    def elements_from(self, v):
-        """Elements with source v (those that can act on paths out of v)."""
-        return tuple(g for g in self.elements() if self.src(g) == v)
-
     def orbit_pairs(self):
         """All (src, rng) pairs realized by elements."""
         return sorted({(self.src(g), self.rng(g)) for g in self.elements()})
-
-    def same_orbit(self, v, w):
-        return v == w or (v, w) in set(self.orbit_pairs())
 
     def orbit_of(self, v):
         return tuple(sorted({w for (a, w) in self.orbit_pairs() if a == v} | {v}))
@@ -252,14 +245,8 @@ class BehavioralModel:
         return tuple(g for g in self.elements()
                      if self.src(g) == v and self.rng(g) == v)
 
-    def elements_from(self, v):
-        return tuple(g for g in self.elements() if self.src(g) == v)
-
     def orbit_pairs(self):
         return sorted({(self.src(g), self.rng(g)) for g in self.elements()})
-
-    def same_orbit(self, v, w):
-        return v == w or (v, w) in set(self.orbit_pairs())
 
     def orbit_of(self, v):
         return tuple(sorted({w for (a, w) in self.orbit_pairs() if a == v} | {v}))

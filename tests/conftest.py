@@ -111,6 +111,21 @@ def random_action(rng, max_vertices=3, max_edges=4, max_group=4):
         return action
 
 
+def zn_rotation(n):
+    """One vertex, n loops, and Z_n rotating them: c^a·x_i = x_{i+a}, with
+    restriction exponent [j == 0] - [i == 0] for j = i + a (mod n)."""
+    graph = DirectedGraph(["v"], [("x%d" % i, "v", "v") for i in range(n)])
+    gpd = group_bundle(["v"], {"v": cyclic_group_table(n, prefix="c")})
+    edge_action, restriction = {}, {}
+    for a in range(n):
+        for i in range(n):
+            j = (i + a) % n
+            edge_action[("c%d" % a, "x%d" % i)] = "x%d" % j
+            restriction[("c%d" % a, "x%d" % i)] = \
+                "c%d" % (((j == 0) - (i == 0)) % n)
+    return SelfSimilarAction(graph, gpd, edge_action, restriction)
+
+
 @pytest.fixture(scope="session")
 def random_actions():
     rng = random.Random(20260814)

@@ -6,20 +6,37 @@ never call the algorithms under test.
 """
 
 import itertools
+import random
 
 import pytest
 
 from selfsim import actions as act
-from selfsim.actions import (BoundaryPoint, FixingAutomaton, act_point,
+from selfsim.actions import (BoundaryPoint, FixingAutomaton, SelfSimilarAction,
+                             act_point,
                              boundary_point, fixes_point, point_from_json,
                              point_prefix, point_tail, point_to_json,
                              strongly_fixed_prefix)
 from selfsim.germs import point_prepend
 
-from conftest import EXPLICIT_FIXTURES, FIXTURES
+from selfsim.graphs import DirectedGraph
+
+from conftest import EXPLICIT_FIXTURES, FIXTURES, zn_rotation
 
 
 # -- oracles ----------------------------------------------------------------
+
+
+def oracle_inverse_restriction_failure(action, bound=3):
+    """The first (g, p) with (g|_p)⁻¹ != g⁻¹|_{g·p}, over every path p of
+    length <= bound that g can act on; None when the law holds there."""
+    graph, gpd = action.graph, action.groupoid
+    for g in gpd.elements():
+        for p in graph.paths_from(gpd.src(g), bound):
+            lhs = gpd.inv(action.restrict_path(g, p))
+            rhs = action.restrict_path(gpd.inv(g), action.act_path(g, p))
+            if lhs != rhs:
+                return (g, p)
+    return None
 
 
 def oracle_unit_reachable(action, g):
@@ -165,13 +182,65 @@ def test_action_laws_on_paths(fix, name):
 
 @pytest.mark.parametrize("name", EXPLICIT_FIXTURES)
 def test_restriction_inverse_law(fix, name):
-    action = fix(name).action
+    assert oracle_inverse_restriction_failure(fix(name).action) is None
+
+
+def test_validated_actions_satisfy_the_inverse_restriction_law(random_actions):
+    for action in random_actions + [zn_rotation(n) for n in range(3, 7)]:
+        assert action.validate() == []
+        assert oracle_inverse_restriction_failure(action) is None
+
+
+def _corrupt_tables(rng, action):
+    """A copy of action with 1-3 table entries changed.  An edge-action
+    change swaps the images of two edges whose images share a source, so
+    each element still acts as a bijection; a restriction change keeps
+    the entry's source and range.  Only the action laws can catch it."""
     graph, gpd = action.graph, action.groupoid
-    for g in gpd.elements():
-        for p in graph.paths_from(gpd.src(g), 3):
-            lhs = gpd.inv(action.restrict_path(g, p))
-            rhs = action.restrict_path(gpd.inv(g), action.act_path(g, p))
-            assert lhs == rhs
+    edge_action, restriction = dict(action.edge_action), dict(action.restriction)
+    movers = [g for g in gpd.elements() if graph.received_by(gpd.src(g))]
+    for _ in range(rng.randint(1, 3)):
+        g = rng.choice(movers)
+        dom = [e.name for e in graph.received_by(gpd.src(g))]
+        if rng.random() < 0.5:
+            swaps = [(a, b) for (a, b) in itertools.combinations(dom, 2)
+                     if graph.edge(edge_action[(g, a)]).src
+                     == graph.edge(edge_action[(g, b)]).src]
+            if swaps:
+                a, b = rng.choice(swaps)
+                edge_action[(g, a)], edge_action[(g, b)] = \
+                    edge_action[(g, b)], edge_action[(g, a)]
+        else:
+            e = rng.choice(dom)
+            r = restriction[(g, e)]
+            restriction[(g, e)] = rng.choice(
+                [h for h in gpd.elements()
+                 if gpd.src(h) == gpd.src(r) and gpd.rng(h) == gpd.rng(r)])
+    return SelfSimilarAction(graph, gpd, edge_action, restriction)
+
+
+def test_validate_catches_every_inverse_restriction_failure(fix, random_actions):
+    """validate() checks no paths; the edge-level laws it does check must
+    still reject every corrupted table that breaks the law on paths."""
+    rng = random.Random(20261018)
+    bases = (random_actions + [fix(n).action for n in EXPLICIT_FIXTURES]
+             + [zn_rotation(n) for n in range(3, 6)])
+    broken = 0
+    for base in bases:
+        for _ in range(12):
+            action = _corrupt_tables(rng, base)
+            if oracle_inverse_restriction_failure(action) is not None:
+                broken += 1
+                assert action.validate() != []
+    assert broken >= 50
+
+
+def test_validate_enumerates_no_paths(monkeypatch):
+    def refuse(self, v, max_len):
+        raise AssertionError("validate enumerated paths")
+
+    monkeypatch.setattr(DirectedGraph, "paths_from", refuse)
+    assert zn_rotation(8).validate() == []
 
 
 @pytest.mark.parametrize("name", EXPLICIT_FIXTURES)

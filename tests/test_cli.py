@@ -110,6 +110,35 @@ def test_bad_json_argument_is_a_usage_failure(capsys):
     assert "usage error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["semigroup", "four_loop_z2", "star", "[1]"],
+    ["germ", "four_loop_z2", "classify", "{}"],
+    ["semigroup", "four_loop_z2", "star", '{"alpha": [], "g": 0, "beta": []}'],
+    ["semigroup", "four_loop_z2", "star", '{"alpha": [1], "g": "0", "beta": []}'],
+    ["semigroup", "four_loop_z2", "conj", '{"alpha": [], "g": "0", "beta": []}',
+     '{"edges": [["e"]]}'],
+    ["germ", "four_loop_z2", "inverse", '{"alpha": [], "g": "0", "beta": []}'],
+    ["germ", "four_loop_z2", "inverse",
+     '{"alpha": [], "g": "0", "beta": [], "xi": 5}'],
+    ["germ", "four_loop_z2", "xbar", '{"period": "e"}'],
+    ["hum", "four_loop_z2", "5"],
+    ["twist", "twisted_three_spoke", "omega", "[]", "{}"],
+])
+def test_malformed_json_argument_is_a_usage_failure(capsys, argv):
+    code, _, err = run(capsys, argv)
+    assert code == 2
+    assert "usage error" in err
+
+
+def test_commands_dispatch_by_name_through_one_parser(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "cmd_nucleus", lambda args: calls.append(args) or 0)
+    assert cli.main(["nucleus", "four_loop_z2"]) == 0
+    assert cli.main(["nucleus", "two_edges"]) == 0
+    assert [a.system for a in calls] == ["four_loop_z2", "two_edges"]
+    assert cli._build_parser() is cli._build_parser()
+
+
 def test_wrong_arity_is_a_usage_failure(capsys):
     code, _, err = run(capsys, ["semigroup", "four_loop_z2", "mul",
                                 '{"alpha": [], "g": "0", "beta": []}'])
