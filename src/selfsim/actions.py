@@ -20,10 +20,25 @@ is not checked.  Take h = g⁻¹ in the product law and use the unit law:
     for p = e p':  g⁻¹|_{g·p} = (g⁻¹|_{g·e})|_{g|_e·p'} = ((g|_e)⁻¹)|_{g|_e·p'}
                  = ((g|_e)|_{p'})⁻¹ = (g|_p)⁻¹   by induction on |p|.
 
+The deciders all ask how elements walk along restrictions, so they share
+one restriction digraph per action (SelfSimilarAction.digraph, built on
+first use): an arrow g -e-> g|_e per composable (g, e), marked fixed when
+g·e = e.  A walk of fixed arrows from g spells a path that g fixes, and it
+ends at a unit exactly when g strongly fixes that path.  Hence the kernel
+(elements fixing every path) is the set of elements that reach no element
+moving an edge; Evr fails at a kernel element whose fixed walks never
+reach a unit; the kernel is closed under restriction, so Sla fails
+exactly when a kernel element reaches a directed cycle from which a
+non-unit is in reach (pump the cycle); and the nucleus is everything
+reachable from a directed cycle.  The cycle nodes are the non-trivial
+strongly connected components, from one pass of Tarjan's algorithm.
+
 Behavioral models carry the same act/restrict tables on states; every
 state is assumed to describe the behavior of at least one actual element.
 """
 
+import collections
+import functools
 from dataclasses import dataclass
 
 from .graphs import Path, GraphError, path_key
@@ -41,6 +56,12 @@ class SelfSimilarAction:
         self.groupoid = groupoid
         self.edge_action = dict(edge_action)    # (g, e) -> g·e
         self.restriction = dict(restriction)    # (g, e) -> g|_e
+
+    @functools.cached_property
+    def digraph(self):
+        """The restriction digraph, built from the tables on first use and
+        kept: the tables must not change after that."""
+        return RestrictionDigraph(self)
 
     # -- one-step calculus ----------------------------------------------
 
@@ -378,11 +399,129 @@ def fixes_point(action, g, x):
     return act_point(action, g, x) == x
 
 
-# -- fixing automaton and minimal strongly fixed paths --------------------
+# -- the restriction digraph ----------------------------------------------
+
+
+def _closure(seeds, step, avoid=frozenset()):
+    """Everything reachable from seeds by step(node) -> nodes, never
+    entering avoid."""
+    out, stack = set(), list(seeds)
+    while stack:
+        h = stack.pop()
+        if h not in out and h not in avoid:
+            out.add(h)
+            stack.extend(step(h))
+    return out
+
+
+def _dot(name, arrows, is_unit, root=None):
+    lines = ["digraph %s {" % name]
+    for h in sorted(arrows):
+        shape = "doublecircle" if is_unit(h) else "circle"
+        mark = ' style=bold' if h == root else ""
+        lines.append('  "%s" [shape=%s%s];' % (h, shape, mark))
+    for h in sorted(arrows):
+        for (e, n) in arrows[h]:
+            lines.append('  "%s" -> "%s" [label="%s"];' % (h, n, e))
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+class RestrictionDigraph:
+    """The arrows g -e-> g|_e of an action, one per composable (g, e).
+
+    arrows[g] lists every arrow out of g and fixed[g] the fixed ones
+    (g·e = e), both sorted by edge name; movers are the elements with an
+    arrow that is not fixed.  Each table entry is read once, here; the
+    derived sets are computed on first use.
+    """
+
+    def __init__(self, action):
+        gpd, graph = action.groupoid, action.graph
+        self.arrows, self.fixed, self.movers, self.units = {}, {}, set(), set()
+        for g in gpd.elements():
+            if gpd.is_unit(g):
+                self.units.add(g)
+            outs, fixed = [], []
+            for e in sorted(graph.received_by(gpd.src(g)), key=lambda e: e.name):
+                arrow = (e.name, action.restrict_edge(g, e.name))
+                outs.append(arrow)
+                if action.act_edge(g, e.name) == e.name:
+                    fixed.append(arrow)
+            self.arrows[g], self.fixed[g] = tuple(outs), tuple(fixed)
+            if len(fixed) < len(outs):
+                self.movers.add(g)
+
+    def reach(self, sources, avoid=frozenset()):
+        """Nodes reachable from sources along fixed arrows, never entering
+        avoid."""
+        return _closure(sources, lambda h: (n for (_, n) in self.fixed.get(h, ())),
+                        avoid)
+
+    @functools.cached_property
+    def _fixed_into(self):
+        rev = {}
+        for (g, outs) in self.fixed.items():
+            for (_, h) in outs:
+                rev.setdefault(h, []).append(g)
+        return rev
+
+    def reaching(self, targets):
+        """Nodes with a walk of fixed arrows into targets (targets included)."""
+        return _closure(targets, lambda h: self._fixed_into.get(h, ()))
+
+    @functools.cached_property
+    def kernel(self):
+        """Elements fixing every path at their source: those that reach no
+        mover.  A walk to the first mover on it uses fixed arrows only."""
+        return set(self.arrows) - self.reaching(self.movers)
+
+    @functools.cached_property
+    def can_reach_unit(self):
+        """Nodes from which a walk of fixed arrows reaches a unit."""
+        return self.reaching(self.units)
+
+    @functools.cached_property
+    def cyclic(self):
+        """Nodes on a directed cycle of the arrows: the non-trivial strongly
+        connected components, from one iterative pass of Tarjan's
+        algorithm."""
+        arrows = self.arrows
+        index, low, stack, on_stack, out = {}, {}, [], set(), set()
+
+        def visit(v):
+            index[v] = low[v] = len(index)
+            stack.append(v)
+            on_stack.add(v)
+            return (v, iter(arrows.get(v, ())))
+
+        for root in arrows:
+            work = [] if root in index else [visit(root)]
+            while work:
+                v, succ = work[-1]
+                for (_, w) in succ:
+                    if w not in index:
+                        work.append(visit(w))
+                        break
+                    if w in on_stack:
+                        low[v] = min(low[v], index[w])
+                else:
+                    work.pop()
+                    if work:
+                        low[work[-1][0]] = min(low[work[-1][0]], low[v])
+                    if low[v] == index[v]:
+                        comp = [stack.pop()]
+                        while comp[-1] != v:
+                            comp.append(stack.pop())
+                        on_stack.difference_update(comp)
+                        if len(comp) > 1 or any(n == v for (_, n) in arrows.get(v, ())):
+                            out.update(comp)
+        return out
 
 
 class FixingAutomaton:
-    """States reachable from a root element by restricting along fixed edges.
+    """States reachable from a root element by restricting along fixed edges:
+    the restriction digraph's fixed arrows, cut down to what the root reaches.
 
     A walk root -e1-> h1 -e2-> h2 ... exists iff the path e1 e2 ... is
     fixed by the root; the walk ends at a unit state iff the path is
@@ -392,53 +531,18 @@ class FixingAutomaton:
     def __init__(self, action, root):
         self.action = action
         self.root = root
-        self.trans = {}
-        queue = [root]
-        while queue:
-            h = queue.pop()
-            if h in self.trans:
-                continue
-            outs = []
-            for e in sorted(action.graph.received_by(action.groupoid.src(h)),
-                            key=lambda e: e.name):
-                if action.act_edge(h, e.name) == e.name:
-                    nxt = action.restrict_edge(h, e.name)
-                    outs.append((e.name, nxt))
-                    queue.append(nxt)
-            self.trans[h] = tuple(outs)
-
-    def nodes(self):
-        return tuple(sorted(self.trans))
-
-    def unit_nodes(self):
-        return tuple(n for n in self.nodes() if self.action.groupoid.is_unit(n))
-
-    def successors(self, h):
-        return self.trans[h]
+        fixed = action.digraph.fixed
+        self.trans = {h: fixed.get(h, ()) for h in action.digraph.reach([root])}
 
     def can_reach_unit(self):
         """The set of nodes from which some unit node is reachable."""
-        good = set(self.unit_nodes())
-        changed = True
-        while changed:
-            changed = False
-            for h, outs in self.trans.items():
-                if h not in good and any(n in good for (_, n) in outs):
-                    good.add(h)
-                    changed = True
-        return good
+        return self.action.digraph.can_reach_unit & self.trans.keys()
 
     def to_dot(self, name="fixing"):
-        lines = ["digraph %s {" % name]
-        for h in self.nodes():
-            shape = "doublecircle" if self.action.groupoid.is_unit(h) else "circle"
-            mark = ' style=bold' if h == self.root else ""
-            lines.append('  "%s" [shape=%s%s];' % (h, shape, mark))
-        for h in self.nodes():
-            for (e, n) in self.successors(h):
-                lines.append('  "%s" -> "%s" [label="%s"];' % (h, n, e))
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        return _dot(name, self.trans, self.action.groupoid.is_unit, self.root)
+
+
+# -- minimal strongly fixed paths -------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -451,26 +555,42 @@ class MinimalFixedResult:
         return self.status == "finite"
 
 
-def _shortest_walk(aut, sources, goal_test, within=None):
-    """Lexicographically smallest shortest edge word from sources to a goal.
+def _shortest_walk(succ, sources, goal_test, within=None):
+    """Lexicographically smallest shortest edge word from sources to a goal,
+    along the arrows succ[h] = ((e, h|_e), ...).
 
     When within is given, intermediate nodes must stay inside it (goal
     nodes are exempt).
     """
-    from collections import deque
-    queue = deque((s, ()) for s in sorted(set(sources)))
-    seen = set(sorted(set(sources)))
+    queue = collections.deque((s, ()) for s in sorted(set(sources)))
+    seen = set(sources)
     while queue:
         h, word = queue.popleft()
         if goal_test(h):
             return h, word
-        for (e, n) in aut.successors(h):
+        for (e, n) in succ[h]:
             if within is not None and n not in within and not goal_test(n):
                 continue
             if n not in seen:
                 seen.add(n)
                 queue.append((n, word + (e,)))
     return None, None
+
+
+def _cycle_word(succ, c, within=None):
+    """The shortest, then lexicographically least, non-empty closed walk at
+    c, or None; with within, every node on it lies inside within."""
+    best = None
+    for (e, n) in succ[c]:
+        if within is not None and n not in within:
+            continue
+        if n == c:
+            return (e,)
+        _, back = _shortest_walk(succ, [n], lambda m: m == c, within)
+        if back is not None and (best is None
+                                 or (len(back) + 1, (e,) + back) < (len(best), best)):
+            best = (e,) + back
+    return best
 
 
 def minimal_strongly_fixed(action, g):
@@ -484,38 +604,18 @@ def minimal_strongly_fixed(action, g):
     gpd, graph = action.groupoid, action.graph
     if gpd.is_unit(g):
         return MinimalFixedResult("finite", (graph.vertex_path(gpd.src(g)),))
-    aut = FixingAutomaton(action, g)
-    good = aut.can_reach_unit()
-
+    dg = action.digraph
+    succ, good = dg.fixed, dg.can_reach_unit
     # region reachable from g through non-unit nodes only
-    region = set()
-    stack = [g]
-    while stack:
-        h = stack.pop()
-        if h in region or gpd.is_unit(h):
-            continue
-        region.add(h)
-        stack.extend(n for (_, n) in aut.successors(h))
+    region = dg.reach([g], avoid=dg.units)
 
     # a cycle inside the region that can reach a unit makes the set infinite
-    live = sorted(h for h in region if h in good)
-    for h in live:
-        cycle_word = None
-        for (e, n) in aut.successors(h):
-            if n not in region:
-                continue
-            if n == h:
-                cycle_word = (e,)
-                break
-            _, back = _shortest_walk(aut, [n], lambda m: m == h, within=region)
-            if back is not None:
-                cand = (e,) + back
-                if cycle_word is None or (len(cand), cand) < (len(cycle_word), cycle_word):
-                    cycle_word = cand
+    for h in sorted(region & good & dg.cyclic):
+        cycle_word = _cycle_word(succ, h, within=region)
         if cycle_word is None:
             continue
-        _, access = _shortest_walk(aut, [g], lambda n: n == h, within=region)
-        _, exit_word = _shortest_walk(aut, [h], lambda n: gpd.is_unit(n))
+        _, access = _shortest_walk(succ, [g], lambda n: n == h, within=region)
+        _, exit_word = _shortest_walk(succ, [h], gpd.is_unit)
         return MinimalFixedResult("infinite", (), {
             "element": g,
             "access": list(access),
@@ -523,54 +623,41 @@ def minimal_strongly_fixed(action, g):
             "exit": list(exit_word),
         })
 
-    # finite: depth-first enumeration through live non-unit nodes
-    out = []
-
-    def walk(h, word):
-        for (e, n) in aut.successors(h):
+    # finite: walk every word through live non-unit nodes (they form no cycle)
+    out, stack = [], [(g, ())]
+    while stack:
+        h, word = stack.pop()
+        for (e, n) in succ[h]:
             if gpd.is_unit(n):
                 out.append(graph.path(word + (e,)))
             elif n in region and n in good:
-                walk(n, word + (e,))
-
-    walk(g, ())
+                stack.append((n, word + (e,)))
     return MinimalFixedResult("finite", tuple(sorted(out, key=path_key)))
-
-
-def fixes_all_paths(action, g):
-    """Does g fix every path out of src(g)?  (Kernel membership test.)"""
-    gpd, graph = action.groupoid, action.graph
-    seen, stack = set(), [g]
-    while stack:
-        h = stack.pop()
-        if h in seen:
-            continue
-        seen.add(h)
-        for e in graph.received_by(gpd.src(h)):
-            if action.act_edge(h, e.name) != e.name:
-                return False
-            stack.append(action.restrict_edge(h, e.name))
-    return True
 
 
 # -- kernels, nucleus, freeness -------------------------------------------
 
 
+def fixes_all_paths(action, g):
+    """Does g fix every path out of src(g)?  (Kernel membership test.)"""
+    return g in action.digraph.kernel
+
+
 def kernel_elements(action):
     """The kernel: all elements (or states) fixing every path at their source."""
-    return tuple(g for g in action.groupoid.elements()
-                 if fixes_all_paths(action, g))
+    return tuple(sorted(action.digraph.kernel))
 
 
 def faithful(action):
     """Only units may fix all paths."""
+    gpd = action.groupoid
     witness = None
-    for g in action.groupoid.elements():
-        if not action.groupoid.is_unit(g) and fixes_all_paths(action, g):
+    for g in sorted(action.digraph.kernel):
+        if not gpd.is_unit(g):
             witness = {"element": g}
             break
     return verdicts.universal_verdict(
-        action.groupoid, witness,
+        gpd, witness,
         witness_note="a non-unit fixes every path at its source",
         model_note="only units fix all paths")
 
@@ -580,26 +667,18 @@ def tight_kernel_elements(action):
     containing the units that contains every regular-based g fixing all its
     edges with restrictions already in the set (units at source vertices are
     always members)."""
-    gpd, graph = action.groupoid, action.graph
+    gpd, graph, dg = action.groupoid, action.graph, action.digraph
     units = {gpd.unit_at(v) for v in graph.vertices}
     singular_units = {gpd.unit_at(v) for v in graph.sources()}
-
-    def regular_based(g):
-        return (not graph.is_source(gpd.src(g))) and (not graph.is_source(gpd.rng(g)))
-
+    regular_fixers = [g for g in gpd.elements()
+                      if not graph.is_source(gpd.src(g))
+                      and not graph.is_source(gpd.rng(g))
+                      and g not in dg.movers]
     k = set(units)
     while True:
         nxt = set(singular_units)
-        for g in gpd.elements():
-            if not regular_based(g):
-                continue
-            ok = True
-            for e in graph.received_by(gpd.src(g)):
-                if (action.act_edge(g, e.name) != e.name
-                        or action.restrict_edge(g, e.name) not in k):
-                    ok = False
-                    break
-            if ok:
+        for g in regular_fixers:
+            if all(h in k for (_, h) in dg.arrows[g]):
                 nxt.add(g)
         nxt |= k
         if nxt == k:
@@ -624,48 +703,11 @@ def tightly_faithful(action):
 
 def restriction_digraph(action):
     """All restriction arrows g -e-> g|_e over every edge at src(g)."""
-    gpd, graph = action.groupoid, action.graph
-    arrows = {}
-    for g in gpd.elements():
-        outs = []
-        for e in sorted(graph.received_by(gpd.src(g)), key=lambda e: e.name):
-            outs.append((e.name, action.restrict_edge(g, e.name)))
-        arrows[g] = tuple(outs)
-    return arrows
+    return action.digraph.arrows
 
 
 def restriction_digraph_dot(action, name="restrictions"):
-    arrows = restriction_digraph(action)
-    gpd = action.groupoid
-    lines = ["digraph %s {" % name]
-    for g in sorted(arrows):
-        shape = "doublecircle" if gpd.is_unit(g) else "circle"
-        lines.append('  "%s" [shape=%s];' % (g, shape))
-    for g in sorted(arrows):
-        for (e, h) in arrows[g]:
-            lines.append('  "%s" -> "%s" [label="%s"];' % (g, h, e))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def cycle_nodes(arrows):
-    """Nodes lying on some directed cycle of the arrow relation."""
-    nodes = sorted(arrows)
-    on_cycle = set()
-    for start in nodes:
-        # start is on a cycle iff start is reachable from one of its successors
-        stack = [h for (_, h) in arrows[start]]
-        seen = set()
-        while stack:
-            h = stack.pop()
-            if h == start:
-                on_cycle.add(start)
-                break
-            if h in seen:
-                continue
-            seen.add(h)
-            stack.extend(n for (_, n) in arrows.get(h, ()))
-    return on_cycle
+    return _dot(name, restriction_digraph(action), action.groupoid.is_unit)
 
 
 def nucleus(action):
@@ -681,33 +723,23 @@ def nucleus(action):
     if action.graph.sources():
         raise ActionError("nucleus needs a graph without sources; %r is one"
                           % (action.graph.sources()[0],))
-    arrows = restriction_digraph(action)
-    seeds = cycle_nodes(arrows)
-    out, stack = set(), sorted(seeds)
-    while stack:
-        g = stack.pop()
-        if g in out:
-            continue
-        out.add(g)
-        stack.extend(h for (_, h) in arrows[g])
-    return tuple(sorted(out))
+    arrows = action.digraph.arrows
+    return tuple(sorted(_closure(action.digraph.cyclic,
+                                 lambda g: (h for (_, h) in arrows[g]))))
 
 
 def pseudo_free(action):
     """No non-unit fixes an edge with unit restriction."""
-    gpd, graph = action.groupoid, action.graph
+    gpd = action.groupoid
     witness = None
-    for g in gpd.elements():
-        if gpd.is_unit(g):
-            continue
-        for e in sorted(graph.received_by(gpd.src(g)), key=lambda e: e.name):
-            if (action.act_edge(g, e.name) == e.name
-                    and gpd.is_unit(action.restrict_edge(g, e.name))):
-                witness = {"element": g, "edge": e.name}
+    for g in gpd.nonunits():
+        for (e, h) in action.digraph.fixed[g]:
+            if gpd.is_unit(h):
+                witness = {"element": g, "edge": e}
                 break
         if witness:
             break
     return verdicts.universal_verdict(
-        action.groupoid, witness,
+        gpd, witness,
         witness_note="a non-unit strongly fixes an edge",
         model_note="no non-unit strongly fixes an edge")

@@ -316,6 +316,18 @@ def _check_arity(parsed, n, usage):
 # -- argument parsing -------------------------------------------------------
 
 
+def _length(text):
+    """A truncation length: a non-negative integer."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(
+            "%r is not a non-negative integer" % (text,))
+    return n
+
+
 @functools.cache
 def _build_parser():
     """The argument parser, built on first use and kept for the process.
@@ -325,7 +337,7 @@ def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=["json", "text"], default="json",
                         help="output format (default json)")
-    common.add_argument("--bound", type=int, default=3, metavar="L",
+    common.add_argument("--bound", type=_length, default=3, metavar="L",
                         help="truncation length for brute-force "
                              "verifications (default 3)")
     common.add_argument("--scope", choices=["strict", "model"],

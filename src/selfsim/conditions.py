@@ -87,15 +87,13 @@ def check_fin(action):
 
 
 def check_evr(action):
-    """Everyone fixing all paths strongly fixes some path."""
+    """Everyone fixing all paths strongly fixes some path: no kernel element
+    is cut off from the units along fixed arrows."""
+    dg = action.digraph
     witness = None
-    for g in action.groupoid.elements():
-        if not act_mod.fixes_all_paths(action, g):
-            continue
-        aut = act_mod.FixingAutomaton(action, g)
-        if g not in aut.can_reach_unit():
-            witness = {"op": "fixes_all_paths", "element": g}
-            break
+    stuck = dg.kernel - dg.can_reach_unit
+    if stuck:
+        witness = {"op": "fixes_all_paths", "element": min(stuck)}
     return verdicts.universal_verdict(
         action.groupoid, witness,
         witness_note="an element fixes every path at its source yet never "
@@ -133,39 +131,25 @@ def check_sla(action):
     Fails exactly when some such element can restrict, from a node on a
     directed cycle of its restriction digraph, to a non-unit: pumping the
     cycle produces arbitrarily long paths that are fixed but not strongly.
+    The kernel is closed under restriction and all its arrows are fixed,
+    so those cycle nodes are the digraph's cycle nodes inside the kernel.
+    The witness is the least such element and its least such node.
     """
-    gpd = action.groupoid
+    gpd, dg = action.groupoid, action.digraph
+    succ = dg.fixed
+    bad = dg.kernel & dg.cyclic & dg.reaching(set(dg.arrows) - dg.units)
+    starts = dg.kernel & dg.reaching(bad)
     witness = None
-    for g in gpd.elements():
-        if not act_mod.fixes_all_paths(action, g):
-            continue
-        aut = act_mod.FixingAutomaton(action, g)
-        arrows = {h: aut.successors(h) for h in aut.nodes()}
-        cyc = sorted(act_mod.cycle_nodes(arrows))
-        found = None
-        for c in cyc:
-            node, word = act_mod._shortest_walk(
-                aut, [c], lambda n: not gpd.is_unit(n))
-            if node is None:
-                continue
-            _, access = act_mod._shortest_walk(aut, [g], lambda n: n == c)
-            cycle_word = None
-            for (e, n) in aut.successors(c):
-                if n == c:
-                    cycle_word = (e,)
-                    break
-                _, back = act_mod._shortest_walk(aut, [n], lambda m: m == c)
-                if back is not None:
-                    cand = (e,) + back
-                    if cycle_word is None or (len(cand), cand) < (len(cycle_word), cycle_word):
-                        cycle_word = cand
-            found = {"op": "restriction_digraph", "element": g,
-                     "access": list(access), "cycle": list(cycle_word),
-                     "to_nonunit": list(word), "nonunit": node}
-            break
-        if found:
-            witness = found
-            break
+    if starts:
+        g = min(starts)
+        c = min(dg.reach([g]) & bad)
+        node, word = act_mod._shortest_walk(succ, [c],
+                                            lambda n: not gpd.is_unit(n))
+        _, access = act_mod._shortest_walk(succ, [g], lambda n: n == c)
+        witness = {"op": "restriction_digraph", "element": g,
+                   "access": list(access),
+                   "cycle": list(act_mod._cycle_word(succ, c)),
+                   "to_nonunit": list(word), "nonunit": node}
     return verdicts.universal_verdict(
         gpd, witness,
         witness_note="pumping the cycle keeps a non-unit restriction in "

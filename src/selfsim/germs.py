@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import semigroup as sg
-from .actions import (BoundaryPoint, FixingAutomaton, act_point, boundary_point,
+from .actions import (BoundaryPoint, act_point, boundary_point,
                       edge_at, fixes_point, point_from_json, point_phase,
                       point_prefix, point_tail, point_to_json,
                       strongly_fixed_prefix)
@@ -230,10 +230,10 @@ class SingularClass:
 
 def _tail_states_good(action, g, tail):
     """Every prefix of the tail must keep a strongly fixed extension in
-    reach: each restriction along the tail can reach a unit in the fixing
-    automaton."""
-    aut = FixingAutomaton(action, g)
-    good = aut.can_reach_unit()
+    reach: each restriction along the tail can reach a unit along the fixed
+    arrows of the restriction digraph.  g fixes the tail, so the walk below
+    only takes fixed arrows."""
+    good = action.digraph.can_reach_unit
     h, j, seen = g, 0, set()
     while True:
         if h not in good:

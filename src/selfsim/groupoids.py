@@ -1,6 +1,6 @@
 """Finite groupoids over a vertex set, plus a partial behavioral backend.
 
-Two backends share one duck-typed surface:
+Two backends share one surface, the accessors of the Groupoid base class:
 
 * ExplicitGroupoid — full element set with multiplication and inverse
   tables.  mul(a, b) composes a after b and is defined iff src(a) = rng(b).
@@ -37,20 +37,12 @@ class GroupoidElement:
     rng: str
 
 
-class ExplicitGroupoid:
-    kind = "explicit"
+class Groupoid:
+    """The accessors both backends share.  A backend keeps its members in
+    self._elements (name -> GroupoidElement) and calls them `member`
+    ("element" or "state") in error messages."""
 
-    def __init__(self, vertices, elements, units, mul_table, inv_table):
-        self.vertices = tuple(vertices)
-        self._elements = {}
-        for el in elements:
-            el = GroupoidElement(*el) if not isinstance(el, GroupoidElement) else el
-            self._elements[el.name] = el
-        self.units = dict(units)          # vertex -> unit element name
-        self._mul = dict(mul_table)       # (a, b) -> ab, with src(a) = rng(b)
-        self._inv = dict(inv_table)       # a -> a^{-1}
-
-    # -- basic accessors ------------------------------------------------
+    member = "element"
 
     def elements(self):
         return tuple(sorted(self._elements))
@@ -62,13 +54,41 @@ class ExplicitGroupoid:
         try:
             return self._elements[g]
         except KeyError:
-            raise GroupoidError("unknown element %r" % (g,))
+            raise GroupoidError("unknown %s %r" % (self.member, g))
 
     def src(self, g):
         return self._get(g).src
 
     def rng(self, g):
         return self._get(g).rng
+
+    def nonunits(self):
+        return tuple(g for g in self.elements() if not self.is_unit(g))
+
+    def isotropy_at(self, v):
+        return tuple(g for g in self.elements()
+                     if self.src(g) == v and self.rng(g) == v)
+
+    def orbit_pairs(self):
+        """All (src, rng) pairs realized by elements."""
+        return sorted({(self.src(g), self.rng(g)) for g in self.elements()})
+
+    def orbit_of(self, v):
+        return tuple(sorted({w for (a, w) in self.orbit_pairs() if a == v} | {v}))
+
+
+class ExplicitGroupoid(Groupoid):
+    kind = "explicit"
+
+    def __init__(self, vertices, elements, units, mul_table, inv_table):
+        self.vertices = tuple(vertices)
+        self._elements = {}
+        for el in elements:
+            el = GroupoidElement(*el) if not isinstance(el, GroupoidElement) else el
+            self._elements[el.name] = el
+        self.units = dict(units)          # vertex -> unit element name
+        self._mul = dict(mul_table)       # (a, b) -> ab, with src(a) = rng(b)
+        self._inv = dict(inv_table)       # a -> a^{-1}
 
     def unit_at(self, v):
         try:
@@ -95,22 +115,6 @@ class ExplicitGroupoid:
             return self._inv[g]
         except KeyError:
             raise GroupoidError("inverse of %r missing from table" % (g,))
-
-    # -- derived structure ----------------------------------------------
-
-    def nonunits(self):
-        return tuple(g for g in self.elements() if not self.is_unit(g))
-
-    def isotropy_at(self, v):
-        return tuple(g for g in self.elements()
-                     if self.src(g) == v and self.rng(g) == v)
-
-    def orbit_pairs(self):
-        """All (src, rng) pairs realized by elements."""
-        return sorted({(self.src(g), self.rng(g)) for g in self.elements()})
-
-    def orbit_of(self, v):
-        return tuple(sorted({w for (a, w) in self.orbit_pairs() if a == v} | {v}))
 
     def validate(self):
         problems = []
@@ -174,17 +178,18 @@ class ExplicitGroupoid:
         return problems
 
 
-class BehavioralModel:
+class BehavioralModel(Groupoid):
     kind = "behavioral"
+    member = "state"
 
     def __init__(self, vertices, states, unit_reflecting=False,
                  element_complete=False, orbit_complete=False):
         self.vertices = tuple(vertices)
-        self._states = {}
+        self._elements = {}
         for st in states:
             st = GroupoidElement(*st[:3]) if not isinstance(st, dict) else \
                 GroupoidElement(st["name"], st["src"], st["rng"])
-            self._states[st.name] = st
+            self._elements[st.name] = st
         self._unit_names = set()
         self.unit_reflecting = bool(unit_reflecting)
         self.element_complete = bool(element_complete)
@@ -210,46 +215,15 @@ class BehavioralModel:
         model._unit_names = unit_names
         return model
 
-    def elements(self):
-        return tuple(sorted(self._states))
-
-    def has_element(self, g):
-        return g in self._states
-
-    def _get(self, g):
-        try:
-            return self._states[g]
-        except KeyError:
-            raise GroupoidError("unknown state %r" % (g,))
-
-    def src(self, g):
-        return self._get(g).src
-
-    def rng(self, g):
-        return self._get(g).rng
-
     def is_unit(self, g):
         self._get(g)
         return g in self._unit_names
 
     def unit_at(self, v):
         for name in sorted(self._unit_names):
-            if self._states[name].src == v:
+            if self._elements[name].src == v:
                 return name
         raise GroupoidError("no unit state at vertex %r" % (v,))
-
-    def nonunits(self):
-        return tuple(g for g in self.elements() if not self.is_unit(g))
-
-    def isotropy_at(self, v):
-        return tuple(g for g in self.elements()
-                     if self.src(g) == v and self.rng(g) == v)
-
-    def orbit_pairs(self):
-        return sorted({(self.src(g), self.rng(g)) for g in self.elements()})
-
-    def orbit_of(self, v):
-        return tuple(sorted({w for (a, w) in self.orbit_pairs() if a == v} | {v}))
 
     def mul(self, a, b):
         raise RequiresExplicitError(
@@ -262,18 +236,18 @@ class BehavioralModel:
     def validate(self):
         problems = []
         vset = set(self.vertices)
-        for st in self._states.values():
+        for st in self._elements.values():
             if st.src not in vset or st.rng not in vset:
                 problems.append("state %r has unknown src/rng" % (st.name,))
         for u in self._unit_names:
-            st = self._states.get(u)
+            st = self._elements.get(u)
             if st is None:
                 problems.append("unit mark on unknown state %r" % (u,))
             elif st.src != st.rng:
                 problems.append("unit state %r has src != rng" % (u,))
         for v in self.vertices:
             units_here = [u for u in self._unit_names
-                          if u in self._states and self._states[u].src == v]
+                          if u in self._elements and self._elements[u].src == v]
             if not units_here:
                 problems.append("no unit state at vertex %r" % (v,))
             elif len(units_here) > 1:

@@ -243,16 +243,6 @@ def fixed_by(action, t, p):
                            graph.path_src(beta))
 
 
-def estar_unitary(action):
-    """Nonzero elements above a nonzero idempotent are idempotent.
-
-    Equivalent to pseudo-freeness of the action, which is how it is decided;
-    tests cross-check against the definition by bounded enumeration.
-    """
-    v = act_mod.pseudo_free(action)
-    return v
-
-
 def elements_up_to(action, bound):
     """All nonzero triples whose legs have length <= bound (sorted)."""
     gpd, graph = action.groupoid, action.graph

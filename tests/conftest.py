@@ -13,7 +13,8 @@ import pytest
 from selfsim import systems
 from selfsim.actions import SelfSimilarAction
 from selfsim.graphs import DirectedGraph
-from selfsim.groupoids import cyclic_group_table, group_bundle
+from selfsim.groupoids import (BehavioralModel, cyclic_group_table,
+                               group_bundle)
 
 FIXTURES = ("entrance_free_loop", "four_loop_z2", "not_exel_pardo",
             "twisted_three_spoke", "two_edges")
@@ -130,3 +131,57 @@ def zn_rotation(n):
 def random_actions():
     rng = random.Random(20260814)
     return [random_action(rng) for _ in range(50)]
+
+
+def random_behavioral_action(rng, max_vertices=3, max_edges=5, extra=4):
+    """One rejection-sampled behavioral model: a unit per vertex plus a few
+    non-unit states, each acting by an arbitrary bijection with arbitrary
+    restrictions.  No product law binds them, so kernels, cycles and
+    fixed walks of any shape occur.  unit_reflecting is set, so failure
+    witnesses are reported."""
+    while True:
+        graph = random_graph(rng, max_vertices, max_edges)
+        vs = graph.vertices
+        states = [("u_" + v, v, v, True) for v in vs]
+        for k in range(rng.randint(1, extra)):
+            a, b = rng.choice(vs), rng.choice(vs)
+            states.append(("s%d" % k, a, b, False))
+        by_ends = {}
+        for (name, a, b, _) in states:
+            by_ends.setdefault((a, b), []).append(name)
+        edge_action, restriction, ok = {}, {}, True
+        for (name, a, b, is_unit) in states:
+            dom = [e.name for e in graph.received_by(a)]
+            cod = [e.name for e in graph.received_by(b)]
+            if len(dom) != len(cod):
+                ok = False
+                break
+            if not is_unit:
+                rng.shuffle(cod)
+            for (e, f) in zip(dom, cod):
+                edge_action[(name, e)] = f
+                ends = (graph.edge(e).src, graph.edge(f).src)
+                if is_unit:
+                    restriction[(name, e)] = "u_" + ends[0]
+                elif ends in by_ends:
+                    restriction[(name, e)] = rng.choice(by_ends[ends])
+                else:
+                    ok = False
+        if not ok:
+            continue
+        gpd = BehavioralModel.from_states(vs, states,
+                                          {"unit_reflecting": True})
+        action = SelfSimilarAction(graph, gpd, edge_action, restriction)
+        if not action.validate():
+            return action
+
+
+@pytest.fixture(scope="session")
+def wide_random_actions():
+    """Random actions where witnesses often have several candidates to
+    choose the least from: explicit ones over larger groups and edge sets,
+    then behavioral models."""
+    rng = random.Random(7)
+    out = [random_action(rng, 3, rng.randint(1, 6), rng.randint(1, 6))
+           for _ in range(150)]
+    return out + [random_behavioral_action(rng) for _ in range(150)]

@@ -23,6 +23,7 @@ from selfsim.systems import load_fixture
 
 from conftest import EXPLICIT_FIXTURES, FIXTURES
 from test_conditions import oracle_is_invariant, oracle_orbit_closure
+from test_semigroup import oracle_order_counterexample
 
 
 def statuses(name, scope="model"):
@@ -191,11 +192,19 @@ def test_2a_minimal_fixed_matches_brute_force(random_actions):
 
 @pytest.mark.parametrize("name", EXPLICIT_FIXTURES)
 def test_2b_pseudo_free_iff_estar_unitary(name):
+    """PseudoFree against the definition of E*-unitary: a bounded sweep for
+    a non-idempotent above a nonzero idempotent, and a replay of the
+    witness (g, e) as one such pair, f_e <= (src g, g, src g)."""
     action = load_fixture(name).action
-    unitary = sg.estar_unitary(action)
     free = act_mod.pseudo_free(action)
-    assert unitary.status == free.status
-    assert unitary.witness == free.witness
+    cx = oracle_order_counterexample(action, 2, 3)
+    assert (free.status == "Fails") == (cx is not None)
+    if free.status == "Fails":
+        graph, g = action.graph, free.witness["element"]
+        v = graph.vertex_path(action.groupoid.src(g))
+        s = sg.make(action, v, g, v)
+        f = sg.idempotent(action, graph.path([free.witness["edge"]]))
+        assert sg.leq(action, f, s) and not sg.is_idempotent(action, s)
 
 
 @pytest.mark.parametrize("name", FIXTURES)

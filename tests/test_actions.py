@@ -19,6 +19,7 @@ from selfsim.actions import (BoundaryPoint, FixingAutomaton, SelfSimilarAction,
 from selfsim.germs import point_prepend
 
 from selfsim.graphs import DirectedGraph
+from selfsim.groupoids import BehavioralModel, ExplicitGroupoid
 
 from conftest import EXPLICIT_FIXTURES, FIXTURES, zn_rotation
 
@@ -152,6 +153,112 @@ def oracle_nucleus(action):
 
     for g in gpd.elements():
         walk(g, gpd.src(g), 0)
+    return out
+
+
+def oracle_fixed_arrows(action, h):
+    """The arrows h -e-> h|_e with h·e = e, sorted by edge name."""
+    graph, gpd = action.graph, action.groupoid
+    return [(e.name, action.restrict_edge(h, e.name))
+            for e in sorted(graph.received_by(gpd.src(h)), key=lambda e: e.name)
+            if action.act_edge(h, e.name) == e.name]
+
+
+def oracle_least_walk(action, source, goal, within=None, min_len=0):
+    """The shortest, then lexicographically least, word of fixed arrows from
+    source to a node passing goal, of length >= min_len, with every node
+    after the source and before the end in within; (end, word) or
+    (None, None).  Dynamic programming over exact lengths: the least word
+    of length L into n extends the least word of length L - 1 into some
+    predecessor."""
+    best = {source: ()}
+    for length in range(len(action.groupoid.elements()) + 2):
+        if length >= min_len:
+            hits = sorted((w, n) for (n, w) in best.items() if goal(n))
+            if hits:
+                return hits[0][1], hits[0][0]
+        nxt = {}
+        for (h, word) in best.items():
+            if length > 0 and within is not None and h not in within:
+                continue
+            for (e, n) in oracle_fixed_arrows(action, h):
+                if n not in nxt or word + (e,) < nxt[n]:
+                    nxt[n] = word + (e,)
+        best = nxt
+    return None, None
+
+
+def oracle_fixed_reach(action, g, avoid=lambda h: False):
+    out, stack = set(), [g]
+    while stack:
+        h = stack.pop()
+        if h not in out and not avoid(h):
+            out.add(h)
+            stack.extend(n for (_, n) in oracle_fixed_arrows(action, h))
+    return out
+
+
+def oracle_pumping_witness(action, g):
+    """The witness minimal_strongly_fixed reports for an infinite set: the
+    least non-unit h, reached from g through non-units, that lies on such
+    a cycle and can reach a unit; then the least cycle, access and exit
+    words.  None when the set is finite."""
+    is_unit = action.groupoid.is_unit
+    if is_unit(g):
+        return None
+    region = oracle_fixed_reach(action, g, avoid=is_unit)
+    good = oracle_unit_reachable(action, g)
+    for h in sorted(region & good):
+        _, cycle = oracle_least_walk(action, h, lambda n: n == h, region, 1)
+        if cycle is None:
+            continue
+        _, access = oracle_least_walk(action, g, lambda n: n == h, region)
+        _, exit_ = oracle_least_walk(action, h, is_unit)
+        return {"element": g, "access": list(access), "cycle": list(cycle),
+                "exit": list(exit_)}
+    return None
+
+
+def oracle_sla_witness(action):
+    """The Sla witness: the least kernel element g with a cycle node c below
+    it that reaches a non-unit, the least such c, and the least words."""
+    is_unit = action.groupoid.is_unit
+    cyclic = oracle_cycle_nodes(action)
+    for g in action.groupoid.elements():
+        if not oracle_fixes_all(action, g):
+            continue
+        for c in sorted(oracle_fixed_reach(action, g) & cyclic):
+            node, word = oracle_least_walk(action, c, lambda n: not is_unit(n))
+            if node is None:
+                continue
+            _, access = oracle_least_walk(action, g, lambda n: n == c)
+            _, cycle = oracle_least_walk(action, c, lambda n: n == c, None, 1)
+            return {"op": "restriction_digraph", "element": g,
+                    "access": list(access), "cycle": list(cycle),
+                    "to_nonunit": list(word), "nonunit": node}
+    return None
+
+
+def oracle_cycle_nodes(action):
+    """Nodes g with a non-empty restriction walk back to g, by one search
+    per node over the one-step calculus."""
+    graph, gpd = action.graph, action.groupoid
+
+    def step(h):
+        return [action.restrict_edge(h, e.name)
+                for e in graph.received_by(gpd.src(h))]
+
+    out = set()
+    for g in gpd.elements():
+        seen, stack = set(), step(g)
+        while stack:
+            h = stack.pop()
+            if h == g:
+                out.add(g)
+                break
+            if h not in seen:
+                seen.add(h)
+                stack.extend(step(h))
     return out
 
 
@@ -375,6 +482,19 @@ def test_minimal_strongly_fixed_on_random_actions(random_actions):
         _check_minimal_fixed(action)
 
 
+def test_minimal_strongly_fixed_witness_is_the_least(fix, random_actions,
+                                                     wide_random_actions):
+    pool = [fix(name).action for name in FIXTURES] + list(random_actions)
+    pool += list(wide_random_actions) + [zn_rotation(n) for n in (3, 4, 5)]
+    infinite = 0
+    for action in pool:
+        for g in action.groupoid.elements():
+            res = act.minimal_strongly_fixed(action, g)
+            assert res.witness == oracle_pumping_witness(action, g), g
+            infinite += not res.is_finite()
+    assert infinite >= 10
+
+
 def test_minimal_fixed_result_shape_on_four_loop(fix):
     action = fix("four_loop_z2").action
     res = act.minimal_strongly_fixed(action, "1")
@@ -384,6 +504,35 @@ def test_minimal_fixed_result_shape_on_four_loop(fix):
     res0 = act.minimal_strongly_fixed(action, "0")
     assert res0.is_finite()
     assert [str(p) for p in res0.paths] == ["v"]
+
+
+def fixed_chain(n):
+    """A behavioral model on a chain b0 <- b1 <- ... <- b_{n-1}: h_j fixes the
+    edge q_j into b_j and restricts to h_{j+1}, the last one to a unit."""
+    vs = ["b%d" % j for j in range(n)]
+    graph = DirectedGraph(vs, [("q%d" % j, vs[j + 1], vs[j])
+                               for j in range(n - 1)])
+    states = [("u%d" % j, v, v, True) for (j, v) in enumerate(vs)]
+    states += [("h%d" % j, v, v, False) for (j, v) in enumerate(vs)]
+    gpd = BehavioralModel.from_states(vs, states)
+    edge_action, restriction = {}, {}
+    for j in range(n - 1):
+        e = "q%d" % j
+        edge_action[("u%d" % j, e)] = edge_action[("h%d" % j, e)] = e
+        restriction[("u%d" % j, e)] = "u%d" % (j + 1)
+        restriction[("h%d" % j, e)] = "h%d" % (j + 1) if j < n - 2 \
+            else "u%d" % (j + 1)
+    return SelfSimilarAction(graph, gpd, edge_action, restriction)
+
+
+def test_minimal_strongly_fixed_walks_a_long_chain_without_recursion():
+    n = 1500
+    action = fixed_chain(n)
+    assert action.validate() == []
+    res = act.minimal_strongly_fixed(action, "h0")
+    assert res.is_finite()
+    assert [p.edges for p in res.paths] == \
+        [tuple("q%d" % j for j in range(n - 1))]
 
 
 # -- fixes_all_paths, kernels, faithfulness ---------------------------------
@@ -396,11 +545,19 @@ def test_fixes_all_paths_matches_bounded_oracle(fix, name):
         assert act.fixes_all_paths(action, g) == oracle_fixes_all(action, g)
 
 
-def test_fixes_all_paths_on_random_actions(random_actions):
-    for action in random_actions:
-        for g in action.groupoid.elements():
-            assert act.fixes_all_paths(action, g) == \
-                oracle_fixes_all(action, g)
+def test_fixes_all_paths_on_random_actions(random_actions, wide_random_actions):
+    deep_kernels = 0
+    for action in list(random_actions) + list(wide_random_actions):
+        gpd = action.groupoid
+        kernel = {g for g in gpd.elements() if oracle_fixes_all(action, g)}
+        for g in gpd.elements():
+            assert act.fixes_all_paths(action, g) == (g in kernel)
+        # kernels where an element fixing its own edges restricts to a mover
+        deep_kernels += any(
+            g not in kernel and all(action.act_edge(g, e.name) == e.name
+                                    for e in action.graph.received_by(gpd.src(g)))
+            for g in gpd.elements())
+    assert deep_kernels >= 5
 
 
 @pytest.mark.parametrize("name", FIXTURES)
@@ -412,8 +569,8 @@ def test_kernel_and_tight_kernel_match_oracles(fix, name):
     assert set(act.tight_kernel_elements(action)) == oracle_tight_kernel(action)
 
 
-def test_kernels_on_random_actions(random_actions):
-    for action in random_actions:
+def test_kernels_on_random_actions(random_actions, wide_random_actions):
+    for action in list(random_actions) + list(wide_random_actions):
         assert set(act.tight_kernel_elements(action)) == \
             oracle_tight_kernel(action)
 
@@ -423,6 +580,36 @@ def test_faithfulness_flags(fix):
     assert act.faithful(fix("not_exel_pardo").action).status == "Fails"
     assert act.tightly_faithful(fix("two_edges").action).status == "Fails"
     assert act.tightly_faithful(fix("four_loop_z2").action).status == "Holds"
+
+
+# -- the restriction digraph ------------------------------------------------
+
+
+def test_digraph_cycle_nodes_match_oracle(fix, random_actions,
+                                         wide_random_actions):
+    pool = [fix(name).action for name in FIXTURES] + list(random_actions)
+    pool += list(wide_random_actions)
+    pool += [zn_rotation(n) for n in (3, 4, 5, 6)]
+    for action in pool:
+        assert action.digraph.cyclic == oracle_cycle_nodes(action)
+
+
+def test_digraph_cycle_search_handles_a_long_cycle():
+    n = 3000
+    vs = ["v%d" % i for i in range(n)]
+    graph = DirectedGraph(vs, [("e%d" % i, vs[(i + 1) % n], vs[i])
+                               for i in range(n)])
+    units = {v: "1@" + v for v in vs}
+    gpd = ExplicitGroupoid(vs, [(u, v, v) for (v, u) in units.items()], units,
+                           {(u, u): u for u in units.values()},
+                           {u: u for u in units.values()})
+    edge_action = {(gpd.unit_at(v), "e%d" % i): "e%d" % i
+                   for (i, v) in enumerate(vs)}
+    restriction = {(gpd.unit_at(v), "e%d" % i): gpd.unit_at(vs[(i + 1) % n])
+                   for (i, v) in enumerate(vs)}
+    action = SelfSimilarAction(graph, gpd, edge_action, restriction)
+    assert action.digraph.cyclic == set(gpd.elements())
+    assert len(act.nucleus(action)) == n
 
 
 # -- nucleus ----------------------------------------------------------------
@@ -494,6 +681,17 @@ def test_fixing_automaton_agrees_with_oracle_reachability(fix):
         for g in action.groupoid.elements():
             aut = FixingAutomaton(action, g)
             assert aut.can_reach_unit() == oracle_unit_reachable(action, g)
+
+
+def test_fixing_automaton_is_the_fixed_arrows_below_its_root(
+        fix, random_actions, wide_random_actions):
+    pool = [fix(name).action for name in FIXTURES] + list(random_actions)
+    pool += list(wide_random_actions)
+    for action in pool:
+        for g in action.groupoid.elements():
+            assert FixingAutomaton(action, g).trans == {
+                h: tuple(oracle_fixed_arrows(action, h))
+                for h in oracle_fixed_reach(action, g)}
 
 
 def test_fixing_automaton_dot_is_deterministic(fix):

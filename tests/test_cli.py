@@ -104,6 +104,22 @@ def test_unknown_subcommand_exits_two(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("value", ["-1", "two"])
+def test_bad_bound_is_a_usage_failure(capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["twist", "twisted_three_spoke", "verify", "--bound", value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--bound" in captured.err and "non-negative" in captured.err
+
+
+def test_zero_bound_is_accepted(capsys):
+    code, data, _ = run_json(capsys, ["twist", "twisted_three_spoke", "verify",
+                                      "--bound", "0"])
+    assert (code, data["ok"]) == (0, True)
+
+
 def test_bad_json_argument_is_a_usage_failure(capsys):
     code, _, err = run(capsys, ["semigroup", "four_loop_z2", "star", "{oops"])
     assert code == 2

@@ -5,13 +5,16 @@ closure clauses literally, so the library's fixpoint computation is
 measured against the definition, not against itself.
 """
 
+import collections
 import itertools
+import random
 
 import pytest
 
+from selfsim import actions as act_mod
 from selfsim import conditions as cond
 from selfsim import verdicts
-from selfsim.actions import SelfSimilarAction
+from selfsim.actions import SelfSimilarAction, faithful, pseudo_free
 from selfsim.conditions import (check_con, check_contracting, check_cyc,
                                 check_evr, check_fin, check_min, check_rec,
                                 check_sla, combine, invariant_closure,
@@ -19,9 +22,12 @@ from selfsim.conditions import (check_con, check_contracting, check_cyc,
 from selfsim.graphs import DirectedGraph
 from selfsim.groupoids import (BehavioralModel, ExplicitGroupoid,
                                cyclic_group_table, group_bundle)
+from selfsim.systems import load_fixture
 from selfsim.verdicts import fails, holds, holds_on_model, requires_explicit
 
-from conftest import FIXTURES
+from conftest import FIXTURES, random_action, zn_rotation
+from test_actions import (oracle_fixed_arrows, oracle_fixes_all,
+                          oracle_sla_witness, oracle_unit_reachable)
 
 
 # -- oracles ----------------------------------------------------------------
@@ -420,3 +426,59 @@ def test_report_strict_scope_downgrades_model_verdicts(fix):
     relaxed = run_report(fix("two_edges").action, scope_mode="model")
     assert relaxed.to_json()["derived"]["TopFreeTight"]["status"] == \
         "HoldsOnModel"
+
+
+def test_report_reads_each_table_entry_once(monkeypatch):
+    """One report on a validated action reads g·e and g|_e at most once per
+    composable (g, e), through the shared restriction digraph, and builds
+    no per-element fixing automaton."""
+    rng = random.Random(5)
+    pool = [load_fixture(name).action for name in FIXTURES]
+    pool += [zn_rotation(n) for n in (3, 4, 5)]
+    pool += [random_action(rng) for _ in range(20)]
+    reads = collections.Counter()
+
+    def counted(meth):
+        original = getattr(SelfSimilarAction, meth)
+
+        def wrapper(self, g, e):
+            reads[(meth, id(self), g, e)] += 1
+            return original(self, g, e)
+        return wrapper
+
+    def no_automaton(self, action, root):
+        raise AssertionError("run_report built a FixingAutomaton")
+
+    for action in pool:
+        assert action.validate() == []
+    for meth in ("act_edge", "restrict_edge"):
+        monkeypatch.setattr(SelfSimilarAction, meth, counted(meth))
+    monkeypatch.setattr(act_mod.FixingAutomaton, "__init__", no_automaton)
+    for action in pool:
+        run_report(action)
+    assert reads and max(reads.values()) == 1
+
+
+def test_witnesses_are_the_least(fix, random_actions, wide_random_actions):
+    """Evr, Sla, PseudoFree and Faithful report the least counterexample,
+    by the oracles' literal search over the one-step calculus."""
+    pool = [fix(name).action for name in FIXTURES] + list(random_actions)
+    pool += list(wide_random_actions)
+    failing = collections.Counter()
+    for action in pool:
+        gpd = action.groupoid
+        kernel = [g for g in gpd.elements() if oracle_fixes_all(action, g)]
+        stuck = [{"op": "fixes_all_paths", "element": g} for g in kernel
+                 if g not in oracle_unit_reachable(action, g)]
+        strong = [{"element": g, "edge": e} for g in gpd.nonunits()
+                  for (e, h) in oracle_fixed_arrows(action, g)
+                  if gpd.is_unit(h)]
+        loose = [{"element": g} for g in kernel if not gpd.is_unit(g)]
+        expected = {"Evr": (check_evr, stuck[0] if stuck else None),
+                    "Sla": (check_sla, oracle_sla_witness(action)),
+                    "PseudoFree": (pseudo_free, strong[0] if strong else None),
+                    "Faithful": (faithful, loose[0] if loose else None)}
+        for (cid, (decide, witness)) in expected.items():
+            assert decide(action).witness == witness, cid
+            failing[cid] += witness is not None
+    assert min(failing.values()) >= 10

@@ -14,7 +14,7 @@ from selfsim import semigroup as sg
 from selfsim.graphs import comparable
 from selfsim.groupoids import GroupoidError, RequiresExplicitError
 from selfsim.semigroup import (ZERO, SemigroupError, Triple, conj_idempotent,
-                               elements_up_to, estar_unitary, fixed_by,
+                               elements_up_to, fixed_by,
                                idempotent, in_S0, in_S00, is_idempotent,
                                is_zero, length_cocycle, leq, make, mul, star)
 from selfsim import actions as act
@@ -354,10 +354,9 @@ def test_fixed_by_pinned_cases(fix):
 
 @pytest.mark.parametrize("name", FIXTURES)
 def test_estar_unitary_matches_definition_and_freeness(fix, name):
+    """E*-unitary (checked by bounded sweep) iff pseudo-free."""
     action = fix(name).action
-    v = estar_unitary(action)
-    w = act.pseudo_free(action)
-    assert (v.status, v.witness) == (w.status, w.witness)
+    v = act.pseudo_free(action)
     cx = oracle_order_counterexample(action, 2, 3)
     if v.status == "Fails":
         assert cx is not None
@@ -369,7 +368,7 @@ def test_estar_unitary_matches_definition_and_freeness(fix, name):
 
 def test_estar_unitary_on_random_actions(random_actions):
     for action in random_actions[:12]:
-        v = estar_unitary(action)
+        v = act.pseudo_free(action)
         cx = oracle_order_counterexample(action, 1, 2)
         if cx is not None:
             assert v.status == "Fails"
