@@ -85,7 +85,6 @@ class SelfSimilarAction:
 
     def act_path(self, g, p):
         """g·p, defined when src(g) = rng(p); has range rng(g) and len(p)."""
-        self.graph.check_path(p)
         if self.groupoid.src(g) != p.base:
             raise ActionError("element %r cannot act on path %s" % (g, p))
         h, out = g, []
@@ -96,7 +95,6 @@ class SelfSimilarAction:
 
     def restrict_path(self, g, p):
         """g|_p: restrict g along every edge of p in turn."""
-        self.graph.check_path(p)
         if self.groupoid.src(g) != p.base:
             raise ActionError("element %r cannot restrict along path %s" % (g, p))
         h = g
@@ -217,6 +215,8 @@ class BoundaryPoint:
 
     Stored canonically: the period is primitive and the prefix is as short
     as possible (no trailing prefix edge equal to the last period edge).
+    boundary_point validates raw words once; the operations below build
+    their points from words they already hold, through canonical_point.
     """
 
     base: str
@@ -241,38 +241,30 @@ def _primitive_word(word):
     return word
 
 
-def boundary_point(graph, prefix_edges, period_edges=(), base=None):
-    """Build and canonicalize a boundary point from raw edge words."""
-    prefix = tuple(prefix_edges)
-    period = tuple(period_edges)
-    if not prefix and not period:
-        if base is None:
-            raise GraphError("vertex boundary point needs a base vertex")
-        graph.vertex_path(base)
-        return BoundaryPoint(base)
+def canonical_point(base, prefix, period=()):
+    """The canonical form of prefix·period^∞ at range vertex base (a finite
+    point when period is empty).  Trusted: prefix·period must compose and
+    the period must close up.  Rolling the period back over the prefix
+    keeps the word, so the base does not change."""
     if period:
-        per_path = graph.path(period)
-        if graph.path_src(per_path) != per_path.base:
-            raise GraphError("period %s is not a closed word" % (per_path,))
-        if prefix:
-            pre_path = graph.path(prefix)
-            graph.concat(pre_path, per_path)
         period = _primitive_word(period)
         while prefix and prefix[-1] == period[-1]:
-            prefix = prefix[:-1]
-            period = (period[-1],) + period[:-1]
-        b = graph.path(prefix).base if prefix else graph.path(period).base
-        if base is not None and base != b:
-            raise GraphError("boundary point base mismatch")
-        return BoundaryPoint(b, prefix, period)
-    p = graph.path(prefix)
-    if base is not None and base != p.base:
-        raise GraphError("boundary point base mismatch")
-    return BoundaryPoint(p.base, prefix, ())
+            prefix, period = prefix[:-1], (period[-1],) + period[:-1]
+    return BoundaryPoint(base, prefix, period)
+
+
+def boundary_point(graph, prefix_edges, period_edges=(), base=None):
+    """Validate raw edge words once and return the canonical boundary point:
+    prefix·period must be a path (at base, when given) and the period must
+    close up."""
+    prefix, period = tuple(prefix_edges), tuple(period_edges)
+    p = graph.path(prefix + period, base=base)
+    if period and graph.edge(period[-1]).src != graph.edge(period[0]).rng:
+        raise GraphError("period %s is not a closed word" % ("".join(period),))
+    return canonical_point(p.base, prefix, period)
 
 
 def point_from_path(graph, p):
-    graph.check_path(p)
     return BoundaryPoint(p.base, p.edges, ())
 
 
@@ -294,7 +286,7 @@ def point_prefix(graph, x, n):
     """The length-n prefix of the point, as a Path."""
     if x.is_finite() and n > len(x.prefix):
         raise GraphError("%s is shorter than %d" % (x, n))
-    return graph.path([edge_at(x, i) for i in range(n)], base=x.base if n == 0 else None)
+    return Path(x.base, tuple(edge_at(x, i) for i in range(n)))
 
 
 def point_tail(graph, x, n):
@@ -302,13 +294,9 @@ def point_tail(graph, x, n):
     if x.is_finite():
         p = graph.tail_after(finite_path(graph, x), n)
         return BoundaryPoint(p.base, p.edges, ())
-    if n <= len(x.prefix):
-        rest = x.prefix[n:]
-        b = graph.path(rest).base if rest else graph.path(x.period).base
-        return BoundaryPoint(b, rest, x.period)
-    k = (n - len(x.prefix)) % len(x.period)
-    per = x.period[k:] + x.period[:k]
-    return BoundaryPoint(graph.path(per).base, (), per)
+    k = max(0, n - len(x.prefix)) % len(x.period)
+    return canonical_point(graph.edge(edge_at(x, n)).rng, x.prefix[n:],
+                           x.period[k:] + x.period[:k])
 
 
 def point_phase(x, i):
@@ -316,13 +304,6 @@ def point_phase(x, i):
     if i < len(x.prefix):
         return ("pre", i)
     return ("per", (i - len(x.prefix)) % len(x.period))
-
-
-def in_boundary(graph, x):
-    """Membership in ∂E: infinite, or a finite path ending at a source."""
-    if not x.is_finite():
-        return True
-    return graph.is_source(graph.path_src(finite_path(graph, x)))
 
 
 def point_to_json(x):
@@ -344,9 +325,8 @@ def boundary_points_from(graph, v, max_len):
             pts.add(point_from_path(graph, p))
         for k in range(len(p.edges)):
             head, tail = p.edges[:k], p.edges[k:]
-            tp = graph.path(tail)
-            if graph.path_src(tp) == tp.base:
-                pts.add(boundary_point(graph, head, tail))
+            if graph.edge(tail[-1]).src == graph.edge(tail[0]).rng:
+                pts.add(canonical_point(p.base, head, tail))
     return sorted(pts, key=lambda x: (len(x.prefix) + len(x.period), x.base,
                                       x.prefix, x.period))
 
@@ -364,7 +344,7 @@ def act_point(action, g, x):
         key = (h, point_phase(x, i))
         if key in seen:
             j = seen[key]
-            return boundary_point(graph, out[:j], out[j:i])
+            return canonical_point(gpd.rng(g), tuple(out[:j]), tuple(out[j:i]))
         seen[key] = i
         e = edge_at(x, i)
         out.append(action.act_edge(h, e))
@@ -395,8 +375,27 @@ def strongly_fixed_prefix(action, g, x):
 
 
 def fixes_point(action, g, x):
-    """g·x = x decided by direct comparison of canonical forms."""
-    return act_point(action, g, x) == x
+    """g·x = x, decided by walking x from g without building g·x: every edge
+    must be fixed, up to a repeated (element, phase) pair or the end of a
+    finite point.  A fixed first edge puts rng(g) at x.base, so only a
+    vertex point needs rng(g) checked."""
+    gpd = action.groupoid
+    if gpd.src(g) != x.base:
+        raise ActionError("element %r cannot act on point %s" % (g, x))
+    if not x.prefix and not x.period:
+        return gpd.rng(g) == x.base
+    h, i, seen = g, 0, set()
+    while not (x.is_finite() and i >= len(x.prefix)):
+        key = (h, point_phase(x, i))
+        if key in seen:
+            return True
+        seen.add(key)
+        e = edge_at(x, i)
+        if action.act_edge(h, e) != e:
+            return False
+        h = action.restrict_edge(h, e)
+        i += 1
+    return True
 
 
 # -- the restriction digraph ----------------------------------------------
@@ -601,9 +600,9 @@ def minimal_strongly_fixed(action, g):
     an exit word to a unit; pumping the cycle gives infinitely many
     minimal strongly fixed paths).
     """
-    gpd, graph = action.groupoid, action.graph
+    gpd = action.groupoid
     if gpd.is_unit(g):
-        return MinimalFixedResult("finite", (graph.vertex_path(gpd.src(g)),))
+        return MinimalFixedResult("finite", (Path(gpd.src(g)),))
     dg = action.digraph
     succ, good = dg.fixed, dg.can_reach_unit
     # region reachable from g through non-unit nodes only
@@ -629,7 +628,7 @@ def minimal_strongly_fixed(action, g):
         h, word = stack.pop()
         for (e, n) in succ[h]:
             if gpd.is_unit(n):
-                out.append(graph.path(word + (e,)))
+                out.append(Path(gpd.src(g), word + (e,)))
             elif n in region and n in good:
                 stack.append((n, word + (e,)))
     return MinimalFixedResult("finite", tuple(sorted(out, key=path_key)))

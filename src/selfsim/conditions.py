@@ -188,14 +188,6 @@ def path_reachable_vertices(graph, v):
     return out
 
 
-def orbit_path_reach(action, v):
-    """Vertices w such that some path from v ends in the orbit of w."""
-    graph, gpd = action.graph, action.groupoid
-    classes = orbit_classes(gpd)
-    hit = {classes[u] for u in path_reachable_vertices(graph, v)}
-    return {w for w in graph.vertices if classes[w] in hit}
-
-
 def invariant_closure(action, v):
     """The smallest set containing v that is closed under following paths,
     under the orbit relation, and under saturation (a regular vertex all of

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import semigroup as sg
-from .actions import (BoundaryPoint, act_point, boundary_point,
+from .actions import (BoundaryPoint, act_point, canonical_point,
                       edge_at, fixes_point, point_from_json, point_phase,
                       point_prefix, point_tail, point_to_json,
                       strongly_fixed_prefix)
@@ -43,11 +43,9 @@ def make_germ(action, triple, xi):
 
 def point_prepend(graph, p, x):
     """The point p·x (p a path composing with x)."""
-    graph.check_path(p)
     if graph.path_src(p) != x.base:
         raise GermError("path %s does not compose with point %s" % (p, x))
-    base = p.base if p.edges else x.base
-    return boundary_point(graph, p.edges + x.prefix, x.period, base=base)
+    return canonical_point(p.base, p.edges + x.prefix, x.period)
 
 
 def source_point(action, a):
@@ -124,7 +122,6 @@ def cycle_expansion(action, first, g0):
     """The unique point x with x = first·(g0·x): blocks a1 = first,
     a_{n+1} = g_n·a_n, g_{n+1} = g_n|_{a_n}; eventually periodic by
     pigeonhole on (element, block)."""
-    graph = action.graph
     blocks, seen = [], {}
     word, h = first, g0
     while (h, word) not in seen:
@@ -134,10 +131,9 @@ def cycle_expansion(action, first, g0):
         h = action.restrict_path(h, word)
         word = nxt
     j = seen[(h, word)]
-    pre = [e for b in blocks[:j] for e in b.edges]
-    per = [e for b in blocks[j:] for e in b.edges]
-    return boundary_point(graph, pre, per,
-                          base=first.base if not (pre or per) else None)
+    pre = tuple(e for b in blocks[:j] for e in b.edges)
+    per = tuple(e for b in blocks[j:] for e in b.edges)
+    return canonical_point(first.base, pre, per)
 
 
 def cycle_infinite_path(action, g, cycle):

@@ -24,7 +24,13 @@ class Edge:
 
 @dataclass(frozen=True)
 class Path:
-    """A finite path: range vertex plus the tuple of edge names, in order."""
+    """A finite path: range vertex plus the tuple of edge names, in order.
+
+    Paths are validated once, where they enter from outside: by
+    DirectedGraph.path (or vertex_path), and inside boundary points by
+    actions.boundary_point.  Every other operation trusts them and builds
+    its results directly.
+    """
 
     base: str            # the range vertex of the path
     edges: tuple = ()
@@ -98,58 +104,53 @@ class DirectedGraph:
     # -- path calculus -------------------------------------------------
 
     def vertex_path(self, v):
-        if v not in self._received:
-            raise GraphError("unknown vertex %r" % (v,))
-        return Path(v)
+        return self.path((), base=v)
 
     def path(self, edge_names, base=None):
         """Build a path from edge names; base only needed for the empty path."""
         edge_names = tuple(edge_names)
-        if not edge_names:
-            if base is None:
+        if base is None:
+            if not edge_names:
                 raise GraphError("empty path needs a base vertex")
-            return self.vertex_path(base)
-        es = [self.edge(n) for n in edge_names]
+            base = self.edge(edge_names[0]).rng
+        return self.check_path(Path(base, edge_names))
+
+    def check_path(self, p):
+        """The one path validator: p itself when it is a path of this graph,
+        else GraphError.  path and vertex_path call it; every other path
+        operation trusts its arguments."""
+        es = [self.edge(n) for n in p.edges]
+        if not self.has_vertex(p.base):
+            raise GraphError("unknown vertex %r" % (p.base,))
         for a, b in zip(es, es[1:]):
             if a.src != b.rng:
                 raise GraphError(
                     "edges %r and %r do not compose (src %r != rng %r)"
                     % (a.name, b.name, a.src, b.rng))
-        p = Path(es[0].rng, edge_names)
-        if base is not None and base != p.base:
-            raise GraphError("path %s has range %r, not %r" % (p, p.base, base))
-        return p
-
-    def check_path(self, p):
-        if not self.has_vertex(p.base):
-            raise GraphError("path %s not over this graph (unknown base)" % (p,))
-        self.path(p.edges, base=p.base if not p.edges else None)
-        if p.edges and self.edge(p.edges[0]).rng != p.base:
-            raise GraphError("path %s has inconsistent base" % (p,))
+        if es and es[0].rng != p.base:
+            raise GraphError("path %s has range %r, not %r"
+                             % (p, es[0].rng, p.base))
         return p
 
     def path_src(self, p):
         """The source vertex of the path (its base for the empty path)."""
-        self.check_path(p)
         return self.edge(p.edges[-1]).src if p.edges else p.base
 
     def path_rng(self, p):
-        self.check_path(p)
         return p.base
 
     def base_vertices(self, p):
         """All vertices the path passes through: rng of every edge plus the final src."""
-        self.check_path(p)
         return tuple([self.edge(n).rng for n in p.edges] + [self.path_src(p)])
 
     def concat(self, p, q):
         """p followed by q; valid when src(p) = rng(q)."""
-        if self.path_src(p) != self.path_rng(q):
+        if self.path_src(p) != q.base:
             raise GraphError("paths %s and %s do not compose" % (p, q))
-        return Path(p.base if p.edges else q.base, p.edges + q.edges)
+        return Path(p.base, p.edges + q.edges)
 
     def extend(self, p, edge_name):
-        return self.concat(p, self.path([edge_name]))
+        return self.concat(p, Path(self.edge(edge_name).rng, (edge_name,)))
 
     def prefix(self, p, n):
         if n < 0 or n > len(p.edges):
@@ -161,13 +162,10 @@ class DirectedGraph:
         q = self.prefix(p, n)  # validates n
         return Path(self.path_src(q), p.edges[n:])
 
-    def split(self, p, n):
-        return self.prefix(p, n), self.tail_after(p, n)
-
     def paths_from(self, v, max_len):
         """All paths with range v of length <= max_len, shortest first, lexicographic."""
-        out = [self.vertex_path(v)]
-        frontier = [self.vertex_path(v)]
+        self.received_by(v)  # an unknown vertex raises GraphError
+        out, frontier = [Path(v)], [Path(v)]
         for _ in range(max_len):
             nxt = []
             for p in frontier:
@@ -213,8 +211,6 @@ def is_prefix(p, q):
 
 def comparable(graph, p, q):
     """True when one of the paths is a prefix of the other (same cylinder chain)."""
-    graph.check_path(p)
-    graph.check_path(q)
     return is_prefix(p, q) or is_prefix(q, p)
 
 
@@ -224,8 +220,7 @@ def covers(graph, p, family):
     A branch is covered once some family member is a prefix of it; branches
     are explored to the maximum family length, stopping early at sources.
     """
-    graph.check_path(p)
-    fam = [graph.check_path(f) for f in family]
+    fam = list(family)
     if not fam:
         return False  # the cylinder of p always contains a boundary point
     max_len = max(len(f.edges) for f in fam)

@@ -19,6 +19,7 @@ Operations that genuinely need products raise RequiresExplicitError on a
 behavioral model.
 """
 
+import collections
 from dataclasses import dataclass
 
 
@@ -190,7 +191,7 @@ class BehavioralModel(Groupoid):
             st = GroupoidElement(*st[:3]) if not isinstance(st, dict) else \
                 GroupoidElement(st["name"], st["src"], st["rng"])
             self._elements[st.name] = st
-        self._unit_names = set()
+        self._unit_names, self._unit_at = set(), {}
         self.unit_reflecting = bool(unit_reflecting)
         self.element_complete = bool(element_complete)
         self.orbit_complete = bool(orbit_complete)
@@ -213,6 +214,8 @@ class BehavioralModel(Groupoid):
                     element_complete=flags.get("element_complete", False),
                     orbit_complete=flags.get("orbit_complete", False))
         model._unit_names = unit_names
+        for name in sorted(unit_names & model._elements.keys()):
+            model._unit_at.setdefault(model._elements[name].src, name)
         return model
 
     def is_unit(self, g):
@@ -220,10 +223,10 @@ class BehavioralModel(Groupoid):
         return g in self._unit_names
 
     def unit_at(self, v):
-        for name in sorted(self._unit_names):
-            if self._elements[name].src == v:
-                return name
-        raise GroupoidError("no unit state at vertex %r" % (v,))
+        try:
+            return self._unit_at[v]
+        except KeyError:
+            raise GroupoidError("no unit state at vertex %r" % (v,))
 
     def mul(self, a, b):
         raise RequiresExplicitError(
@@ -245,12 +248,13 @@ class BehavioralModel(Groupoid):
                 problems.append("unit mark on unknown state %r" % (u,))
             elif st.src != st.rng:
                 problems.append("unit state %r has src != rng" % (u,))
+        units_here = collections.Counter(self._elements[u].src
+                                         for u in self._unit_names
+                                         if u in self._elements)
         for v in self.vertices:
-            units_here = [u for u in self._unit_names
-                          if u in self._elements and self._elements[u].src == v]
-            if not units_here:
+            if not units_here[v]:
                 problems.append("no unit state at vertex %r" % (v,))
-            elif len(units_here) > 1:
+            elif units_here[v] > 1:
                 problems.append("several unit states at vertex %r" % (v,))
         return problems
 

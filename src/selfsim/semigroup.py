@@ -50,8 +50,6 @@ class Triple:
 
 def make(action, alpha, g, beta):
     gpd, graph = action.groupoid, action.graph
-    graph.check_path(alpha)
-    graph.check_path(beta)
     if graph.path_src(alpha) != gpd.rng(g):
         raise SemigroupError(
             "src(alpha)=%r is not rng(%r)" % (graph.path_src(alpha), g))
@@ -63,7 +61,6 @@ def make(action, alpha, g, beta):
 
 def idempotent(action, p):
     """f_p = (p, unit at src(p), p)."""
-    action.graph.check_path(p)
     u = action.groupoid.unit_at(action.graph.path_src(p))
     return Triple(p, u, p)
 
@@ -150,7 +147,6 @@ def conj_idempotent(action, t, p):
     if is_zero(t):
         return ZERO
     graph = action.graph
-    graph.check_path(p)
     if is_prefix(t.beta, p):
         b1 = graph.tail_after(p, len(t.beta.edges))
         return idempotent(action, graph.concat(t.alpha, action.act_path(t.g, b1)))
@@ -208,8 +204,7 @@ def fixed_by(action, t, p):
     """
     if is_zero(t):
         return False
-    gpd, graph = action.groupoid, action.graph
-    graph.check_path(p)
+    graph = action.graph
     if len(t.alpha.edges) > len(t.beta.edges):
         t = star(action, t)
     alpha, g, beta = t.alpha, t.g, t.beta
@@ -224,22 +219,21 @@ def fixed_by(action, t, p):
                 return False
         if not is_prefix(alpha, beta):
             return False  # the chain element at beta is incomparable with alpha
-        forced = ()
+        forced = Path(graph.path_src(beta))
     else:
-        forced = graph.tail_after(p, len(beta.edges)).edges
+        forced = graph.tail_after(p, len(beta.edges))
 
     if len(alpha.edges) == len(beta.edges):
         if alpha != beta:
             return False
-        forced_path = graph.path(forced, base=graph.path_src(beta) if not forced else None)
-        if action.act_path(g, forced_path) != forced_path:
+        if action.act_path(g, forced) != forced:
             return False
-        return act_mod.fixes_all_paths(action, action.restrict_path(g, forced_path))
+        return act_mod.fixes_all_paths(action, action.restrict_path(g, forced))
 
     if not is_prefix(alpha, beta):
         return False
     alpha_bar = beta.edges[len(alpha.edges):]
-    return _corridor_holds(action, g, alpha_bar, tuple(forced),
+    return _corridor_holds(action, g, alpha_bar, forced.edges,
                            graph.path_src(beta))
 
 

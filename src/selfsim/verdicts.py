@@ -27,13 +27,6 @@ class Verdict:
     witness: dict = None
     note: str = ""
 
-    def bool_or_none(self):
-        if self.status == HOLDS:
-            return True
-        if self.status == FAILS:
-            return False
-        return None
-
     def to_json(self):
         return {
             "status": self.status,

@@ -19,7 +19,8 @@ from selfsim.actions import (BoundaryPoint, FixingAutomaton, SelfSimilarAction,
 from selfsim.germs import point_prepend
 
 from selfsim.graphs import DirectedGraph
-from selfsim.groupoids import BehavioralModel, ExplicitGroupoid
+from selfsim.groupoids import (BehavioralModel, ExplicitGroupoid,
+                               from_group_action)
 
 from conftest import EXPLICIT_FIXTURES, FIXTURES, zn_rotation
 
@@ -416,6 +417,39 @@ def test_act_point_is_an_action(fix, name):
                     continue
                 assert act_point(action, gpd.mul(h, g), x) == \
                     act_point(action, h, y)
+
+
+def _swap_of_two_sources():
+    """Two source vertices (no edges) swapped by a transformation groupoid
+    of Z2: the element 1@v moves the vertex point v."""
+    graph = DirectedGraph(["v", "w"], [])
+    gpd = from_group_action(["0", "1"], {(a, b): str((int(a) + int(b)) % 2)
+                                         for a in "01" for b in "01"},
+                            "0", ["v", "w"], {("0", "v"): "v", ("0", "w"): "w",
+                                              ("1", "v"): "w", ("1", "w"): "v"})
+    return SelfSimilarAction(graph, gpd, {}, {})
+
+
+def test_fixes_point_matches_act_point(fix, random_actions):
+    """fixes_point walks x without building g·x; the oracle builds and
+    compares the canonical points."""
+    actions = [fix(n).action for n in FIXTURES] + random_actions \
+        + [_swap_of_two_sources()]
+    seen = set()
+    for action in actions:
+        graph, gpd = action.graph, action.groupoid
+        for v in graph.vertices:
+            for x in act.boundary_points_from(graph, v, 3):
+                for g in gpd.elements():
+                    if gpd.src(g) != x.base:
+                        continue
+                    expect = act_point(action, g, x) == x
+                    assert fixes_point(action, g, x) == expect, (g, x)
+                    kind = ("infinite" if x.period else
+                            "finite" if x.prefix else "vertex")
+                    seen.add((kind, expect))
+    assert seen >= {(kind, b) for kind in ("vertex", "infinite")
+                    for b in (True, False)} | {("finite", True)}
 
 
 @pytest.mark.parametrize("name", FIXTURES)

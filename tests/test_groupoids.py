@@ -104,6 +104,18 @@ def test_behavioral_model_requires_one_unit_per_vertex():
     assert any("unit" in p for p in m.validate())
 
 
+def test_unit_at_is_the_least_unit_state_at_the_vertex():
+    m = BehavioralModel.from_states(
+        ["v", "w"],
+        [("ub", "v", "v", True), ("ua", "v", "v", True),
+         ("uw", "w", "w", True), ("s", "v", "w", False)])
+    assert m.unit_at("v") == "ua"
+    assert m.unit_at("w") == "uw"
+    assert "several unit states at vertex 'v'" in m.validate()
+    with pytest.raises(GroupoidError):
+        m.unit_at("x")
+
+
 def test_orbit_pairs_generate_an_equivalence():
     from selfsim.conditions import orbit_classes
     m = BehavioralModel.from_states(
