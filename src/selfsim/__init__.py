@@ -4,7 +4,7 @@ algebras, the inverse semigroup of triples, germ calculus over eventually
 periodic boundary points, and circle-valued twists.
 """
 
-from .graphs import DirectedGraph, Edge, GraphError, Path
+from .graphs import DirectedGraph, Edge, GraphError, Path, UsageError
 from .groupoids import (BehavioralModel, ExplicitGroupoid, GroupoidError,
                         RequiresExplicitError, cyclic_group_table,
                         from_group_action, group_bundle)

@@ -41,7 +41,8 @@ import collections
 import functools
 from dataclasses import dataclass
 
-from .graphs import Path, GraphError, path_key
+from .graphs import (Path, GraphError, UsageError, json_name, json_names,
+                     path_key)
 from .groupoids import GroupoidError, RequiresExplicitError
 from . import verdicts
 
@@ -264,10 +265,6 @@ def boundary_point(graph, prefix_edges, period_edges=(), base=None):
     return canonical_point(p.base, prefix, period)
 
 
-def point_from_path(graph, p):
-    return BoundaryPoint(p.base, p.edges, ())
-
-
 def finite_path(graph, x):
     if not x.is_finite():
         raise GraphError("%s is not a finite point" % (x,))
@@ -311,10 +308,20 @@ def point_to_json(x):
 
 
 def point_from_json(graph, data):
-    if isinstance(data, (list, tuple)):
-        return boundary_point(graph, data)
-    return boundary_point(graph, data.get("prefix", ()),
-                          data.get("period", ()), base=data.get("base"))
+    """The one reader of a point: an array of edge names (a finite point),
+    or an object with optional edge arrays "prefix" and "period" and an
+    optional vertex name "base".  A malformed value raises UsageError."""
+    if isinstance(data, list):
+        return boundary_point(graph, json_names(data, "a point"))
+    if not isinstance(data, dict):
+        raise UsageError("a point must be a JSON array of edge names or an "
+                         "object")
+    base = data.get("base")
+    if base is not None:
+        json_name(base, "'base'")
+    return boundary_point(graph, json_names(data.get("prefix", []), "'prefix'"),
+                          json_names(data.get("period", []), "'period'"),
+                          base=base)
 
 
 def boundary_points_from(graph, v, max_len):
@@ -322,7 +329,7 @@ def boundary_points_from(graph, v, max_len):
     pts = set()
     for p in graph.paths_from(v, max_len):
         if graph.is_source(graph.path_src(p)):
-            pts.add(point_from_path(graph, p))
+            pts.add(BoundaryPoint(p.base, p.edges, ()))
         for k in range(len(p.edges)):
             head, tail = p.edges[:k], p.edges[k:]
             if graph.edge(tail[-1]).src == graph.edge(tail[0]).rng:
@@ -700,13 +707,8 @@ def tightly_faithful(action):
         model_note="the tight kernel is the unit space")
 
 
-def restriction_digraph(action):
-    """All restriction arrows g -e-> g|_e over every edge at src(g)."""
-    return action.digraph.arrows
-
-
 def restriction_digraph_dot(action, name="restrictions"):
-    return _dot(name, restriction_digraph(action), action.groupoid.is_unit)
+    return _dot(name, action.digraph.arrows, action.groupoid.is_unit)
 
 
 def nucleus(action):

@@ -18,17 +18,13 @@ from . import systems
 from . import twists
 from .actions import ActionError, FixingAutomaton, point_from_json, point_to_json
 from .germs import GermError
-from .graphs import GraphError
+from .graphs import GraphError, UsageError, json_name, json_names
 from .groupoids import GroupoidError, RequiresExplicitError
 from .semigroup import SemigroupError
 from .twists import TwistError
 
 DOMAIN_ERRORS = (ActionError, GermError, GraphError, GroupoidError,
                  RequiresExplicitError, SemigroupError, TwistError)
-
-
-class UsageError(Exception):
-    pass
 
 
 def _load(ref):
@@ -53,79 +49,28 @@ def _emit(obj):
     print(json.dumps(obj, indent=2, sort_keys=True))
 
 
-def _require_valid(system):
-    problems = systems.validate_system(system)
-    if problems:
-        for p in problems:
-            print("invalid: %s" % p, file=sys.stderr)
-        return False
-    return True
-
-
-def _edge_names(data, what):
-    if not (isinstance(data, list) and all(isinstance(e, str) for e in data)):
-        raise UsageError("%s must be a JSON array of edge names" % what)
-    return data
-
-
-def _optional_name(data, key, what):
-    value = data.get(key)
-    if value is not None and not isinstance(value, str):
-        raise UsageError("%s: %r must be a JSON string" % (what, key))
-    return value
+def _valid(problems):
+    """Print each problem on stderr; True when there are none."""
+    for p in problems:
+        print("invalid: %s" % p, file=sys.stderr)
+    return not problems
 
 
 def _path_arg(action, data, what):
+    """The one reader of a path argument: a non-empty array of edge names,
+    or an object with an array "edges" and an optional vertex name "base"."""
     if isinstance(data, list):
         if not data:
             raise UsageError("%s: an empty path needs a base "
                              "({\"base\": v, \"edges\": []})" % what)
-        return action.graph.path(_edge_names(data, what))
+        return action.graph.path(json_names(data, what))
     if isinstance(data, dict):
-        edges = _edge_names(data.get("edges", []), what + " edges")
-        return action.graph.path(edges, base=_optional_name(data, "base", what))
+        base = data.get("base")
+        if base is not None:
+            json_name(base, "'base'")
+        return action.graph.path(json_names(data.get("edges", []), "'edges'"),
+                                 base=base)
     raise UsageError("%s must be a JSON array of edges or an object" % what)
-
-
-def _point_shape(data, what):
-    """data, once it has the shape actions.point_from_json reads: an edge
-    array, or an object with optional "prefix"/"period" edge arrays and an
-    optional "base" vertex name."""
-    if isinstance(data, list):
-        return _edge_names(data, what)
-    if not isinstance(data, dict):
-        raise UsageError("%s must be a JSON array of edges or an object" % what)
-    for key in ("prefix", "period"):
-        _edge_names(data.get(key, []), "%s %s" % (what, key))
-    _optional_name(data, "base", what)
-    return data
-
-
-def _triple_shape(data, what):
-    """data, once it has the shape semigroup.from_json reads:
-    {"zero": true}, or "alpha" and "beta" edge arrays and a "g" name."""
-    if not isinstance(data, dict):
-        raise UsageError("%s must be a JSON object" % what)
-    if not data.get("zero"):
-        missing = [k for k in ("alpha", "g", "beta") if k not in data]
-        if missing:
-            raise UsageError("%s lacks %s" % (what, ", ".join(missing)))
-        if not isinstance(data["g"], str):
-            raise UsageError("%s: 'g' must be a JSON string" % what)
-        _edge_names(data["alpha"], what + " alpha")
-        _edge_names(data["beta"], what + " beta")
-    return data
-
-
-def _germ_shape(data, what):
-    """data, once it has the shape germs.from_json reads: a triple plus a
-    point "xi" (a zero triple is left for from_json to refuse)."""
-    _triple_shape(data, what)
-    if not data.get("zero"):
-        if "xi" not in data:
-            raise UsageError("%s lacks xi" % what)
-        _point_shape(data["xi"], what + " xi")
-    return data
 
 
 # -- commands ---------------------------------------------------------------
@@ -141,7 +86,7 @@ def cmd_validate(args):
 
 def cmd_report(args):
     system = _load(args.system)
-    if not _require_valid(system):
+    if not _valid(systems.validate_system(system)):
         return 1
     report = conditions.run_report(system.action, name=system.name,
                                    scope_mode=args.scope,
@@ -161,8 +106,7 @@ def cmd_semigroup(args):
               for (k, a) in enumerate(args.args)]
 
     def triple(k):
-        return sg.from_json(
-            action, _triple_shape(parsed[k], "argument %d" % (k + 1)))
+        return sg.from_json(action, parsed[k])
 
     if op == "mul":
         _check_arity(parsed, 2, "semigroup mul S T")
@@ -191,8 +135,7 @@ def cmd_germ(args):
               for (k, a) in enumerate(args.args)]
 
     def germ(k):
-        return germs.from_json(
-            action, _germ_shape(parsed[k], "argument %d" % (k + 1)))
+        return germs.from_json(action, parsed[k])
 
     if op == "eq":
         _check_arity(parsed, 2, "germ eq A B")
@@ -211,7 +154,7 @@ def cmd_germ(args):
         _emit({"in_core": germs.in_core(action, germ(0))})
     elif op == "xbar":
         _check_arity(parsed, 1, "germ xbar X")
-        x = point_from_json(action.graph, _point_shape(parsed[0], "X"))
+        x = point_from_json(action.graph, parsed[0])
         data = germs.xbar(action, x)
         _emit({"point": point_to_json(data["point"]),
                "size": data["size"],
@@ -224,9 +167,7 @@ def cmd_twist(args):
     system = _load(args.system)
     action = system.action
     if system.twist is None:
-        if system.problems:
-            for p in system.problems:
-                print("invalid: %s" % p, file=sys.stderr)
+        if not _valid(system.problems):
             return 1
         twist = twists.Twist(action)   # trivial twist
     else:
@@ -240,15 +181,12 @@ def cmd_twist(args):
         return 0 if not problems else 1
     if op == "extend":
         _check_arity(parsed, 2, "twist extend G PATH")
-        if not isinstance(parsed[0], str):
-            raise UsageError("G must be a JSON string naming an element")
+        g = json_name(parsed[0], "G")
         p = _path_arg(action, parsed[1], "PATH")
-        _emit({"phase": twists.phase_str(
-            twists.extend_bowtie(twist, parsed[0], p))})
+        _emit({"phase": twists.phase_str(twists.extend_bowtie(twist, g, p))})
     elif op == "omega":
         _check_arity(parsed, 2, "twist omega S T")
-        s = sg.from_json(action, _triple_shape(parsed[0], "S"))
-        t = sg.from_json(action, _triple_shape(parsed[1], "T"))
+        s, t = sg.from_json(action, parsed[0]), sg.from_json(action, parsed[1])
         w = twists.omega(twist, s, t)
         _emit({"zero": True} if w is None else {"phase": twists.phase_str(w)})
     elif op == "verify":
@@ -284,8 +222,7 @@ def cmd_kernel(args):
 
 def cmd_hum(args):
     system = _load(args.system)
-    x = point_from_json(system.graph,
-                        _point_shape(_json_arg(args.point, "POINT"), "POINT"))
+    x = point_from_json(system.graph, _json_arg(args.point, "POINT"))
     out = germs.hum_for_point(system.action, x)
     _emit(out)
     return 0

@@ -50,7 +50,7 @@ def _orbit_scoped(groupoid, witness, witness_note="", model_note=""):
     (states are inhabited), a clean sweep needs the full orbit relation."""
     if witness is not None:
         return fails(witness, witness_note)
-    if groupoid.kind == "explicit" or getattr(groupoid, "orbit_complete", False):
+    if groupoid.orbit_complete:
         return holds(model_note)
     return holds_on_model(model_note)
 
@@ -60,7 +60,7 @@ def _monotone_scoped(groupoid, witness, witness_note="", model_note=""):
     holding on the model is globally sound, failing needs completeness."""
     if witness is None:
         return holds(model_note)
-    if groupoid.kind == "explicit" or getattr(groupoid, "orbit_complete", False):
+    if groupoid.orbit_complete:
         return fails(witness, witness_note)
     return requires_explicit(
         "the modeled orbit relation is incomplete, so the failure cannot "

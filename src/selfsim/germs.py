@@ -16,7 +16,7 @@ from .actions import (BoundaryPoint, act_point, canonical_point,
                       edge_at, fixes_point, point_from_json, point_phase,
                       point_prefix, point_tail, point_to_json,
                       strongly_fixed_prefix)
-from .graphs import is_prefix
+from .graphs import UsageError, is_prefix
 
 
 class GermError(ValueError):
@@ -202,11 +202,14 @@ def to_json(a):
 
 
 def from_json(action, data):
+    """The one reader of a germ: a triple (semigroup.from_json) with a point
+    "xi" (actions.point_from_json).  A malformed value raises UsageError."""
     triple = sg.from_json(action, data)
     if sg.is_zero(triple):
         raise GermError("zero has no germs")
-    xi = point_from_json(action.graph, data["xi"])
-    return make_germ(action, triple, xi)
+    if "xi" not in data:
+        raise UsageError("a germ lacks 'xi'")
+    return make_germ(action, triple, point_from_json(action.graph, data["xi"]))
 
 
 # -- singular decompositions and xbar --------------------------------------
@@ -271,6 +274,25 @@ def _decomposition_equivalent(action, x, a, b):
         n += 1
 
 
+def _singular_candidates(action, x):
+    """The (position, element) pairs singular_decompositions starts from,
+    in order.  Past the prefix the tail repeats with the period, so each
+    distinct tail is tested once."""
+    graph, gpd = action.graph, action.groupoid
+    bound = len(x.prefix) + len(x.period) * max(1, len(gpd.elements()))
+    passing, cands = {}, []
+    for i in range(bound + 1):
+        tail = point_tail(graph, x, i)
+        if tail not in passing:
+            passing[tail] = [
+                g for g in gpd.isotropy_at(tail.base)
+                if not gpd.is_unit(g) and fixes_point(action, g, tail)
+                and strongly_fixed_prefix(action, g, tail) is None
+                and _tail_states_good(action, g, tail)]
+        cands.extend(SingularClass(i, g) for g in passing[tail])
+    return cands
+
+
 def singular_decompositions(action, x):
     """All ways of writing the point as prefix·tail with a non-unit isotropy
     element fixing the tail, not strongly, while every tail prefix keeps a
@@ -279,26 +301,11 @@ def singular_decompositions(action, x):
     Returns (classes, note); finite points get no classes (the construction
     needs an infinite tail past every prefix).
     """
-    graph, gpd = action.graph, action.groupoid
     if x.is_finite():
         return [], ("finite points admit no singular decompositions; an "
                     "infinite tail is needed")
-    bound = len(x.prefix) + len(x.period) * max(1, len(gpd.elements()))
-    cands = []
-    for i in range(bound + 1):
-        tail = point_tail(graph, x, i)
-        for g in gpd.isotropy_at(tail.base):
-            if gpd.is_unit(g):
-                continue
-            if not fixes_point(action, g, tail):
-                continue
-            if strongly_fixed_prefix(action, g, tail) is not None:
-                continue
-            if not _tail_states_good(action, g, tail):
-                continue
-            cands.append(SingularClass(i, g))
     reps = []
-    for c in cands:
+    for c in _singular_candidates(action, x):
         for k, r in enumerate(reps):
             if _decomposition_equivalent(action, x, c, r):
                 break

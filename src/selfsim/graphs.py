@@ -15,6 +15,28 @@ class GraphError(ValueError):
     pass
 
 
+class UsageError(Exception):
+    """A value whose JSON shape is wrong: the command line exits 2."""
+
+
+def json_names(data, what):
+    """data, once it is a JSON array of names (strings); else UsageError."""
+    if isinstance(data, list):
+        try:
+            "".join(data)        # a TypeError unless every entry is a string
+            return data
+        except TypeError:
+            pass
+    raise UsageError("%s must be a JSON array of names" % what)
+
+
+def json_name(data, what):
+    """data, once it is a JSON string; else UsageError."""
+    if not isinstance(data, str):
+        raise UsageError("%s must be a JSON string" % what)
+    return data
+
+
 @dataclass(frozen=True)
 class Edge:
     name: str

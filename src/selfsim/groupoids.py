@@ -74,12 +74,11 @@ class Groupoid:
         """All (src, rng) pairs realized by elements."""
         return sorted({(self.src(g), self.rng(g)) for g in self.elements()})
 
-    def orbit_of(self, v):
-        return tuple(sorted({w for (a, w) in self.orbit_pairs() if a == v} | {v}))
-
 
 class ExplicitGroupoid(Groupoid):
     kind = "explicit"
+    # the full groupoid is known, so every capability flag holds
+    unit_reflecting = element_complete = orbit_complete = True
 
     def __init__(self, vertices, elements, units, mul_table, inv_table):
         self.vertices = tuple(vertices)

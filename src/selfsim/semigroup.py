@@ -13,7 +13,8 @@ backend raises RequiresExplicitError through the groupoid calls.
 
 from dataclasses import dataclass
 
-from .graphs import Path, is_prefix, comparable
+from .graphs import (Path, UsageError, comparable, is_prefix, json_name,
+                     json_names)
 from . import actions as act_mod
 
 
@@ -259,12 +260,21 @@ def to_json(s):
 
 
 def from_json(action, data):
+    """The one reader of a triple: {"zero": true}, or an object with edge
+    arrays "alpha" and "beta" and an element name "g".  A malformed value
+    raises UsageError."""
+    if not isinstance(data, dict):
+        raise UsageError("a triple must be a JSON object")
     if data.get("zero"):
         return ZERO
+    if not {"alpha", "g", "beta"} <= data.keys():
+        raise UsageError("a triple needs 'alpha', 'g' and 'beta'")
+    g = json_name(data["g"], "'g'")
+    alpha = json_names(data["alpha"], "'alpha'")
+    beta = json_names(data["beta"], "'beta'")
     gpd, graph = action.groupoid, action.graph
-    g = data["g"]
     if not gpd.has_element(g):
         raise SemigroupError("unknown element %r" % (g,))
-    alpha = graph.path(data["alpha"], base=None if data["alpha"] else gpd.rng(g))
-    beta = graph.path(data["beta"], base=None if data["beta"] else gpd.src(g))
+    alpha = graph.path(alpha, base=None if alpha else gpd.rng(g))
+    beta = graph.path(beta, base=None if beta else gpd.src(g))
     return make(action, alpha, g, beta)

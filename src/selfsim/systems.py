@@ -5,11 +5,13 @@ All names are strings and phases are "p/q" strings, so files diff cleanly
 and serialization round-trips bit-exactly.
 """
 
+import itertools
 import json
 from importlib import resources
 
 from .actions import SelfSimilarAction
-from .graphs import DirectedGraph, GraphError
+from .graphs import (DirectedGraph, GraphError, UsageError, json_name,
+                     json_names)
 from .groupoids import (BehavioralModel, GroupoidError, ExplicitGroupoid,
                         cyclic_group_table, group_bundle)
 from .twists import Twist, TwistError, validate_twist
@@ -31,13 +33,24 @@ class System:
         self.problems = list(problems)   # construction-time domain errors
 
 
+def _records(rows, what):
+    """A JSON array of {"name", "src", "rng"} objects, as name triples."""
+    out = [(r["name"], r["src"], r["rng"]) for r in rows]
+    json_names(list(itertools.chain.from_iterable(out)), "the names in " + what)
+    return out
+
+
+def _table(rows, what):
+    """rows, once it is a JSON array of arrays of names."""
+    if not isinstance(rows, list) or set(map(type, rows)) - {list}:
+        raise UsageError("%s must be a JSON array of arrays" % what)
+    json_names(list(itertools.chain.from_iterable(rows)), "the entries of " + what)
+    return rows
+
+
 def graph_from_json(data):
-    try:
-        vertices = list(data["vertices"])
-        edges = [(e["name"], e["src"], e["rng"]) for e in data["edges"]]
-    except (KeyError, TypeError) as exc:
-        raise SystemLoadError("bad graph section: %s" % (exc,))
-    return DirectedGraph(vertices, edges)
+    return DirectedGraph(json_names(data["vertices"], "'vertices'"),
+                         _records(data["edges"], "'edges'"))
 
 
 def graph_to_json(graph):
@@ -49,37 +62,39 @@ def graph_to_json(graph):
 
 
 def groupoid_from_json(data, vertices):
-    try:
-        kind = data["kind"]
-        if kind == "explicit":
-            elements = [(el["name"], el["src"], el["rng"])
-                        for el in data["elements"]]
-            mul = {(a, b): c for (a, b, c) in data["mul"]}
-            return ExplicitGroupoid(vertices, elements, data["units"], mul,
-                                    data["inv"])
-        if kind == "bundle":
-            fibers = {}
-            for (v, fib) in data["fibers"].items():
-                if "cyclic" in fib:
-                    fibers[v] = cyclic_group_table(fib["cyclic"],
-                                                   fib.get("prefix", ""))
-                else:
-                    fibers[v] = {
-                        "elements": fib["elements"],
-                        "unit": fib["unit"],
-                        "mul": {(a, b): c for (a, b, c) in fib["mul"]},
-                    }
-            return group_bundle(vertices, fibers)
-        if kind == "behavioral":
-            return BehavioralModel.from_states(vertices, data["states"],
-                                               data.get("flags"))
-    except SystemLoadError:
-        raise
-    except GroupoidError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SystemLoadError("bad groupoid section: %s" % (exc,))
-    raise SystemLoadError("unknown groupoid kind %r" % (kind,))
+    kind = data["kind"]
+    if kind == "explicit":
+        units, inv = data["units"], data["inv"]
+        json_names(list(units.values()) + list(inv.values()),
+                   "the values of 'units' and 'inv'")
+        mul = {(a, b): c for (a, b, c) in _table(data["mul"], "'mul'")}
+        return ExplicitGroupoid(vertices, _records(data["elements"], "'elements'"),
+                                units, mul, inv)
+    if kind == "bundle":
+        fibers = {}
+        for (v, fib) in data["fibers"].items():
+            if "cyclic" in fib:
+                n = fib["cyclic"]
+                if type(n) is not int or n < 1:
+                    raise UsageError("'cyclic' must be a positive integer")
+                fibers[v] = cyclic_group_table(
+                    n, json_name(fib.get("prefix", ""), "'prefix'"))
+            else:
+                fibers[v] = {
+                    "elements": json_names(fib["elements"], "'elements'"),
+                    "unit": json_name(fib["unit"], "'unit'"),
+                    "mul": {(a, b): c for (a, b, c) in _table(fib["mul"], "'mul'")},
+                }
+        return group_bundle(vertices, fibers)
+    if kind == "behavioral":
+        states = _records(data["states"], "'states'")
+        units = [st.get("is_unit", False) for st in data["states"]]
+        flags = data.get("flags") or {}
+        if set(map(type, units + list(flags.values()))) - {bool}:
+            raise UsageError("'is_unit' and the 'flags' must be JSON booleans")
+        return BehavioralModel.from_states(
+            vertices, [st + (u,) for (st, u) in zip(states, units)], flags)
+    raise UsageError("unknown groupoid kind %r" % (kind,))
 
 
 def groupoid_to_json(gpd):
@@ -105,11 +120,10 @@ def groupoid_to_json(gpd):
 
 
 def action_from_json(data, graph, gpd):
-    try:
-        edge_action = {(g, e): e2 for (g, e, e2) in data["edge_action"]}
-        restriction = {(g, e): g2 for (g, e, g2) in data["restriction"]}
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SystemLoadError("bad action section: %s" % (exc,))
+    edge_action = {(g, e): e2 for (g, e, e2)
+                   in _table(data["edge_action"], "'edge_action'")}
+    restriction = {(g, e): g2 for (g, e, g2)
+                   in _table(data["restriction"], "'restriction'")}
     return SelfSimilarAction(graph, gpd, edge_action, restriction)
 
 
@@ -127,31 +141,37 @@ def twist_to_json(twist):
 
 
 def system_from_json(data):
+    """The one reader of a system file: a shape error raises
+    SystemLoadError, while a twist that does not fit the action is kept as
+    a problem for validate_system."""
     if not isinstance(data, dict):
         raise SystemLoadError("a system file must be a JSON object")
     for key in ("graph", "groupoid", "action"):
         if key not in data:
             raise SystemLoadError("missing %r section" % (key,))
-    graph = graph_from_json(data["graph"])
-    problems = []
+    section, twist, problems = "graph", None, []
     try:
+        graph = graph_from_json(data["graph"])
+        section = "groupoid"
         gpd = groupoid_from_json(data["groupoid"], graph.vertices)
-    except GroupoidError as exc:
-        raise SystemLoadError("groupoid does not assemble: %s" % (exc,))
-    action = action_from_json(data["action"], graph, gpd)
-    twist = None
-    if "twist" in data:
-        tw = data["twist"]
-        try:
-            twist = Twist(action,
-                          group_entries=tw.get("sigma_G", ()),
-                          edge_entries=tw.get("sigma_bowtie", ()))
-        except (TwistError, GraphError, GroupoidError) as exc:
-            problems.append("twist: %s" % (exc,))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SystemLoadError("bad twist section: %s" % (exc,))
-    return System(data.get("name", ""), action, twist,
-                  notes=data.get("notes", ()), problems=problems)
+        section = "action"
+        action = action_from_json(data["action"], graph, gpd)
+        section = "twist"
+        if "twist" in data:
+            tw = data["twist"]
+            try:
+                twist = Twist(action, _table(tw.get("sigma_G", []), "'sigma_G'"),
+                              _table(tw.get("sigma_bowtie", []), "'sigma_bowtie'"))
+            except (TwistError, GraphError, GroupoidError) as exc:
+                problems.append("twist: %s" % (exc,))
+        section = "top-level"
+        name = json_name(data.get("name", ""), "'name'")
+        notes = json_names(data.get("notes", []), "'notes'")
+    except (AttributeError, KeyError, TypeError, ValueError,
+            ZeroDivisionError, UsageError) as exc:
+        # a missing key or a value of the wrong JSON type
+        raise SystemLoadError("bad %s section: %s" % (section, exc))
+    return System(name, action, twist, notes=notes, problems=problems)
 
 
 def system_to_json(system):

@@ -51,23 +51,21 @@ def requires_explicit(note=""):
     return Verdict(REQUIRES_EXPLICIT, None, note)
 
 
-def universal_verdict(groupoid, witness, witness_note="", model_note="",
-                      witness_needs_units=True):
+def universal_verdict(groupoid, witness, witness_note="", model_note=""):
     """Standard scoping for an element-quantified "for all g" check.
 
     witness is None when no counterexample was found among the elements or
     states; otherwise it is the counterexample data.  On a behavioral model
     a counterexample that hinges on a state being non-unit is only sound
     under the unit_reflecting flag, and a clean sweep is only global under
-    element_complete.
+    element_complete.  An explicit groupoid sets every flag.
     """
-    explicit = groupoid.kind == "explicit"
     if witness is not None:
-        if explicit or not witness_needs_units or groupoid.unit_reflecting:
+        if groupoid.unit_reflecting:
             return fails(witness, witness_note)
         return requires_explicit(
             "a modeled counterexample exists but the model does not assert "
             "unit_reflecting, so it cannot be trusted")
-    if explicit or getattr(groupoid, "element_complete", False):
+    if groupoid.element_complete:
         return holds(model_note)
     return holds_on_model(model_note)

@@ -169,6 +169,32 @@ def test_unknown_element_is_a_domain_failure(capsys):
     assert "error" in err
 
 
+def _fixture_with(name, field, value):
+    """The bundled system's JSON with the value at field (a key path)
+    replaced."""
+    data = systems.system_to_json(systems.load_fixture(name))
+    node = data
+    for key in field[:-1]:
+        node = node[key]
+    node[field[-1]] = value
+    return data
+
+
+@pytest.mark.parametrize("name, field, value", [
+    ("four_loop_z2", ("notes",), 5),
+    ("twisted_three_spoke", ("twist",), [1]),
+    ("two_edges", ("groupoid", "flags"), [1]),
+    ("four_loop_z2", ("graph", "edges", 0, "name"), 7),
+], ids=["notes", "twist", "flags", "edge-name"])
+def test_malformed_system_file_is_a_parse_failure(capsys, tmp_path, name,
+                                                  field, value):
+    path = write_system(tmp_path, _fixture_with(name, field, value))
+    for cmd in ("validate", "report"):
+        code, out, err = run(capsys, [cmd, path])
+        assert code == 2
+        assert out == "" and err.startswith("parse error:")
+
+
 def test_report_refuses_invalid_systems(capsys, tmp_path):
     path = write_system(tmp_path, broken_restriction_system())
     code, out, err = run(capsys, ["report", path])

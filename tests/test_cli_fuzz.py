@@ -1,20 +1,25 @@
 """Property-based fuzzing of the command line: JSON arguments of the right
 shape, built from the names of a bundled explicit system plus one unknown
-name, must end in exit 0, 1 or 2 and never in a Python exception."""
+name, arbitrary JSON values in every argument slot, and system files with
+one field replaced must end in exit 0, 1 or 2 and never in a Python
+exception.  The readers of triples, germs and points refuse malformed
+shapes with UsageError."""
 
 import contextlib
 import functools
 import io
 import json
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from selfsim import cli, systems
+from selfsim import cli, germs, systems
 from selfsim import semigroup as sg
-from selfsim.actions import boundary_points_from, point_to_json
+from selfsim.actions import boundary_points_from, point_from_json, point_to_json
+from selfsim.graphs import UsageError
 
-from conftest import EXPLICIT_FIXTURES
+from conftest import EXPLICIT_FIXTURES, FIXTURES
 
 UNKNOWN = "nope"
 
@@ -86,3 +91,155 @@ def test_cli_exits_cleanly_on_fuzzed_arguments(data):
             contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(argv)
     assert code in (0, 1, 2), argv
+
+
+def _quiet_main(argv):
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        return cli.main(argv)
+
+
+# -- arbitrary JSON values -----------------------------------------------------
+
+# The key names the readers look for, in arguments and in system files.
+ARGUMENT_KEYS = ("alpha", "g", "beta", "zero", "xi", "prefix", "period",
+                 "base", "edges")
+FILE_KEYS = ("name", "notes", "graph", "groupoid", "action", "twist",
+             "vertices", "edges", "src", "rng", "kind", "elements", "units",
+             "mul", "inv", "fibers", "cyclic", "prefix", "unit", "states",
+             "is_unit", "flags", "unit_reflecting", "element_complete",
+             "orbit_complete", "edge_action", "restriction", "sigma_G",
+             "sigma_bowtie")
+
+
+def _names(system):
+    graph = system.graph
+    return sorted({e.name for e in graph.edges} | set(graph.vertices)
+                  | set(system.groupoid.elements()))
+
+
+@functools.cache
+def arbitrary_json(keys, names):
+    """Any JSON value: null, booleans, small integers, short text (often a
+    name of the system), and lists and objects of these under the real key
+    names.  Integers stay small: a "cyclic" entry is the order of a group
+    whose whole product table the loader builds."""
+    leaves = st.one_of(st.none(), st.booleans(), st.integers(-2, 4),
+                       st.text(max_size=3), st.sampled_from(names))
+    return st.recursive(leaves, lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.sampled_from(keys), inner, max_size=3)),
+        max_leaves=8)
+
+
+def _places(node, at=()):
+    """The key path of every value in a JSON document, the root included."""
+    out = [at]
+    if isinstance(node, dict):
+        for (k, v) in node.items():
+            out += _places(v, at + (k,))
+    elif isinstance(node, list):
+        for (k, v) in enumerate(node):
+            out += _places(v, at + (k,))
+    return out
+
+
+@functools.cache
+def _fixture_document(name):
+    system = systems.load_fixture(name)
+    doc = systems.system_to_json(system)
+    return doc, tuple(_names(system)), _places(doc)
+
+
+# Every operation that reads a JSON argument.
+JSON_CALLS = CALLS + (
+    ("semigroup", "star", ("triple",)),
+    ("semigroup", "length", ("triple",)),
+    ("germ", "inverse", ("germ",)),
+    ("germ", "in-core", ("germ",)),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_cli_exits_cleanly_on_arbitrary_json_arguments(data):
+    name = data.draw(st.sampled_from(EXPLICIT_FIXTURES), label="system")
+    cmd, op, kinds = data.draw(st.sampled_from(JSON_CALLS), label="call")
+    make = _strategies(name)
+    junk = arbitrary_json(ARGUMENT_KEYS, _fixture_document(name)[1])
+    slot = data.draw(st.integers(0, len(kinds) - 1), label="slot")
+    args = [json.dumps(data.draw(
+                junk if k == slot else st.one_of(junk, make[kind]), label=kind))
+            for (k, kind) in enumerate(kinds)]
+    argv = [cmd, name] + ([op] if op else []) + args
+    assert _quiet_main(argv) in (0, 1, 2), argv
+
+
+# -- system files with one field replaced --------------------------------------
+
+
+def _replaced(node, at, value):
+    if not at:
+        return value
+    if isinstance(node, dict):
+        return dict(node, **{at[0]: _replaced(node[at[0]], at[1:], value)})
+    return [_replaced(v, at[1:], value) if k == at[0] else v
+            for (k, v) in enumerate(node)]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_cli_exits_cleanly_on_system_files_with_a_field_replaced(tmp_path, data):
+    name = data.draw(st.sampled_from(FIXTURES), label="system")
+    doc, names, places = _fixture_document(name)
+    at = data.draw(st.sampled_from(places), label="field")
+    value = data.draw(arbitrary_json(FILE_KEYS, names), label="value")
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(_replaced(doc, at, value)))
+    for cmd in ("validate", "report"):
+        assert _quiet_main([cmd, str(path)]) in (0, 1, 2), (name, at, value)
+
+
+# -- the three readers ---------------------------------------------------------
+
+
+TRIPLE = {"alpha": ["e"], "g": "1", "beta": ["e"]}
+POINT = {"prefix": [], "period": ["e"], "base": "v"}
+
+
+def _read_triple(action, data):
+    return sg.from_json(action, data)
+
+
+def _read_germ(action, data):
+    return germs.from_json(action, data)
+
+
+def _read_point(action, data):
+    return point_from_json(action.graph, data)
+
+
+@pytest.mark.parametrize("reader, data", [
+    (_read_triple, [1]),
+    (_read_triple, {"alpha": ["e"], "beta": ["e"]}),
+    (_read_triple, dict(TRIPLE, g=1)),
+    (_read_triple, dict(TRIPLE, alpha="ab")),
+    (_read_germ, [1]),
+    (_read_germ, dict(TRIPLE)),
+    (_read_germ, dict(TRIPLE, g=1, xi=POINT)),
+    (_read_germ, dict(TRIPLE, alpha="ab", xi=POINT)),
+    (_read_germ, dict(TRIPLE, xi=dict(POINT, base=1))),
+    (_read_point, [1]),
+    (_read_point, dict(POINT, base=1)),
+    (_read_point, dict(POINT, prefix="ab")),
+], ids=["triple-array", "triple-missing-alpha-g", "triple-g-number",
+        "triple-alpha-text", "germ-array", "germ-missing-xi", "germ-g-number",
+        "germ-alpha-text", "germ-base-number", "point-array",
+        "point-base-number", "point-prefix-text"])
+def test_readers_refuse_malformed_shapes(fix, reader, data):
+    action = fix("four_loop_z2").action
+    with pytest.raises(UsageError):
+        reader(action, data)

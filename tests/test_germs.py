@@ -13,7 +13,7 @@ import pytest
 from selfsim import germs
 from selfsim import semigroup as sg
 from selfsim.actions import (act_point, boundary_point, boundary_points_from,
-                             point_prefix, point_tail)
+                             point_prefix, point_tail, strongly_fixed_prefix)
 from selfsim.germs import (Germ, GermError, SingularClass, classify,
                            cycle_expansion, cycle_infinite_path,
                            generated_subgroup, germ_eq, germ_inv, germ_mul,
@@ -21,6 +21,8 @@ from selfsim.germs import (Germ, GermError, SingularClass, classify,
                            point_prepend, range_point, singular_decompositions,
                            source_point, xbar)
 from selfsim.groupoids import RequiresExplicitError, cyclic_group_table
+
+from conftest import FIXTURES, zn_rotation
 
 
 # -- oracles ----------------------------------------------------------------
@@ -369,6 +371,44 @@ def test_singular_decompositions_empty_without_isotropy(fix):
         classes, _ = singular_decompositions(action, x)
         assert classes == []
         assert xbar(action, x)["size"] == 1
+
+
+def oracle_singular_candidates(action, x):
+    """The literal per-position loop: at every position up to the search
+    bound, test every non-unit isotropy element against the tail afresh,
+    with g·tail = tail decided by building g·tail."""
+    graph, gpd = action.graph, action.groupoid
+    bound = len(x.prefix) + len(x.period) * max(1, len(gpd.elements()))
+    out = []
+    for i in range(bound + 1):
+        tail = point_tail(graph, x, i)
+        for g in gpd.elements():
+            if (gpd.src(g) == gpd.rng(g) == tail.base and not gpd.is_unit(g)
+                    and act_point(action, g, tail) == tail
+                    and strongly_fixed_prefix(action, g, tail) is None
+                    and germs._tail_states_good(action, g, tail)):
+                out.append(SingularClass(i, g))
+    return out
+
+
+def test_singular_candidates_match_the_per_position_loop(fix, random_actions):
+    pool = ([fix(name).action for name in FIXTURES] + random_actions
+            + [zn_rotation(n) for n in range(3, 7)])
+    points = found = repeated = 0
+    for action in pool:
+        graph = action.graph
+        for v in graph.vertices:
+            for x in boundary_points_from(graph, v, 3):
+                if x.is_finite():
+                    continue
+                cands = germs._singular_candidates(action, x)
+                assert cands == oracle_singular_candidates(action, x), x
+                points += 1
+                found += bool(cands)
+                repeated += any(c.position > len(x.prefix) + len(x.period)
+                                for c in cands)
+    assert points > 1000 and found > 40 and repeated > 40, (points, found,
+                                                             repeated)
 
 
 def test_singular_decompositions_pinned_on_four_loop(fix):
