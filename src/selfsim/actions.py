@@ -33,6 +33,14 @@ non-unit is in reach (pump the cycle); and the nucleus is everything
 reachable from a directed cycle.  The cycle nodes are the non-trivial
 strongly connected components, from one pass of Tarjan's algorithm.
 
+Questions about an eventually periodic boundary point (does g fix it, or
+strongly fix a prefix of it; are two germs at it equal) follow a finite
+state h along it, h -> step(h, e) per edge e.  Past the prefix the edge at
+position i depends only on point_phase(x, i), so once a (state, phase)
+pair repeats nothing new can follow: walk stops there, or at the end of a
+finite point.  act_point keeps its own loop, since it needs the position
+where the repeat began.
+
 Behavioral models carry the same act/restrict tables on states; every
 state is assumed to describe the behavior of at least one actual element.
 """
@@ -43,7 +51,7 @@ from dataclasses import dataclass
 
 from .graphs import (Path, GraphError, UsageError, json_name, json_names,
                      path_key)
-from .groupoids import GroupoidError, RequiresExplicitError
+from .groupoids import RequiresExplicitError
 from . import verdicts
 
 
@@ -338,8 +346,29 @@ def boundary_points_from(graph, v, max_len):
                                       x.prefix, x.period))
 
 
+def walk(x, i, h, step):
+    """Follow state h along the point x from position i, h -> step(h, e) at
+    each edge e.  Yields (i, e, h) at every position reached, with e the
+    edge there, and last (i, None, h) at the end of a finite point or where
+    (h, point_phase(x, i)) first repeats.  The states must be hashable and
+    finitely many for an infinite point."""
+    seen = set()
+    while not (x.is_finite() and i >= len(x.prefix)):
+        key = (h, point_phase(x, i))
+        if key in seen:
+            break
+        seen.add(key)
+        e = edge_at(x, i)
+        yield i, e, h
+        h = step(h, e)
+        i += 1
+    yield i, None, h
+
+
 def act_point(action, g, x):
-    """g·x for a boundary point x with rng(x) = src(g)."""
+    """g·x for a boundary point x with rng(x) = src(g).  Not built on walk:
+    the image's period starts where the repeated (element, phase) pair was
+    first seen, so this loop keeps a position per pair."""
     graph, gpd = action.graph, action.groupoid
     if gpd.src(g) != x.base:
         raise ActionError("element %r cannot act on point %s" % (g, x))
@@ -364,45 +393,24 @@ def strongly_fixed_prefix(action, g, x):
     gpd = action.groupoid
     if gpd.src(g) != x.base:
         raise ActionError("element %r does not sit at point %s" % (g, x))
-    h, i, seen = g, 0, set()
-    while True:
+    for (i, e, h) in walk(x, 0, g, action.restrict_edge):
         if gpd.is_unit(h):
             return i
-        if x.is_finite() and i >= len(x.prefix):
+        if e is None or action.act_edge(h, e) != e:
             return None
-        key = (h, point_phase(x, i))
-        if key in seen:
-            return None
-        seen.add(key)
-        e = edge_at(x, i)
-        if action.act_edge(h, e) != e:
-            return None
-        h = action.restrict_edge(h, e)
-        i += 1
 
 
 def fixes_point(action, g, x):
     """g·x = x, decided by walking x from g without building g·x: every edge
-    must be fixed, up to a repeated (element, phase) pair or the end of a
-    finite point.  A fixed first edge puts rng(g) at x.base, so only a
-    vertex point needs rng(g) checked."""
+    up to the end of the walk must be fixed.  A fixed first edge puts rng(g)
+    at x.base, so only a vertex point needs rng(g) checked."""
     gpd = action.groupoid
     if gpd.src(g) != x.base:
         raise ActionError("element %r cannot act on point %s" % (g, x))
     if not x.prefix and not x.period:
         return gpd.rng(g) == x.base
-    h, i, seen = g, 0, set()
-    while not (x.is_finite() and i >= len(x.prefix)):
-        key = (h, point_phase(x, i))
-        if key in seen:
-            return True
-        seen.add(key)
-        e = edge_at(x, i)
-        if action.act_edge(h, e) != e:
-            return False
-        h = action.restrict_edge(h, e)
-        i += 1
-    return True
+    return all(e is None or action.act_edge(h, e) == e
+               for (_, e, h) in walk(x, 0, g, action.restrict_edge))
 
 
 # -- the restriction digraph ----------------------------------------------
@@ -439,7 +447,8 @@ class RestrictionDigraph:
     arrows[g] lists every arrow out of g and fixed[g] the fixed ones
     (g·e = e), both sorted by edge name; movers are the elements with an
     arrow that is not fixed.  Each table entry is read once, here; the
-    derived sets are computed on first use.
+    derived sets are computed on first use.  The tables are not assumed
+    valid: an arrow into a name the groupoid lacks raises ActionError.
     """
 
     def __init__(self, action):
@@ -451,6 +460,9 @@ class RestrictionDigraph:
             outs, fixed = [], []
             for e in sorted(graph.received_by(gpd.src(g)), key=lambda e: e.name):
                 arrow = (e.name, action.restrict_edge(g, e.name))
+                if not gpd.has_element(arrow[1]):
+                    raise ActionError("restriction (%r)|_%r = %r is not an "
+                                      "element" % (g, e.name, arrow[1]))
                 outs.append(arrow)
                 if action.act_edge(g, e.name) == e.name:
                     fixed.append(arrow)

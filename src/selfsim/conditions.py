@@ -18,7 +18,7 @@ plain Holds, and --scope strict refuses to propagate it at all).
 
 from . import actions as act_mod
 from . import verdicts
-from .verdicts import Verdict, holds, fails, holds_on_model, requires_explicit
+from .verdicts import holds, fails, holds_on_model, requires_explicit
 
 
 # -- orbit bookkeeping ------------------------------------------------------

@@ -13,9 +13,8 @@ from fractions import Fraction
 
 from . import semigroup as sg
 from .actions import (BoundaryPoint, act_point, canonical_point,
-                      edge_at, fixes_point, point_from_json, point_phase,
-                      point_prefix, point_tail, point_to_json,
-                      strongly_fixed_prefix)
+                      edge_at, fixes_point, point_from_json, point_prefix,
+                      point_tail, point_to_json, strongly_fixed_prefix, walk)
 from .graphs import UsageError, is_prefix
 
 
@@ -59,40 +58,37 @@ def range_point(action, a):
 
 def germ_eq(action, a, b):
     """Germ equality: same point, and some common prefix extension of both
-    beta legs on which the rewritten ranges and the restrictions agree."""
+    beta legs on which the rewritten ranges and the restrictions agree.
+    Past the longer beta leg the pair of restrictions walks the point; the
+    degrees agree, so the ranges stay equal while both send each edge to
+    the same edge."""
     graph = action.graph
     x = source_point(action, a)
     if x != source_point(action, b):
         return False
     if sg.length_cocycle(a.triple) != sg.length_cocycle(b.triple):
         return False
-    na, nb = len(a.triple.beta.edges), len(b.triple.beta.edges)
-    n = max(na, nb)
-    wa = point_prefix(graph, x, n)
-    pa = graph.concat(a.triple.alpha,
-                      action.act_path(a.triple.g, graph.tail_after(wa, na)))
-    ga = action.restrict_path(a.triple.g, graph.tail_after(wa, na))
-    pb = graph.concat(b.triple.alpha,
-                      action.act_path(b.triple.g, graph.tail_after(wa, nb)))
-    gb = action.restrict_path(b.triple.g, graph.tail_after(wa, nb))
-    seen = set()
-    while True:
-        if pa != pb:
-            return False  # ranges diverged; extensions only append
+    n = max(len(a.triple.beta.edges), len(b.triple.beta.edges))
+    w = point_prefix(graph, x, n)
+
+    def start(t):
+        seg = graph.tail_after(w, len(t.beta.edges))
+        return (graph.concat(t.alpha, action.act_path(t.g, seg)),
+                action.restrict_path(t.g, seg))
+
+    (pa, ga), (pb, gb) = start(a.triple), start(b.triple)
+    if pa != pb:
+        return False
+
+    def step(pair, e):
+        return (action.restrict_edge(pair[0], e),
+                action.restrict_edge(pair[1], e))
+
+    for (_, e, (ga, gb)) in walk(x, n, (ga, gb), step):
         if ga == gb:
             return True
-        if x.is_finite() and n >= len(x.prefix):
+        if e is None or action.act_edge(ga, e) != action.act_edge(gb, e):
             return False
-        key = (ga, gb, point_phase(x, n))
-        if key in seen:
-            return False
-        seen.add(key)
-        e = edge_at(x, n)
-        pa = graph.extend(pa, action.act_edge(ga, e))
-        pb = graph.extend(pb, action.act_edge(gb, e))
-        ga = action.restrict_edge(ga, e)
-        gb = action.restrict_edge(gb, e)
-        n += 1
 
 
 def germ_mul(action, a, b):
@@ -233,45 +229,8 @@ def _tail_states_good(action, g, tail):
     arrows of the restriction digraph.  g fixes the tail, so the walk below
     only takes fixed arrows."""
     good = action.digraph.can_reach_unit
-    h, j, seen = g, 0, set()
-    while True:
-        if h not in good:
-            return False
-        key = (h, point_phase(tail, j))
-        if key in seen:
-            return True
-        seen.add(key)
-        if tail.is_finite() and j >= len(tail.prefix):
-            return True
-        h = action.restrict_edge(h, edge_at(tail, j))
-        j += 1
-
-
-def _decomposition_equivalent(action, x, a, b):
-    """(i, g) ~ (j, h): along some common prefix the two restrictions meet."""
-    graph = action.graph
-    m = max(a.position, b.position)
-
-    def advance(c):
-        w = point_prefix(graph, x, m)
-        seg = graph.tail_after(w, c.position)
-        return action.restrict_path(c.element, seg)
-
-    ga, gb = advance(a), advance(b)
-    n, seen = m, set()
-    while True:
-        if ga == gb:
-            return True
-        if x.is_finite() and n >= len(x.prefix):
-            return False
-        key = (ga, gb, point_phase(x, n))
-        if key in seen:
-            return False
-        seen.add(key)
-        e = edge_at(x, n)
-        ga = action.restrict_edge(ga, e)
-        gb = action.restrict_edge(gb, e)
-        n += 1
+    return all(h in good
+               for (_, _, h) in walk(tail, 0, g, action.restrict_edge))
 
 
 def _singular_candidates(action, x):
@@ -296,7 +255,9 @@ def _singular_candidates(action, x):
 def singular_decompositions(action, x):
     """All ways of writing the point as prefix·tail with a non-unit isotropy
     element fixing the tail, not strongly, while every tail prefix keeps a
-    strongly fixed extension in reach — up to common-prefix equivalence.
+    strongly fixed extension in reach — up to common-prefix equivalence:
+    (i, g) ~ (j, h) when g|_{x[i:n]} = h|_{x[j:n]} for some n >= i, j.
+    Each class is named by its least (position, element).
 
     Returns (classes, note); finite points get no classes (the construction
     needs an infinite tail past every prefix).
@@ -304,15 +265,35 @@ def singular_decompositions(action, x):
     if x.is_finite():
         return [], ("finite points admit no singular decompositions; an "
                     "infinite tail is needed")
-    reps = []
-    for c in _singular_candidates(action, x):
-        for k, r in enumerate(reps):
-            if _decomposition_equivalent(action, x, c, r):
-                break
-        else:
-            reps.append(c)
-    reps.sort(key=lambda c: (c.position, c.element))
-    return reps, ""
+    # One synchronous walk along x, the walkers keyed by state: each
+    # candidate joins at its position with its element as state; walkers
+    # that reach the same state have met, so their candidates are
+    # equivalent, and the least candidate survives.  Candidates arrive in
+    # (position, element) order and each step keeps the first walker per
+    # state, so the dict stays in that order.
+    #
+    # The walk stops at |prefix| + 2·|G|·|period|, and that is exact.  Past
+    # the prefix the edge at position n depends only on the phase, so every
+    # walker moves by one map F on the at most |G|·|period| pairs (state,
+    # phase).  All candidates have joined by |prefix| + |G|·|period| (the
+    # candidate search bound), and within |G|·|period| more steps every
+    # walker's pair lies on a cycle of F.  F is injective on its cycles, so
+    # two walkers on cycles that have not met never meet.
+    cands = _singular_candidates(action, x)
+    stop = len(x.prefix) + 2 * len(x.period) * max(
+        1, len(action.groupoid.elements()))
+    walkers, k = {}, 0
+    for n in range(stop):
+        while k < len(cands) and cands[k].position == n:
+            walkers.setdefault(cands[k].element, cands[k])
+            k += 1
+        if k == len(cands) and len(walkers) < 2:
+            break
+        e, moved = edge_at(x, n), {}
+        for (h, c) in walkers.items():
+            moved.setdefault(action.restrict_edge(h, e), c)
+        walkers = moved
+    return list(walkers.values()), ""
 
 
 def xbar(action, x):

@@ -13,7 +13,7 @@ Witnesses are plain JSON-able dicts and every Fails witness replays
 through the public operations.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 HOLDS = "Holds"
 FAILS = "Fails"

@@ -9,6 +9,7 @@ import pytest
 
 from selfsim import actions as act_mod
 from selfsim import cli, systems
+from selfsim.groupoids import ExplicitGroupoid
 
 FIXTURES = sorted(systems.fixture_names())
 
@@ -193,6 +194,54 @@ def test_malformed_system_file_is_a_parse_failure(capsys, tmp_path, name,
         code, out, err = run(capsys, [cmd, path])
         assert code == 2
         assert out == "" and err.startswith("parse error:")
+
+
+def test_unknown_restriction_is_a_domain_failure(capsys, tmp_path):
+    # commands that read the restriction digraph without validating first
+    path = write_system(tmp_path, _fixture_with(
+        "four_loop_z2", ("action", "restriction", 0, 2), "zz"))
+    for argv in (["nucleus", path], ["kernel", path],
+                 ["export-dot", path, "--what", "restriction"]):
+        code, out, err = run(capsys, argv)
+        assert code == 1, argv
+        assert out == "" and "'zz'" in err
+
+
+def one_loop_bundle(fiber, names):
+    """One vertex, one loop e, one fibre with these element names, the
+    first the unit; every element fixes e and restricts to the unit."""
+    return {
+        "graph": {"vertices": ["v"],
+                  "edges": [{"name": "e", "src": "v", "rng": "v"}]},
+        "groupoid": {"kind": "bundle", "fibers": {"v": fiber}},
+        "action": {"edge_action": [[g, "e", "e"] for g in names],
+                   "restriction": [[g, "e", names[0]] for g in names]},
+    }
+
+
+def test_bundle_fibre_that_is_not_a_group_is_a_domain_failure(capsys,
+                                                                 tmp_path):
+    monoid = {"elements": ["a", "b"], "unit": "a",
+              "mul": [["a", "a", "a"], ["a", "b", "b"], ["b", "a", "b"],
+                      ["b", "b", "b"]]}
+    path = write_system(tmp_path, one_loop_bundle(monoid, ["a", "b"]))
+    code, data, _ = run_json(capsys, ["validate", path])
+    assert code == 1
+    assert data["problems"] == ["groupoid: missing or unknown inverse for 'b'"]
+
+
+def test_bundle_groups_are_checked_only_by_validate(capsys, tmp_path,
+                                                    monkeypatch):
+    def refuse(self):
+        raise AssertionError("group laws checked outside validate")
+
+    monkeypatch.setattr(ExplicitGroupoid, "validate", refuse)
+    path = write_system(tmp_path, one_loop_bundle(
+        {"cyclic": 100, "prefix": "c"}, ["c%d" % k for k in range(100)]))
+    code, data, _ = run_json(capsys, [
+        "semigroup", path, "length",
+        '{"alpha": ["e"], "g": "c1", "beta": ["e", "e"]}'])
+    assert (code, data) == (0, {"length": -1})
 
 
 def test_report_refuses_invalid_systems(capsys, tmp_path):

@@ -144,10 +144,34 @@ def _places(node, at=()):
     return out
 
 
+# system_to_json writes every groupoid as an explicit table, so the bundle
+# reader meets only this document: a cyclic fibre and a table fibre.
+TWO_FIBRE_BUNDLE = {
+    "name": "two_fibre_bundle",
+    "graph": {"vertices": ["v", "w"],
+              "edges": [{"name": "e", "src": "v", "rng": "v"},
+                        {"name": "f", "src": "w", "rng": "v"},
+                        {"name": "k", "src": "w", "rng": "w"}]},
+    "groupoid": {"kind": "bundle", "fibers": {
+        "v": {"cyclic": 2, "prefix": "c"},
+        "w": {"elements": ["1", "t"], "unit": "1",
+              "mul": [["1", "1", "1"], ["1", "t", "t"], ["t", "1", "t"],
+                      ["t", "t", "1"]]}}},
+    "action": {
+        "edge_action": [["c0", "e", "e"], ["c0", "f", "f"], ["c1", "e", "e"],
+                        ["c1", "f", "f"], ["1", "k", "k"], ["t", "k", "k"]],
+        "restriction": [["c0", "e", "c0"], ["c0", "f", "1"], ["c1", "e", "c1"],
+                        ["c1", "f", "t"], ["1", "k", "1"], ["t", "k", "t"]]},
+}
+DOCUMENTS = {"two_fibre_bundle": TWO_FIBRE_BUNDLE}
+
+
 @functools.cache
 def _fixture_document(name):
-    system = systems.load_fixture(name)
-    doc = systems.system_to_json(system)
+    doc = DOCUMENTS.get(name)
+    if doc is None:
+        doc = systems.system_to_json(systems.load_fixture(name))
+    system = systems.system_from_json(doc)
     return doc, tuple(_names(system)), _places(doc)
 
 
@@ -193,14 +217,17 @@ def _replaced(node, at, value):
                                  HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_cli_exits_cleanly_on_system_files_with_a_field_replaced(tmp_path, data):
-    name = data.draw(st.sampled_from(FIXTURES), label="system")
+    name = data.draw(st.sampled_from(FIXTURES + tuple(DOCUMENTS)),
+                     label="system")
     doc, names, places = _fixture_document(name)
     at = data.draw(st.sampled_from(places), label="field")
     value = data.draw(arbitrary_json(FILE_KEYS, names), label="value")
     path = tmp_path / "system.json"
     path.write_text(json.dumps(_replaced(doc, at, value)))
-    for cmd in ("validate", "report"):
-        assert _quiet_main([cmd, str(path)]) in (0, 1, 2), (name, at, value)
+    for argv in (["validate"], ["report"], ["nucleus"], ["kernel"],
+                 ["export-dot", "--what", "restriction"]):
+        argv = argv[:1] + [str(path)] + argv[1:]
+        assert _quiet_main(argv) in (0, 1, 2), (argv, name, at, value)
 
 
 # -- the three readers ---------------------------------------------------------

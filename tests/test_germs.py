@@ -12,7 +12,8 @@ import pytest
 
 from selfsim import germs
 from selfsim import semigroup as sg
-from selfsim.actions import (act_point, boundary_point, boundary_points_from,
+from selfsim.actions import (SelfSimilarAction, act_point, boundary_point,
+                             boundary_points_from, edge_at, point_phase,
                              point_prefix, point_tail, strongly_fixed_prefix)
 from selfsim.germs import (Germ, GermError, SingularClass, classify,
                            cycle_expansion, cycle_infinite_path,
@@ -20,7 +21,9 @@ from selfsim.germs import (Germ, GermError, SingularClass, classify,
                            hum_check, hum_for_point, in_core, make_germ,
                            point_prepend, range_point, singular_decompositions,
                            source_point, xbar)
-from selfsim.groupoids import RequiresExplicitError, cyclic_group_table
+from selfsim.graphs import DirectedGraph
+from selfsim.groupoids import (BehavioralModel, RequiresExplicitError,
+                               cyclic_group_table, group_bundle)
 
 from conftest import FIXTURES, zn_rotation
 
@@ -172,6 +175,77 @@ def test_germ_eq_is_an_equivalence_on_a_sample(fix):
                 if eqs[(j, k)]:
                     assert eqs[(i, k)], (str(pool[i]), str(pool[j]),
                                          str(pool[k]))
+
+
+def oracle_germ_eq(action, a, b):
+    """The path-building loop: both rewritten ranges are extended edge by
+    edge and compared whole, until the restrictions agree, the point ends
+    or the triple (ga, gb, phase) repeats."""
+    graph = action.graph
+    x = source_point(action, a)
+    if x != source_point(action, b):
+        return False
+    if sg.length_cocycle(a.triple) != sg.length_cocycle(b.triple):
+        return False
+    na, nb = len(a.triple.beta.edges), len(b.triple.beta.edges)
+    n = max(na, nb)
+    wa = point_prefix(graph, x, n)
+    pa = graph.concat(a.triple.alpha,
+                      action.act_path(a.triple.g, graph.tail_after(wa, na)))
+    ga = action.restrict_path(a.triple.g, graph.tail_after(wa, na))
+    pb = graph.concat(b.triple.alpha,
+                      action.act_path(b.triple.g, graph.tail_after(wa, nb)))
+    gb = action.restrict_path(b.triple.g, graph.tail_after(wa, nb))
+    seen = set()
+    while True:
+        if pa != pb:
+            return False
+        if ga == gb:
+            return True
+        if x.is_finite() and n >= len(x.prefix):
+            return False
+        key = (ga, gb, point_phase(x, n))
+        if key in seen:
+            return False
+        seen.add(key)
+        e = edge_at(x, n)
+        pa = graph.extend(pa, action.act_edge(ga, e))
+        pb = graph.extend(pb, action.act_edge(gb, e))
+        ga = action.restrict_edge(ga, e)
+        gb = action.restrict_edge(gb, e)
+        n += 1
+
+
+def _germs_at(action, y):
+    """Every germ at the point y whose triple has legs of length <= 1."""
+    graph = action.graph
+    out = []
+    for t in sg.elements_up_to(action, 1):
+        n = len(t.beta.edges)
+        if (t.beta.base == y.base and (n <= len(y.prefix) or y.period)
+                and point_prefix(graph, y, n) == t.beta):
+            out.append(Germ(t, point_tail(graph, y, n)))
+    return out
+
+
+def test_germ_eq_matches_the_path_building_loop(fix, random_actions):
+    pool = ([fix(name).action
+             for name in ("four_loop_z2", "twisted_three_spoke")]
+            + random_actions[:20] + [zn_rotation(n) for n in (3, 4)])
+    pairs = equal = 0
+    for action in pool:
+        graph = action.graph
+        for v in graph.vertices:
+            for y in boundary_points_from(graph, v, 2):
+                sample = _germs_at(action, y)[:12]
+                for a in sample:
+                    for b in sample:
+                        got = germ_eq(action, a, b)
+                        assert got == oracle_germ_eq(action, a, b), (
+                            str(a), str(b))
+                        pairs += 1
+                        equal += got
+    assert pairs > 5000 and equal > 500, (pairs, equal)
 
 
 # -- composition laws ----------------------------------------------------------
@@ -409,6 +483,126 @@ def test_singular_candidates_match_the_per_position_loop(fix, random_actions):
                                 for c in cands)
     assert points > 1000 and found > 40 and repeated > 40, (points, found,
                                                              repeated)
+
+
+def oracle_decomposition_equivalent(action, x, a, b):
+    """(i, g) ~ (j, h): along some common prefix the two restrictions meet,
+    walked pairwise up to a repeated (ga, gb, phase)."""
+    graph = action.graph
+    m = max(a.position, b.position)
+
+    def advance(c):
+        w = point_prefix(graph, x, m)
+        return action.restrict_path(c.element, graph.tail_after(w, c.position))
+
+    ga, gb = advance(a), advance(b)
+    n, seen = m, set()
+    while True:
+        if ga == gb:
+            return True
+        key = (ga, gb, point_phase(x, n))
+        if key in seen:
+            return False
+        seen.add(key)
+        e = edge_at(x, n)
+        ga = action.restrict_edge(ga, e)
+        gb = action.restrict_edge(gb, e)
+        n += 1
+
+
+def oracle_singular_classes(action, x, cands):
+    """The pairwise merge: each candidate joins the first representative it
+    is equivalent to, or becomes one."""
+    reps = []
+    for c in cands:
+        if not any(oracle_decomposition_equivalent(action, x, c, r)
+                   for r in reps):
+            reps.append(c)
+    return sorted(reps, key=lambda c: (c.position, c.element))
+
+
+def two_loops_fixed_by_zn(n):
+    """One vertex with loops x and y, Z_n fixing both; g restricts to g
+    along x and to the unit along y.  At x^inf every non-unit passes at
+    every position (n^2 - 1 candidates) and the classes are the n - 1
+    non-units."""
+    graph = DirectedGraph(["v"], [("x", "v", "v"), ("y", "v", "v")])
+    gpd = group_bundle(["v"], {"v": cyclic_group_table(n, prefix="c")})
+    edge_action, restriction = {}, {}
+    for g in gpd.elements():
+        edge_action[(g, "x")], restriction[(g, "x")] = "x", g
+        edge_action[(g, "y")], restriction[(g, "y")] = "y", "c0"
+    return SelfSimilarAction(graph, gpd, edge_action, restriction)
+
+
+def chain_into_a_loop(m):
+    """A behavioral model at one vertex with loops x and y: along x the
+    states s1..sm restrict down the chain sm -> ... -> s1 -> s1, along y to
+    the unit.  At x^inf every (position, state) is a candidate and all of
+    them form one class, but a candidate joining at the last candidate
+    position meets the others only m - 1 steps later."""
+    graph = DirectedGraph(["v"], [("x", "v", "v"), ("y", "v", "v")])
+    states = [("s%d" % i, "v", "v", False) for i in range(1, m + 1)]
+    gpd = BehavioralModel.from_states(["v"], states + [("u", "v", "v", True)])
+    edge_action = {(g, e): e for g in gpd.elements() for e in ("x", "y")}
+    restriction = {(g, "y"): "u" for g in gpd.elements()}
+    restriction[("u", "x")] = "u"
+    for i in range(1, m + 1):
+        restriction[("s%d" % i, "x")] = "s%d" % max(1, i - 1)
+    return SelfSimilarAction(graph, gpd, edge_action, restriction)
+
+
+def test_singular_decompositions_match_the_pairwise_merge(
+        fix, random_actions, wide_random_actions):
+    pool = ([fix(name).action for name in FIXTURES] + random_actions
+            + wide_random_actions + [zn_rotation(n) for n in range(3, 7)])
+    points = merged = 0
+    for action in pool:
+        graph = action.graph
+        for v in graph.vertices:
+            for x in boundary_points_from(graph, v, 3):
+                if x.is_finite():
+                    continue
+                classes, _ = singular_decompositions(action, x)
+                cands = germs._singular_candidates(action, x)
+                assert classes == oracle_singular_classes(action, x, cands), x
+                points += 1
+                merged += len(classes) < len(cands)
+    for n in (8, 16):
+        action = two_loops_fixed_by_zn(n)
+        x = _pt(action.graph, [], ["x"])
+        classes, _ = singular_decompositions(action, x)
+        cands = germs._singular_candidates(action, x)
+        assert classes == oracle_singular_classes(action, x, cands)
+        assert [c.position for c in classes] == [0] * (n - 1)
+    for m in (3, 6, 9):
+        action = chain_into_a_loop(m)
+        assert action.validate() == []
+        x = _pt(action.graph, [], ["x"])
+        classes, _ = singular_decompositions(action, x)
+        cands = germs._singular_candidates(action, x)
+        assert classes == oracle_singular_classes(action, x, cands) == [
+            SingularClass(0, "s1")]
+    assert points > 15000 and merged > 50, (points, merged)
+
+
+def test_singular_decompositions_work_is_polynomial():
+    # restrict_edge calls stay within 4·|G|·(|prefix| + |G|·|period| + 1):
+    # the candidate search plus one synchronous walk of at most |G|
+    # walkers; the pairwise merge made 292,671 calls here
+    n = 32
+    action = two_loops_fixed_by_zn(n)
+    x = _pt(action.graph, [], ["x"])
+    calls, restrict = [0], action.restrict_edge
+
+    def counting(g, e):
+        calls[0] += 1
+        return restrict(g, e)
+
+    action.restrict_edge = counting
+    classes, _ = singular_decompositions(action, x)
+    assert len(classes) == n - 1
+    assert calls[0] <= 4 * n * (0 + n * 1 + 1), calls[0]
 
 
 def test_singular_decompositions_pinned_on_four_loop(fix):
