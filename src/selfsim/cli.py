@@ -190,6 +190,10 @@ def cmd_twist(args):
         w = twists.omega(twist, s, t)
         _emit({"zero": True} if w is None else {"phase": twists.phase_str(w)})
     elif op == "verify":
+        # the brute-force check multiplies through the tables, so they
+        # must satisfy the laws first
+        if not _valid(systems.validate_system(system)):
+            return 1
         out = twists.verify_omega_cocycle(twist, args.bound)
         _emit(out)
         return 0 if out["ok"] else 1

@@ -101,24 +101,40 @@ def check_evr(action):
         model_note="every all-path-fixing element strongly fixes a path")
 
 
+def _closing_chain(graph, classes, base, limit):
+    """The edges of the shortest entrance-free path at base, of at most
+    limit edges, whose source is orbit-related to base; None if there is
+    none.  Each vertex on such a path receives at most one edge, so the
+    path is the unique chain of received edges out of base."""
+    u, edges = base, []
+    while len(edges) < limit and len(graph.received_by(u)) == 1:
+        e = graph.received_by(u)[0]
+        u = e.src
+        edges.append(e.name)
+        if len(graph.received_by(u)) < 2 and classes[u] == classes[base]:
+            return edges
+    return None
+
+
 def check_cyc(action):
     """Every orbit-cycle has an entrance.
 
     An orbit-cycle is a non-empty path whose source and range lie in one
     orbit; paths up to |vertices| edges suffice (a longer entrance-free
     path repeats a base vertex, and the enclosed cycle is again
-    entrance-free with orbit-related endpoints).
+    entrance-free with orbit-related endpoints).  An entrance-free path is
+    fixed by its base and its length, so one walk per base finds the
+    shortest; the least (length, base) is the path_key-least witness.
     """
     graph, gpd = action.graph, action.groupoid
     classes = orbit_classes(gpd)
-    witness = None
-    for p in graph.all_paths(len(graph.vertices)):
-        if p.is_vertex() or graph.has_entrance(p):
-            continue
-        if classes[graph.path_src(p)] == classes[graph.path_rng(p)]:
-            witness = {"op": "has_entrance", "path": list(p.edges),
-                       "src": graph.path_src(p), "rng": graph.path_rng(p)}
-            break
+    witness, limit = None, len(graph.vertices)
+    for base in sorted(graph.vertices):
+        edges = _closing_chain(graph, classes, base, limit)
+        if edges:
+            witness = {"op": "has_entrance", "path": edges,
+                       "src": graph.edge(edges[-1]).src, "rng": base}
+            limit = len(edges) - 1
     return _orbit_scoped(
         gpd, witness,
         witness_note="an entrance-free path closes up to the orbit relation",
@@ -177,15 +193,8 @@ def check_rec(action):
 
 def path_reachable_vertices(graph, v):
     """Vertices reachable from v by following edges range-to-source."""
-    out, stack = set(), [v]
-    while stack:
-        u = stack.pop()
-        if u in out:
-            continue
-        out.add(u)
-        for e in graph.received_by(u):
-            stack.append(e.src)
-    return out
+    return act_mod._closure([v],
+                            lambda u: (e.src for e in graph.received_by(u)))
 
 
 def invariant_closure(action, v):
@@ -236,45 +245,32 @@ def _entrance_cycle_base_points(action):
 
     A base point splits the cycle as a walk q -> x -> p with p and q in one
     orbit, total length >= 1, touching a vertex that receives two edges.
-    Decided by reachability over (vertex, touched-entrance) states.
+    below[x] holds the (vertex, touched, moved) states reachable from x,
+    above[x] the (class(q), touched, moved) of every walk from some q into
+    x; x is a base point when the two sides join on a class and together
+    touch an entrance and move.
     """
     graph, gpd = action.graph, action.groupoid
     classes = orbit_classes(gpd)
     in2 = {v: len(graph.received_by(v)) >= 2 for v in graph.vertices}
 
-    def reach_profiles(a):
-        """(vertex, touched, moved) triples reachable from a."""
-        out = set()
-        stack = [(a, in2[a], False)]
-        while stack:
-            state = stack.pop()
-            if state in out:
-                continue
-            out.add(state)
-            (u, t, _) = state
-            for e in graph.received_by(u):
-                stack.append((e.src, t or in2[e.src], True))
-        return out
+    def step(state):
+        (u, t, _) = state
+        return ((e.src, t or in2[e.src], True) for e in graph.received_by(u))
 
-    profiles = {v: reach_profiles(v) for v in graph.vertices}
+    below = {v: act_mod._closure([(v, in2[v], False)], step)
+             for v in graph.vertices}
+    above = {v: set() for v in graph.vertices}
+    for q in graph.vertices:
+        for (x, t, m) in below[q]:
+            above[x].add((classes[q], t, m))
     base = set()
     for x in graph.vertices:
-        found = False
-        for q in graph.vertices:
-            for (u1, t1, m1) in profiles[q]:
-                if u1 != x:
-                    continue
-                for (p, t2, m2) in profiles[x]:
-                    if classes[p] != classes[q]:
-                        continue
-                    if (t1 or t2) and (m1 or m2):
-                        found = True
-                        break
-                if found:
-                    break
-            if found:
-                break
-        if found:
+        ends = {}
+        for (p, t, m) in below[x]:
+            ends.setdefault(classes[p], set()).add((t, m))
+        if any((t1 or t2) and (m1 or m2) for (c, t1, m1) in above[x]
+               for (t2, m2) in ends.get(c, ())):
             base.add(x)
     return base
 

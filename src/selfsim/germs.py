@@ -16,6 +16,7 @@ from .actions import (BoundaryPoint, act_point, canonical_point,
                       edge_at, fixes_point, point_from_json, point_prefix,
                       point_tail, point_to_json, strongly_fixed_prefix, walk)
 from .graphs import UsageError, is_prefix
+from .groupoids import GroupoidError
 
 
 class GermError(ValueError):
@@ -394,6 +395,10 @@ def hum_for_point(action, x):
     v = vertices.pop()
     iso = gpd.isotropy_at(v)
     mul = {(a, b): gpd.mul(a, b) for a in iso for b in iso}
+    outside = sorted(set(mul.values()) - set(iso))
+    if outside:
+        raise GroupoidError("the isotropy at %r is not closed under "
+                            "products: %r is outside it" % (v, outside[0]))
     gens = sorted({c.element for c in classes})
     sub = generated_subgroup(iso, mul, gens)
     result = hum_check(sub, mul, [sub])

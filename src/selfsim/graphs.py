@@ -119,10 +119,6 @@ class DirectedGraph:
     def sources(self):
         return tuple(v for v in self.vertices if self.is_source(v))
 
-    def has_entrance_vertex(self, v):
-        """True when v receives at least two edges."""
-        return len(self.received_by(v)) >= 2
-
     # -- path calculus -------------------------------------------------
 
     def vertex_path(self, v):
@@ -160,10 +156,6 @@ class DirectedGraph:
 
     def path_rng(self, p):
         return p.base
-
-    def base_vertices(self, p):
-        """All vertices the path passes through: rng of every edge plus the final src."""
-        return tuple([self.edge(n).rng for n in p.edges] + [self.path_src(p)])
 
     def concat(self, p, q):
         """p followed by q; valid when src(p) = rng(q)."""
@@ -205,10 +197,6 @@ class DirectedGraph:
             out.extend(self.paths_from(v, max_len))
         out.sort(key=path_key)
         return out
-
-    def has_entrance(self, p):
-        """True when some vertex the path passes through receives >= 2 edges."""
-        return any(self.has_entrance_vertex(v) for v in self.base_vertices(p))
 
     def to_dot(self, name="graph"):
         lines = ["digraph %s {" % name]

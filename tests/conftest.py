@@ -34,6 +34,13 @@ def fix():
     return get
 
 
+def oracle_has_entrance(graph, p):
+    """Some vertex the path passes through (the range of each edge, and
+    the path's source) receives two or more edges."""
+    passed = [graph.edge(n).rng for n in p.edges] + [graph.path_src(p)]
+    return any(len(graph.received_by(v)) >= 2 for v in passed)
+
+
 def random_graph(rng, max_vertices=3, max_edges=4):
     nv = rng.randint(1, max_vertices)
     vertices = ["p", "q", "r"][:nv]

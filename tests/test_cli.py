@@ -11,6 +11,8 @@ from selfsim import actions as act_mod
 from selfsim import cli, systems
 from selfsim.groupoids import ExplicitGroupoid
 
+from conftest import EXPLICIT_FIXTURES
+
 FIXTURES = sorted(systems.fixture_names())
 
 
@@ -250,6 +252,64 @@ def test_report_refuses_invalid_systems(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert "invalid:" in err
+
+
+def _with_row(name, section, table, row, value):
+    """The bundled system's JSON, written as explicit tables, with the
+    value of the given table row replaced."""
+    data = systems.system_to_json(systems.load_fixture(name))
+    data[section][table][data[section][table].index(row)][2] = value
+    return data
+
+
+def test_twist_verify_refuses_an_invalid_action(capsys, tmp_path):
+    # a non-associative action has no cocycle to verify
+    path = write_system(tmp_path, _with_row(
+        "four_loop_z2", "action", "edge_action", ["0", "a", "a"], "b"))
+    code, out, err = run(capsys, ["twist", path, "verify", "--bound", "1"])
+    assert code == 1
+    assert out == "" and err.startswith("invalid:")
+
+
+def test_hum_refuses_products_outside_the_isotropy(capsys, tmp_path):
+    path = write_system(tmp_path, _with_row(
+        "twisted_three_spoke", "groupoid", "mul", ["1", "1", "0"], "zz"))
+    code, out, err = run(capsys, ["hum", path,
+                                  '{"prefix": [], "period": ["e"]}'])
+    assert code == 1
+    assert out == "" and "'zz'" in err
+
+
+def _corrupted_tables(name):
+    """Every entry of the edge-action, restriction and product tables of a
+    bundled system (written as explicit tables), replaced once by the
+    unknown name "zz" and once by another name of the same kind."""
+    doc = systems.system_to_json(systems.load_fixture(name))
+    edges = sorted(e["name"] for e in doc["graph"]["edges"])
+    elements = sorted(g["name"] for g in doc["groupoid"]["elements"])
+    for (section, table, names) in (("action", "edge_action", edges),
+                                    ("action", "restriction", elements),
+                                    ("groupoid", "mul", elements)):
+        for row in doc[section][table]:
+            other = next(n for n in names if n != row[2])
+            for value in ("zz", other):
+                yield (table, row, value), _with_row(name, section, table,
+                                                     row, value)
+
+
+def test_corrupted_table_entries_end_in_an_exit_code(capsys, tmp_path):
+    for name in EXPLICIT_FIXTURES:
+        graph = systems.load_fixture(name).graph
+        loop = min(e.name for e in graph.edges if e.src == e.rng)
+        point = json.dumps({"prefix": [], "period": [loop]})
+        for (where, data) in _corrupted_tables(name):
+            path = write_system(tmp_path, data)
+            for argv in (["nucleus", path], ["kernel", path],
+                         ["export-dot", path, "--what", "restriction"],
+                         ["hum", path, point], ["germ", path, "xbar", point],
+                         ["twist", path, "verify", "--bound", "1"]):
+                code, _, _ = run(capsys, argv)
+                assert code in (0, 1, 2), (name, where, argv)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,8 @@ from selfsim.groupoids import (BehavioralModel, ExplicitGroupoid,
 from selfsim.systems import load_fixture
 from selfsim.verdicts import fails, holds, holds_on_model, requires_explicit
 
-from conftest import FIXTURES, random_action, zn_rotation
+from conftest import (FIXTURES, oracle_has_entrance, random_action,
+                      zn_rotation)
 from test_actions import (oracle_fixed_arrows, oracle_fixes_all,
                           oracle_sla_witness, oracle_unit_reachable)
 
@@ -80,6 +81,51 @@ def oracle_min_closure(action, v):
             if v in h and oracle_is_invariant(action, classes, h):
                 best = h if best is None else (best & h)
     return best
+
+
+def oracle_check_cyc(action):
+    """The literal scan: the path_key-least non-empty path of at most
+    |vertices| edges that passes no entrance and closes up to the orbit
+    relation, as a Cyc witness; None when there is none."""
+    graph = action.graph
+    classes = oracle_orbit_closure(action.groupoid)
+    for p in graph.all_paths(len(graph.vertices)):
+        if p.is_vertex() or oracle_has_entrance(graph, p):
+            continue
+        src = graph.path_src(p)
+        if src in classes[p.base]:
+            return {"op": "has_entrance", "path": list(p.edges),
+                    "src": src, "rng": p.base}
+    return None
+
+
+def oracle_entrance_cycle_base_points(action):
+    """Base points of orbit-cycles with an entrance, by a search over every
+    pair of (vertex, touched, moved) profiles: x is one when some q walks
+    into x and x walks on to some p in q's orbit, the two walks together
+    moving and touching a vertex that receives two edges."""
+    graph = action.graph
+    classes = oracle_orbit_closure(action.groupoid)
+    in2 = {v: len(graph.received_by(v)) >= 2 for v in graph.vertices}
+
+    def reach_profiles(a):
+        out = set()
+        stack = [(a, in2[a], False)]
+        while stack:
+            state = stack.pop()
+            if state in out:
+                continue
+            out.add(state)
+            (u, t, _) = state
+            for e in graph.received_by(u):
+                stack.append((e.src, t or in2[e.src], True))
+        return out
+
+    profiles = {v: reach_profiles(v) for v in graph.vertices}
+    return {x for x in graph.vertices
+            if any(u1 == x and p in classes[q] and (t1 or t2) and (m1 or m2)
+                   for q in graph.vertices for (u1, t1, m1) in profiles[q]
+                   for (p, t2, m2) in profiles[x])}
 
 
 # -- ad-hoc systems ----------------------------------------------------------
@@ -144,6 +190,44 @@ def disconnected_action(flags):
     return SelfSimilarAction(graph, gpd, edge_action, restriction)
 
 
+def random_orbit_action(rng, max_vertices=8):
+    """A random graph, most of whose vertices receive at most one edge and
+    few of whose edges are loops, seen through a behavioral model whose
+    states link every vertex to the least vertex with the same random
+    label.  The action tables are empty: Cyc and Con read only the graph
+    and the orbit relation."""
+    n = rng.randint(1, max_vertices)
+    vs = ["v%d" % k for k in range(n)]
+    edges = []
+    for v in vs:
+        for _ in range(rng.choice((0, 1, 1, 1, 1, 2))):
+            src = rng.choice(vs)
+            if src == v:
+                src = rng.choice(vs)
+            edges.append(("e%d" % len(edges), src, v))
+    graph = DirectedGraph(vs, edges)
+    label = {v: rng.randrange(n) for v in vs}
+    states = [("u" + v, v, v, True) for v in vs]
+    for v in vs:
+        least = min(u for u in vs if label[u] == label[v])
+        if least != v:
+            states.append(("g" + v, least, v, False))
+    gpd = BehavioralModel.from_states(
+        vs, states, {"orbit_complete": rng.random() < 0.5})
+    return SelfSimilarAction(graph, gpd, {}, {})
+
+
+def ring_action(n, loops):
+    """n vertices in a ring under the unit groupoid, with or without a loop
+    at each vertex; the ring without loops is one entrance-free cycle."""
+    vs = ["r%d" % k for k in range(n)]
+    edges = [("s%d" % k, vs[(k + 1) % n], vs[k]) for k in range(n)]
+    if loops:
+        edges += [("l%d" % k, vs[k], vs[k]) for k in range(n)]
+    return SelfSimilarAction(DirectedGraph(vs, edges),
+                             group_bundle(vs, {}), {}, {})
+
+
 # -- orbit classes -----------------------------------------------------------
 
 
@@ -205,13 +289,13 @@ def test_check_min_witness_replays():
 
 
 def _replay_cyc_witness(action, w):
-    graph = action.groupoid and action.graph
+    graph = action.graph
     p = graph.path(w["path"])
-    assert not graph.has_entrance(p)
-    for base in graph.base_vertices(p):
-        assert len(graph.received_by(base)) < 2
+    assert not oracle_has_entrance(graph, p)
     oracle = oracle_orbit_closure(action.groupoid)
     assert graph.path_src(p) in oracle[graph.path_rng(p)]
+    assert (w["src"], w["rng"]) == (graph.path_src(p), graph.path_rng(p))
+    assert w == oracle_check_cyc(action)
 
 
 def test_check_cyc_fails_with_replayable_witness(fix):
@@ -229,6 +313,58 @@ def test_check_cyc_holds_when_cycles_pass_entrances(fix):
     assert check_cyc(fix("four_loop_z2").action).status == "Holds"
     # complete orbit data on the model upgrades the sweep to Holds
     assert check_cyc(fix("two_edges").action).status == "Holds"
+
+
+def _expected_cyc_status(action, witness):
+    if witness is not None:
+        return "Fails"
+    return "Holds" if action.groupoid.orbit_complete else "HoldsOnModel"
+
+
+def test_check_cyc_matches_the_literal_scan_on_random_graphs():
+    rng = random.Random(20261018)
+    lengths = collections.Counter()
+    for _ in range(5000):
+        action = random_orbit_action(rng)
+        v, witness = check_cyc(action), oracle_check_cyc(action)
+        assert v.status == _expected_cyc_status(action, witness)
+        assert v.witness == witness
+        lengths[witness and len(witness["path"])] += 1
+    # both verdicts are well exercised, and witnesses of several lengths
+    assert 1000 < lengths[None] < 4000
+    assert lengths[2] > 100 and max(filter(None, lengths)) >= 4
+
+
+def test_check_cyc_matches_the_literal_scan_on_golden_systems():
+    from test_golden import GOLDEN
+    for (name, system) in GOLDEN:
+        action = (system or load_fixture(name)).action
+        v, witness = check_cyc(action), oracle_check_cyc(action)
+        assert v.status == _expected_cyc_status(action, witness), name
+        assert v.witness == witness, name
+
+
+def test_check_cyc_enumerates_no_paths(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("Cyc enumerated paths")
+
+    monkeypatch.setattr(DirectedGraph, "paths_from", refuse)
+    assert check_cyc(ring_action(1000, loops=True)).status == "Holds"
+    v = check_cyc(ring_action(200, loops=False))
+    assert v.status == "Fails"
+    assert v.witness["path"] == ["s%d" % k for k in range(200)]
+    assert v.witness["src"] == v.witness["rng"] == "r0"
+
+
+def test_con_base_points_match_the_profile_pair_search():
+    rng = random.Random(20261018)
+    nonempty = 0
+    for _ in range(5000):
+        action = random_orbit_action(rng)
+        base = cond._entrance_cycle_base_points(action)
+        assert base == oracle_entrance_cycle_base_points(action)
+        nonempty += bool(base)
+    assert 1000 < nonempty < 4000
 
 
 # -- recurrence, finiteness, strong fixing -------------------------------------
