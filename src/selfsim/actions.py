@@ -484,9 +484,10 @@ class RestrictionDigraph:
                 rev.setdefault(h, []).append(g)
         return rev
 
-    def reaching(self, targets):
-        """Nodes with a walk of fixed arrows into targets (targets included)."""
-        return _closure(targets, lambda h: self._fixed_into.get(h, ()))
+    def reaching(self, targets, avoid=frozenset()):
+        """Nodes with a walk of fixed arrows into targets, never entering
+        avoid."""
+        return _closure(targets, lambda h: self._fixed_into.get(h, ()), avoid)
 
     @functools.cached_property
     def kernel(self):
@@ -501,40 +502,44 @@ class RestrictionDigraph:
 
     @functools.cached_property
     def cyclic(self):
-        """Nodes on a directed cycle of the arrows: the non-trivial strongly
-        connected components, from one iterative pass of Tarjan's
-        algorithm."""
-        arrows = self.arrows
-        index, low, stack, on_stack, out = {}, {}, [], set(), set()
+        """Nodes on a directed cycle of the arrows."""
+        return cycle_nodes(self.arrows)
 
-        def visit(v):
-            index[v] = low[v] = len(index)
-            stack.append(v)
-            on_stack.add(v)
-            return (v, iter(arrows.get(v, ())))
 
-        for root in arrows:
-            work = [] if root in index else [visit(root)]
-            while work:
-                v, succ = work[-1]
-                for (_, w) in succ:
-                    if w not in index:
-                        work.append(visit(w))
-                        break
-                    if w in on_stack:
-                        low[v] = min(low[v], index[w])
-                else:
-                    work.pop()
-                    if work:
-                        low[work[-1][0]] = min(low[work[-1][0]], low[v])
-                    if low[v] == index[v]:
-                        comp = [stack.pop()]
-                        while comp[-1] != v:
-                            comp.append(stack.pop())
-                        on_stack.difference_update(comp)
-                        if len(comp) > 1 or any(n == v for (_, n) in arrows.get(v, ())):
-                            out.update(comp)
-        return out
+def cycle_nodes(arrows):
+    """Nodes on a directed cycle of arrows[v] = ((e, w), ...): the
+    non-trivial strongly connected components, from one iterative pass of
+    Tarjan's algorithm."""
+    index, low, stack, on_stack, out = {}, {}, [], set(), set()
+
+    def visit(v):
+        index[v] = low[v] = len(index)
+        stack.append(v)
+        on_stack.add(v)
+        return (v, iter(arrows.get(v, ())))
+
+    for root in arrows:
+        work = [] if root in index else [visit(root)]
+        while work:
+            v, succ = work[-1]
+            for (_, w) in succ:
+                if w not in index:
+                    work.append(visit(w))
+                    break
+                if w in on_stack:
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    low[work[-1][0]] = min(low[work[-1][0]], low[v])
+                if low[v] == index[v]:
+                    comp = [stack.pop()]
+                    while comp[-1] != v:
+                        comp.append(stack.pop())
+                    on_stack.difference_update(comp)
+                    if len(comp) > 1 or any(n == v for (_, n) in arrows.get(v, ())):
+                        out.update(comp)
+    return out
 
 
 class FixingAutomaton:
@@ -683,25 +688,22 @@ def faithful(action):
 def tight_kernel_elements(action):
     """Elements whose iterated restrictions strongly stabilize: the least set
     containing the units that contains every regular-based g fixing all its
-    edges with restrictions already in the set (units at source vertices are
-    always members)."""
+    edges with restrictions already in the set.  Such a g joins once its
+    last arrow's target has joined."""
     gpd, graph, dg = action.groupoid, action.graph, action.digraph
-    units = {gpd.unit_at(v) for v in graph.vertices}
-    singular_units = {gpd.unit_at(v) for v in graph.sources()}
-    regular_fixers = [g for g in gpd.elements()
-                      if not graph.is_source(gpd.src(g))
-                      and not graph.is_source(gpd.rng(g))
-                      and g not in dg.movers]
-    k = set(units)
-    while True:
-        nxt = set(singular_units)
-        for g in regular_fixers:
-            if all(h in k for (_, h) in dg.arrows[g]):
-                nxt.add(g)
-        nxt |= k
-        if nxt == k:
-            return tuple(sorted(k))
-        k = nxt
+    waiting = {g: len(dg.arrows[g]) for g in gpd.elements()
+               if not graph.is_source(gpd.src(g))
+               and not graph.is_source(gpd.rng(g))
+               and g not in dg.movers}
+
+    def step(h):
+        # a fixer's arrows are all fixed, so the fixed index lists them all
+        for g in dg._fixed_into.get(h, ()):
+            if g in waiting:
+                waiting[g] -= 1
+        return [g for g in dg._fixed_into.get(h, ()) if waiting.get(g) == 0]
+    return tuple(sorted(_closure([gpd.unit_at(v) for v in graph.vertices],
+                                 step)))
 
 
 def tightly_faithful(action):

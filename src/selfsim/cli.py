@@ -275,66 +275,58 @@ def _build_parser():
 
     Subcommands are dispatched by name in main, so the parser holds no
     reference to the cmd_* functions."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=["json", "text"], default="json",
-                        help="output format (default json)")
-    common.add_argument("--bound", type=_length, default=3, metavar="L",
-                        help="truncation length for brute-force "
-                             "verifications (default 3)")
-    common.add_argument("--scope", choices=["strict", "model"],
-                        default="model",
-                        help="whether on-model verdicts propagate into "
-                             "derived verdicts (default model)")
-
     parser = argparse.ArgumentParser(
         prog="selfsim",
         description="Deciders and arithmetic for self-similar groupoid "
                     "actions on finite graphs.")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    p = sub.add_parser("validate", parents=[common],
+    p = sub.add_parser("validate",
                        help="run every structural and algebraic check")
     p.add_argument("system", help="system file or bundled example name")
 
-    p = sub.add_parser("report", parents=[common],
-                       help="full condition and consequence report")
+    p = sub.add_parser("report", help="full condition and consequence report")
     p.add_argument("system")
+    p.add_argument("--format", choices=["json", "text"], default="json",
+                   help="output format (default json)")
+    p.add_argument("--scope", choices=["strict", "model"], default="model",
+                   help="whether on-model verdicts propagate into derived "
+                        "verdicts (default model)")
 
-    p = sub.add_parser("semigroup", parents=[common],
-                       help="triple arithmetic")
+    p = sub.add_parser("semigroup", help="triple arithmetic")
     p.add_argument("system")
     p.add_argument("op", choices=["mul", "star", "leq", "conj", "length"])
     p.add_argument("args", nargs="*",
                    help="JSON arguments, e.g. "
                         "'{\"alpha\": [\"e\"], \"g\": \"1\", \"beta\": []}'")
 
-    p = sub.add_parser("germ", parents=[common], help="germ calculus")
+    p = sub.add_parser("germ", help="germ calculus")
     p.add_argument("system")
     p.add_argument("op", choices=["eq", "compose", "inverse", "classify",
                                   "in-core", "xbar"])
     p.add_argument("args", nargs="*",
                    help="JSON germs (triple plus \"xi\") or points")
 
-    p = sub.add_parser("twist", parents=[common], help="twist calculus")
+    p = sub.add_parser("twist", help="twist calculus")
     p.add_argument("system")
     p.add_argument("op", choices=["validate", "extend", "omega", "verify"])
     p.add_argument("args", nargs="*")
+    p.add_argument("--bound", type=_length, default=3, metavar="L",
+                   help="truncation length for the brute-force verify "
+                        "(default 3)")
 
-    p = sub.add_parser("nucleus", parents=[common],
-                       help="the minimal recurrent set of elements")
+    p = sub.add_parser("nucleus", help="the minimal recurrent set of elements")
     p.add_argument("system")
 
-    p = sub.add_parser("kernel", parents=[common],
-                       help="kernel and tight kernel of the action")
+    p = sub.add_parser("kernel", help="kernel and tight kernel of the action")
     p.add_argument("system")
 
-    p = sub.add_parser("hum", parents=[common],
-                       help="group summation test at a boundary point")
+    p = sub.add_parser("hum", help="group summation test at a boundary point")
     p.add_argument("system")
     p.add_argument("point", help="JSON point, e.g. "
                                  "'{\"prefix\": [], \"period\": [\"e\"]}'")
 
-    p = sub.add_parser("export-dot", parents=[common], help="DOT exports")
+    p = sub.add_parser("export-dot", help="DOT exports")
     p.add_argument("system")
     p.add_argument("--what", default="graph",
                    help="graph | restriction | fixing:<element>")

@@ -25,24 +25,21 @@ from .verdicts import holds, fails, holds_on_model, requires_explicit
 
 
 def orbit_classes(groupoid):
-    """Vertex partition generated by the (src, rng) pairs of the elements.
+    """Vertex partition generated by the (src, rng) pairs of the elements,
+    each vertex mapped to the least vertex of its class.
 
     The real orbit relation is an equivalence, so taking the closure of the
     witnessed pairs is sound on a behavioral model too.
     """
-    parent = {v: v for v in groupoid.vertices}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
+    linked = {v: [] for v in groupoid.vertices}
     for (a, b) in groupoid.orbit_pairs():
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    return {v: find(v) for v in groupoid.vertices}
+        linked[a].append(b)
+        linked[b].append(a)
+    classes = {}
+    for v in sorted(groupoid.vertices):
+        if v not in classes:
+            classes.update(dict.fromkeys(act_mod._closure([v], linked.get), v))
+    return classes
 
 
 def _orbit_scoped(groupoid, witness, witness_note="", model_note=""):
@@ -71,14 +68,18 @@ def _monotone_scoped(groupoid, witness, witness_note="", model_note=""):
 
 
 def check_fin(action):
-    """Finitely many minimal strongly fixed paths for every element."""
+    """Finitely many minimal strongly fixed paths for every element.  An
+    element has infinitely many exactly when its fixed walks through live
+    nodes (non-units that reach a unit) enter a cycle of fixed arrows
+    inside live; the least such element gives the witness."""
+    dg = action.digraph
+    live = dg.can_reach_unit - dg.units
+    loops = act_mod.cycle_nodes({h: dg.fixed[h] for h in live})
+    starts = dg.reaching(loops, avoid=dg.units)
     witness = None
-    for g in action.groupoid.elements():
-        res = act_mod.minimal_strongly_fixed(action, g)
-        if not res.is_finite():
-            witness = dict(res.witness)
-            witness["op"] = "minimal_strongly_fixed"
-            break
+    if starts:
+        res = act_mod.minimal_strongly_fixed(action, min(starts))
+        witness = dict(res.witness, op="minimal_strongly_fixed")
     return verdicts.universal_verdict(
         action.groupoid, witness,
         witness_note="an element has infinitely many minimal strongly fixed "
@@ -191,45 +192,51 @@ def check_rec(action):
         model_note="only units are isotropy among represented elements")
 
 
-def path_reachable_vertices(graph, v):
-    """Vertices reachable from v by following edges range-to-source."""
-    return act_mod._closure([v],
-                            lambda u: (e.src for e in graph.received_by(u)))
+def _edges_out(graph):
+    """The range of every edge, listed under its source."""
+    out = {v: [] for v in graph.vertices}
+    for e in graph.edges:
+        out[e.src].append(e.rng)
+    return out
+
+
+def _invariant_closer(action):
+    """invariant_closure for one action, with the orbit classes, their
+    members, the edges by source and the received-edge counts built once."""
+    graph = action.graph
+    classes = orbit_classes(action.groupoid)
+    members = {}
+    for u in graph.vertices:
+        members.setdefault(classes[u], []).append(u)
+    ranges = _edges_out(graph)
+    received = {u: len(graph.received_by(u)) for u in graph.vertices}
+
+    def close(v):
+        outside = dict(received)   # received edges whose source is outside
+
+        def step(u):
+            for w in ranges[u]:
+                outside[w] -= 1
+            return ([e.src for e in graph.received_by(u)] + members[classes[u]]
+                    + [w for w in ranges[u] if not outside[w]])
+        return frozenset(act_mod._closure([v], step))
+    return close
 
 
 def invariant_closure(action, v):
     """The smallest set containing v that is closed under following paths,
     under the orbit relation, and under saturation (a regular vertex all of
     whose received edges have sources inside joins, with its orbit)."""
-    graph, gpd = action.graph, action.groupoid
-    classes = orbit_classes(gpd)
-    members = {}
-    for u in graph.vertices:
-        members.setdefault(classes[u], set()).add(u)
-    h, frontier = set(), {v}
-    while frontier:
-        # close under following paths and under the orbit relation
-        while frontier:
-            u = frontier.pop()
-            for w in path_reachable_vertices(graph, u):
-                for x in members[classes[w]]:
-                    if x not in h:
-                        h.add(x)
-                        frontier.add(x)
-        # saturation may open new ground, then re-close
-        for w in graph.vertices:
-            if (w not in h and not graph.is_source(w)
-                    and all(e.src in h for e in graph.received_by(w))):
-                frontier.add(w)
-    return frozenset(h)
+    return _invariant_closer(action)(v)
 
 
 def check_min(action):
     """The invariant closure of every vertex is everything."""
     graph = action.graph
+    close = _invariant_closer(action)
     witness = None
     for v in sorted(graph.vertices):
-        closure = invariant_closure(action, v)
+        closure = close(v)
         if closure != set(graph.vertices):
             witness = {"op": "invariant_closure", "vertex": v,
                        "closure": sorted(closure)}
@@ -277,14 +284,16 @@ def _entrance_cycle_base_points(action):
 
 def check_con(action):
     """Every vertex has a path into a base point of an orbit-cycle with an
-    entrance."""
+    entrance.  One closure from the base points, along each edge from its
+    source to its range, finds the vertices that do; the least vertex left
+    outside is the witness."""
     graph = action.graph
-    base = _entrance_cycle_base_points(action)
+    reach = act_mod._closure(_entrance_cycle_base_points(action),
+                             _edges_out(graph).get)
+    left = set(graph.vertices) - reach
     witness = None
-    for v in sorted(graph.vertices):
-        if not (path_reachable_vertices(graph, v) & base):
-            witness = {"op": "path_reachable_vertices", "vertex": v}
-            break
+    if left:
+        witness = {"op": "path_reachable_vertices", "vertex": min(left)}
     return _monotone_scoped(
         action.groupoid, witness,
         witness_note="a vertex never reaches an orbit-cycle with an entrance",

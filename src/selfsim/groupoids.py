@@ -187,9 +187,7 @@ class BehavioralModel(Groupoid):
         self.vertices = tuple(vertices)
         self._elements = {}
         for st in states:
-            st = GroupoidElement(*st[:3]) if not isinstance(st, dict) else \
-                GroupoidElement(st["name"], st["src"], st["rng"])
-            self._elements[st.name] = st
+            self._elements[st[0]] = GroupoidElement(*st[:3])
         self._unit_names, self._unit_at = set(), {}
         self.unit_reflecting = bool(unit_reflecting)
         self.element_complete = bool(element_complete)
@@ -197,13 +195,9 @@ class BehavioralModel(Groupoid):
 
     @classmethod
     def from_states(cls, vertices, states, flags=None):
-        """states: iterable of (name, src, rng, is_unit) tuples or dicts."""
+        """states: iterable of (name, src, rng, is_unit) tuples."""
         rows, unit_names = [], set()
-        for st in states:
-            if isinstance(st, dict):
-                name, src, rng, isu = st["name"], st["src"], st["rng"], st.get("is_unit", False)
-            else:
-                name, src, rng, isu = st
+        for (name, src, rng, isu) in states:
             rows.append((name, src, rng))
             if isu:
                 unit_names.add(name)

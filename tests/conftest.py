@@ -192,3 +192,14 @@ def wide_random_actions():
     out = [random_action(rng, 3, rng.randint(1, 6), rng.randint(1, 6))
            for _ in range(150)]
     return out + [random_behavioral_action(rng) for _ in range(150)]
+
+
+@pytest.fixture(scope="session")
+def seeded_actions():
+    """2,000 more random actions for comparing deciders with their loop
+    oracles: 1,000 explicit ones shaped like wide_random_actions, then
+    1,000 behavioral models."""
+    rng = random.Random(20261019)
+    out = [random_action(rng, 3, rng.randint(1, 6), rng.randint(1, 6))
+           for _ in range(1000)]
+    return out + [random_behavioral_action(rng) for _ in range(1000)]

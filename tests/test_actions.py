@@ -136,6 +136,29 @@ def oracle_tight_kernel(action):
     return {g for g in gpd.elements() if ok(g, gpd.src(g), depth)}
 
 
+def oracle_tight_kernel_rounds(action):
+    """The least fixpoint by rounds: from the units, add every regular-based
+    element that moves no edge and whose restrictions all lie in the set,
+    until a round adds nothing."""
+    gpd, graph, dg = action.groupoid, action.graph, action.digraph
+    units = {gpd.unit_at(v) for v in graph.vertices}
+    singular_units = {gpd.unit_at(v) for v in graph.sources()}
+    regular_fixers = [g for g in gpd.elements()
+                      if not graph.is_source(gpd.src(g))
+                      and not graph.is_source(gpd.rng(g))
+                      and g not in dg.movers]
+    k = set(units)
+    while True:
+        nxt = set(singular_units)
+        for g in regular_fixers:
+            if all(h in k for (_, h) in dg.arrows[g]):
+                nxt.add(g)
+        nxt |= k
+        if nxt == k:
+            return k
+        k = nxt
+
+
 def oracle_nucleus(action):
     """Everything reachable as a restriction along some path of length in
     [#elements + 1, 2·#elements + 1]: deep enough to force a state repeat,
@@ -540,18 +563,22 @@ def test_minimal_fixed_result_shape_on_four_loop(fix):
     assert [str(p) for p in res0.paths] == ["v"]
 
 
-def fixed_chain(n):
-    """A behavioral model on a chain b0 <- b1 <- ... <- b_{n-1}: h_j fixes the
-    edge q_j into b_j and restricts to h_{j+1}, the last one to a unit."""
+def fixed_chain(n, width=1):
+    """A model of the Z_2 bundle on a chain b0 <- b1 <- ... <- b_{n-1}, with
+    width parallel edges (q_j, then r_j) from b_{j+1} into b_j: h_j fixes
+    them and restricts to h_{j+1}, the last one to a unit.  The states are
+    the whole bundle, so every flag is set.  With width 2 this is D(n - 1):
+    h0 has 2^(n-1) minimal strongly fixed paths."""
     vs = ["b%d" % j for j in range(n)]
-    graph = DirectedGraph(vs, [("q%d" % j, vs[j + 1], vs[j])
-                               for j in range(n - 1)])
+    steps = [(c + str(j), j) for j in range(n - 1) for c in "qr"[:width]]
+    graph = DirectedGraph(vs, [(e, vs[j + 1], vs[j]) for (e, j) in steps])
     states = [("u%d" % j, v, v, True) for (j, v) in enumerate(vs)]
     states += [("h%d" % j, v, v, False) for (j, v) in enumerate(vs)]
-    gpd = BehavioralModel.from_states(vs, states)
+    gpd = BehavioralModel.from_states(
+        vs, states, dict.fromkeys(("unit_reflecting", "element_complete",
+                                   "orbit_complete"), True))
     edge_action, restriction = {}, {}
-    for j in range(n - 1):
-        e = "q%d" % j
+    for (e, j) in steps:
         edge_action[("u%d" % j, e)] = edge_action[("h%d" % j, e)] = e
         restriction[("u%d" % j, e)] = "u%d" % (j + 1)
         restriction[("h%d" % j, e)] = "h%d" % (j + 1) if j < n - 2 \
@@ -600,13 +627,25 @@ def test_kernel_and_tight_kernel_match_oracles(fix, name):
     gpd = action.groupoid
     expected = {g for g in gpd.elements() if oracle_fixes_all(action, g)}
     assert set(act.kernel_elements(action)) == expected
-    assert set(act.tight_kernel_elements(action)) == oracle_tight_kernel(action)
+    tight = set(act.tight_kernel_elements(action))
+    assert tight == oracle_tight_kernel(action)
+    assert tight == oracle_tight_kernel_rounds(action)
 
 
-def test_kernels_on_random_actions(random_actions, wide_random_actions):
-    for action in list(random_actions) + list(wide_random_actions):
-        assert set(act.tight_kernel_elements(action)) == \
-            oracle_tight_kernel(action)
+def test_kernels_on_random_actions(random_actions, wide_random_actions,
+                                   seeded_actions):
+    """The tight kernel against both oracles, on the random pools and the
+    fixed chains."""
+    pool = list(random_actions) + list(wide_random_actions)
+    pool += list(seeded_actions)
+    pool += [fixed_chain(n, width) for n in (1, 2, 5) for width in (1, 2)]
+    bigger = 0
+    for action in pool:
+        tight = set(act.tight_kernel_elements(action))
+        assert tight == oracle_tight_kernel(action)
+        assert tight == oracle_tight_kernel_rounds(action)
+        bigger += len(tight) > len(action.graph.vertices)
+    assert bigger >= 100
 
 
 def test_faithfulness_flags(fix):

@@ -107,6 +107,21 @@ def test_unknown_subcommand_exits_two(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["validate", "four_loop_z2", "--bound", "1"],
+    ["kernel", "two_edges", "--format", "text"],
+    ["twist", "twisted_three_spoke", "verify", "--scope", "strict"],
+    ["report", "two_edges", "--bound", "2"],
+])
+def test_a_flag_the_subcommand_ignores_is_a_usage_failure(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments" in captured.err
+
+
 @pytest.mark.parametrize("value", ["-1", "two"])
 def test_bad_bound_is_a_usage_failure(capsys, value):
     with pytest.raises(SystemExit) as exc:

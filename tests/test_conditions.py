@@ -27,7 +27,7 @@ from selfsim.verdicts import fails, holds, holds_on_model, requires_explicit
 
 from conftest import (FIXTURES, oracle_has_entrance, random_action,
                       zn_rotation)
-from test_actions import (oracle_fixed_arrows, oracle_fixes_all,
+from test_actions import (fixed_chain, oracle_fixed_arrows, oracle_fixes_all,
                           oracle_sla_witness, oracle_unit_reachable)
 
 
@@ -126,6 +126,72 @@ def oracle_entrance_cycle_base_points(action):
             if any(u1 == x and p in classes[q] and (t1 or t2) and (m1 or m2)
                    for q in graph.vertices for (u1, t1, m1) in profiles[q]
                    for (p, t2, m2) in profiles[x])}
+
+
+def oracle_check_fin(action):
+    """The per-element loop: the first element, in elements() order, whose
+    minimal strongly fixed paths are infinitely many gives the witness."""
+    for g in action.groupoid.elements():
+        res = act_mod.minimal_strongly_fixed(action, g)
+        if not res.is_finite():
+            witness = dict(res.witness)
+            witness["op"] = "minimal_strongly_fixed"
+            return witness
+    return None
+
+
+def oracle_path_reachable(graph, v):
+    """Vertices reachable from v by following edges range-to-source."""
+    out, stack = set(), [v]
+    while stack:
+        u = stack.pop()
+        if u not in out:
+            out.add(u)
+            stack.extend(e.src for e in graph.received_by(u))
+    return out
+
+
+def oracle_invariant_closure(action, v):
+    """The nested fixpoint: close under following paths and under the orbit
+    relation, then add every saturated vertex, until nothing is added."""
+    graph = action.graph
+    classes = oracle_orbit_closure(action.groupoid)
+    h, frontier = set(), {v}
+    while frontier:
+        while frontier:
+            u = frontier.pop()
+            for w in oracle_path_reachable(graph, u):
+                for x in classes[w]:
+                    if x not in h:
+                        h.add(x)
+                        frontier.add(x)
+        for w in graph.vertices:
+            if (w not in h and not graph.is_source(w)
+                    and all(e.src in h for e in graph.received_by(w))):
+                frontier.add(w)
+    return h
+
+
+def oracle_check_min(action):
+    """The least vertex whose nested-fixpoint closure is proper."""
+    vs = set(action.graph.vertices)
+    for v in sorted(vs):
+        closure = oracle_invariant_closure(action, v)
+        if closure != vs:
+            return {"op": "invariant_closure", "vertex": v,
+                    "closure": sorted(closure)}
+    return None
+
+
+def oracle_check_con(action):
+    """The per-vertex loop: the least vertex whose range-to-source walks
+    miss every base point of an orbit-cycle with an entrance."""
+    graph = action.graph
+    base = cond._entrance_cycle_base_points(action)
+    for v in sorted(graph.vertices):
+        if not (oracle_path_reachable(graph, v) & base):
+            return {"op": "path_reachable_vertices", "vertex": v}
+    return None
 
 
 # -- ad-hoc systems ----------------------------------------------------------
@@ -250,6 +316,14 @@ def test_orbit_classes_close_transitively():
     classes = orbit_classes(gpd)
     assert classes["a"] == classes["b"] == classes["c"]
     assert classes["d"] != classes["a"]
+    # c links a with b, so reaching b from a goes up to c and back down;
+    # each vertex maps to the least vertex of its class
+    gpd = BehavioralModel.from_states(
+        ["a", "b", "c", "d"],
+        [("ua", "a", "a", True), ("ub", "b", "b", True),
+         ("uc", "c", "c", True), ("ud", "d", "d", True),
+         ("s", "a", "c", False), ("t", "b", "c", False)])
+    assert orbit_classes(gpd) == {"a": "a", "b": "a", "c": "a", "d": "d"}
 
 
 # -- invariant closure (the Min machinery) ------------------------------------
@@ -365,6 +439,79 @@ def test_con_base_points_match_the_profile_pair_search():
         assert base == oracle_entrance_cycle_base_points(action)
         nonempty += bool(base)
     assert 1000 < nonempty < 4000
+
+
+def _matches_loops(action, checks):
+    """Each named decider gives the verdict and witness that its loop
+    oracle's witness gets under the same scoping; the Fails are returned."""
+    oracles = {"Fin": (check_fin, oracle_check_fin, verdicts.universal_verdict),
+               "Min": (check_min, oracle_check_min, cond._monotone_scoped),
+               "Con": (check_con, oracle_check_con, cond._monotone_scoped)}
+    failed = set()
+    for cid in checks:
+        (decide, oracle, scope) = oracles[cid]
+        v, witness = decide(action), oracle(action)
+        want = scope(action.groupoid, witness)
+        assert (v.status, v.witness) == (want.status, want.witness), cid
+        if v.status == "Fails":
+            failed.add(cid)
+    for u in action.graph.vertices:
+        assert invariant_closure(action, u) == \
+            oracle_invariant_closure(action, u)
+    return failed
+
+
+def test_fin_min_and_con_match_the_loop_oracles(random_actions,
+                                               wide_random_actions,
+                                               seeded_actions):
+    """On the golden systems, the random pools and the fixed chains, and on
+    1,000 seeded graphs for Min and Con."""
+    from test_golden import GOLDEN
+    rng = random.Random(20261019)
+    pool = [(system or load_fixture(name)).action for (name, system) in GOLDEN]
+    pool += list(random_actions) + list(wide_random_actions)
+    pool += list(seeded_actions)
+    pool += [fixed_chain(n, width) for n in (1, 2, 5) for width in (1, 2)]
+    failing = collections.Counter()
+    for action in pool:
+        failing.update(_matches_loops(action, ("Fin", "Min", "Con")))
+    for _ in range(1000):
+        failing.update(_matches_loops(random_orbit_action(rng),
+                                      ("Min", "Con")))
+    assert min(failing.values()) >= 100, failing
+
+
+def test_report_deciders_make_one_pass_on_the_doubled_chain(monkeypatch):
+    """D(300): the Z_2 bundle on 301 vertices, two fixed edges per step.
+    h0 has 2^300 minimal strongly fixed paths, yet Fin and Min hold after
+    one pass each: Fin never lists minimal strongly fixed paths, and Min
+    builds the orbit classes once."""
+    calls = collections.Counter()
+    original = act_mod.minimal_strongly_fixed
+
+    def counted(action, g):
+        calls["minimal_strongly_fixed"] += 1
+        return original(action, g)
+
+    def refuse(action, g):
+        raise AssertionError("Fin listed minimal strongly fixed paths")
+
+    def counted_classes(groupoid):
+        calls["orbit_classes"] += 1
+        return orbit_classes(groupoid)
+
+    assert len(original(fixed_chain(11, width=2), "h0").paths) == 2 ** 10
+    monkeypatch.setattr(act_mod, "minimal_strongly_fixed", counted)
+    for name in ("four_loop_z2", "twisted_three_spoke"):
+        assert check_fin(load_fixture(name).action).status == "Fails"
+    assert calls["minimal_strongly_fixed"] == 2
+    monkeypatch.setattr(act_mod, "minimal_strongly_fixed", refuse)
+    monkeypatch.setattr(cond, "orbit_classes", counted_classes)
+    action = fixed_chain(301, width=2)
+    assert check_min(action).status == "Holds"
+    assert calls["orbit_classes"] == 1
+    base = run_report(action).base
+    assert (base["Fin"].status, base["Min"].status) == ("Holds", "Holds")
 
 
 # -- recurrence, finiteness, strong fixing -------------------------------------
