@@ -38,8 +38,7 @@ strongly fix a prefix of it; are two germs at it equal) follow a finite
 state h along it, h -> step(h, e) per edge e.  Past the prefix the edge at
 position i depends only on point_phase(x, i), so once a (state, phase)
 pair repeats nothing new can follow: walk stops there, or at the end of a
-finite point.  act_point keeps its own loop, since it needs the position
-where the repeat began.
+finite point.
 
 Behavioral models carry the same act/restrict tables on states; every
 state is assumed to describe the behavior of at least one actual element.
@@ -366,26 +365,19 @@ def walk(x, i, h, step):
 
 
 def act_point(action, g, x):
-    """g·x for a boundary point x with rng(x) = src(g).  Not built on walk:
-    the image's period starts where the repeated (element, phase) pair was
-    first seen, so this loop keeps a position per pair."""
-    graph, gpd = action.graph, action.groupoid
+    """g·x for a boundary point x with rng(x) = src(g), edge by edge along
+    walk.  The image's period starts at the first step with the walk's
+    final (element, phase) pair."""
+    gpd = action.groupoid
     if gpd.src(g) != x.base:
         raise ActionError("element %r cannot act on point %s" % (g, x))
-    if x.is_finite():
-        p = action.act_path(g, finite_path(graph, x))
-        return BoundaryPoint(p.base, p.edges, ())
-    out, seen, h, i = [], {}, g, 0
-    while True:
-        key = (h, point_phase(x, i))
-        if key in seen:
-            j = seen[key]
-            return canonical_point(gpd.rng(g), tuple(out[:j]), tuple(out[j:i]))
-        seen[key] = i
-        e = edge_at(x, i)
-        out.append(action.act_edge(h, e))
-        h = action.restrict_edge(h, e)
-        i += 1
+    steps = list(walk(x, 0, g, action.restrict_edge))
+    n, _, last = steps[-1]
+    out = tuple(action.act_edge(h, e) for (_, e, h) in steps[:-1])
+    j = n if x.is_finite() else next(
+        i for (i, _, h) in steps
+        if h == last and point_phase(x, i) == point_phase(x, n))
+    return canonical_point(gpd.rng(g), out[:j], out[j:])
 
 
 def strongly_fixed_prefix(action, g, x):
@@ -505,6 +497,13 @@ class RestrictionDigraph:
         """Nodes on a directed cycle of the arrows."""
         return cycle_nodes(self.arrows)
 
+    @functools.cached_property
+    def pumps(self):
+        """Nodes on a cycle of fixed arrows among the live nodes: non-units
+        that reach a unit along fixed arrows."""
+        live = self.can_reach_unit - self.units
+        return cycle_nodes({h: self.fixed[h] for h in live})
+
 
 def cycle_nodes(arrows):
     """Nodes on a directed cycle of arrows[v] = ((e, w), ...): the
@@ -578,13 +577,9 @@ class MinimalFixedResult:
         return self.status == "finite"
 
 
-def _shortest_walk(succ, sources, goal_test, within=None):
+def _shortest_walk(succ, sources, goal_test):
     """Lexicographically smallest shortest edge word from sources to a goal,
-    along the arrows succ[h] = ((e, h|_e), ...).
-
-    When within is given, intermediate nodes must stay inside it (goal
-    nodes are exempt).
-    """
+    along the arrows succ[h] = ((e, h|_e), ...)."""
     queue = collections.deque((s, ()) for s in sorted(set(sources)))
     seen = set(sources)
     while queue:
@@ -592,24 +587,20 @@ def _shortest_walk(succ, sources, goal_test, within=None):
         if goal_test(h):
             return h, word
         for (e, n) in succ[h]:
-            if within is not None and n not in within and not goal_test(n):
-                continue
             if n not in seen:
                 seen.add(n)
                 queue.append((n, word + (e,)))
     return None, None
 
 
-def _cycle_word(succ, c, within=None):
+def _cycle_word(succ, c):
     """The shortest, then lexicographically least, non-empty closed walk at
-    c, or None; with within, every node on it lies inside within."""
+    c, or None."""
     best = None
     for (e, n) in succ[c]:
-        if within is not None and n not in within:
-            continue
         if n == c:
             return (e,)
-        _, back = _shortest_walk(succ, [n], lambda m: m == c, within)
+        _, back = _shortest_walk(succ, [n], lambda m: m == c)
         if back is not None and (best is None
                                  or (len(back) + 1, (e,) + back) < (len(best), best)):
             best = (e,) + back
@@ -622,38 +613,36 @@ def minimal_strongly_fixed(action, g):
     Returns a finite sorted tuple, or reports the set infinite with a
     pumping witness (access word to a node on a cycle, the cycle word, and
     an exit word to a unit; pumping the cycle gives infinitely many
-    minimal strongly fixed paths).
+    minimal strongly fixed paths).  It is infinite exactly when the region
+    (what g reaches along fixed arrows through non-units) meets the pumps.
+    By the unit law fixed arrows out of units lead to units, so a fixed
+    walk from g to a non-unit stays in the region: no walk needs a bound.
     """
     gpd = action.groupoid
     if gpd.is_unit(g):
         return MinimalFixedResult("finite", (Path(gpd.src(g)),))
     dg = action.digraph
-    succ, good = dg.fixed, dg.can_reach_unit
-    # region reachable from g through non-unit nodes only
-    region = dg.reach([g], avoid=dg.units)
-
-    # a cycle inside the region that can reach a unit makes the set infinite
-    for h in sorted(region & good & dg.cyclic):
-        cycle_word = _cycle_word(succ, h, within=region)
-        if cycle_word is None:
-            continue
-        _, access = _shortest_walk(succ, [g], lambda n: n == h, within=region)
+    succ = dg.fixed
+    pumped = dg.reach([g], avoid=dg.units) & dg.pumps
+    if pumped:
+        h = min(pumped)
+        _, access = _shortest_walk(succ, [g], lambda n: n == h)
         _, exit_word = _shortest_walk(succ, [h], gpd.is_unit)
         return MinimalFixedResult("infinite", (), {
             "element": g,
             "access": list(access),
-            "cycle": list(cycle_word),
+            "cycle": list(_cycle_word(succ, h)),
             "exit": list(exit_word),
         })
 
-    # finite: walk every word through live non-unit nodes (they form no cycle)
+    # finite: walk every word through live nodes (they form no cycle here)
     out, stack = [], [(g, ())]
     while stack:
         h, word = stack.pop()
         for (e, n) in succ[h]:
             if gpd.is_unit(n):
                 out.append(Path(gpd.src(g), word + (e,)))
-            elif n in region and n in good:
+            elif n in dg.can_reach_unit:
                 stack.append((n, word + (e,)))
     return MinimalFixedResult("finite", tuple(sorted(out, key=path_key)))
 

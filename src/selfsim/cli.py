@@ -176,6 +176,7 @@ def cmd_twist(args):
     parsed = [_json_arg(a, "argument %d" % (k + 1))
               for (k, a) in enumerate(args.args)]
     if op == "validate":
+        _check_arity(parsed, 0, "twist validate")
         problems = twists.validate_twist(twist)
         _emit({"valid": not problems, "problems": problems})
         return 0 if not problems else 1
@@ -190,6 +191,7 @@ def cmd_twist(args):
         w = twists.omega(twist, s, t)
         _emit({"zero": True} if w is None else {"phase": twists.phase_str(w)})
     elif op == "verify":
+        _check_arity(parsed, 0, "twist verify")
         # the brute-force check multiplies through the tables, so they
         # must satisfy the laws first
         if not _valid(systems.validate_system(system)):
@@ -214,11 +216,7 @@ def cmd_kernel(args):
         "kernel": list(act_mod.kernel_elements(action)),
         "Faithful": act_mod.faithful(action).to_json(),
     }
-    try:
-        out["tight_kernel"] = list(act_mod.tight_kernel_elements(action))
-    except RequiresExplicitError as exc:
-        out["tight_kernel"] = None
-        out["tight_kernel_note"] = str(exc)
+    out["tight_kernel"] = list(act_mod.tight_kernel_elements(action))
     out["TightlyFaithful"] = act_mod.tightly_faithful(action).to_json()
     _emit(out)
     return 0

@@ -69,13 +69,10 @@ def _monotone_scoped(groupoid, witness, witness_note="", model_note=""):
 
 def check_fin(action):
     """Finitely many minimal strongly fixed paths for every element.  An
-    element has infinitely many exactly when its fixed walks through live
-    nodes (non-units that reach a unit) enter a cycle of fixed arrows
-    inside live; the least such element gives the witness."""
+    element has infinitely many exactly when its fixed walks through
+    non-units reach a pump; the least such element gives the witness."""
     dg = action.digraph
-    live = dg.can_reach_unit - dg.units
-    loops = act_mod.cycle_nodes({h: dg.fixed[h] for h in live})
-    starts = dg.reaching(loops, avoid=dg.units)
+    starts = dg.reaching(dg.pumps, avoid=dg.units)
     witness = None
     if starts:
         res = act_mod.minimal_strongly_fixed(action, min(starts))

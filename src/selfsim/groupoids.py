@@ -301,7 +301,7 @@ def from_group_action(group_elements, group_mul, group_unit, vertices, vertex_ac
 
     Elements are pairs gamma@v with src v and rng gamma·v, composing by
     (gamma, delta·w)(delta, w) = (gamma·delta, w).  vertex_action maps
-    (gamma, v) to gamma·v.
+    (gamma, v) to gamma·v.  The laws are left to ExplicitGroupoid.validate.
     """
     def nm(gamma, v):
         return "%s@%s" % (gamma, v)
@@ -322,8 +322,4 @@ def from_group_action(group_elements, group_mul, group_unit, vertices, vertex_ac
         gi = next(d for d in group_elements if group_mul[(gamma, d)] == group_unit)
         for v in vertices:
             inv[nm(gamma, v)] = nm(gi, vertex_action[(gamma, v)])
-    g = ExplicitGroupoid(vertices, elements, units, mul, inv)
-    problems = g.validate()
-    if problems:
-        raise GroupoidError("bad transformation groupoid: " + "; ".join(problems))
-    return g
+    return ExplicitGroupoid(vertices, elements, units, mul, inv)

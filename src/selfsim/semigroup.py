@@ -66,26 +66,38 @@ def idempotent(action, p):
     return Triple(p, u, p)
 
 
-def mul(action, s, t):
-    """Product in the semigroup; zero when the inner legs are incomparable."""
+def meet(action, s, t):
+    """The one prefix case split of s·t: None when s·t is zero, else
+    (alpha', a, b, delta', x, p) with s·t = (alpha', ab, delta') and the
+    twist cocycle (edge phase of x along p)·(group phase of (a, b)).  For
+    s = (alpha, g, beta), t = (gamma, h, delta) and r = h⁻¹|_g1:
+
+        gamma = beta·b1:  (alpha·(g·b1), g|_b1, h, delta, g, b1)
+        beta = gamma·g1:  (alpha, g, r⁻¹, delta·(h⁻¹·g1), h, h⁻¹·g1)
+    """
     if is_zero(s) or is_zero(t):
-        return ZERO
+        return None
     gpd, graph = action.groupoid, action.graph
-    alpha, g, beta = s.alpha, s.g, s.beta
-    gamma, h, delta = t.alpha, t.g, t.beta
+    beta, gamma = s.beta, t.alpha
     if is_prefix(beta, gamma):
         b1 = graph.tail_after(gamma, len(beta.edges))
-        return Triple(graph.concat(alpha, action.act_path(g, b1)),
-                      gpd.mul(action.restrict_path(g, b1), h),
-                      delta)
+        return (graph.concat(s.alpha, action.act_path(s.g, b1)),
+                action.restrict_path(s.g, b1), t.g, t.beta, s.g, b1)
     if is_prefix(gamma, beta):
         g1 = graph.tail_after(beta, len(gamma.edges))
-        hi = gpd.inv(h)
-        r = action.restrict_path(hi, g1)
-        return Triple(alpha,
-                      gpd.mul(g, gpd.inv(r)),
-                      graph.concat(delta, action.act_path(hi, g1)))
-    return ZERO
+        hi = gpd.inv(t.g)
+        p = action.act_path(hi, g1)
+        return (s.alpha, s.g, gpd.inv(action.restrict_path(hi, g1)),
+                graph.concat(t.beta, p), t.g, p)
+    return None
+
+
+def mul(action, s, t):
+    """Product in the semigroup; zero when the inner legs are incomparable."""
+    m = meet(action, s, t)
+    if m is None:
+        return ZERO
+    return Triple(m[0], action.groupoid.mul(m[1], m[2]), m[3])
 
 
 def star(action, s):

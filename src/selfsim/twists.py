@@ -11,7 +11,6 @@ product is nonzero.
 from fractions import Fraction
 
 from . import semigroup as sg
-from .graphs import is_prefix
 
 
 class TwistError(ValueError):
@@ -150,22 +149,14 @@ def validate_twist(twist):
 
 def omega(twist, s, t):
     """The induced semigroup 2-cocycle; None when the product is zero."""
-    if sg.is_zero(s) or sg.is_zero(t):
-        return None
-    action = twist.action
-    graph, gpd = action.graph, action.groupoid
-    beta, gamma = s.beta, t.alpha
-    if is_prefix(beta, gamma):
-        b1 = graph.tail_after(gamma, len(beta.edges))
-        return phase_mul(extend_bowtie(twist, s.g, b1),
-                         twist.group(action.restrict_path(s.g, b1), t.g))
-    if is_prefix(gamma, beta):
-        g1 = graph.tail_after(beta, len(gamma.edges))
-        hi = gpd.inv(t.g)
-        k = gpd.inv(action.restrict_path(hi, g1))
-        return phase_mul(twist.group(s.g, k),
-                         extend_bowtie(twist, t.g, action.act_path(hi, g1)))
-    return None
+    m = sg.meet(twist.action, s, t)
+    return None if m is None else _meet_phase(twist, m)
+
+
+def _meet_phase(twist, m):
+    """omega from a meet: the edge phase of x along p times sigma_G(a, b)."""
+    _, a, b, _, x, p = m
+    return phase_mul(extend_bowtie(twist, x, p), twist.group(a, b))
 
 
 def _right_candidates(action, elements):
@@ -198,44 +189,41 @@ def verify_omega_cocycle(twist, bound):
     """Exhaustively check omega(s,t)·omega(r,st) = omega(r,s)·omega(rs,t)
     over all triples with legs of length <= bound and nonzero products.
 
-    Products and omega values are memoized: the same composable pair shows
-    up under many third factors.
+    One meet per composable pair gives both the product and its omega, and
+    the pair is memoized: it shows up under many third factors.
     """
     action = twist.action
     elements = sg.elements_up_to(action, bound)
     cands = _right_candidates(action, elements)
-    mul_cache, omega_cache = {}, {}
+    memo = {}
 
-    def mulc(x, y):
+    def meetc(x, y):
+        """(x·y, omega(x, y)), or None when x·y is zero."""
         key = (x, y)
-        if key not in mul_cache:
-            mul_cache[key] = sg.mul(action, x, y)
-        return mul_cache[key]
-
-    def omegac(x, y):
-        key = (x, y)
-        if key not in omega_cache:
-            omega_cache[key] = omega(twist, x, y)
-        return omega_cache[key]
+        if key not in memo:
+            m = sg.meet(action, x, y)
+            memo[key] = None if m is None else (
+                sg.Triple(m[0], action.groupoid.mul(m[1], m[2]), m[3]),
+                _meet_phase(twist, m))
+        return memo[key]
 
     pair_lists = {id(s): cands(s) for s in elements}
     checked, failures = 0, []
     for r in elements:
         for s in pair_lists[id(r)]:
-            rs = mulc(r, s)
-            if sg.is_zero(rs):
+            rs = meetc(r, s)
+            if rs is None:
                 continue
-            w_rs = omegac(r, s)
             for t in pair_lists[id(s)]:
-                st = mulc(s, t)
-                if sg.is_zero(st):
+                st = meetc(s, t)
+                if st is None:
                     continue
-                rst = mulc(rs, t)
-                if sg.is_zero(rst):
+                rst = meetc(rs[0], t)
+                if rst is None:
                     continue
                 checked += 1
-                lhs = phase_mul(omegac(s, t), omegac(r, st))
-                rhs = phase_mul(w_rs, omegac(rs, t))
+                lhs = phase_mul(st[1], meetc(r, st[0])[1])
+                rhs = phase_mul(rs[1], rst[1])
                 if lhs != rhs:
                     if len(failures) < 20:
                         failures.append({

@@ -30,7 +30,7 @@ class Verdict:
     def to_json(self):
         return {
             "status": self.status,
-            "witness": self.witness if self.witness is not None else None,
+            "witness": self.witness,
             "scope": self.note,
         }
 

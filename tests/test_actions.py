@@ -5,6 +5,7 @@ only — path enumeration, direct state walks, reverse reachability — and
 never call the algorithms under test.
 """
 
+import collections
 import itertools
 import random
 
@@ -18,7 +19,7 @@ from selfsim.actions import (BoundaryPoint, FixingAutomaton, SelfSimilarAction,
                              strongly_fixed_prefix)
 from selfsim.germs import point_prepend
 
-from selfsim.graphs import DirectedGraph
+from selfsim.graphs import DirectedGraph, Path, path_key
 from selfsim.groupoids import (BehavioralModel, ExplicitGroupoid,
                                from_group_action)
 
@@ -475,6 +476,52 @@ def test_fixes_point_matches_act_point(fix, random_actions):
                     for b in (True, False)} | {("finite", True)}
 
 
+def oracle_act_point(action, g, x):
+    """g·x by its own pigeonhole loop: a position per (element, phase)
+    pair, and the image's period starts where the repeated pair was first
+    seen."""
+    graph, gpd = action.graph, action.groupoid
+    if x.is_finite():
+        p = action.act_path(g, act.finite_path(graph, x))
+        return BoundaryPoint(p.base, p.edges, ())
+    out, seen, h, i = [], {}, g, 0
+    while True:
+        key = (h, act.point_phase(x, i))
+        if key in seen:
+            j = seen[key]
+            return act.canonical_point(gpd.rng(g), tuple(out[:j]),
+                                       tuple(out[j:i]))
+        seen[key] = i
+        e = act.edge_at(x, i)
+        out.append(action.act_edge(h, e))
+        h = action.restrict_edge(h, e)
+        i += 1
+
+
+def test_act_point_matches_the_loop_oracle(fix, random_actions,
+                                           wide_random_actions):
+    """Every element at every point of total length <= 3, and <= 2 on the
+    behavioral models of wide_random_actions, whose points at length 3
+    number about 50,000."""
+    pool = [(fix(n).action, 3) for n in FIXTURES]
+    pool += [(zn_rotation(n), 3) for n in (3, 4, 5, 6)]
+    pool += [(a, 3) for a in random_actions]
+    pool += [(a, 2 if a.groupoid.kind == "behavioral" else 3)
+             for a in wide_random_actions]
+    seen = collections.Counter()
+    for (action, bound) in pool:
+        graph, gpd = action.graph, action.groupoid
+        for v in graph.vertices:
+            for x in act.boundary_points_from(graph, v, bound):
+                for g in gpd.elements():
+                    if gpd.src(g) != x.base:
+                        continue
+                    y = act_point(action, g, x)
+                    assert y == oracle_act_point(action, g, x), (g, str(x))
+                    seen[(x.is_finite(), y == x)] += 1
+    assert min(seen.values()) >= 10 and len(seen) == 4, seen
+
+
 @pytest.mark.parametrize("name", FIXTURES)
 def test_strongly_fixed_prefix_matches_direct_walk(fix, name):
     action = fix(name).action
@@ -561,6 +608,92 @@ def test_minimal_fixed_result_shape_on_four_loop(fix):
     res0 = act.minimal_strongly_fixed(action, "0")
     assert res0.is_finite()
     assert [str(p) for p in res0.paths] == ["v"]
+
+
+def oracle_shortest_walk(succ, sources, goal_test, within=None):
+    """The breadth-first search with a bound: when within is given,
+    intermediate nodes must stay inside it (goal nodes are exempt)."""
+    queue = collections.deque((s, ()) for s in sorted(set(sources)))
+    seen = set(sources)
+    while queue:
+        h, word = queue.popleft()
+        if goal_test(h):
+            return h, word
+        for (e, n) in succ[h]:
+            if within is not None and n not in within and not goal_test(n):
+                continue
+            if n not in seen:
+                seen.add(n)
+                queue.append((n, word + (e,)))
+    return None, None
+
+
+def oracle_cycle_word(succ, c, within=None):
+    best = None
+    for (e, n) in succ[c]:
+        if within is not None and n not in within:
+            continue
+        if n == c:
+            return (e,)
+        _, back = oracle_shortest_walk(succ, [n], lambda m: m == c, within)
+        if back is not None and (best is None
+                                 or (len(back) + 1, (e,) + back) < (len(best), best)):
+            best = (e,) + back
+    return best
+
+
+def oracle_minimal_strongly_fixed(action, g):
+    """minimal_strongly_fixed by its own pump search: the least cyclic
+    live node of the region with a cycle inside the region, the walks to
+    and around it kept inside the region.  Unlike the oracles above it
+    reads the restriction digraph, as the search it replaced did."""
+    gpd = action.groupoid
+    if gpd.is_unit(g):
+        return act.MinimalFixedResult("finite", (Path(gpd.src(g)),))
+    dg = action.digraph
+    succ, good = dg.fixed, dg.can_reach_unit
+    region = dg.reach([g], avoid=dg.units)
+    for h in sorted(region & good & dg.cyclic):
+        cycle_word = oracle_cycle_word(succ, h, within=region)
+        if cycle_word is None:
+            continue
+        _, access = oracle_shortest_walk(succ, [g], lambda n: n == h,
+                                         within=region)
+        _, exit_word = oracle_shortest_walk(succ, [h], gpd.is_unit)
+        return act.MinimalFixedResult("infinite", (), {
+            "element": g,
+            "access": list(access),
+            "cycle": list(cycle_word),
+            "exit": list(exit_word),
+        })
+    out, stack = [], [(g, ())]
+    while stack:
+        h, word = stack.pop()
+        for (e, n) in succ[h]:
+            if gpd.is_unit(n):
+                out.append(Path(gpd.src(g), word + (e,)))
+            elif n in region and n in good:
+                stack.append((n, word + (e,)))
+    return act.MinimalFixedResult("finite", tuple(sorted(out, key=path_key)))
+
+
+def test_minimal_strongly_fixed_matches_the_bounded_search(
+        fix, random_actions, wide_random_actions, seeded_actions):
+    """On the golden systems, the 50 + 300 pools and the 2,000 seeded
+    actions: the same status, paths and witness for every element."""
+    from test_golden import GOLDEN
+    pool = [(system or fix(name)).action for (name, system) in GOLDEN]
+    pool += list(random_actions) + list(wide_random_actions)
+    pool += list(seeded_actions)
+    infinite = 0
+    for action in pool:
+        for g in action.groupoid.elements():
+            got = act.minimal_strongly_fixed(action, g)
+            want = oracle_minimal_strongly_fixed(action, g)
+            assert (got.status, got.paths, got.witness) == \
+                (want.status, want.paths, want.witness), g
+            infinite += not got.is_finite()
+    assert infinite >= 100, infinite
 
 
 def fixed_chain(n, width=1):

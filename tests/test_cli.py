@@ -180,6 +180,17 @@ def test_wrong_arity_is_a_usage_failure(capsys):
     assert "expected 2 argument(s)" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["twist", "twisted_three_spoke", "validate", "1"],
+    ["twist", "twisted_three_spoke", "verify", "1", "2", "--bound", "1"],
+])
+def test_an_argument_twist_validate_or_verify_ignores_is_a_usage_failure(
+        capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert "expected 0 argument(s): twist %s" % argv[2] in err
+
+
 def test_unknown_element_is_a_domain_failure(capsys):
     code, _, err = run(capsys, ["semigroup", "four_loop_z2", "star",
                                 '{"alpha": [], "g": "zz", "beta": []}'])

@@ -79,8 +79,8 @@ def test_from_group_action_rejects_non_actions():
     # t moves a to b but b to b: not a bijection, not an action
     vertex_action = {("u", "a"): "a", ("u", "b"): "b",
                      ("t", "a"): "b", ("t", "b"): "b"}
-    with pytest.raises(GroupoidError):
-        from_group_action(names, mul, "u", ["a", "b"], vertex_action)
+    g = from_group_action(names, mul, "u", ["a", "b"], vertex_action)
+    assert "product ('t@b', 't@a') has wrong endpoints" in g.validate()
 
 
 def test_behavioral_model_flags_and_refusals():

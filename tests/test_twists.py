@@ -1,18 +1,20 @@
 """Tests for circle-valued twists: phases, tables, bowtie extension, omega."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from selfsim import semigroup as sg
 from selfsim.actions import SelfSimilarAction
-from selfsim.graphs import DirectedGraph, GraphError
+from selfsim.graphs import DirectedGraph, GraphError, is_prefix
 from selfsim.groupoids import GroupoidError, cyclic_group_table, group_bundle
 from selfsim.systems import load_fixture
 from selfsim.twists import (
     PHASE_ONE,
     Twist,
     TwistError,
+    _right_candidates,
     extend_bowtie,
     omega,
     phase,
@@ -22,6 +24,8 @@ from selfsim.twists import (
     validate_twist,
     verify_omega_cocycle,
 )
+
+from conftest import zn_rotation
 
 
 # ---------------------------------------------------------------------------
@@ -47,6 +51,92 @@ def oracle_omega_sides(action, twist, r, s, t):
     lhs = phase_mul(omega(twist, s, t), omega(twist, r, st))
     rhs = phase_mul(omega(twist, r, s), omega(twist, rs, t))
     return lhs, rhs
+
+
+def oracle_mul(action, s, t):
+    """The product by its own two-case prefix split."""
+    if sg.is_zero(s) or sg.is_zero(t):
+        return sg.ZERO
+    gpd, graph = action.groupoid, action.graph
+    alpha, g, beta = s.alpha, s.g, s.beta
+    gamma, h, delta = t.alpha, t.g, t.beta
+    if is_prefix(beta, gamma):
+        b1 = graph.tail_after(gamma, len(beta.edges))
+        return sg.Triple(graph.concat(alpha, action.act_path(g, b1)),
+                         gpd.mul(action.restrict_path(g, b1), h),
+                         delta)
+    if is_prefix(gamma, beta):
+        g1 = graph.tail_after(beta, len(gamma.edges))
+        hi = gpd.inv(h)
+        r = action.restrict_path(hi, g1)
+        return sg.Triple(alpha,
+                         gpd.mul(g, gpd.inv(r)),
+                         graph.concat(delta, action.act_path(hi, g1)))
+    return sg.ZERO
+
+
+def oracle_omega(twist, s, t):
+    """omega by its own two-case prefix split; None on a zero product."""
+    if sg.is_zero(s) or sg.is_zero(t):
+        return None
+    action = twist.action
+    graph, gpd = action.graph, action.groupoid
+    beta, gamma = s.beta, t.alpha
+    if is_prefix(beta, gamma):
+        b1 = graph.tail_after(gamma, len(beta.edges))
+        return phase_mul(extend_bowtie(twist, s.g, b1),
+                         twist.group(action.restrict_path(s.g, b1), t.g))
+    if is_prefix(gamma, beta):
+        g1 = graph.tail_after(beta, len(gamma.edges))
+        hi = gpd.inv(t.g)
+        k = gpd.inv(action.restrict_path(hi, g1))
+        return phase_mul(twist.group(s.g, k),
+                         extend_bowtie(twist, t.g, action.act_path(hi, g1)))
+    return None
+
+
+def oracle_verify(twist, bound):
+    """verify_omega_cocycle's result from the oracles, unmemoized, over the
+    same candidate index and in the same order."""
+    action = twist.action
+    elements = sg.elements_up_to(action, bound)
+    cands = _right_candidates(action, elements)
+    checked, failures = 0, []
+    for r in elements:
+        for s in cands(r):
+            rs = oracle_mul(action, r, s)
+            if sg.is_zero(rs):
+                continue
+            for t in cands(s):
+                st = oracle_mul(action, s, t)
+                if sg.is_zero(st) or sg.is_zero(oracle_mul(action, rs, t)):
+                    continue
+                checked += 1
+                lhs = phase_mul(oracle_omega(twist, s, t),
+                                oracle_omega(twist, r, st))
+                rhs = phase_mul(oracle_omega(twist, r, s),
+                                oracle_omega(twist, rs, t))
+                if lhs == rhs:
+                    continue
+                if len(failures) == 20:
+                    return {"ok": False, "checked": checked,
+                            "failures": failures, "truncated": True}
+                failures.append({"r": sg.to_json(r), "s": sg.to_json(s),
+                                 "t": sg.to_json(t), "lhs": phase_str(lhs),
+                                 "rhs": phase_str(rhs)})
+    return {"ok": not failures, "checked": checked, "failures": failures}
+
+
+def random_twist(action, rng, order=6):
+    """Seeded phases k/order on every composable group pair and every
+    (element, edge) pair; not a cocycle, only a table omega reads."""
+    gpd, graph = action.groupoid, action.graph
+    group = [(g, h, Fraction(rng.randrange(order), order))
+             for g in gpd.elements() for h in gpd.elements()
+             if gpd.src(g) == gpd.rng(h)]
+    edge = [(g, e.name, Fraction(rng.randrange(order), order))
+            for g in gpd.elements() for e in graph.received_by(gpd.src(g))]
+    return Twist(action, group, edge)
 
 
 def z4_loop_action():
@@ -298,6 +388,49 @@ def test_verify_omega_cocycle_on_bundled_twist():
     assert out["checked"] == 60032
     assert out["failures"] == []
     assert "truncated" not in out
+
+
+def test_mul_and_omega_match_the_case_split_oracles():
+    """Every pair at bound 2 on the bundled twist.  Under a seeded random
+    twist on four_loop_z2 and zn_rotation(3..5): four seeded elements at
+    bound 2 against every element there, on both sides, and on the first
+    two also every pair at bound 1."""
+    rng = random.Random(20261020)
+    spoke = load_fixture("twisted_three_spoke")
+    elements = sg.elements_up_to(spoke.action, 2)
+    cases = [(spoke.twist, [(s, t) for s in elements for t in elements])]
+    for (k, action) in enumerate([load_fixture("four_loop_z2").action] +
+                                 [zn_rotation(n) for n in (3, 4, 5)]):
+        small = sg.elements_up_to(action, 1) if k < 2 else []
+        pairs = [(s, t) for s in small for t in small]
+        big = sg.elements_up_to(action, 2)
+        for s in rng.sample(big, 4):
+            pairs += [(s, t) for t in big] + [(t, s) for t in big]
+        cases.append((random_twist(action, rng), pairs))
+    nonzero = 0
+    for (tw, pairs) in cases:
+        for (s, t) in pairs:
+            st = sg.mul(tw.action, s, t)
+            assert st == oracle_mul(tw.action, s, t), (s, t)
+            assert omega(tw, s, t) == oracle_omega(tw, s, t), (s, t)
+            nonzero += not sg.is_zero(st)
+    assert nonzero > 5000
+
+
+def test_verify_omega_cocycle_matches_the_unmemoized_oracle():
+    spoke = load_fixture("twisted_three_spoke")
+    assert verify_omega_cocycle(spoke.twist, 2) == \
+        {"ok": True, "checked": 10350, "failures": []}
+    out = verify_omega_cocycle(spoke.twist, 1)
+    assert out["checked"] > 100 and out == oracle_verify(spoke.twist, 1)
+    broken = Twist(spoke.action, edge_entries=[("1", "em1", "1/2"),
+                                               ("1", "e1", "1/3")])
+    out = verify_omega_cocycle(broken, 1)
+    assert out["failures"] and out == oracle_verify(broken, 1)
+    four = load_fixture("four_loop_z2").action
+    broken = Twist(four, edge_entries=[("1", "e", "1/3")])
+    out = verify_omega_cocycle(broken, 1)
+    assert out["truncated"] and out == oracle_verify(broken, 1)
 
 
 def test_verify_omega_cocycle_on_trivial_twist():
