@@ -316,19 +316,21 @@ def point_to_json(x):
 
 def point_from_json(graph, data):
     """The one reader of a point: an array of edge names (a finite point),
-    or an object with optional edge arrays "prefix" and "period" and an
-    optional vertex name "base".  A malformed value raises UsageError."""
+    or an object with edge arrays "prefix" and "period" and, if both are
+    empty or missing, a "base".  A malformed value raises UsageError."""
     if isinstance(data, list):
-        return boundary_point(graph, json_names(data, "a point"))
+        data = {"prefix": json_names(data, "a point")}
     if not isinstance(data, dict):
         raise UsageError("a point must be a JSON array of edge names or an "
                          "object")
     base = data.get("base")
     if base is not None:
         json_name(base, "'base'")
-    return boundary_point(graph, json_names(data.get("prefix", []), "'prefix'"),
-                          json_names(data.get("period", []), "'period'"),
-                          base=base)
+    prefix = json_names(data.get("prefix", []), "'prefix'")
+    period = json_names(data.get("period", []), "'period'")
+    if base is None and not (prefix or period):
+        raise UsageError("an edgeless point needs a base ({\"base\": v})")
+    return boundary_point(graph, prefix, period, base=base)
 
 
 def boundary_points_from(graph, v, max_len):

@@ -58,19 +58,19 @@ def _valid(problems):
 
 def _path_arg(action, data, what):
     """The one reader of a path argument: a non-empty array of edge names,
-    or an object with an array "edges" and an optional vertex name "base"."""
+    or an object with an array "edges" and, if that is empty, a "base"."""
     if isinstance(data, list):
-        if not data:
-            raise UsageError("%s: an empty path needs a base "
-                             "({\"base\": v, \"edges\": []})" % what)
-        return action.graph.path(json_names(data, what))
-    if isinstance(data, dict):
-        base = data.get("base")
-        if base is not None:
-            json_name(base, "'base'")
-        return action.graph.path(json_names(data.get("edges", []), "'edges'"),
-                                 base=base)
-    raise UsageError("%s must be a JSON array of edges or an object" % what)
+        data = {"edges": json_names(data, what)}
+    if not isinstance(data, dict):
+        raise UsageError("%s must be a JSON array of edges or an object" % what)
+    base = data.get("base")
+    if base is not None:
+        json_name(base, "'base'")
+    edges = json_names(data.get("edges", []), "'edges'")
+    if base is None and not edges:
+        raise UsageError("%s: an empty path needs a base "
+                         "({\"base\": v, \"edges\": []})" % what)
+    return action.graph.path(edges, base=base)
 
 
 # -- commands ---------------------------------------------------------------

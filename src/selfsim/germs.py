@@ -15,7 +15,7 @@ from . import semigroup as sg
 from .actions import (BoundaryPoint, act_point, canonical_point,
                       edge_at, fixes_point, point_from_json, point_prefix,
                       point_tail, point_to_json, strongly_fixed_prefix, walk)
-from .graphs import UsageError, is_prefix
+from .graphs import UsageError
 from .groupoids import GroupoidError
 
 
@@ -71,21 +71,15 @@ def germ_eq(action, a, b):
         return False
     n = max(len(a.triple.beta.edges), len(b.triple.beta.edges))
     w = point_prefix(graph, x, n)
-
-    def start(t):
-        seg = graph.tail_after(w, len(t.beta.edges))
-        return (graph.concat(t.alpha, action.act_path(t.g, seg)),
-                action.restrict_path(t.g, seg))
-
-    (pa, ga), (pb, gb) = start(a.triple), start(b.triple)
-    if pa != pb:
+    ua, ub = sg.shrink(action, a.triple, w), sg.shrink(action, b.triple, w)
+    if ua.alpha != ub.alpha:
         return False
 
     def step(pair, e):
         return (action.restrict_edge(pair[0], e),
                 action.restrict_edge(pair[1], e))
 
-    for (_, e, (ga, gb)) in walk(x, n, (ga, gb), step):
+    for (_, e, (ga, gb)) in walk(x, n, (ua.g, ub.g), step):
         if ga == gb:
             return True
         if e is None or action.act_edge(ga, e) != action.act_edge(gb, e):
@@ -93,21 +87,15 @@ def germ_eq(action, a, b):
 
 
 def germ_mul(action, a, b):
-    """Composition a∘b, defined when source(a) = range(b); the product germ
-    represents the semigroup product at the source of b."""
-    graph = action.graph
+    """Composition a∘b, defined when source(a) = range(b): the semigroup
+    product, at b's point less the k edges the product's beta leg adds."""
     if source_point(action, a) != range_point(action, b):
         raise GermError("germs do not compose: source(a) != range(b)")
     st = sg.mul(action, a.triple, b.triple)
     if sg.is_zero(st):
         raise GermError("composable germs gave a zero product")
-    beta, gamma = a.triple.beta, b.triple.alpha
-    if is_prefix(beta, gamma):
-        xi = b.xi
-    else:
-        g1 = graph.tail_after(beta, len(gamma.edges))
-        xi = point_tail(graph, b.xi, len(g1.edges))
-    return Germ(st, xi)
+    k = len(st.beta.edges) - len(b.triple.beta.edges)
+    return Germ(st, point_tail(action.graph, b.xi, k))
 
 
 def germ_inv(action, a):
@@ -160,15 +148,11 @@ def classify(action, a):
         return {"kind": "isotropy", "case": "a", "verified": alpha == beta}
     verified = None
     if gpd.kind == "explicit":
-        if la > lb:
-            b1 = graph.tail_after(alpha, lb)
-            verified = a.xi == cycle_expansion(action, b1, g)
-        else:
-            abar = graph.tail_after(beta, la)
-            gi = gpd.inv(g)
-            verified = a.xi == cycle_expansion(
-                action, action.act_path(gi, abar),
-                action.restrict_path(gi, abar))
+        # case c expands t itself, case b expands t* shrunk to beta
+        u = (a.triple if la > lb
+             else sg.shrink(action, sg.star(action, a.triple), beta))
+        verified = a.xi == cycle_expansion(
+            action, graph.tail_after(u.alpha, lb), u.g)
     return {"kind": "isotropy", "case": "c" if la > lb else "b",
             "verified": verified}
 
@@ -176,20 +160,13 @@ def classify(action, a):
 def in_core(action, a):
     """Membership in the degree-zero sub-semigroup's germ groupoid: some
     element h rewrites beta to alpha while g^{-1}(h|_beta) strongly fixes
-    the point."""
-    graph, gpd = action.graph, action.groupoid
-    t = a.triple
+    the point.  Needs g^{-1}: a behavioral model refuses degree zero."""
+    gpd, t = action.groupoid, a.triple
     if sg.length_cocycle(t) != 0:
         return False
-    for h in gpd.elements():
-        if gpd.src(h) != graph.path_rng(t.beta):
-            continue
-        if action.act_path(h, t.beta) != t.alpha:
-            continue
-        k = gpd.mul(gpd.inv(t.g), action.restrict_path(h, t.beta))
-        if strongly_fixed_prefix(action, k, a.xi) is not None:
-            return True
-    return False
+    gi = gpd.inv(t.g)
+    return any(strongly_fixed_prefix(action, gpd.mul(gi, r), a.xi) is not None
+               for r in sg.rewriters(action, t.beta, t.alpha))
 
 
 def to_json(a):

@@ -173,8 +173,10 @@ class DirectedGraph:
 
     def tail_after(self, p, n):
         """The path left after removing the length-n prefix of p."""
-        q = self.prefix(p, n)  # validates n
-        return Path(self.path_src(q), p.edges[n:])
+        if n < 0 or n > len(p.edges):
+            raise GraphError("no prefix of length %d in %s" % (n, p))
+        return Path(self.edge(p.edges[n - 1]).src if n else p.base,
+                    p.edges[n:])
 
     def paths_from(self, v, max_len):
         """All paths with range v of length <= max_len, shortest first, lexicographic."""

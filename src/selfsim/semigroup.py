@@ -66,29 +66,38 @@ def idempotent(action, p):
     return Triple(p, u, p)
 
 
+def shrink(action, t, p):
+    """t·f_p = (alpha·(g·b), g|_b, p): the triple t = (alpha, g, beta)
+    restricted to the cylinder of a path p = beta·b that extends its beta
+    leg.  The one place where a triple's legs are made longer."""
+    graph = action.graph
+    b = graph.tail_after(p, len(t.beta.edges))
+    return Triple(graph.concat(t.alpha, action.act_path(t.g, b)),
+                  action.restrict_path(t.g, b), p)
+
+
 def meet(action, s, t):
     """The one prefix case split of s·t: None when s·t is zero, else
     (alpha', a, b, delta', x, p) with s·t = (alpha', ab, delta') and the
     twist cocycle (edge phase of x along p)·(group phase of (a, b)).  For
-    s = (alpha, g, beta), t = (gamma, h, delta) and r = h⁻¹|_g1:
+    s = (alpha, g, beta) and t = (gamma, h, delta) it is one of two shrinks:
 
-        gamma = beta·b1:  (alpha·(g·b1), g|_b1, h, delta, g, b1)
-        beta = gamma·g1:  (alpha, g, r⁻¹, delta·(h⁻¹·g1), h, h⁻¹·g1)
+        gamma = beta·b1:  s·f_gamma = (alpha', a, gamma), b = h, x = g, p = b1
+        beta = gamma·g1:  t*·f_beta = (delta', b⁻¹, beta), a = g, x = h,
+                          p = h⁻¹·g1 (delta' after |delta|)
     """
     if is_zero(s) or is_zero(t):
         return None
     gpd, graph = action.groupoid, action.graph
     beta, gamma = s.beta, t.alpha
     if is_prefix(beta, gamma):
-        b1 = graph.tail_after(gamma, len(beta.edges))
-        return (graph.concat(s.alpha, action.act_path(s.g, b1)),
-                action.restrict_path(s.g, b1), t.g, t.beta, s.g, b1)
+        u = shrink(action, s, gamma)
+        return (u.alpha, u.g, t.g, t.beta, s.g,
+                graph.tail_after(gamma, len(beta.edges)))
     if is_prefix(gamma, beta):
-        g1 = graph.tail_after(beta, len(gamma.edges))
-        hi = gpd.inv(t.g)
-        p = action.act_path(hi, g1)
-        return (s.alpha, s.g, gpd.inv(action.restrict_path(hi, g1)),
-                graph.concat(t.beta, p), t.g, p)
+        u = shrink(action, star(action, t), beta)
+        return (s.alpha, s.g, gpd.inv(u.g), u.alpha, t.g,
+                graph.tail_after(u.alpha, len(t.beta.edges)))
     return None
 
 
@@ -113,16 +122,12 @@ def is_idempotent(action, s):
 
 
 def leq(action, s, t):
-    """Natural partial order: s = t f for an idempotent f under t."""
+    """Natural partial order: s <= t iff s = t·f_{beta(s)}."""
     if is_zero(s):
         return True
     if is_zero(t):
         return False
-    if not is_prefix(t.beta, s.beta):
-        return False
-    d1 = action.graph.tail_after(s.beta, len(t.beta.edges))
-    return (s.alpha == action.graph.concat(t.alpha, action.act_path(t.g, d1))
-            and s.g == action.restrict_path(t.g, d1))
+    return is_prefix(t.beta, s.beta) and shrink(action, t, s.beta) == s
 
 
 def length_cocycle(s):
@@ -136,33 +141,30 @@ def in_S0(s):
     return not is_zero(s) and length_cocycle(s) == 0
 
 
+def rewriters(action, beta, alpha):
+    """h|_beta for each element h with h·beta = alpha, lazily and in
+    element order: the search behind S00 membership."""
+    gpd = action.groupoid
+    return (action.restrict_path(h, beta) for h in gpd.elements()
+            if gpd.src(h) == beta.base and action.act_path(h, beta) == alpha)
+
+
 def in_S00(action, s):
     """Is s of the form (h·beta, h|_beta, beta) for some element h?
 
     On a behavioral model this means: witnessed by some state.
     """
-    if is_zero(s):
+    if is_zero(s) or length_cocycle(s) != 0:
         return False
-    gpd, graph = action.groupoid, action.graph
-    if length_cocycle(s) != 0:
-        return False
-    for h in gpd.elements():
-        if gpd.src(h) != graph.path_rng(s.beta):
-            continue
-        if (action.act_path(h, s.beta) == s.alpha
-                and action.restrict_path(h, s.beta) == s.g):
-            return True
-    return False
+    return s.g in rewriters(action, s.beta, s.alpha)
 
 
 def conj_idempotent(action, t, p):
     """t f_p t*: an idempotent again, by the prefix case split."""
     if is_zero(t):
         return ZERO
-    graph = action.graph
     if is_prefix(t.beta, p):
-        b1 = graph.tail_after(p, len(t.beta.edges))
-        return idempotent(action, graph.concat(t.alpha, action.act_path(t.g, b1)))
+        return idempotent(action, shrink(action, t, p).alpha)
     if is_prefix(p, t.beta):
         return idempotent(action, t.alpha)
     return ZERO
@@ -232,22 +234,17 @@ def fixed_by(action, t, p):
                 return False
         if not is_prefix(alpha, beta):
             return False  # the chain element at beta is incomparable with alpha
-        forced = Path(graph.path_src(beta))
-    else:
-        forced = graph.tail_after(p, len(beta.edges))
+        p = beta
 
     if len(alpha.edges) == len(beta.edges):
-        if alpha != beta:
-            return False
-        if action.act_path(g, forced) != forced:
-            return False
-        return act_mod.fixes_all_paths(action, action.restrict_path(g, forced))
+        u = shrink(action, t, p)
+        return u.alpha == u.beta and act_mod.fixes_all_paths(action, u.g)
 
     if not is_prefix(alpha, beta):
         return False
     alpha_bar = beta.edges[len(alpha.edges):]
-    return _corridor_holds(action, g, alpha_bar, forced.edges,
-                           graph.path_src(beta))
+    forced = p.edges[len(beta.edges):]
+    return _corridor_holds(action, g, alpha_bar, forced, graph.path_src(beta))
 
 
 def elements_up_to(action, bound):

@@ -157,6 +157,13 @@ def test_bad_json_argument_is_a_usage_failure(capsys):
     ["germ", "four_loop_z2", "xbar", '{"period": "e"}'],
     ["hum", "four_loop_z2", "5"],
     ["twist", "twisted_three_spoke", "omega", "[]", "{}"],
+    # an edgeless path or point needs a base
+    ["semigroup", "four_loop_z2", "conj", '{"alpha": [], "g": "0", "beta": []}',
+     "[]"],
+    ["twist", "twisted_three_spoke", "extend", '"1"', "[]"],
+    ["twist", "twisted_three_spoke", "extend", '"1"', '{"edges": []}'],
+    ["germ", "four_loop_z2", "xbar", "[]"],
+    ["hum", "four_loop_z2", '{"prefix": [], "period": []}'],
 ])
 def test_malformed_json_argument_is_a_usage_failure(capsys, argv):
     code, _, err = run(capsys, argv)
@@ -189,6 +196,16 @@ def test_an_argument_twist_validate_or_verify_ignores_is_a_usage_failure(
     code, out, err = run(capsys, argv)
     assert (code, out) == (2, "")
     assert "expected 0 argument(s): twist %s" % argv[2] in err
+
+
+def test_in_core_on_a_behavioral_model_is_a_domain_failure(capsys):
+    # no state is known to be an element, so no answer is sound: refuse
+    code, out, err = run(capsys, [
+        "germ", "not_exel_pardo", "in-core",
+        '{"alpha": ["e"], "g": "g", "beta": ["f"], '
+        '"xi": {"prefix": [], "period": ["e"]}}'])
+    assert (code, out) == (1, "")
+    assert "behavioral" in err
 
 
 def test_unknown_element_is_a_domain_failure(capsys):

@@ -262,10 +262,13 @@ def _read_point(action, data):
     (_read_point, [1]),
     (_read_point, dict(POINT, base=1)),
     (_read_point, dict(POINT, prefix="ab")),
+    (_read_point, []),
+    (_read_point, {"prefix": [], "period": []}),
 ], ids=["triple-array", "triple-missing-alpha-g", "triple-g-number",
         "triple-alpha-text", "germ-array", "germ-missing-xi", "germ-g-number",
         "germ-alpha-text", "germ-base-number", "point-array",
-        "point-base-number", "point-prefix-text"])
+        "point-base-number", "point-prefix-text", "point-edgeless-array",
+        "point-edgeless-object"])
 def test_readers_refuse_malformed_shapes(fix, reader, data):
     action = fix("four_loop_z2").action
     with pytest.raises(UsageError):
