@@ -12,12 +12,12 @@ from .actions import (ActionError, BoundaryPoint, FixingAutomaton,
                       SelfSimilarAction, act_point, boundary_point,
                       faithful, fixes_all_paths, fixes_point,
                       kernel_elements, minimal_strongly_fixed, nucleus,
-                      pseudo_free, strongly_fixed_prefix,
+                      orbit_classes, pseudo_free, strongly_fixed_prefix,
                       tight_kernel_elements, tightly_faithful)
 from .verdicts import Verdict
 from .conditions import (check_con, check_contracting, check_cyc, check_evr,
                          check_fin, check_min, check_rec, check_sla,
-                         invariant_closure, orbit_classes, run_report)
+                         invariant_closure, run_report)
 from .semigroup import ZERO, SemigroupError, Triple
 from .germs import (Germ, GermError, classify, germ_eq, germ_inv, germ_mul,
                     hum_check, hum_for_point, in_core,

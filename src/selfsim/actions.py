@@ -33,6 +33,12 @@ non-unit is in reach (pump the cycle); and the nucleus is everything
 reachable from a directed cycle.  The cycle nodes are the non-trivial
 strongly connected components, from one pass of Tarjan's algorithm.
 
+The deciders that ask about the orbit relation on vertices (Cyc, Min,
+Con) likewise share one OrbitGraph per action (SelfSimilarAction.orbits):
+the orbit classes, the edges read both ways, and the strongly connected
+components of the walk from each vertex to the sources of its received
+edges.
+
 Questions about an eventually periodic boundary point (does g fix it, or
 strongly fix a prefix of it; are two germs at it equal) follow a finite
 state h along it, h -> step(h, e) per edge e.  Past the prefix the edge at
@@ -70,6 +76,11 @@ class SelfSimilarAction:
         """The restriction digraph, built from the tables on first use and
         kept: the tables must not change after that."""
         return RestrictionDigraph(self)
+
+    @functools.cached_property
+    def orbits(self):
+        """The orbit graph, built on first use and kept, like digraph."""
+        return OrbitGraph(self)
 
     # -- one-step calculus ----------------------------------------------
 
@@ -507,23 +518,22 @@ class RestrictionDigraph:
         return cycle_nodes({h: self.fixed[h] for h in live})
 
 
-def cycle_nodes(arrows):
-    """Nodes on a directed cycle of arrows[v] = ((e, w), ...): the
-    non-trivial strongly connected components, from one iterative pass of
-    Tarjan's algorithm."""
-    index, low, stack, on_stack, out = {}, {}, [], set(), set()
+def components(succ):
+    """The strongly connected components of succ[v] = (w, ...), each a list
+    of nodes, from one iterative pass of Tarjan's algorithm."""
+    index, low, stack, on_stack, out = {}, {}, [], set(), []
 
     def visit(v):
         index[v] = low[v] = len(index)
         stack.append(v)
         on_stack.add(v)
-        return (v, iter(arrows.get(v, ())))
+        return (v, iter(succ.get(v, ())))
 
-    for root in arrows:
+    for root in succ:
         work = [] if root in index else [visit(root)]
         while work:
-            v, succ = work[-1]
-            for (_, w) in succ:
+            v, it = work[-1]
+            for w in it:
                 if w not in index:
                     work.append(visit(w))
                     break
@@ -538,9 +548,69 @@ def cycle_nodes(arrows):
                     while comp[-1] != v:
                         comp.append(stack.pop())
                     on_stack.difference_update(comp)
-                    if len(comp) > 1 or any(n == v for (_, n) in arrows.get(v, ())):
-                        out.update(comp)
+                    out.append(comp)
     return out
+
+
+def on_cycle(succ, comp):
+    """Does the strongly connected component comp hold a directed cycle?"""
+    return len(comp) > 1 or comp[0] in succ.get(comp[0], ())
+
+
+def cycle_nodes(arrows):
+    """Nodes on a directed cycle of arrows[v] = ((e, w), ...): the
+    non-trivial strongly connected components."""
+    succ = {v: [w for (_, w) in outs] for (v, outs) in arrows.items()}
+    return {v for comp in components(succ) if on_cycle(succ, comp)
+            for v in comp}
+
+
+# -- the orbit graph --------------------------------------------------------
+
+
+def orbit_classes(groupoid):
+    """Vertex partition generated by the (src, rng) pairs of the elements,
+    each vertex mapped to the least vertex of its class.
+
+    The real orbit relation is an equivalence, so taking the closure of the
+    witnessed pairs is sound on a behavioral model too.
+    """
+    linked = {v: [] for v in groupoid.vertices}
+    for (a, b) in groupoid.orbit_pairs():
+        linked[a].append(b)
+        linked[b].append(a)
+    classes = {}
+    for v in sorted(groupoid.vertices):
+        if v not in classes:
+            classes.update(dict.fromkeys(_closure([v], linked.get), v))
+    return classes
+
+
+class OrbitGraph:
+    """The vertex side of an action, read by the orbit-relation deciders.
+
+    classes maps each vertex to the least vertex of its orbit class and
+    members each class to its sorted vertices; sources[v] lists the source
+    of every edge v receives and ranges[v] the range of every edge with
+    source v.  components are the strongly connected components of the
+    range-to-source walk v -> sources[v], and component[v] is the index of
+    the one holding v.
+    """
+
+    def __init__(self, action):
+        graph = action.graph
+        self.classes = orbit_classes(action.groupoid)
+        self.members = {}
+        for v in sorted(graph.vertices):
+            self.members.setdefault(self.classes[v], []).append(v)
+        self.sources = {v: [e.src for e in graph.received_by(v)]
+                        for v in graph.vertices}
+        self.ranges = {v: [] for v in graph.vertices}
+        for e in graph.edges:
+            self.ranges[e.src].append(e.rng)
+        self.components = components(self.sources)
+        self.component = {v: i for (i, comp) in enumerate(self.components)
+                          for v in comp}
 
 
 class FixingAutomaton:

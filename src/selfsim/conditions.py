@@ -21,25 +21,7 @@ from . import verdicts
 from .verdicts import holds, fails, holds_on_model, requires_explicit
 
 
-# -- orbit bookkeeping ------------------------------------------------------
-
-
-def orbit_classes(groupoid):
-    """Vertex partition generated by the (src, rng) pairs of the elements,
-    each vertex mapped to the least vertex of its class.
-
-    The real orbit relation is an equivalence, so taking the closure of the
-    witnessed pairs is sound on a behavioral model too.
-    """
-    linked = {v: [] for v in groupoid.vertices}
-    for (a, b) in groupoid.orbit_pairs():
-        linked[a].append(b)
-        linked[b].append(a)
-    classes = {}
-    for v in sorted(groupoid.vertices):
-        if v not in classes:
-            classes.update(dict.fromkeys(act_mod._closure([v], linked.get), v))
-    return classes
+# -- scoping ----------------------------------------------------------------
 
 
 def _orbit_scoped(groupoid, witness, witness_note="", model_note=""):
@@ -125,7 +107,7 @@ def check_cyc(action):
     shortest; the least (length, base) is the path_key-least witness.
     """
     graph, gpd = action.graph, action.groupoid
-    classes = orbit_classes(gpd)
+    classes = action.orbits.classes
     witness, limit = None, len(graph.vertices)
     for base in sorted(graph.vertices):
         edges = _closing_chain(graph, classes, base, limit)
@@ -189,52 +171,41 @@ def check_rec(action):
         model_note="only units are isotropy among represented elements")
 
 
-def _edges_out(graph):
-    """The range of every edge, listed under its source."""
-    out = {v: [] for v in graph.vertices}
-    for e in graph.edges:
-        out[e.src].append(e.rng)
-    return out
-
-
-def _invariant_closer(action):
-    """invariant_closure for one action, with the orbit classes, their
-    members, the edges by source and the received-edge counts built once."""
-    graph = action.graph
-    classes = orbit_classes(action.groupoid)
-    members = {}
-    for u in graph.vertices:
-        members.setdefault(classes[u], []).append(u)
-    ranges = _edges_out(graph)
-    received = {u: len(graph.received_by(u)) for u in graph.vertices}
-
-    def close(v):
-        outside = dict(received)   # received edges whose source is outside
-
-        def step(u):
-            for w in ranges[u]:
-                outside[w] -= 1
-            return ([e.src for e in graph.received_by(u)] + members[classes[u]]
-                    + [w for w in ranges[u] if not outside[w]])
-        return frozenset(act_mod._closure([v], step))
-    return close
-
-
 def invariant_closure(action, v):
     """The smallest set containing v that is closed under following paths,
     under the orbit relation, and under saturation (a regular vertex all of
     whose received edges have sources inside joins, with its orbit)."""
-    return _invariant_closer(action)(v)
+    orb = action.orbits
+    # per vertex, the received edges whose source is still outside
+    outside = {u: len(s) for (u, s) in orb.sources.items()}
+
+    def step(u):
+        for w in orb.ranges[u]:
+            outside[w] -= 1
+        return (orb.sources[u] + orb.members[orb.classes[u]]
+                + [w for w in orb.ranges[u] if not outside[w]])
+    return frozenset(act_mod._closure([v], step))
 
 
 def check_min(action):
-    """The invariant closure of every vertex is everything."""
-    graph = action.graph
-    close = _invariant_closer(action)
+    """The invariant closure of every vertex is everything.
+
+    A closure holds the closure of every vertex it walks to, range to
+    source, and every vertex walks into a sink component of that walk, so
+    one closure per sink component finds the full ones.  The witness is
+    the least vertex with a proper closure; a vertex walking into a full
+    sink is full, so only the others are closed.
+    """
+    orb, everything = action.orbits, set(action.graph.vertices)
+    full = set()
+    for (i, comp) in enumerate(orb.components):
+        if (all(orb.component[w] == i for u in comp for w in orb.sources[u])
+                and invariant_closure(action, comp[0]) == everything):
+            full.update(comp)
     witness = None
-    for v in sorted(graph.vertices):
-        closure = close(v)
-        if closure != set(graph.vertices):
+    for v in sorted(everything - act_mod._closure(full, orb.ranges.get)):
+        closure = invariant_closure(action, v)
+        if closure != everything:
             witness = {"op": "invariant_closure", "vertex": v,
                        "closure": sorted(closure)}
             break
@@ -247,35 +218,38 @@ def check_min(action):
 def _entrance_cycle_base_points(action):
     """Vertices that are base points of some orbit-cycle with an entrance.
 
-    A base point splits the cycle as a walk q -> x -> p with p and q in one
-    orbit, total length >= 1, touching a vertex that receives two edges.
-    below[x] holds the (vertex, touched, moved) states reachable from x,
-    above[x] the (class(q), touched, moved) of every walk from some q into
-    x; x is a base point when the two sides join on a class and together
-    touch an entrance and move.
+    A base point x splits the cycle as a walk q -> x -> p, range to
+    source, with p and q in one orbit class, total length >= 1, touching a
+    vertex that receives two edges.  Per class, one closure finds the
+    (vertex, touched, moved) states walked to from the class and one the
+    states walking back into it; x is a base point where two of them meet
+    that together touch and move.  When the class lies inside one
+    component of the walk, a walk from the class back into it stays in
+    that component, so the class gives the whole component when it is
+    cyclic and has a vertex receiving two edges, and nothing otherwise.
     """
-    graph, gpd = action.graph, action.groupoid
-    classes = orbit_classes(gpd)
-    in2 = {v: len(graph.received_by(v)) >= 2 for v in graph.vertices}
+    orb = action.orbits
+    in2 = {v: len(s) >= 2 for (v, s) in orb.sources.items()}
 
-    def step(state):
-        (u, t, _) = state
-        return ((e.src, t or in2[e.src], True) for e in graph.received_by(u))
+    def step_along(succ):
+        return lambda st: ((w, st[1] or in2[w], True) for w in succ[st[0]])
 
-    below = {v: act_mod._closure([(v, in2[v], False)], step)
-             for v in graph.vertices}
-    above = {v: set() for v in graph.vertices}
-    for q in graph.vertices:
-        for (x, t, m) in below[q]:
-            above[x].add((classes[q], t, m))
     base = set()
-    for x in graph.vertices:
-        ends = {}
-        for (p, t, m) in below[x]:
-            ends.setdefault(classes[p], set()).add((t, m))
-        if any((t1 or t2) and (m1 or m2) for (c, t1, m1) in above[x]
-               for (t2, m2) in ends.get(c, ())):
-            base.add(x)
+    for cls in orb.members.values():
+        comps = {orb.component[v] for v in cls}
+        if len(comps) == 1:
+            comp = orb.components[comps.pop()]
+            if (act_mod.on_cycle(orb.sources, comp)
+                    and any(in2[v] for v in comp)):
+                base.update(comp)
+            continue
+        seeds = [(v, in2[v], False) for v in cls]
+        back = act_mod._closure(seeds, step_along(orb.ranges))
+        ahead = act_mod._closure(seeds, step_along(orb.sources))
+        # the walk back must touch where the walk ahead did not, and move
+        base.update(x for (x, t, m) in ahead
+                    if any((x, t2, m2) in back for t2 in {True, not t}
+                           for m2 in {True, not m}))
     return base
 
 
@@ -284,10 +258,9 @@ def check_con(action):
     entrance.  One closure from the base points, along each edge from its
     source to its range, finds the vertices that do; the least vertex left
     outside is the witness."""
-    graph = action.graph
     reach = act_mod._closure(_entrance_cycle_base_points(action),
-                             _edges_out(graph).get)
-    left = set(graph.vertices) - reach
+                             action.orbits.ranges.get)
+    left = set(action.graph.vertices) - reach
     witness = None
     if left:
         witness = {"op": "path_reachable_vertices", "vertex": min(left)}

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from .graphs import (Path, UsageError, comparable, is_prefix, json_name,
                      json_names)
+from .groupoids import RequiresExplicitError
 from . import actions as act_mod
 
 
@@ -152,11 +153,17 @@ def rewriters(action, beta, alpha):
 def in_S00(action, s):
     """Is s of the form (h·beta, h|_beta, beta) for some element h?
 
-    On a behavioral model this means: witnessed by some state.
+    A behavioral model without element_complete answers True when a state
+    is such an h, and otherwise cannot rule one out: RequiresExplicitError,
+    as germs.in_core.
     """
     if is_zero(s) or length_cocycle(s) != 0:
         return False
-    return s.g in rewriters(action, s.beta, s.alpha)
+    found = s.g in rewriters(action, s.beta, s.alpha)
+    if not (found or action.groupoid.element_complete):
+        raise RequiresExplicitError("no modeled state rewrites %s to %s with "
+                                    "restriction %r" % (s.beta, s.alpha, s.g))
+    return found
 
 
 def conj_idempotent(action, t, p):

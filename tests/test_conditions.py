@@ -14,11 +14,12 @@ import pytest
 from selfsim import actions as act_mod
 from selfsim import conditions as cond
 from selfsim import verdicts
-from selfsim.actions import SelfSimilarAction, faithful, pseudo_free
+from selfsim.actions import (SelfSimilarAction, faithful, orbit_classes,
+                             pseudo_free)
 from selfsim.conditions import (check_con, check_contracting, check_cyc,
                                 check_evr, check_fin, check_min, check_rec,
                                 check_sla, combine, invariant_closure,
-                                orbit_classes, run_report)
+                                run_report)
 from selfsim.graphs import DirectedGraph
 from selfsim.groupoids import (BehavioralModel, ExplicitGroupoid,
                                cyclic_group_table, group_bundle)
@@ -187,7 +188,7 @@ def oracle_check_con(action):
     """The per-vertex loop: the least vertex whose range-to-source walks
     miss every base point of an orbit-cycle with an entrance."""
     graph = action.graph
-    base = cond._entrance_cycle_base_points(action)
+    base = oracle_entrance_cycle_base_points(action)
     for v in sorted(graph.vertices):
         if not (oracle_path_reachable(graph, v) & base):
             return {"op": "path_reachable_vertices", "vertex": v}
@@ -431,14 +432,21 @@ def test_check_cyc_enumerates_no_paths(monkeypatch):
 
 
 def test_con_base_points_match_the_profile_pair_search():
+    """Both ways of finding base points are met often: a class inside one
+    component of the range-to-source walk is read from that component, a
+    class spanning several gets the closure pair."""
     rng = random.Random(20261018)
-    nonempty = 0
+    nonempty, spans = 0, collections.Counter()
     for _ in range(5000):
         action = random_orbit_action(rng)
         base = cond._entrance_cycle_base_points(action)
         assert base == oracle_entrance_cycle_base_points(action)
         nonempty += bool(base)
+        orb = action.orbits
+        for cls in orb.members.values():
+            spans[len({orb.component[v] for v in cls}) > 1] += 1
     assert 1000 < nonempty < 4000
+    assert spans[False] > 2000 and spans[True] > 2000, spans
 
 
 def _matches_loops(action, checks):
@@ -484,8 +492,9 @@ def test_fin_min_and_con_match_the_loop_oracles(random_actions,
 def test_report_deciders_make_one_pass_on_the_doubled_chain(monkeypatch):
     """D(300): the Z_2 bundle on 301 vertices, two fixed edges per step.
     h0 has 2^300 minimal strongly fixed paths, yet Fin and Min hold after
-    one pass each: Fin never lists minimal strongly fixed paths, and Min
-    builds the orbit classes once."""
+    one pass each: Fin never lists minimal strongly fixed paths, Min
+    computes one invariant closure (the walk has one sink component), and
+    a report builds the orbit classes once."""
     calls = collections.Counter()
     original = act_mod.minimal_strongly_fixed
 
@@ -500,18 +509,24 @@ def test_report_deciders_make_one_pass_on_the_doubled_chain(monkeypatch):
         calls["orbit_classes"] += 1
         return orbit_classes(groupoid)
 
+    def counted_closure(action, v):
+        calls["invariant_closure"] += 1
+        return invariant_closure(action, v)
+
     assert len(original(fixed_chain(11, width=2), "h0").paths) == 2 ** 10
     monkeypatch.setattr(act_mod, "minimal_strongly_fixed", counted)
     for name in ("four_loop_z2", "twisted_three_spoke"):
         assert check_fin(load_fixture(name).action).status == "Fails"
     assert calls["minimal_strongly_fixed"] == 2
     monkeypatch.setattr(act_mod, "minimal_strongly_fixed", refuse)
-    monkeypatch.setattr(cond, "orbit_classes", counted_classes)
-    action = fixed_chain(301, width=2)
-    assert check_min(action).status == "Holds"
-    assert calls["orbit_classes"] == 1
-    base = run_report(action).base
+    monkeypatch.setattr(act_mod, "orbit_classes", counted_classes)
+    monkeypatch.setattr(cond, "invariant_closure", counted_closure)
+    assert check_min(fixed_chain(301, width=2)).status == "Holds"
+    assert calls["invariant_closure"] == 1
+    calls.clear()
+    base = run_report(fixed_chain(301, width=2)).base
     assert (base["Fin"].status, base["Min"].status) == ("Holds", "Holds")
+    assert calls["orbit_classes"] == 1
 
 
 # -- recurrence, finiteness, strong fixing -------------------------------------

@@ -115,7 +115,7 @@ def test_unit_at_is_the_least_unit_state_at_the_vertex():
 
 
 def test_orbit_pairs_generate_an_equivalence():
-    from selfsim.conditions import orbit_classes
+    from selfsim.actions import orbit_classes
     m = BehavioralModel.from_states(
         ["a", "b", "c"],
         [("ua", "a", "a", True), ("ub", "b", "b", True),

@@ -1,9 +1,11 @@
 """Every module of the package uses what it imports, and the package uses
-every private helper it defines.  No linter ships with the project, so this
-reads each module's syntax tree: a name bound by an import must appear
-somewhere else in the module (__init__.py is skipped, because its imports
-are the package's public names), and a function, method or class named
-with one leading underscore must be named somewhere in the package."""
+every helper it defines.  No linter ships with the project, so this reads
+each module's syntax tree: a name bound by an import must appear somewhere
+else in the module (__init__.py is skipped, because its imports are the
+package's public names); a function, method or class named with one
+leading underscore must be named somewhere in the package; and so must a
+public function or method, unless __init__ exports it, it is a cmd_*
+handler of the CLI, or UNCALLED_PUBLIC names it with a reason."""
 
 import ast
 import pathlib
@@ -39,26 +41,37 @@ def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def dead_private_helpers(sources):
-    """(module, line, name) for every function, method or class named with
-    one leading underscore that the package never names anywhere: not as a
-    name, not as an attribute and not in an import.  sources maps module
-    names to their text."""
+def unnamed_definitions(sources, wanted):
+    """(module, line, name) for every definition node with wanted(node)
+    whose name the package never names anywhere: not as a name, not as an
+    attribute and not in an import (so an export from __init__ counts).
+    sources maps module names to their text."""
     defined, named = [], set()
     for (module, source) in sorted(sources.items()):
         for node in ast.walk(ast.parse(source)):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
-                if node.name.startswith("_") and \
-                        not node.name.startswith("__"):
-                    defined.append((module, node.lineno, node.name))
-            elif isinstance(node, ast.Name):
+            if isinstance(node, ast.Name):
                 named.add(node.id)
             elif isinstance(node, ast.Attribute):
                 named.add(node.attr)
             elif isinstance(node, ast.alias):
                 named.add(node.name.split(".")[-1])
+            elif wanted(node):
+                defined.append((module, node.lineno, node.name))
     return [d for d in defined if d[2] not in named]
+
+
+def dead_private_helpers(sources):
+    """Functions, methods and classes named with one leading underscore."""
+    return unnamed_definitions(sources, lambda node: isinstance(
+        node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.startswith("__"))
+
+
+def dead_public_functions(sources):
+    """Public functions and methods, CLI handlers (cmd_*) aside."""
+    return unnamed_definitions(sources, lambda node: isinstance(
+        node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith(("_", "cmd_")))
 
 
 def test_dead_private_helpers_are_found():
@@ -76,3 +89,44 @@ def test_package_has_no_dead_private_helpers():
     sources = {p.name: p.read_text(encoding="utf-8")
                for p in pathlib.Path(selfsim.__file__).parent.glob("*.py")}
     assert dead_private_helpers(sources) == []
+
+
+# Public functions the package itself never calls, each with the reason it
+# stays.  A name that gains a caller, or leaves, must leave this list too.
+UNCALLED_PUBLIC = {
+    "covers": "the definition of a covering family; tests and the "
+              "benchmark's query workload check boundary points with it",
+    "is_vertex": "Path accessor the tests use to skip vertex paths",
+    "vertex_path": "DirectedGraph accessor the tests use to build vertex "
+                   "paths",
+    "strongly_fixes": "the literal definition; tests check the restriction "
+                      "digraph's deciders against it",
+    "boundary_points_from": "enumerates boundary points for the germ tests "
+                            "and the benchmark's query workload",
+    "cycle_infinite_path": "the paper's point of an entrance-free "
+                           "orbit-cycle; only the germ tests build it",
+    "fixed_by": "the paper's fixedness decision, named in README; no CLI "
+                "operation exposes it yet",
+    "in_S0": "degree-zero test the semigroup tests use",
+    "in_S00": "the paper's S00 membership; no CLI operation exposes it yet",
+    "is_idempotent": "idempotent test the semigroup tests use",
+}
+
+
+def test_dead_public_functions_are_found():
+    sources = {
+        "__init__.py": "from .a import exported\n",
+        "a.py": "def exported():\n    pass\ndef called():\n    pass\n"
+                "def dead():\n    pass\ndef cmd_x(args):\n    called()\n"
+                "def _private():\n    pass\n"
+                "class K:\n    def method(self):\n        pass\n",
+    }
+    assert dead_public_functions(sources) == [("a.py", 5, "dead"),
+                                              ("a.py", 12, "method")]
+
+
+def test_package_names_every_public_function_it_keeps():
+    sources = {p.name: p.read_text(encoding="utf-8")
+               for p in pathlib.Path(selfsim.__file__).parent.glob("*.py")}
+    found = sorted(d[2] for d in dead_public_functions(sources))
+    assert found == sorted(UNCALLED_PUBLIC)

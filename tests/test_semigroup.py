@@ -12,14 +12,15 @@ import pytest
 
 from selfsim import semigroup as sg
 from selfsim.graphs import comparable
-from selfsim.groupoids import GroupoidError, RequiresExplicitError
+from selfsim.groupoids import (BehavioralModel, GroupoidError,
+                               RequiresExplicitError)
 from selfsim.semigroup import (ZERO, SemigroupError, Triple, conj_idempotent,
                                elements_up_to, fixed_by,
                                idempotent, in_S0, in_S00, is_idempotent,
                                is_zero, length_cocycle, leq, make, mul, star)
 from selfsim import actions as act
 
-from conftest import FIXTURES
+from conftest import FIXTURES, zn_rotation
 
 
 # -- oracles ----------------------------------------------------------------
@@ -284,6 +285,35 @@ def test_in_s00_membership(fix):
     for s in small_suite(action, 1):
         if not is_zero(s) and in_S00(action, s):
             assert in_S0(s)
+
+
+def test_in_s00_on_a_model_answers_as_the_explicit_action_or_refuses():
+    """The units-only model of zn_rotation(3) asserts unit_reflecting and
+    orbit_complete.  Its True answers are the explicit action's, and the
+    degree-zero triples no unit rewrites are refused: (x1, c0, x2) and
+    (x2, c0, x1) hold explicitly (c2 and c1 rewrite them), so a False there
+    would be unsound."""
+    full = zn_rotation(3)
+    units = {k: v for (k, v) in full.edge_action.items() if k[0] == "c0"}
+    sub = act.SelfSimilarAction(
+        full.graph,
+        BehavioralModel.from_states(
+            ["v"], [("c0", "v", "v", True)],
+            {"unit_reflecting": True, "orbit_complete": True}),
+        units, {k: full.restriction[k] for k in units})
+    assert sub.validate() == []
+    suite = elements_up_to(sub, 1)
+    refused = set()
+    for s in suite:
+        try:
+            assert in_S00(sub, s) == in_S00(full, s)
+        except RequiresExplicitError:
+            refused.add((str(s.alpha), str(s.beta)))
+    assert len(suite) == 16
+    assert refused == {("x%d" % a, "x%d" % b) for a in range(3)
+                       for b in range(3) if a != b}
+    assert in_S00(full, make(full, full.graph.path(["x1"]), "c0",
+                             full.graph.path(["x2"])))
 
 
 # -- fixedness of idempotents -------------------------------------------------

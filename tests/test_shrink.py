@@ -67,6 +67,8 @@ def oracle_in_S00(action, s):
         if (action.act_path(h, s.beta) == s.alpha
                 and action.restrict_path(h, s.beta) == s.g):
             return True
+    if not gpd.element_complete:
+        raise RequiresExplicitError("a missing element may rewrite it")
     return False
 
 
