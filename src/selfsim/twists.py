@@ -8,6 +8,7 @@ a 2-cocycle omega on the semigroup of triples, defined wherever the
 product is nonzero.
 """
 
+import math
 from fractions import Fraction
 
 from . import semigroup as sg
@@ -21,7 +22,10 @@ PHASE_ONE = Fraction(0)
 
 
 def phase(value):
-    """Parse a circle element: 'p/q' string, int, or Fraction, taken mod 1."""
+    """Parse a circle element: 'p/q' string, int, or Fraction, taken mod 1.
+    A bool is no phase, though Python counts it as an int."""
+    if isinstance(value, bool):
+        raise TwistError("cannot read a phase from %r" % (value,))
     if isinstance(value, Fraction):
         f = value
     elif isinstance(value, int):
@@ -190,45 +194,66 @@ def verify_omega_cocycle(twist, bound):
     over all triples with legs of length <= bound and nonzero products.
 
     One meet per composable pair gives both the product and its omega, and
-    the pair is memoized: it shows up under many third factors.
+    the pair is memoized: it shows up under many third factors.  The loop
+    works on integers only.  Each triple gets an id on first sight (the
+    elements in order, then each new product), so the memo and the
+    candidate lists hold ids, not triples to hash.  D (`scale`) is the lcm
+    of the denominators in the twist's tables; omega is a sum of table
+    entries mod 1, so omega·D is an exact integer, and a phase is kept as
+    that integer mod D.  The identity holds iff the two integer sides
+    agree mod D, so the answer is the one Fraction arithmetic gives; a
+    failing side becomes the Fraction x/D again only when it is recorded.
     """
     action = twist.action
     elements = sg.elements_up_to(action, bound)
     cands = _right_candidates(action, elements)
+    scale = math.lcm(*(v.denominator for v in (*twist._group.values(),
+                                              *twist._edge.values())))
+    triples = list(elements)
+    ids = {x: i for (i, x) in enumerate(triples)}
+    pair_lists = [[ids[t] for t in cands(s)] for s in elements]
     memo = {}
 
-    def meetc(x, y):
-        """(x·y, omega(x, y)), or None when x·y is zero."""
-        key = (x, y)
-        if key not in memo:
-            m = sg.meet(action, x, y)
-            memo[key] = None if m is None else (
-                sg.Triple(m[0], action.groupoid.mul(m[1], m[2]), m[3]),
-                _meet_phase(twist, m))
-        return memo[key]
+    def meetc(key):
+        """(id of x·y, omega(x, y)·D mod D), or None when x·y is zero."""
+        m = sg.meet(action, triples[key[0]], triples[key[1]])
+        if m is not None:
+            xy = sg.Triple(m[0], action.groupoid.mul(m[1], m[2]), m[3])
+            i = ids.setdefault(xy, len(triples))
+            if i == len(triples):
+                triples.append(xy)
+            w = _meet_phase(twist, m)
+            m = (i, w.numerator * (scale // w.denominator) % scale)
+        memo[key] = m
+        return m
 
-    pair_lists = {id(s): cands(s) for s in elements}
     checked, failures = 0, []
-    for r in elements:
-        for s in pair_lists[id(r)]:
-            rs = meetc(r, s)
+    for r in range(len(elements)):
+        for s in pair_lists[r]:
+            key = (r, s)
+            rs = memo[key] if key in memo else meetc(key)
             if rs is None:
                 continue
-            for t in pair_lists[id(s)]:
-                st = meetc(s, t)
+            for t in pair_lists[s]:
+                key = (s, t)
+                st = memo[key] if key in memo else meetc(key)
                 if st is None:
                     continue
-                rst = meetc(rs[0], t)
+                key = (rs[0], t)
+                rst = memo[key] if key in memo else meetc(key)
                 if rst is None:
                     continue
                 checked += 1
-                lhs = phase_mul(st[1], meetc(r, st[0])[1])
-                rhs = phase_mul(rs[1], rst[1])
-                if lhs != rhs:
+                key = (r, st[0])
+                r_st = memo[key] if key in memo else meetc(key)
+                if (st[1] + r_st[1] - rs[1] - rst[1]) % scale:
                     if len(failures) < 20:
+                        lhs = Fraction((st[1] + r_st[1]) % scale, scale)
+                        rhs = Fraction((rs[1] + rst[1]) % scale, scale)
                         failures.append({
-                            "r": sg.to_json(r), "s": sg.to_json(s),
-                            "t": sg.to_json(t),
+                            "r": sg.to_json(triples[r]),
+                            "s": sg.to_json(triples[s]),
+                            "t": sg.to_json(triples[t]),
                             "lhs": phase_str(lhs), "rhs": phase_str(rhs),
                         })
                     else:

@@ -231,7 +231,9 @@ def _fixture_with(name, field, value):
     ("twisted_three_spoke", ("twist",), [1]),
     ("two_edges", ("groupoid", "flags"), [1]),
     ("four_loop_z2", ("graph", "edges", 0, "name"), 7),
-], ids=["notes", "twist", "flags", "edge-name"])
+    # a phase in a file is a "p/q" string; a boolean never reaches phase()
+    ("twisted_three_spoke", ("twist", "sigma_bowtie", 0, 2), True),
+], ids=["notes", "twist", "flags", "edge-name", "bool-phase"])
 def test_malformed_system_file_is_a_parse_failure(capsys, tmp_path, name,
                                                   field, value):
     path = write_system(tmp_path, _fixture_with(name, field, value))

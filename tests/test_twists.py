@@ -187,6 +187,12 @@ def test_phase_rejects_garbage():
         phase("x")
     with pytest.raises(ValueError):
         phase("1/3/4")
+    for flag in (True, False):
+        with pytest.raises(TwistError):
+            phase(flag)
+    with pytest.raises(TwistError):
+        Twist(load_fixture("four_loop_z2").action,
+              edge_entries=[("1", "e", True)])
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +437,45 @@ def test_verify_omega_cocycle_matches_the_unmemoized_oracle():
     broken = Twist(four, edge_entries=[("1", "e", "1/3")])
     out = verify_omega_cocycle(broken, 1)
     assert out["truncated"] and out == oracle_verify(broken, 1)
+
+
+def test_verify_omega_cocycle_matches_the_oracle_across_denominators():
+    """The integer phases mod D against Fraction arithmetic: seeded order-6
+    twists (phases 1/2, 1/3 and 1/6 mixed), a group table in halves with an
+    edge table in thirds (D = 6, above each denominator), and the trivial
+    twist (D = 1)."""
+    rng = random.Random(20261019)
+    four = load_fixture("four_loop_z2").action
+    three = zn_rotation(3)
+    for action in (four, three):
+        tw = random_twist(action, rng)
+        table = (*tw._group.values(), *tw._edge.values())
+        assert {v.denominator for v in table} >= {2, 3, 6}
+        out = verify_omega_cocycle(tw, 1)
+        assert out["truncated"] and out == oracle_verify(tw, 1)
+    mixed = Twist(four, [("0", "0", "1/2")], [("0", "a", "1/3")])
+    out = verify_omega_cocycle(mixed, 1)
+    assert out == oracle_verify(mixed, 1)
+    assert any(f[side].endswith("/6") for f in out["failures"]
+               for side in ("lhs", "rhs"))
+    trivial = Twist(load_fixture("twisted_three_spoke").action)
+    out = verify_omega_cocycle(trivial, 1)
+    assert out["ok"] and out == oracle_verify(trivial, 1)
+
+
+def test_verify_omega_cocycle_meets_each_pair_once(monkeypatch):
+    spoke = load_fixture("twisted_three_spoke")
+    pairs = []
+    meet = sg.meet
+
+    def counting(action, s, t):
+        pairs.append((s, t))
+        return meet(action, s, t)
+
+    monkeypatch.setattr(sg, "meet", counting)
+    assert verify_omega_cocycle(spoke.twist, 2)["checked"] == 10350
+    assert len(pairs) <= 2646
+    assert len(set(pairs)) == len(pairs)
 
 
 def test_verify_omega_cocycle_on_trivial_twist():
