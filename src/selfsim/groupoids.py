@@ -89,6 +89,7 @@ class ExplicitGroupoid(Groupoid):
         self.units = dict(units)          # vertex -> unit element name
         self._mul = dict(mul_table)       # (a, b) -> ab, with src(a) = rng(b)
         self._inv = dict(inv_table)       # a -> a^{-1}
+        self._generators = None           # generators(), once computed
 
     def unit_at(self, v):
         try:
@@ -116,7 +117,75 @@ class ExplicitGroupoid(Groupoid):
         except KeyError:
             raise GroupoidError("inverse of %r missing from table" % (g,))
 
+    def generators(self):
+        """S, a generating set under products: the units in vertex order,
+        then each element, in elements() order, that is outside the closure
+        of the generators before it.  The closure grows by right
+        multiplication by the generators, O(|G|·|S|) products in all.  In a
+        finite groupoid every inverse is a positive power, so S also
+        generates G as a groupoid.
+
+        Built on first use and kept.  It reads the product table directly,
+        so call it only once that table is defined exactly on composable
+        pairs (validate's table stage), and do not change the tables after.
+        """
+        if self._generators is None:
+            mul, els = self._mul, self._elements
+            gens, closed = [], set()
+            gens_by_rng = collections.defaultdict(list)
+            closed_by_src = collections.defaultdict(list)
+
+            def adjoin(s):
+                # The old closure was closed under right multiplication by
+                # the old generators; x·s for x in it and s itself are what
+                # s adds, and every new element is then multiplied on the
+                # right by every generator once.
+                gens.append(s)
+                gens_by_rng[els[s].rng].append(s)
+                frontier = [s] + [mul[(x, s)] for x in closed_by_src[els[s].rng]]
+                while frontier:
+                    x = frontier.pop()
+                    if x in closed:
+                        continue
+                    closed.add(x)
+                    closed_by_src[els[x].src].append(x)
+                    frontier.extend(mul[(x, t)] for t in gens_by_rng[els[x].src])
+
+            for v in self.vertices:
+                adjoin(self.units[v])
+            for g in self.elements():
+                if g not in closed:
+                    adjoin(g)
+            self._generators = tuple(gens)
+        return self._generators
+
+    def _by_range(self, keep=None):
+        """vertex -> the elements with that range (those in keep, if
+        given), in elements() order."""
+        out = {v: [] for v in self.vertices}
+        for g in self.elements():
+            if keep is None or g in keep:
+                out[self._elements[g].rng].append(g)
+        return out
+
     def validate(self):
+        """Problems with the tables, as strings; empty when they define a
+        groupoid.  Stages, stopping after the first that finds any: the
+        endpoints of elements and units; the product table is defined
+        exactly on composable pairs, with the right endpoints; then the
+        unit and inverse laws, and associativity.
+
+        Associativity is checked on middles from generators() only, by
+        Light's associativity test (Clifford and Preston, The Algebraic
+        Theory of Semigroups I, §1.2).  Lemma 1: the middles a with
+        (xa)y = x(ay) for every composable x, y are closed under products.
+        For if a and b are such middles, then
+            (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y).
+        The closure of S under products is every element, so when every
+        a in S passes, the table is associative.  If some triple fails, the
+        scan is repeated over every middle, so the problem list is the
+        full, sorted list of failing (a, b, c).
+        """
         problems = []
         vset = set(self.vertices)
         for el in self._elements.values():
@@ -137,7 +206,44 @@ class ExplicitGroupoid(Groupoid):
         if problems:
             return problems
         els = self.elements()
-        # mul defined exactly on composable pairs, with the right src/rng
+        if not self._table_is_exact():
+            problems = self._table_problems()
+            if problems:
+                return problems
+        for g in els:
+            u_r, u_s = self.unit_at(self.rng(g)), self.unit_at(self.src(g))
+            if self._mul[(u_r, g)] != g or self._mul[(g, u_s)] != g:
+                problems.append("units do not act as identities on %r" % g)
+            gi = self._inv.get(g)
+            if gi is None or gi not in self._elements:
+                problems.append("missing or unknown inverse for %r" % g)
+            elif (self.src(gi) != self.rng(g) or self.rng(gi) != self.src(g)
+                  or self._mul[(gi, g)] != u_s or self._mul[(g, gi)] != u_r):
+                problems.append("inverse of %r is wrong" % g)
+        failures = self._associativity_failures(set(self.generators()))
+        if failures:
+            failures = self._associativity_failures(set(els))
+        return problems + failures
+
+    def _table_is_exact(self):
+        """Every composable pair has a product with the right endpoints,
+        and the table has no other entry: the table stage has nothing to
+        report.  Walks the composable pairs only."""
+        els, mul, count = self._elements, self._mul, 0
+        by_rng = self._by_range()
+        for a in self.elements():
+            ea = els[a]
+            for b in by_rng[ea.src]:
+                ab = mul.get((a, b))
+                eab = els.get(ab)
+                if eab is None or eab.src != els[b].src or eab.rng != ea.rng:
+                    return False
+                count += 1
+        return len(mul) == count
+
+    def _table_problems(self):
+        """The table stage's problems, from every pair of elements."""
+        problems, els = [], self.elements()
         for a in els:
             for b in els:
                 composable = self.src(a) == self.rng(b)
@@ -152,30 +258,20 @@ class ExplicitGroupoid(Groupoid):
                         problems.append("product (%r, %r) = %r unknown" % (a, b, ab))
                     elif self.src(ab) != self.src(b) or self.rng(ab) != self.rng(a):
                         problems.append("product (%r, %r) has wrong endpoints" % (a, b))
-        if problems:
-            return problems
-        for g in els:
-            u_r, u_s = self.unit_at(self.rng(g)), self.unit_at(self.src(g))
-            if self._mul[(u_r, g)] != g or self._mul[(g, u_s)] != g:
-                problems.append("units do not act as identities on %r" % g)
-            gi = self._inv.get(g)
-            if gi is None or gi not in self._elements:
-                problems.append("missing or unknown inverse for %r" % g)
-            elif (self.src(gi) != self.rng(g) or self.rng(gi) != self.src(g)
-                  or self._mul[(gi, g)] != u_s or self._mul[(g, gi)] != u_r):
-                problems.append("inverse of %r is wrong" % g)
-        for a in els:
-            for b in els:
-                if self.src(a) != self.rng(b):
-                    continue
-                ab = self._mul[(a, b)]
-                for c in els:
-                    if self.src(b) != self.rng(c):
-                        continue
-                    if self._mul[(ab, c)] != self._mul[(a, self._mul[(b, c)])]:
-                        problems.append(
-                            "associativity fails on (%r, %r, %r)" % (a, b, c))
         return problems
+
+    def _associativity_failures(self, middles):
+        """One problem per composable (a, b, c) with b in middles and
+        (ab)c != a(bc), in sorted order.  Walks composable pairs only."""
+        els, mul, out = self._elements, self._mul, []
+        by_rng, mid_by_rng = self._by_range(), self._by_range(middles)
+        for a in self.elements():
+            for b in mid_by_rng[els[a].src]:
+                ab = mul[(a, b)]
+                for c in by_rng[els[b].src]:
+                    if mul[(ab, c)] != mul[(a, mul[(b, c)])]:
+                        out.append("associativity fails on (%r, %r, %r)" % (a, b, c))
+        return out
 
 
 class BehavioralModel(Groupoid):

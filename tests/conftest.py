@@ -13,7 +13,8 @@ import pytest
 from selfsim import systems
 from selfsim.actions import SelfSimilarAction
 from selfsim.graphs import DirectedGraph
-from selfsim.groupoids import (BehavioralModel, cyclic_group_table,
+from selfsim.groupoids import (BehavioralModel, ExplicitGroupoid,
+                               cyclic_group_table, from_group_action,
                                group_bundle)
 
 FIXTURES = ("entrance_free_loop", "four_loop_z2", "not_exel_pardo",
@@ -134,6 +135,86 @@ def zn_rotation(n):
     return SelfSimilarAction(graph, gpd, edge_action, restriction)
 
 
+def transformation_action(k=2, m=4, d=2):
+    """Z_m rotating k vertices u0..u{k-1} (k and d divide m): edges
+    t{v}_{i} run from u{v+1} to u{v}; gamma@u{v} sends t{v}_{i} to
+    t{v+gamma}_{i+gamma} and restricts to (3·gamma)@u{v+1}.  Both maps
+    are homomorphisms in gamma, so the laws hold."""
+    vs = ["u%d" % v for v in range(k)]
+    group = ["z%d" % a for a in range(m)]
+    gmul = {(group[a], group[b]): group[(a + b) % m]
+            for a in range(m) for b in range(m)}
+    vact = {(group[a], vs[v]): vs[(v + a) % k]
+            for a in range(m) for v in range(k)}
+    gpd = from_group_action(group, gmul, group[0], vs, vact)
+    graph = DirectedGraph(vs, [("t%d_%d" % (v, i), vs[(v + 1) % k], vs[v])
+                               for v in range(k) for i in range(d)])
+    edge_action, restriction = {}, {}
+    for a in range(m):
+        for v in range(k):
+            g = "%s@%s" % (group[a], vs[v])
+            for i in range(d):
+                e = "t%d_%d" % (v, i)
+                edge_action[(g, e)] = "t%d_%d" % ((v + a) % k, (i + a) % d)
+                restriction[(g, e)] = "%s@%s" % (group[3 * a % m],
+                                                  vs[(v + 1) % k])
+    return SelfSimilarAction(graph, gpd, edge_action, restriction)
+
+
+def single_entry_corruptions(action):
+    """Every copy of an explicit action with one entry of its mul, inv,
+    edge_action or restriction table changed to another value (every
+    element or edge name, and one unknown name) or deleted, plus copies
+    with one extra entry on a pair outside the table's domain, plus every
+    swap of the images of two edges under one element.  Yields (table,
+    key, value, action); value None means deleted."""
+    gpd, graph = action.groupoid, action.graph
+    els, edges = gpd.elements(), [e.name for e in graph.edges]
+    tables = {"mul": gpd._mul, "inv": gpd._inv,
+              "edge_action": action.edge_action,
+              "restriction": action.restriction}
+    extra = {"mul": [("zz", "zz")] + [
+                 (a, b) for a in els for b in els
+                 if gpd.src(a) != gpd.rng(b)][:1],
+             "inv": ["zz"],
+             "edge_action": [("zz", edges[0])] if edges else [],
+             "restriction": [(els[0], "zz")]}
+    for (name, table) in tables.items():
+        values = edges if name == "edge_action" else els
+        for key in sorted(table):
+            for value in list(values) + ["zz", None]:
+                if value != table[key]:
+                    yield name, key, value, _with_entry(action, name, key, value)
+        for key in extra[name]:
+            yield name, key, els[0], _with_entry(action, name, key, els[0])
+    # A single changed image breaks the bijection, which an earlier stage
+    # reports; swapping two images keeps it, so the (hg)·e law is reached.
+    for g in els:
+        dom = [e.name for e in graph.received_by(gpd.src(g))]
+        for (e, f) in itertools.combinations(dom, 2):
+            swapped = _with_entry(action, "edge_action", (g, e),
+                                  action.edge_action[(g, f)])
+            swapped.edge_action[(g, f)] = action.edge_action[(g, e)]
+            yield "edge_action", (g, e, f), "swap", swapped
+
+
+def _with_entry(action, name, key, value):
+    gpd = action.groupoid
+    tables = {"mul": dict(gpd._mul), "inv": dict(gpd._inv),
+              "edge_action": dict(action.edge_action),
+              "restriction": dict(action.restriction)}
+    if value is None:
+        del tables[name][key]
+    else:
+        tables[name][key] = value
+    if name in ("mul", "inv"):
+        gpd = ExplicitGroupoid(gpd.vertices,
+                               [gpd._elements[g] for g in gpd.elements()],
+                               gpd.units, tables["mul"], tables["inv"])
+    return SelfSimilarAction(action.graph, gpd, tables["edge_action"],
+                             tables["restriction"])
+
+
 @pytest.fixture(scope="session")
 def random_actions():
     rng = random.Random(20260814)
@@ -203,3 +284,162 @@ def seeded_actions():
     out = [random_action(rng, 3, rng.randint(1, 6), rng.randint(1, 6))
            for _ in range(1000)]
     return out + [random_behavioral_action(rng) for _ in range(1000)]
+
+
+# -- literal validators ------------------------------------------------------
+#
+# The validators as they were before the laws were checked on generators:
+# every table entry, every triple (a, b, c) and every (h, g, e).  Any
+# validate() must return exactly their problem lists.
+
+
+def oracle_groupoid_validate(gpd):
+    """ExplicitGroupoid.validate, scanning every pair and triple; a
+    behavioral model's own validate."""
+    if gpd.kind != "explicit":
+        return gpd.validate()
+    problems = []
+    vset = set(gpd.vertices)
+    for el in gpd._elements.values():
+        if el.src not in vset:
+            problems.append("element %r has unknown src %r" % (el.name, el.src))
+        if el.rng not in vset:
+            problems.append("element %r has unknown rng %r" % (el.name, el.rng))
+    for v in gpd.vertices:
+        u = gpd.units.get(v)
+        if u is None:
+            problems.append("no unit at vertex %r" % v)
+            continue
+        if u not in gpd._elements:
+            problems.append("unit %r at %r is not an element" % (u, v))
+            continue
+        if gpd.src(u) != v or gpd.rng(u) != v:
+            problems.append("unit %r at %r has src/rng elsewhere" % (u, v))
+    if problems:
+        return problems
+    els = gpd.elements()
+    # mul defined exactly on composable pairs, with the right src/rng
+    for a in els:
+        for b in els:
+            composable = gpd.src(a) == gpd.rng(b)
+            present = (a, b) in gpd._mul
+            if composable and not present:
+                problems.append("missing product (%r, %r)" % (a, b))
+            elif not composable and present:
+                problems.append("product (%r, %r) should not exist" % (a, b))
+            elif present:
+                ab = gpd._mul[(a, b)]
+                if ab not in gpd._elements:
+                    problems.append("product (%r, %r) = %r unknown" % (a, b, ab))
+                elif gpd.src(ab) != gpd.src(b) or gpd.rng(ab) != gpd.rng(a):
+                    problems.append("product (%r, %r) has wrong endpoints" % (a, b))
+    if problems:
+        return problems
+    for g in els:
+        u_r, u_s = gpd.unit_at(gpd.rng(g)), gpd.unit_at(gpd.src(g))
+        if gpd._mul[(u_r, g)] != g or gpd._mul[(g, u_s)] != g:
+            problems.append("units do not act as identities on %r" % g)
+        gi = gpd._inv.get(g)
+        if gi is None or gi not in gpd._elements:
+            problems.append("missing or unknown inverse for %r" % g)
+        elif (gpd.src(gi) != gpd.rng(g) or gpd.rng(gi) != gpd.src(g)
+              or gpd._mul[(gi, g)] != u_s or gpd._mul[(g, gi)] != u_r):
+            problems.append("inverse of %r is wrong" % g)
+    for a in els:
+        for b in els:
+            if gpd.src(a) != gpd.rng(b):
+                continue
+            ab = gpd._mul[(a, b)]
+            for c in els:
+                if gpd.src(b) != gpd.rng(c):
+                    continue
+                if gpd._mul[(ab, c)] != gpd._mul[(a, gpd._mul[(b, c)])]:
+                    problems.append(
+                        "associativity fails on (%r, %r, %r)" % (a, b, c))
+    return problems
+
+
+def oracle_action_validate(action):
+    """SelfSimilarAction.validate, checking the product laws at every
+    composable (h, g, e), over oracle_groupoid_validate."""
+    problems = []
+    problems += ["graph: " + m for m in action.graph.validate()]
+    problems += ["groupoid: " + m for m in oracle_groupoid_validate(action.groupoid)]
+    gpd, graph = action.groupoid, action.graph
+    if set(gpd.vertices) != set(graph.vertices):
+        problems.append("groupoid vertex set differs from the graph's")
+    if problems:
+        return problems
+
+    composable = set()
+    for g in gpd.elements():
+        for e in graph.received_by(gpd.src(g)):
+            composable.add((g, e.name))
+    for key in action.edge_action:
+        if key not in composable:
+            problems.append("edge action on non-composable pair %r" % (key,))
+    for key in action.restriction:
+        if key not in composable:
+            problems.append("restriction on non-composable pair %r" % (key,))
+    for key in sorted(composable):
+        if key not in action.edge_action:
+            problems.append("missing edge action for %r" % (key,))
+        if key not in action.restriction:
+            problems.append("missing restriction for %r" % (key,))
+    if problems:
+        return problems
+
+    for g in gpd.elements():
+        dom = graph.received_by(gpd.src(g))
+        cod = {e.name for e in graph.received_by(gpd.rng(g))}
+        seen = set()
+        for e in dom:
+            img = action.edge_action[(g, e.name)]
+            if img not in cod:
+                problems.append(
+                    "(%r)·%r = %r is not received by rng(%r)" % (g, e.name, img, g))
+            if img in seen:
+                problems.append("edge action of %r is not injective" % (g,))
+            seen.add(img)
+            r = action.restriction[(g, e.name)]
+            if not gpd.has_element(r):
+                problems.append("restriction (%r)|_%r = %r unknown" % (g, e.name, r))
+                continue
+            if gpd.src(r) != e.src:
+                problems.append(
+                    "src((%r)|_%r) should be src(%r)" % (g, e.name, e.name))
+            if img in cod and gpd.rng(r) != graph.edge(img).src:
+                problems.append(
+                    "rng((%r)|_%r) should be src of the image edge" % (g, e.name))
+        if len(seen) != len(dom) or len(dom) != len(cod):
+            problems.append("edge action of %r is not a bijection" % (g,))
+    if problems:
+        return problems
+
+    for v in graph.vertices:
+        u = gpd.unit_at(v)
+        for e in graph.received_by(v):
+            if action.edge_action[(u, e.name)] != e.name:
+                problems.append("unit at %r moves edge %r" % (v, e.name))
+            r = action.restriction[(u, e.name)]
+            if r != gpd.unit_at(e.src):
+                problems.append("unit at %r restricts to non-unit on %r" % (v, e.name))
+
+    if gpd.kind == "explicit" and not problems:
+        for h in gpd.elements():
+            for g in gpd.elements():
+                if gpd.src(h) != gpd.rng(g):
+                    continue
+                hg = gpd.mul(h, g)
+                for e in graph.received_by(gpd.src(g)):
+                    ge = action.edge_action[(g, e.name)]
+                    if action.edge_action[(hg, e.name)] != action.edge_action[(h, ge)]:
+                        problems.append(
+                            "(hg)·e law fails at (%r, %r, %r)" % (h, g, e.name))
+                    lhs = action.restriction[(hg, e.name)]
+                    rhs = gpd.mul(action.restriction[(h, ge)],
+                                  action.restriction[(g, e.name)])
+                    if lhs != rhs:
+                        problems.append(
+                            "(hg)|_e law fails at (%r, %r, %r)" % (h, g, e.name))
+    return problems

@@ -23,7 +23,9 @@ from selfsim.graphs import DirectedGraph, Path, path_key
 from selfsim.groupoids import (BehavioralModel, ExplicitGroupoid,
                                from_group_action)
 
-from conftest import EXPLICIT_FIXTURES, FIXTURES, zn_rotation
+from conftest import (EXPLICIT_FIXTURES, FIXTURES, oracle_action_validate,
+                      oracle_groupoid_validate, single_entry_corruptions,
+                      transformation_action, zn_rotation)
 
 
 # -- oracles ----------------------------------------------------------------
@@ -904,3 +906,59 @@ def test_fixing_automaton_dot_is_deterministic(fix):
     action = fix("four_loop_z2").action
     aut = FixingAutomaton(action, "1")
     assert aut.to_dot() == aut.to_dot()
+
+
+# -- the product laws on generators -------------------------------------------
+
+
+def _law_pool(random_actions):
+    return ([zn_rotation(n) for n in range(3, 7)] + random_actions
+            + [transformation_action()])
+
+
+def test_validate_matches_the_literal_validators_on_every_corruption(
+        random_actions):
+    """Every single-entry corruption of the four tables: the groupoid and
+    the action give exactly the problems of the validators that scan every
+    triple, order included.  The laws are checked on generators and then,
+    after a failure, everywhere; both branches must be reached."""
+    reached = collections.Counter()
+    for base in _law_pool(random_actions):
+        for (table, key, value, action) in single_entry_corruptions(base):
+            expected = oracle_action_validate(action)
+            assert action.validate() == expected, (table, key, value)
+            if table in ("mul", "inv"):
+                gpd = action.groupoid
+                assert gpd.validate() == oracle_groupoid_validate(gpd), \
+                    (table, key, value)
+            for law in ("associativity", "(hg)·e law", "(hg)|_e law"):
+                reached[law] += any(law in p for p in expected)
+    assert min(reached.values()) >= 50, reached
+
+
+def test_validate_makes_subcubic_products(monkeypatch):
+    """zn_rotation(32), |G| = |E| = 32: the literal validators make about
+    |G|²·|E| products through mul and 3·|G|³ reads of the product table."""
+    action = zn_rotation(32)
+    n = 32
+    calls = collections.Counter()
+    real_mul = ExplicitGroupoid.mul
+
+    def counting_mul(self, a, b):
+        calls["mul"] += 1
+        return real_mul(self, a, b)
+
+    class CountingTable(dict):
+        def __getitem__(self, key):
+            calls["read"] += 1
+            return dict.__getitem__(self, key)
+
+        def get(self, key, default=None):
+            calls["read"] += 1
+            return dict.get(self, key, default)
+
+    monkeypatch.setattr(ExplicitGroupoid, "mul", counting_mul)
+    action.groupoid._mul = CountingTable(action.groupoid._mul)
+    assert action.validate() == []
+    assert calls["mul"] < n * n * n // 4
+    assert calls["read"] < n * n * n // 2

@@ -10,6 +10,8 @@ from selfsim.groupoids import (BehavioralModel, ExplicitGroupoid,
                                cyclic_group_table, from_group_action,
                                group_bundle)
 
+from conftest import EXPLICIT_FIXTURES, transformation_action, zn_rotation
+
 
 def test_cyclic_table_is_a_group():
     for n in (1, 2, 3, 4, 6):
@@ -122,3 +124,49 @@ def test_orbit_pairs_generate_an_equivalence():
          ("uc", "c", "c", True), ("s", "a", "b", False)])
     cls = orbit_classes(m)
     assert cls["a"] == cls["b"] != cls["c"]
+
+
+def _closure(gpd, gens):
+    """Every product of the given elements, by brute force over all pairs
+    until nothing new appears."""
+    closed = set(gens)
+    while True:
+        new = {gpd.mul(a, b) for a in closed for b in closed
+               if gpd.src(a) == gpd.rng(b)} - closed
+        if not new:
+            return closed
+        closed |= new
+
+
+def _explicit_groupoids(fix, random_actions, wide_random_actions):
+    perms = list(itertools.permutations(range(3)))
+    names, mul, unit, table, _ = _sym(perms)
+    s3_on_three = from_group_action(
+        names, mul, unit, ["v0", "v1", "v2"],
+        {(table[p], "v%d" % i): "v%d" % p[i] for p in perms for i in range(3)})
+    actions = ([fix(n).action for n in EXPLICIT_FIXTURES] + random_actions
+               + wide_random_actions + [zn_rotation(n) for n in range(1, 9)]
+               + [transformation_action(), transformation_action(3, 6, 3)])
+    return ([a.groupoid for a in actions if a.groupoid.kind == "explicit"]
+            + [s3_on_three,
+               group_bundle(["v", "w", "x"], {"v": cyclic_group_table(6, "c"),
+                                              "x": cyclic_group_table(2, "d")})])
+
+
+def test_generators_are_units_then_greedy_and_generate(
+        fix, random_actions, wide_random_actions):
+    for gpd in _explicit_groupoids(fix, random_actions, wide_random_actions):
+        gens = gpd.generators()
+        units = tuple(gpd.unit_at(v) for v in gpd.vertices)
+        assert gens[:len(units)] == units
+        assert _closure(gpd, gens) == set(gpd.elements())
+        for k in range(len(units), len(gens)):
+            assert gens[k] not in _closure(gpd, gens[:k])
+        assert list(gens[len(units):]) == sorted(gens[len(units):])
+        assert gpd.generators() is gens
+
+
+def test_generators_of_zn_rotation_are_c0_and_c1():
+    for n in range(2, 40):
+        assert zn_rotation(n).groupoid.generators() == ("c0", "c1")
+    assert zn_rotation(1).groupoid.generators() == ("c0",)
