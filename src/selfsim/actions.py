@@ -133,13 +133,6 @@ class SelfSimilarAction:
             h = self.restrict_edge(h, e)
         return h
 
-    def fixes(self, g, p):
-        return self.act_path(g, p) == p
-
-    def strongly_fixes(self, g, p):
-        """g·p = p with unit restriction g|_p."""
-        return self.fixes(g, p) and self.groupoid.is_unit(self.restrict_path(g, p))
-
     # -- validation --------------------------------------------------------
 
     def validate(self):
@@ -233,7 +226,7 @@ class SelfSimilarAction:
         received_by.  Walks composable pairs only."""
         gpd, received_by = self.groupoid, self.graph.received_by
         act, res, out = self.edge_action, self.restriction, []
-        by_rng = gpd._by_range(right)
+        by_rng = gpd.by_range(right)
         for h in gpd.elements():
             for g in by_rng[gpd.src(h)]:
                 hg = gpd.mul(h, g)
@@ -306,7 +299,7 @@ def boundary_point(graph, prefix_edges, period_edges=(), base=None):
     return canonical_point(p.base, prefix, period)
 
 
-def finite_path(graph, x):
+def finite_path(x):
     if not x.is_finite():
         raise GraphError("%s is not a finite point" % (x,))
     return Path(x.base, x.prefix)
@@ -320,7 +313,7 @@ def edge_at(x, i):
     return x.period[(i - len(x.prefix)) % len(x.period)]
 
 
-def point_prefix(graph, x, n):
+def point_prefix(x, n):
     """The length-n prefix of the point, as a Path."""
     if x.is_finite() and n > len(x.prefix):
         raise GraphError("%s is shorter than %d" % (x, n))
@@ -330,7 +323,7 @@ def point_prefix(graph, x, n):
 def point_tail(graph, x, n):
     """The boundary point left after removing the first n edges."""
     if x.is_finite():
-        p = graph.tail_after(finite_path(graph, x), n)
+        p = graph.tail_after(finite_path(x), n)
         return BoundaryPoint(p.base, p.edges, ())
     k = max(0, n - len(x.prefix)) % len(x.period)
     return canonical_point(graph.edge(edge_at(x, n)).rng, x.prefix[n:],
@@ -651,12 +644,8 @@ class FixingAutomaton:
         fixed = action.digraph.fixed
         self.trans = {h: fixed.get(h, ()) for h in action.digraph.reach([root])}
 
-    def can_reach_unit(self):
-        """The set of nodes from which some unit node is reachable."""
-        return self.action.digraph.can_reach_unit & self.trans.keys()
-
-    def to_dot(self, name="fixing"):
-        return _dot(name, self.trans, self.action.groupoid.is_unit, self.root)
+    def to_dot(self):
+        return _dot("fixing", self.trans, self.action.groupoid.is_unit, self.root)
 
 
 # -- minimal strongly fixed paths -------------------------------------------
@@ -805,8 +794,8 @@ def tightly_faithful(action):
         model_note="the tight kernel is the unit space")
 
 
-def restriction_digraph_dot(action, name="restrictions"):
-    return _dot(name, action.digraph.arrows, action.groupoid.is_unit)
+def restriction_digraph_dot(action):
+    return _dot("restrictions", action.digraph.arrows, action.groupoid.is_unit)
 
 
 def nucleus(action):

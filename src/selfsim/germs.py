@@ -63,14 +63,13 @@ def germ_eq(action, a, b):
     Past the longer beta leg the pair of restrictions walks the point; the
     degrees agree, so the ranges stay equal while both send each edge to
     the same edge."""
-    graph = action.graph
     x = source_point(action, a)
     if x != source_point(action, b):
         return False
     if sg.length_cocycle(a.triple) != sg.length_cocycle(b.triple):
         return False
     n = max(len(a.triple.beta.edges), len(b.triple.beta.edges))
-    w = point_prefix(graph, x, n)
+    w = point_prefix(x, n)
     ua, ub = sg.shrink(action, a.triple, w), sg.shrink(action, b.triple, w)
     if ua.alpha != ub.alpha:
         return False
@@ -119,16 +118,6 @@ def cycle_expansion(action, first, g0):
     pre = tuple(e for b in blocks[:j] for e in b.edges)
     per = tuple(e for b in blocks[j:] for e in b.edges)
     return canonical_point(first.base, pre, per)
-
-
-def cycle_infinite_path(action, g, cycle):
-    """The boundary point an entrance-free orbit-cycle traces out:
-    repeatedly send the cycle forward with the inverse element."""
-    gpd = action.groupoid
-    if gpd.src(g) != action.graph.path_src(cycle) \
-            or gpd.rng(g) != action.graph.path_rng(cycle):
-        raise GermError("%r does not close the path %s into a cycle" % (g, cycle))
-    return cycle_expansion(action, cycle, gpd.inv(g))
 
 
 def classify(action, a):
@@ -195,10 +184,9 @@ class SingularClass:
     element: str
 
     def germ(self, action, x):
-        graph = action.graph
-        p = point_prefix(graph, x, self.position)
+        p = point_prefix(x, self.position)
         return Germ(sg.Triple(p, self.element, p),
-                    point_tail(graph, x, self.position))
+                    point_tail(action.graph, x, self.position))
 
 
 def _tail_states_good(action, g, tail):
@@ -333,7 +321,7 @@ def hum_check(elements, mul, family):
     return _rational_rank(rows) == len(elements)
 
 
-def generated_subgroup(elements, mul, gens):
+def generated_subgroup(mul, gens):
     out = set(gens)
     frontier = set(gens)
     while frontier:
@@ -377,6 +365,6 @@ def hum_for_point(action, x):
         raise GroupoidError("the isotropy at %r is not closed under "
                             "products: %r is outside it" % (v, outside[0]))
     gens = sorted({c.element for c in classes})
-    sub = generated_subgroup(iso, mul, gens)
+    sub = generated_subgroup(mul, gens)
     result = hum_check(sub, mul, [sub])
     return {"result": result, "group": sub, "family": [sub], "note": ""}

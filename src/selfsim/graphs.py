@@ -49,7 +49,7 @@ class Path:
     """A finite path: range vertex plus the tuple of edge names, in order.
 
     Paths are validated once, where they enter from outside: by
-    DirectedGraph.path (or vertex_path), and inside boundary points by
+    DirectedGraph.path, and inside boundary points by
     actions.boundary_point.  Every other operation trusts them and builds
     its results directly.
     """
@@ -59,9 +59,6 @@ class Path:
 
     def __len__(self):
         return len(self.edges)
-
-    def is_vertex(self):
-        return not self.edges
 
     def __str__(self):
         return "".join(self.edges) if self.edges else self.base
@@ -121,9 +118,6 @@ class DirectedGraph:
 
     # -- path calculus -------------------------------------------------
 
-    def vertex_path(self, v):
-        return self.path((), base=v)
-
     def path(self, edge_names, base=None):
         """Build a path from edge names; base only needed for the empty path."""
         edge_names = tuple(edge_names)
@@ -135,8 +129,8 @@ class DirectedGraph:
 
     def check_path(self, p):
         """The one path validator: p itself when it is a path of this graph,
-        else GraphError.  path and vertex_path call it; every other path
-        operation trusts its arguments."""
+        else GraphError.  path calls it; every other path operation trusts
+        its arguments."""
         es = [self.edge(n) for n in p.edges]
         if not self.has_vertex(p.base):
             raise GraphError("unknown vertex %r" % (p.base,))
@@ -154,17 +148,11 @@ class DirectedGraph:
         """The source vertex of the path (its base for the empty path)."""
         return self.edge(p.edges[-1]).src if p.edges else p.base
 
-    def path_rng(self, p):
-        return p.base
-
     def concat(self, p, q):
         """p followed by q; valid when src(p) = rng(q)."""
         if self.path_src(p) != q.base:
             raise GraphError("paths %s and %s do not compose" % (p, q))
         return Path(p.base, p.edges + q.edges)
-
-    def extend(self, p, edge_name):
-        return self.concat(p, Path(self.edge(edge_name).rng, (edge_name,)))
 
     def prefix(self, p, n):
         if n < 0 or n > len(p.edges):
@@ -221,30 +209,7 @@ def is_prefix(p, q):
     return p.base == q.base and q.edges[: len(p.edges)] == p.edges
 
 
-def comparable(graph, p, q):
+def comparable(p, q):
     """True when one of the paths is a prefix of the other (same cylinder chain)."""
     return is_prefix(p, q) or is_prefix(q, p)
 
-
-def covers(graph, p, family):
-    """Does the finite family of paths cover the cylinder of p?
-
-    A branch is covered once some family member is a prefix of it; branches
-    are explored to the maximum family length, stopping early at sources.
-    """
-    fam = list(family)
-    if not fam:
-        return False  # the cylinder of p always contains a boundary point
-    max_len = max(len(f.edges) for f in fam)
-    stack = [p]
-    while stack:
-        q = stack.pop()
-        if any(is_prefix(f, q) for f in fam):
-            continue
-        if len(q.edges) >= max_len:
-            return False  # this branch outruns the family uncovered
-        nxt = graph.received_by(graph.path_src(q))
-        if not nxt:
-            return False  # ends at a source: a boundary path escapes the family
-        stack.extend(Path(q.base, q.edges + (e.name,)) for e in nxt)
-    return True

@@ -159,10 +159,12 @@ class ExplicitGroupoid(Groupoid):
             self._generators = tuple(gens)
         return self._generators
 
-    def _by_range(self, keep=None):
-        """vertex -> the elements with that range (those in keep, if
-        given), in elements() order."""
-        out = {v: [] for v in self.vertices}
+    def by_range(self, keep=None):
+        """range -> the elements with that range (those in keep, if
+        given), in elements() order; [] at a range no element has.  It
+        reads only the element records, so it also serves tables that were
+        never validated."""
+        out = collections.defaultdict(list)
         for g in self.elements():
             if keep is None or g in keep:
                 out[self._elements[g].rng].append(g)
@@ -205,11 +207,10 @@ class ExplicitGroupoid(Groupoid):
                 problems.append("unit %r at %r has src/rng elsewhere" % (u, v))
         if problems:
             return problems
+        problems = self._table_problems()
+        if problems:
+            return problems
         els = self.elements()
-        if not self._table_is_exact():
-            problems = self._table_problems()
-            if problems:
-                return problems
         for g in els:
             u_r, u_s = self.unit_at(self.rng(g)), self.unit_at(self.src(g))
             if self._mul[(u_r, g)] != g or self._mul[(g, u_s)] != g:
@@ -225,46 +226,39 @@ class ExplicitGroupoid(Groupoid):
             failures = self._associativity_failures(set(els))
         return problems + failures
 
-    def _table_is_exact(self):
-        """Every composable pair has a product with the right endpoints,
-        and the table has no other entry: the table stage has nothing to
-        report.  Walks the composable pairs only."""
-        els, mul, count = self._elements, self._mul, 0
-        by_rng = self._by_range()
+    def _table_problems(self):
+        """The table stage's problems, sorted by pair as a scan of every
+        pair of elements would list them: one walk over the composable
+        pairs finds each missing, unknown or misplaced product and counts
+        the products present; the rest of the table, where an entry should
+        not exist, is read only when it holds more entries than that."""
+        els, mul, found, present = self._elements, self._mul, [], 0
+        by_rng = self.by_range()
         for a in self.elements():
             ea = els[a]
             for b in by_rng[ea.src]:
                 ab = mul.get((a, b))
                 eab = els.get(ab)
-                if eab is None or eab.src != els[b].src or eab.rng != ea.rng:
-                    return False
-                count += 1
-        return len(mul) == count
-
-    def _table_problems(self):
-        """The table stage's problems, from every pair of elements."""
-        problems, els = [], self.elements()
-        for a in els:
-            for b in els:
-                composable = self.src(a) == self.rng(b)
-                present = (a, b) in self._mul
-                if composable and not present:
-                    problems.append("missing product (%r, %r)" % (a, b))
-                elif not composable and present:
-                    problems.append("product (%r, %r) should not exist" % (a, b))
-                elif present:
-                    ab = self._mul[(a, b)]
-                    if ab not in self._elements:
-                        problems.append("product (%r, %r) = %r unknown" % (a, b, ab))
-                    elif self.src(ab) != self.src(b) or self.rng(ab) != self.rng(a):
-                        problems.append("product (%r, %r) has wrong endpoints" % (a, b))
-        return problems
+                if eab is not None and eab.src == els[b].src and eab.rng == ea.rng:
+                    present += 1
+                elif (a, b) not in mul:
+                    found.append((a, b, "missing product (%r, %r)" % (a, b)))
+                else:
+                    present += 1
+                    found.append((a, b, "product (%r, %r) = %r unknown" % (a, b, ab)
+                                  if eab is None else
+                                  "product (%r, %r) has wrong endpoints" % (a, b)))
+        if len(mul) > present:
+            found += [(a, b, "product (%r, %r) should not exist" % (a, b))
+                      for (a, b) in mul if a in els and b in els
+                      and els[a].src != els[b].rng]
+        return [problem for (_, _, problem) in sorted(found)]
 
     def _associativity_failures(self, middles):
         """One problem per composable (a, b, c) with b in middles and
         (ab)c != a(bc), in sorted order.  Walks composable pairs only."""
         els, mul, out = self._elements, self._mul, []
-        by_rng, mid_by_rng = self._by_range(), self._by_range(middles)
+        by_rng, mid_by_rng = self.by_range(), self.by_range(middles)
         for a in self.elements():
             for b in mid_by_rng[els[a].src]:
                 ab = mul[(a, b)]

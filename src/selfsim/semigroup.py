@@ -116,12 +116,6 @@ def star(action, s):
     return Triple(s.beta, action.groupoid.inv(s.g), s.alpha)
 
 
-def is_idempotent(action, s):
-    if is_zero(s):
-        return True
-    return s.alpha == s.beta and action.groupoid.is_unit(s.g)
-
-
 def leq(action, s, t):
     """Natural partial order: s <= t iff s = t·f_{beta(s)}."""
     if is_zero(s):
@@ -136,10 +130,6 @@ def length_cocycle(s):
     if is_zero(s):
         raise SemigroupError("zero has no degree")
     return len(s.alpha.edges) - len(s.beta.edges)
-
-
-def in_S0(s):
-    return not is_zero(s) and length_cocycle(s) == 0
 
 
 def rewriters(action, beta, alpha):
@@ -231,7 +221,7 @@ def fixed_by(action, t, p):
         t = star(action, t)
     alpha, g, beta = t.alpha, t.g, t.beta
 
-    if not comparable(graph, p, beta):
+    if not comparable(p, beta):
         return False  # conj at p itself is already zero
     if is_prefix(p, beta) and p != beta:
         # extensions of p that leave the beta corridor meet a zero conjugate

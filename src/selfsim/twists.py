@@ -95,7 +95,7 @@ class Twist:
 def extend_bowtie(twist, g, p):
     """The edge phase extended along a path, front edge first."""
     action = twist.action
-    if action.graph.path_rng(p) != action.groupoid.src(g):
+    if p.base != action.groupoid.src(g):
         raise TwistError("%r does not act on path %s" % (g, p))
     out, h = PHASE_ONE, g
     for e in p.edges:
@@ -115,28 +115,24 @@ def validate_twist(twist):
         ru = gpd.unit_at(gpd.src(g))
         if twist.group(lu, g) != PHASE_ONE or twist.group(g, ru) != PHASE_ONE:
             bad.append("group cocycle is not normalized at %r" % (g,))
-    composable = [(g, h) for g in gpd.elements() for h in gpd.elements()
-                  if gpd.src(g) == gpd.rng(h)]
+    # composable pairs (g, h) and triples (g, h, k) in sorted order
+    by_rng = gpd.by_range()
+    composable = [(g, h) for g in gpd.elements() for h in by_rng[gpd.src(g)]]
     for (g, h) in composable:
         gh = gpd.mul(g, h)
-        for k in gpd.elements():
-            if gpd.src(h) != gpd.rng(k):
-                continue
+        for k in by_rng[gpd.src(h)]:
             lhs = phase_mul(twist.group(g, h), twist.group(gh, k))
             rhs = phase_mul(twist.group(h, k), twist.group(g, gpd.mul(h, k)))
             if lhs != rhs:
                 bad.append("group cocycle identity fails at (%r, %r, %r)"
                            % (g, h, k))
-    edge_names = sorted(e.name for e in graph.edges)
-    for e in edge_names:
+    for e in sorted(e.name for e in graph.edges):
         u = gpd.unit_at(graph.edge(e).rng)
         if twist.edge(u, e) != PHASE_ONE:
             bad.append("edge phase at the unit is not 1 on %r" % (e,))
     for (g, h) in composable:
         gh = gpd.mul(g, h)
-        for e in edge_names:
-            if graph.edge(e).rng != gpd.src(h):
-                continue
+        for e in sorted(e.name for e in graph.received_by(gpd.src(h))):
             he = action.act_edge(h, e)
             lhs = phase_mul(
                 phase_mul(twist.edge(h, e), phase_conj(twist.edge(gh, e))),

@@ -16,6 +16,7 @@ from selfsim.graphs import DirectedGraph
 from selfsim.groupoids import (BehavioralModel, ExplicitGroupoid,
                                cyclic_group_table, from_group_action,
                                group_bundle)
+from selfsim.semigroup import is_zero, length_cocycle
 
 FIXTURES = ("entrance_free_loop", "four_loop_z2", "not_exel_pardo",
             "twisted_three_spoke", "two_edges")
@@ -40,6 +41,24 @@ def oracle_has_entrance(graph, p):
     the path's source) receives two or more edges."""
     passed = [graph.edge(n).rng for n in p.edges] + [graph.path_src(p)]
     return any(len(graph.received_by(v)) >= 2 for v in passed)
+
+
+def strongly_fixes(action, g, p):
+    """The literal definition: g·p = p with unit restriction g|_p."""
+    return (action.act_path(g, p) == p
+            and action.groupoid.is_unit(action.restrict_path(g, p)))
+
+
+def in_S0(s):
+    """Degree zero: a nonzero triple whose legs have equal length."""
+    return not is_zero(s) and length_cocycle(s) == 0
+
+
+def is_idempotent(action, s):
+    """Zero, or a triple (alpha, unit, alpha)."""
+    if is_zero(s):
+        return True
+    return s.alpha == s.beta and action.groupoid.is_unit(s.g)
 
 
 def random_graph(rng, max_vertices=3, max_edges=4):

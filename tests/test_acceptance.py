@@ -21,7 +21,7 @@ from selfsim.actions import point_from_json
 from selfsim.conditions import invariant_closure, run_report
 from selfsim.systems import load_fixture
 
-from conftest import EXPLICIT_FIXTURES, FIXTURES
+from conftest import EXPLICIT_FIXTURES, FIXTURES, is_idempotent
 from test_conditions import oracle_is_invariant, oracle_orbit_closure
 from test_semigroup import oracle_order_counterexample
 
@@ -39,14 +39,14 @@ def periodic_points(graph, limit=20):
     out, seen = [], set()
     paths = graph.all_paths(3)
     cycles = [p for p in paths
-              if p.edges and graph.path_src(p) == graph.path_rng(p)]
+              if p.edges and graph.path_src(p) == p.base]
     for cyc in cycles:
         for pre in paths:
-            if pre.edges and graph.path_src(pre) != graph.path_rng(cyc):
+            if pre.edges and graph.path_src(pre) != cyc.base:
                 continue
             data = {"prefix": list(pre.edges), "period": list(cyc.edges)}
             if not pre.edges:
-                data["base"] = graph.path_rng(cyc)
+                data["base"] = cyc.base
             x = point_from_json(graph, data)
             if str(x) not in seen:
                 seen.add(str(x))
@@ -157,7 +157,7 @@ def brute_minimal_fixed(action, g):
     gpd, graph = action.groupoid, action.graph
     bound = 2 * len(gpd.elements()) + 2
     if gpd.is_unit(g):
-        return "finite", {graph.vertex_path(gpd.src(g))}
+        return "finite", {graph.path((), base=gpd.src(g))}
     minimal, alive = set(), [(g, gpd.src(g), ())]
     for _ in range(bound):
         nxt = []
@@ -201,10 +201,10 @@ def test_2b_pseudo_free_iff_estar_unitary(name):
     assert (free.status == "Fails") == (cx is not None)
     if free.status == "Fails":
         graph, g = action.graph, free.witness["element"]
-        v = graph.vertex_path(action.groupoid.src(g))
+        v = graph.path((), base=action.groupoid.src(g))
         s = sg.make(action, v, g, v)
         f = sg.idempotent(action, graph.path([free.witness["edge"]]))
-        assert sg.leq(action, f, s) and not sg.is_idempotent(action, s)
+        assert sg.leq(action, f, s) and not is_idempotent(action, s)
 
 
 @pytest.mark.parametrize("name", FIXTURES)

@@ -25,7 +25,7 @@ from selfsim.groupoids import (BehavioralModel, ExplicitGroupoid,
 
 from conftest import (EXPLICIT_FIXTURES, FIXTURES, oracle_action_validate,
                       oracle_groupoid_validate, single_entry_corruptions,
-                      transformation_action, zn_rotation)
+                      strongly_fixes, transformation_action, zn_rotation)
 
 
 # -- oracles ----------------------------------------------------------------
@@ -89,9 +89,9 @@ def oracle_minimal_fixed(action, g, bound):
         for e in graph.received_by(graph.path_src(path)):
             if action.act_edge(h, e.name) == e.name:
                 walk(action.restrict_edge(h, e.name),
-                     graph.extend(path, e.name))
+                     graph.concat(path, graph.path([e.name])))
 
-    walk(g, graph.vertex_path(gpd.src(g)))
+    walk(g, graph.path((), base=gpd.src(g)))
     return set(out)
 
 
@@ -305,7 +305,7 @@ def test_action_laws_on_paths(fix, name):
             assert gpd.src(r) == graph.path_src(p)
             assert gpd.rng(r) == graph.path_src(q)
             # unit acts trivially with unit restrictions
-            u = gpd.unit_at(graph.path_rng(p))
+            u = gpd.unit_at(p.base)
             assert action.act_path(u, p) == p
             assert gpd.is_unit(action.restrict_path(u, p))
             # prefix compatibility: acting on a prefix is a prefix
@@ -416,7 +416,7 @@ def test_point_prefix_tail_and_json_roundtrip(fix):
     graph = fix("four_loop_z2").action.graph
     x = boundary_point(graph, ["a", "b"], ["e", "f"])
     for n in range(6):
-        p = point_prefix(graph, x, n)
+        p = point_prefix(x, n)
         t = point_tail(graph, x, n)
         assert len(p.edges) == n
         # gluing the prefix back on returns the same point
@@ -484,7 +484,7 @@ def oracle_act_point(action, g, x):
     seen."""
     graph, gpd = action.graph, action.groupoid
     if x.is_finite():
-        p = action.act_path(g, act.finite_path(graph, x))
+        p = action.act_path(g, act.finite_path(x))
         return BoundaryPoint(p.base, p.edges, ())
     out, seen, h, i = [], {}, g, 0
     while True:
@@ -540,8 +540,8 @@ def test_strongly_fixed_prefix_matches_direct_walk(fix, name):
                 for n in range(bound):
                     if x.is_finite() and n > len(x.prefix):
                         break
-                    p = point_prefix(graph, x, n)
-                    if action.strongly_fixes(g, p):
+                    p = point_prefix(x, n)
+                    if strongly_fixes(action, g, p):
                         expect = n
                         break
                 assert got == expect, (name, g, str(x))
@@ -571,9 +571,9 @@ def _check_minimal_fixed(action):
             for k in range(4):
                 edges = access + cycle * k + exit_
                 p = graph.path(edges, base=gpd.src(g) if not edges else None)
-                assert action.strongly_fixes(g, p)
+                assert strongly_fixes(action, g, p)
                 for m in range(len(p.edges)):
-                    assert not action.strongly_fixes(g, graph.prefix(p, m))
+                    assert not strongly_fixes(action, g, graph.prefix(p, m))
                 if len(edges) <= bound:
                     assert p in brute
 
@@ -888,7 +888,8 @@ def test_fixing_automaton_agrees_with_oracle_reachability(fix):
         action = fix(name).action
         for g in action.groupoid.elements():
             aut = FixingAutomaton(action, g)
-            assert aut.can_reach_unit() == oracle_unit_reachable(action, g)
+            assert (action.digraph.can_reach_unit & aut.trans.keys()
+                    == oracle_unit_reachable(action, g))
 
 
 def test_fixing_automaton_is_the_fixed_arrows_below_its_root(

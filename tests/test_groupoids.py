@@ -1,6 +1,7 @@
 """Groupoid backends: table validation, bundles, transformation groupoids,
 behavioral models and their capability flags."""
 
+import collections
 import itertools
 
 import pytest
@@ -10,7 +11,8 @@ from selfsim.groupoids import (BehavioralModel, ExplicitGroupoid,
                                cyclic_group_table, from_group_action,
                                group_bundle)
 
-from conftest import EXPLICIT_FIXTURES, transformation_action, zn_rotation
+from conftest import (EXPLICIT_FIXTURES, oracle_groupoid_validate,
+                      transformation_action, zn_rotation)
 
 
 def test_cyclic_table_is_a_group():
@@ -170,3 +172,53 @@ def test_generators_of_zn_rotation_are_c0_and_c1():
     for n in range(2, 40):
         assert zn_rotation(n).groupoid.generators() == ("c0", "c1")
     assert zn_rotation(1).groupoid.generators() == ("c0",)
+
+
+def test_table_stage_walks_the_composable_pairs_only():
+    """A 60-vertex bundle of Z_2 fibres with one product removed: the table
+    stage reads the product table a bounded number of times per composable
+    pair and entry, where a scan of every pair of elements makes |G|² =
+    14,400 membership tests alone."""
+    vs = ["v%d" % k for k in range(60)]
+    bundle = group_bundle(vs, {v: cyclic_group_table(2, v + "c") for v in vs})
+    mul = dict(bundle._mul)
+    del mul[("v7c1", "v7c1")]
+    gpd = ExplicitGroupoid(vs, [bundle._elements[g] for g in bundle.elements()],
+                           bundle.units, mul, bundle._inv)
+    lookups = collections.Counter()
+
+    class CountingTable(dict):
+        def __contains__(self, key):
+            lookups["mul"] += 1
+            return dict.__contains__(self, key)
+
+        def __getitem__(self, key):
+            lookups["mul"] += 1
+            return dict.__getitem__(self, key)
+
+        def get(self, key, default=None):
+            lookups["mul"] += 1
+            return dict.get(self, key, default)
+
+    gpd._mul = CountingTable(mul)
+    assert gpd.validate() == ["missing product ('v7c1', 'v7c1')"]
+    composable = 60 * 2 * 2
+    assert lookups["mul"] <= 4 * (composable + len(mul)), lookups
+
+
+def test_table_problems_come_in_pair_order():
+    """Problems found by the walk and an entry found past it are listed in
+    the order of a scan over every pair of elements."""
+    bundle = group_bundle(["v", "w"], {"v": cyclic_group_table(2, "a"),
+                                       "w": cyclic_group_table(2, "b")})
+    mul = dict(bundle._mul)
+    del mul[("b1", "b1")]
+    mul[("a1", "b0")] = "a0"
+    mul[("a0", "a1")] = "b1"
+    gpd = ExplicitGroupoid(bundle.vertices,
+                           [bundle._elements[g] for g in bundle.elements()],
+                           bundle.units, mul, bundle._inv)
+    assert gpd.validate() == oracle_groupoid_validate(gpd) == [
+        "product ('a0', 'a1') has wrong endpoints",
+        "product ('a1', 'b0') should not exist",
+        "missing product ('b1', 'b1')"]

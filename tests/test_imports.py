@@ -5,7 +5,9 @@ else in the module (__init__.py is skipped, because its imports are the
 package's public names); a function, method or class named with one
 leading underscore must be named somewhere in the package; and so must a
 public function or method, unless __init__ exports it, it is a cmd_*
-handler of the CLI, or UNCALLED_PUBLIC names it with a reason."""
+handler of the CLI, or UNCALLED_PUBLIC names it with a reason.  Every
+parameter but self and cls is read by the body of its function, unless
+UNREAD_PARAMETERS names the function with a reason."""
 
 import ast
 import pathlib
@@ -94,22 +96,11 @@ def test_package_has_no_dead_private_helpers():
 # Public functions the package itself never calls, each with the reason it
 # stays.  A name that gains a caller, or leaves, must leave this list too.
 UNCALLED_PUBLIC = {
-    "covers": "the definition of a covering family; tests and the "
-              "benchmark's query workload check boundary points with it",
-    "is_vertex": "Path accessor the tests use to skip vertex paths",
-    "vertex_path": "DirectedGraph accessor the tests use to build vertex "
-                   "paths",
-    "strongly_fixes": "the literal definition; tests check the restriction "
-                      "digraph's deciders against it",
     "boundary_points_from": "enumerates boundary points for the germ tests "
                             "and the benchmark's query workload",
-    "cycle_infinite_path": "the paper's point of an entrance-free "
-                           "orbit-cycle; only the germ tests build it",
     "fixed_by": "the paper's fixedness decision, named in README; no CLI "
                 "operation exposes it yet",
-    "in_S0": "degree-zero test the semigroup tests use",
     "in_S00": "the paper's S00 membership; no CLI operation exposes it yet",
-    "is_idempotent": "idempotent test the semigroup tests use",
 }
 
 
@@ -130,3 +121,56 @@ def test_package_names_every_public_function_it_keeps():
                for p in pathlib.Path(selfsim.__file__).parent.glob("*.py")}
     found = sorted(d[2] for d in dead_public_functions(sources))
     assert found == sorted(UNCALLED_PUBLIC)
+
+
+def unread_parameters(source):
+    """(line, qualified name, parameter) for every parameter of a function
+    or method, self and cls aside, that its body never reads.  A read in a
+    nested function counts; default values and decorators do not."""
+    out = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name, args = prefix + child.name, child.args
+                params = [a.arg for a in args.posonlyargs + args.args
+                          + args.kwonlyargs + [args.vararg, args.kwarg] if a]
+                read = {n.id for stmt in child.body for n in ast.walk(stmt)
+                        if isinstance(n, ast.Name)
+                        and isinstance(n.ctx, ast.Load)}
+                out.extend((child.lineno, name, p) for p in params
+                           if p not in ("self", "cls") and p not in read)
+                visit(child, name + ".")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, prefix + child.name + ".")
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(source), "")
+    return sorted(out)
+
+
+def test_unread_parameters_are_found():
+    source = ("def f(a, b, *c, d=1, **e):\n    return a + sum(c)\n"
+              "class K:\n    def m(self, x):\n        def inner(y):\n"
+              "            return x\n        return inner\n"
+              "    @classmethod\n    def k(cls, z=None):\n        z = 1\n")
+    assert unread_parameters(source) == [
+        (1, "f", "b"), (1, "f", "d"), (1, "f", "e"),
+        (5, "K.m.inner", "y"), (9, "K.k", "z")]
+
+
+# Functions that keep a parameter unread, each with the reason.
+UNREAD_PARAMETERS = {
+    "BehavioralModel.mul": "refuses without reading its arguments, to keep "
+                           "the Groupoid interface",
+    "BehavioralModel.inv": "refuses without reading its argument, to keep "
+                           "the Groupoid interface",
+}
+
+
+def test_package_reads_every_parameter():
+    found = {(path.name,) + u for path in MODULES
+             for u in unread_parameters(path.read_text(encoding="utf-8"))}
+    assert sorted({name for (_, _, name, _) in found}) == \
+        sorted(UNREAD_PARAMETERS), sorted(found)

@@ -16,11 +16,11 @@ from selfsim.groupoids import (BehavioralModel, GroupoidError,
                                RequiresExplicitError)
 from selfsim.semigroup import (ZERO, SemigroupError, Triple, conj_idempotent,
                                elements_up_to, fixed_by,
-                               idempotent, in_S0, in_S00, is_idempotent,
-                               is_zero, length_cocycle, leq, make, mul, star)
+                               idempotent, in_S00, is_zero, length_cocycle,
+                               leq, make, mul, star)
 from selfsim import actions as act
 
-from conftest import FIXTURES, zn_rotation
+from conftest import FIXTURES, in_S0, is_idempotent, zn_rotation
 
 
 # -- oracles ----------------------------------------------------------------
@@ -48,7 +48,7 @@ def _sweep(action, t, p, max_len, breaks):
             return q
         if len(q.edges) < max_len:
             for e in graph.received_by(graph.path_src(q)):
-                stack.append(graph.extend(q, e.name))
+                stack.append(graph.concat(q, graph.path([e.name])))
     return None
 
 
@@ -67,7 +67,7 @@ def oracle_fixed_breaker_structural(action, t, p, max_len):
     behavioral models, where literal products are unavailable."""
     def breaks(q):
         c = conj_idempotent(action, t, q)
-        return is_zero(c) or not comparable(action.graph, c.alpha, q)
+        return is_zero(c) or not comparable(c.alpha, q)
     return _sweep(action, t, p, max_len, breaks)
 
 
@@ -168,8 +168,6 @@ def _law_suite(action, suite, pair_cap=None, triple_cap=None, seed=7):
         assert is_idempotent(action, mul(action, ss, s))
         assert mul(action, s, ZERO) == ZERO
         assert mul(action, ZERO, s) == ZERO
-        if not is_zero(s):
-            assert in_S0(s) == (length_cocycle(s) == 0)
 
     for s, t in pairs:
         p = mul(action, s, t)
@@ -211,7 +209,7 @@ def test_products_require_an_explicit_model(fix):
     action = fix("not_exel_pardo").action
     graph = action.graph
     f = idempotent(action, graph.path(["e"]))
-    s = make(action, graph.vertex_path("v"), "g", graph.vertex_path("v"))
+    s = make(action, graph.path((), base="v"), "g", graph.path((), base="v"))
     with pytest.raises(RequiresExplicitError):
         mul(action, s, f)
     with pytest.raises(RequiresExplicitError):
@@ -334,7 +332,7 @@ def test_fixed_by_matches_bounded_sweep_exactly(fix, name):
         if longer:
             with pytest.raises(RequiresExplicitError):
                 fixed_by(action, longer[0],
-                         action.graph.vertex_path(longer[0].beta.base))
+                         action.graph.path((), base=longer[0].beta.base))
     ps = action.graph.all_paths(2)
     for t in suite:
         for p in ps:
@@ -365,7 +363,7 @@ def test_fixed_by_agrees_with_sweep_on_branching_fixture(fix):
 def test_fixed_by_pinned_cases(fix):
     action = fix("four_loop_z2").action
     graph = action.graph
-    v = graph.vertex_path("v")
+    v = graph.path((), base="v")
     one = make(action, v, "1", v)
     # 1 swaps a and b, so conjugating f_a by it lands on f_b: not fixed
     assert not fixed_by(action, one, graph.path(["a"]))

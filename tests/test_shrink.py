@@ -62,7 +62,7 @@ def oracle_in_S00(action, s):
     if sg.length_cocycle(s) != 0:
         return False
     for h in gpd.elements():
-        if gpd.src(h) != graph.path_rng(s.beta):
+        if gpd.src(h) != s.beta.base:
             continue
         if (action.act_path(h, s.beta) == s.alpha
                 and action.restrict_path(h, s.beta) == s.g):
@@ -80,7 +80,7 @@ def oracle_fixed_by(action, t, p):
         t = sg.star(action, t)
     alpha, g, beta = t.alpha, t.g, t.beta
 
-    if not comparable(graph, p, beta):
+    if not comparable(p, beta):
         return False
     if is_prefix(p, beta) and p != beta:
         for k in range(len(p.edges), len(beta.edges)):
@@ -115,7 +115,7 @@ def oracle_germ_eq(action, a, b):
     if sg.length_cocycle(a.triple) != sg.length_cocycle(b.triple):
         return False
     n = max(len(a.triple.beta.edges), len(b.triple.beta.edges))
-    w = point_prefix(graph, x, n)
+    w = point_prefix(x, n)
 
     def start(t):
         seg = graph.tail_after(w, len(t.beta.edges))
@@ -245,7 +245,7 @@ def germs_at_points(action, max_len):
             for t in sg.elements_up_to(action, 1):
                 n = len(t.beta.edges)
                 if (t.beta.base == y.base and (n <= len(y.prefix) or y.period)
-                        and point_prefix(graph, y, n) == t.beta):
+                        and point_prefix(y, n) == t.beta):
                     out.append(Germ(t, point_tail(graph, y, n)))
     return out
 

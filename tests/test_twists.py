@@ -127,6 +127,54 @@ def oracle_verify(twist, bound):
     return {"ok": not failures, "checked": checked, "failures": failures}
 
 
+def oracle_validate_twist(twist):
+    """validate_twist as it scanned every pair of elements, kept literally:
+    the composable pairs filtered from |G|², every k and every edge
+    filtered again per pair."""
+    action = twist.action
+    gpd, graph = action.groupoid, action.graph
+    bad = []
+    for g in gpd.elements():
+        lu = gpd.unit_at(gpd.rng(g))
+        ru = gpd.unit_at(gpd.src(g))
+        if twist.group(lu, g) != PHASE_ONE or twist.group(g, ru) != PHASE_ONE:
+            bad.append("group cocycle is not normalized at %r" % (g,))
+    composable = [(g, h) for g in gpd.elements() for h in gpd.elements()
+                  if gpd.src(g) == gpd.rng(h)]
+    for (g, h) in composable:
+        gh = gpd.mul(g, h)
+        for k in gpd.elements():
+            if gpd.src(h) != gpd.rng(k):
+                continue
+            lhs = phase_mul(twist.group(g, h), twist.group(gh, k))
+            rhs = phase_mul(twist.group(h, k), twist.group(g, gpd.mul(h, k)))
+            if lhs != rhs:
+                bad.append("group cocycle identity fails at (%r, %r, %r)"
+                           % (g, h, k))
+    edge_names = sorted(e.name for e in graph.edges)
+    for e in edge_names:
+        u = gpd.unit_at(graph.edge(e).rng)
+        if twist.edge(u, e) != PHASE_ONE:
+            bad.append("edge phase at the unit is not 1 on %r" % (e,))
+    for (g, h) in composable:
+        gh = gpd.mul(g, h)
+        for e in edge_names:
+            if graph.edge(e).rng != gpd.src(h):
+                continue
+            he = action.act_edge(h, e)
+            lhs = phase_mul(
+                phase_mul(twist.edge(h, e), phase_conj(twist.edge(gh, e))),
+                twist.edge(g, he))
+            rhs = phase_mul(
+                phase_conj(twist.group(action.restrict_edge(g, he),
+                                       action.restrict_edge(h, e))),
+                twist.group(g, h))
+            if lhs != rhs:
+                bad.append("edge compatibility fails at (%r, %r, %r)"
+                           % (g, h, e))
+    return bad
+
+
 def random_twist(action, rng, order=6):
     """Seeded phases k/order on every composable group pair and every
     (element, edge) pair; not a cocycle, only a table omega reads."""
@@ -283,6 +331,38 @@ def test_validate_names_broken_edge_compatibility():
     assert validate_twist(tw) == ["edge compatibility fails at ('1', '1', 'e')"]
 
 
+def test_validate_twist_matches_the_literal_scan():
+    """The problems of validate_twist, order included, equal the literal
+    scan's: on the bundled twist, and on a trivial and a seeded random
+    twist of four_loop_z2 and zn_rotation(3..4), each with every single
+    phase moved by 1/7."""
+    rng = random.Random(20261021)
+    bundled = load_fixture("twisted_three_spoke").twist
+    cases = [bundled]
+    for action in (load_fixture("four_loop_z2").action, zn_rotation(3),
+                   zn_rotation(4)):
+        cases += [Twist(action), random_twist(action, rng)]
+    checked = 0
+    for tw in cases:
+        gpd, graph = tw.action.groupoid, tw.action.graph
+        group = {(g, h): tw.group(g, h) for g in gpd.elements()
+                 for h in gpd.elements() if gpd.src(g) == gpd.rng(h)}
+        edge = {(g, e.name): tw.edge(g, e.name) for g in gpd.elements()
+                for e in graph.received_by(gpd.src(g))}
+        for (table, key) in [("group", k) for k in group] + \
+                [("edge", k) for k in edge]:
+            moved = {"group": dict(group), "edge": dict(edge)}
+            moved[table][key] = phase_mul(moved[table][key], Fraction(1, 7))
+            bad = Twist(tw.action,
+                        [k + (v,) for (k, v) in moved["group"].items()],
+                        [k + (v,) for (k, v) in moved["edge"].items()])
+            expected = oracle_validate_twist(bad)
+            assert expected and validate_twist(bad) == expected, (table, key)
+            checked += 1
+        assert validate_twist(tw) == oracle_validate_twist(tw)
+    assert checked == (6 + 6) + 2 * ((4 + 8) + (9 + 9) + (16 + 16))
+
+
 # ---------------------------------------------------------------------------
 # extend_bowtie.
 
@@ -295,7 +375,7 @@ def test_extend_bowtie_matches_edge_fold():
         gpd = action.groupoid
         for p in action.graph.all_paths(3):
             for g in gpd.elements():
-                if gpd.src(g) != action.graph.path_rng(p):
+                if gpd.src(g) != p.base:
                     continue
                 assert extend_bowtie(tw, g, p) == oracle_extend(action, tw, g, p)
 
