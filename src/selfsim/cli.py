@@ -184,12 +184,14 @@ def cmd_twist(args):
         _check_arity(parsed, 2, "twist extend G PATH")
         g = json_name(parsed[0], "G")
         p = _path_arg(action, parsed[1], "PATH")
-        _emit({"phase": twists.phase_str(twists.extend_bowtie(twist, g, p))})
+        w = twists.extend_bowtie(twist, g, p)
+        _emit({"phase": twists.phase_str(twist.fraction(w))})
     elif op == "omega":
         _check_arity(parsed, 2, "twist omega S T")
         s, t = sg.from_json(action, parsed[0]), sg.from_json(action, parsed[1])
         w = twists.omega(twist, s, t)
-        _emit({"zero": True} if w is None else {"phase": twists.phase_str(w)})
+        _emit({"zero": True} if w is None
+              else {"phase": twists.phase_str(twist.fraction(w))})
     elif op == "verify":
         _check_arity(parsed, 0, "twist verify")
         # the brute-force check multiplies through the tables, so they

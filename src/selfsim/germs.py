@@ -339,7 +339,13 @@ def generated_subgroup(mul, gens):
 def hum_for_point(action, x):
     """Convenience wrapper: run the group test on the subgroup generated by
     the germ components of xbar(x) minus the point, when they sit at one
-    vertex of an explicit groupoid; refuse otherwise (recorded in the note)."""
+    vertex of an explicit groupoid; refuse otherwise (recorded in the note).
+
+    The family passed is always [sub], the subgroup itself.  Each left
+    translate of sub is sub, so every row is the all-ones vector, the rank
+    is 1, and the result is len(sub) == 1.  The generators are the class
+    elements, which are not units, so the answer is False at every point
+    with a singular class and True only where there is none."""
     gpd = action.groupoid
     classes, note = singular_decompositions(action, x)
     if x.is_finite():

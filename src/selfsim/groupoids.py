@@ -175,7 +175,8 @@ class ExplicitGroupoid(Groupoid):
         groupoid.  Stages, stopping after the first that finds any: the
         endpoints of elements and units; the product table is defined
         exactly on composable pairs, with the right endpoints; then the
-        unit and inverse laws, and associativity.
+        unit and inverse laws, inverses given for elements only, and
+        associativity.
 
         Associativity is checked on middles from generators() only, by
         Light's associativity test (Clifford and Preston, The Algebraic
@@ -221,6 +222,8 @@ class ExplicitGroupoid(Groupoid):
             elif (self.src(gi) != self.rng(g) or self.rng(gi) != self.src(g)
                   or self._mul[(gi, g)] != u_s or self._mul[(g, gi)] != u_r):
                 problems.append("inverse of %r is wrong" % g)
+        problems += ["inverse given for unknown element %r" % g
+                     for g in sorted(self._inv.keys() - self._elements.keys())]
         failures = self._associativity_failures(set(self.generators()))
         if failures:
             failures = self._associativity_failures(set(els))
@@ -231,7 +234,8 @@ class ExplicitGroupoid(Groupoid):
         pair of elements would list them: one walk over the composable
         pairs finds each missing, unknown or misplaced product and counts
         the products present; the rest of the table, where an entry should
-        not exist, is read only when it holds more entries than that."""
+        not exist (its pair does not compose, or names a non-element), is
+        read only when it holds more entries than that."""
         els, mul, found, present = self._elements, self._mul, [], 0
         by_rng = self.by_range()
         for a in self.elements():
@@ -250,8 +254,8 @@ class ExplicitGroupoid(Groupoid):
                                   "product (%r, %r) has wrong endpoints" % (a, b)))
         if len(mul) > present:
             found += [(a, b, "product (%r, %r) should not exist" % (a, b))
-                      for (a, b) in mul if a in els and b in els
-                      and els[a].src != els[b].rng]
+                      for (a, b) in mul if a not in els or b not in els
+                      or els[a].src != els[b].rng]
         return [problem for (_, _, problem) in sorted(found)]
 
     def _associativity_failures(self, middles):

@@ -6,6 +6,12 @@ roots of unity written additively as exact fractions mod 1 ("p/q"); the
 multiplicative identity is "0/1".  The pair extends to paths and induces
 a 2-cocycle omega on the semigroup of triples, defined wherever the
 product is nonzero.
+
+A Twist owns the phase format.  It parses each entry once and keeps it as
+an int k in [0, scale), standing for k/scale, where scale is the lcm of
+the entries' denominators.  Every phase computed here is a sum of entries,
+so it is an int mod scale, exact; Twist.fraction(k) gives the Fraction
+back for printing.
 """
 
 import math
@@ -18,31 +24,12 @@ class TwistError(ValueError):
     pass
 
 
-PHASE_ONE = Fraction(0)
-
-
 def phase(value):
     """Parse a circle element: 'p/q' string, int, or Fraction, taken mod 1.
     A bool is no phase, though Python counts it as an int."""
-    if isinstance(value, bool):
+    if isinstance(value, bool) or not isinstance(value, (Fraction, int, str)):
         raise TwistError("cannot read a phase from %r" % (value,))
-    if isinstance(value, Fraction):
-        f = value
-    elif isinstance(value, int):
-        f = Fraction(value)
-    elif isinstance(value, str):
-        f = Fraction(value)
-    else:
-        raise TwistError("cannot read a phase from %r" % (value,))
-    return f % 1
-
-
-def phase_mul(a, b):
-    return (a + b) % 1
-
-
-def phase_conj(a):
-    return (-a) % 1
+    return Fraction(value) % 1
 
 
 def phase_str(a):
@@ -51,45 +38,54 @@ def phase_str(a):
 
 class Twist:
     """Sparse table of group phases sigma_G(g,h) and edge phases
-    sigma_bowtie(g,e); missing entries are the identity phase."""
+    sigma_bowtie(g,e); missing entries are the identity phase.  Phases are
+    ints mod `scale` (1 for the trivial twist)."""
 
     def __init__(self, action, group_entries=(), edge_entries=()):
         gpd = action.groupoid
         if gpd.kind != "explicit":
             raise TwistError("twists need products; the backend is behavioral")
         self.action = action
-        self._group = {}
-        self._edge = {}
+        group, edge = {}, {}
         for (g, h, val) in group_entries:
             if gpd.src(g) != gpd.rng(h):
                 raise TwistError("group entry (%r, %r) is not composable"
                                  % (g, h))
-            self._group[(g, h)] = phase(val)
+            group[(g, h)] = phase(val)
         for (g, e, val) in edge_entries:
-            edge = action.graph.edge(e)
-            if gpd.src(g) != edge.rng:
+            if gpd.src(g) != action.graph.edge(e).rng:
                 raise TwistError("edge entry (%r, %r): the element does not "
                                  "act on the edge" % (g, e))
-            self._edge[(g, e)] = phase(val)
+            edge[(g, e)] = phase(val)
+        self.scale = scale = math.lcm(
+            *(f.denominator for f in (*group.values(), *edge.values())))
+        self._group = {k: f.numerator * (scale // f.denominator)
+                       for (k, f) in group.items()}
+        self._edge = {k: f.numerator * (scale // f.denominator)
+                      for (k, f) in edge.items()}
+
+    def fraction(self, k):
+        """The phase k/scale as a Fraction mod 1, for printing."""
+        return Fraction(k % self.scale, self.scale)
 
     def group(self, g, h):
         gpd = self.action.groupoid
         if gpd.src(g) != gpd.rng(h):
             raise TwistError("(%r, %r) is not composable" % (g, h))
-        return self._group.get((g, h), PHASE_ONE)
+        return self._group.get((g, h), 0)
 
     def edge(self, g, e):
         if self.action.groupoid.src(g) != self.action.graph.edge(e).rng:
             raise TwistError("%r does not act on edge %r" % (g, e))
-        return self._edge.get((g, e), PHASE_ONE)
+        return self._edge.get((g, e), 0)
 
     def group_json(self):
-        return [[g, h, phase_str(v)] for ((g, h), v)
-                in sorted(self._group.items()) if v != PHASE_ONE]
+        return [[g, h, phase_str(self.fraction(v))] for ((g, h), v)
+                in sorted(self._group.items()) if v]
 
     def edge_json(self):
-        return [[g, e, phase_str(v)] for ((g, e), v)
-                in sorted(self._edge.items()) if v != PHASE_ONE]
+        return [[g, e, phase_str(self.fraction(v))] for ((g, e), v)
+                in sorted(self._edge.items()) if v]
 
 
 def extend_bowtie(twist, g, p):
@@ -97,11 +93,11 @@ def extend_bowtie(twist, g, p):
     action = twist.action
     if p.base != action.groupoid.src(g):
         raise TwistError("%r does not act on path %s" % (g, p))
-    out, h = PHASE_ONE, g
+    out, h = 0, g
     for e in p.edges:
-        out = phase_mul(out, twist.edge(h, e))
+        out += twist.edge(h, e)
         h = action.restrict_edge(h, e)
-    return out
+    return out % twist.scale
 
 
 def validate_twist(twist):
@@ -109,11 +105,12 @@ def validate_twist(twist):
     list of violations (empty means valid)."""
     action = twist.action
     gpd, graph = action.groupoid, action.graph
+    group, edge, scale = twist.group, twist.edge, twist.scale
     bad = []
     for g in gpd.elements():
         lu = gpd.unit_at(gpd.rng(g))
         ru = gpd.unit_at(gpd.src(g))
-        if twist.group(lu, g) != PHASE_ONE or twist.group(g, ru) != PHASE_ONE:
+        if group(lu, g) or group(g, ru):
             bad.append("group cocycle is not normalized at %r" % (g,))
     # composable pairs (g, h) and triples (g, h, k) in sorted order
     by_rng = gpd.by_range()
@@ -121,27 +118,22 @@ def validate_twist(twist):
     for (g, h) in composable:
         gh = gpd.mul(g, h)
         for k in by_rng[gpd.src(h)]:
-            lhs = phase_mul(twist.group(g, h), twist.group(gh, k))
-            rhs = phase_mul(twist.group(h, k), twist.group(g, gpd.mul(h, k)))
-            if lhs != rhs:
+            if (group(g, h) + group(gh, k) - group(h, k)
+                    - group(g, gpd.mul(h, k))) % scale:
                 bad.append("group cocycle identity fails at (%r, %r, %r)"
                            % (g, h, k))
     for e in sorted(e.name for e in graph.edges):
         u = gpd.unit_at(graph.edge(e).rng)
-        if twist.edge(u, e) != PHASE_ONE:
+        if edge(u, e):
             bad.append("edge phase at the unit is not 1 on %r" % (e,))
     for (g, h) in composable:
         gh = gpd.mul(g, h)
         for e in sorted(e.name for e in graph.received_by(gpd.src(h))):
             he = action.act_edge(h, e)
-            lhs = phase_mul(
-                phase_mul(twist.edge(h, e), phase_conj(twist.edge(gh, e))),
-                twist.edge(g, he))
-            rhs = phase_mul(
-                phase_conj(twist.group(action.restrict_edge(g, he),
-                                       action.restrict_edge(h, e))),
-                twist.group(g, h))
-            if lhs != rhs:
+            lhs = edge(h, e) - edge(gh, e) + edge(g, he)
+            rhs = group(g, h) - group(action.restrict_edge(g, he),
+                                      action.restrict_edge(h, e))
+            if (lhs - rhs) % scale:
                 bad.append("edge compatibility fails at (%r, %r, %r)"
                            % (g, h, e))
     return bad
@@ -156,7 +148,7 @@ def omega(twist, s, t):
 def _meet_phase(twist, m):
     """omega from a meet: the edge phase of x along p times sigma_G(a, b)."""
     _, a, b, _, x, p = m
-    return phase_mul(extend_bowtie(twist, x, p), twist.group(a, b))
+    return (extend_bowtie(twist, x, p) + twist.group(a, b)) % twist.scale
 
 
 def _right_candidates(action, elements):
@@ -193,33 +185,28 @@ def verify_omega_cocycle(twist, bound):
     the pair is memoized: it shows up under many third factors.  The loop
     works on integers only.  Each triple gets an id on first sight (the
     elements in order, then each new product), so the memo and the
-    candidate lists hold ids, not triples to hash.  D (`scale`) is the lcm
-    of the denominators in the twist's tables; omega is a sum of table
-    entries mod 1, so omega·D is an exact integer, and a phase is kept as
-    that integer mod D.  The identity holds iff the two integer sides
-    agree mod D, so the answer is the one Fraction arithmetic gives; a
-    failing side becomes the Fraction x/D again only when it is recorded.
+    candidate lists hold ids, not triples to hash.  Each omega is the
+    twist's int mod `scale`, and a failing side becomes a Fraction only
+    when it is recorded.
     """
     action = twist.action
     elements = sg.elements_up_to(action, bound)
     cands = _right_candidates(action, elements)
-    scale = math.lcm(*(v.denominator for v in (*twist._group.values(),
-                                              *twist._edge.values())))
+    scale = twist.scale
     triples = list(elements)
     ids = {x: i for (i, x) in enumerate(triples)}
     pair_lists = [[ids[t] for t in cands(s)] for s in elements]
     memo = {}
 
     def meetc(key):
-        """(id of x·y, omega(x, y)·D mod D), or None when x·y is zero."""
+        """(id of x·y, omega(x, y)), or None when x·y is zero."""
         m = sg.meet(action, triples[key[0]], triples[key[1]])
         if m is not None:
             xy = sg.Triple(m[0], action.groupoid.mul(m[1], m[2]), m[3])
             i = ids.setdefault(xy, len(triples))
             if i == len(triples):
                 triples.append(xy)
-            w = _meet_phase(twist, m)
-            m = (i, w.numerator * (scale // w.denominator) % scale)
+            m = (i, _meet_phase(twist, m))
         memo[key] = m
         return m
 
@@ -244,13 +231,12 @@ def verify_omega_cocycle(twist, bound):
                 r_st = memo[key] if key in memo else meetc(key)
                 if (st[1] + r_st[1] - rs[1] - rst[1]) % scale:
                     if len(failures) < 20:
-                        lhs = Fraction((st[1] + r_st[1]) % scale, scale)
-                        rhs = Fraction((rs[1] + rst[1]) % scale, scale)
                         failures.append({
                             "r": sg.to_json(triples[r]),
                             "s": sg.to_json(triples[s]),
                             "t": sg.to_json(triples[t]),
-                            "lhs": phase_str(lhs), "rhs": phase_str(rhs),
+                            "lhs": phase_str(twist.fraction(st[1] + r_st[1])),
+                            "rhs": phase_str(twist.fraction(rs[1] + rst[1])),
                         })
                     else:
                         return {"ok": False, "checked": checked,

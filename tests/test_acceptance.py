@@ -21,7 +21,7 @@ from selfsim.actions import point_from_json
 from selfsim.conditions import invariant_closure, run_report
 from selfsim.systems import load_fixture
 
-from conftest import EXPLICIT_FIXTURES, FIXTURES, is_idempotent
+from conftest import EXPLICIT_FIXTURES, FIXTURES, is_idempotent, zn_rotation
 from test_conditions import oracle_is_invariant, oracle_orbit_closure
 from test_semigroup import oracle_order_counterexample
 
@@ -120,7 +120,8 @@ def test_1e_twisted_three_spoke_twist_facts():
     assert twists.validate_twist(twist) == []
     for n in range(6):
         p = graph.path(["e"] * n + ["em1"])
-        assert twists.extend_bowtie(twist, "1", p) == twists.phase("1/2")
+        assert (twist.fraction(twists.extend_bowtie(twist, "1", p))
+                == twists.phase("1/2"))
     out = twists.verify_omega_cocycle(twist, 3)
     assert out["ok"] is True
     assert out["failures"] == []
@@ -328,15 +329,27 @@ def test_3_germ_groupoid_laws():
 
 
 def test_3_phase_group_laws():
-    samples = [twists.phase(s) for s in
-               ("0", "1/2", "1/3", "2/3", "1/4", "3/4", "1/6", "5/6")]
+    """A twist stores phases as ints mod its scale: they satisfy the group
+    laws there, and k -> k/scale is a group isomorphism onto the Fraction
+    phases, taking sums to sums and negation to negation."""
+    texts = ("0", "1/2", "1/3", "2/3", "1/4", "3/4", "1/6", "5/6")
+    action = zn_rotation(3)
+    pairs = [(g, h) for g in action.groupoid.elements()
+             for h in action.groupoid.elements()][:len(texts)]
+    tw = twists.Twist(action, [p + (t,) for (p, t) in zip(pairs, texts)])
+    n, frac = tw.scale, tw.fraction
+    samples = [tw.group(*p) for p in pairs]
+    assert n == 12 and [frac(a) for a in samples] == \
+        [twists.phase(t) for t in texts]
+    assert len({frac(k) for k in range(n)}) == n and frac(0) == 0
     for a in samples:
-        assert twists.phase_mul(a, twists.phase_conj(a)) == twists.PHASE_ONE
+        assert (a + (-a) % n) % n == 0
+        assert frac(-a % n) == (-frac(a)) % 1
         for b in samples:
-            assert twists.phase_mul(a, b) == twists.phase_mul(b, a)
+            assert (a + b) % n == (b + a) % n
+            assert frac((a + b) % n) == (frac(a) + frac(b)) % 1
             for c in samples:
-                assert (twists.phase_mul(twists.phase_mul(a, b), c)
-                        == twists.phase_mul(a, twists.phase_mul(b, c)))
+                assert ((a + b) % n + c) % n == (a + (b + c) % n) % n
 
 
 def test_3_cocycle_identities_exhaustive_at_bound_three():

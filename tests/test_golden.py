@@ -1,10 +1,13 @@
-"""Golden report snapshots: `selfsim report` must reproduce them byte for
-byte, in JSON and in text.
+"""Golden snapshots: `selfsim report` must reproduce them byte for byte, in
+JSON and in text, and `selfsim twist` its transcripts.
 
 The systems are the bundled fixtures, `zn_rotation(3..5)` and the first
 ten seeded random actions of conftest.  The snapshots pin every verdict,
 note and witness word, so a refactor of the deciders that changes any of
-them shows up here.  To re-record them (only when a change of output is
+them shows up here.  The twist transcripts run `twist validate`, `twist
+verify --bound 2` and a fixed list of `extend` and `omega` calls on
+twisted_three_spoke and on a twist whose phases are sevenths and
+elevenths.  To re-record them (only when a change of output is
 intended), run from the repository root:
 
     PYTHONPATH=src:tests python tests/test_golden.py
@@ -12,6 +15,7 @@ intended), run from the repository root:
 
 import contextlib
 import io
+import json
 import os
 import random
 import sys
@@ -20,6 +24,11 @@ import tempfile
 import pytest
 
 from selfsim import cli, systems
+from selfsim import semigroup as sg
+from selfsim.actions import SelfSimilarAction
+from selfsim.graphs import DirectedGraph
+from selfsim.groupoids import cyclic_group_table, group_bundle
+from selfsim.twists import Twist
 
 from conftest import FIXTURES, random_action, zn_rotation
 
@@ -66,6 +75,70 @@ def test_report_matches_golden_snapshot(tmp_path, name, system):
         assert report_bytes(name, system, fmt, str(tmp_path)) == expected
 
 
+def sevenths_and_elevenths():
+    """Z_2 swapping two loops, each element its own restriction, with the
+    valid twist sigma_G = df for f(c1) = 1/7 and sigma_bowtie(g, x) =
+    psi(g·x) - psi(x) for psi(x1) = 1/11: the group table is in sevenths,
+    the edge table in elevenths, and omega mixes them into 77ths."""
+    graph = DirectedGraph(["v"], [("x0", "v", "v"), ("x1", "v", "v")])
+    gpd = group_bundle(["v"], {"v": cyclic_group_table(2, prefix="c")})
+    edge_action = {("c0", "x0"): "x0", ("c0", "x1"): "x1",
+                   ("c1", "x0"): "x1", ("c1", "x1"): "x0"}
+    restriction = {(g, x): g for (g, x) in edge_action}
+    action = SelfSimilarAction(graph, gpd, edge_action, restriction)
+    return systems.System(
+        "sevenths_and_elevenths", action,
+        Twist(action, [("c1", "c1", "2/7")],
+              [("c1", "x0", "1/11"), ("c1", "x1", "10/11")]))
+
+
+def twist_calls(action):
+    """Argument lists for `twist`: validate, verify at bound 2, extend of
+    every element along every path of length 1 or 2 it acts on, and omega
+    on every pair of triples with legs of length at most 1."""
+    gpd, dump = action.groupoid, json.dumps
+    calls = [["validate"], ["verify", "--bound", "2"]]
+    for p in action.graph.all_paths(2):
+        for g in gpd.elements():
+            if p.edges and gpd.src(g) == p.base:
+                calls.append(["extend", dump(g), dump(list(p.edges))])
+    triples = [sg.to_json(t) for t in sg.elements_up_to(action, 1)]
+    calls += [["omega", dump(s), dump(t)] for s in triples for t in triples]
+    return calls
+
+
+def twist_transcript(name, system, workdir):
+    """Each call's arguments, stdout, stderr and exit code, in order."""
+    ref = name
+    if system is not None:
+        ref = os.path.join(workdir, name + ".json")
+        systems.save_system(system, ref)
+    else:
+        system = systems.load_fixture(name)
+    lines = []
+    for args in twist_calls(system.action):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["twist", ref] + args)
+        lines.append("$ twist %s %s\n%s%sexit %d\n"
+                     % (name, " ".join(args), out.getvalue(), err.getvalue(),
+                        code))
+    return "".join(lines)
+
+
+TWIST_GOLDEN = [("twisted_three_spoke", None),
+                ("sevenths_and_elevenths", sevenths_and_elevenths())]
+
+
+@pytest.mark.parametrize("name,system", TWIST_GOLDEN,
+                         ids=[n for (n, _) in TWIST_GOLDEN])
+def test_twist_matches_golden_transcript(tmp_path, name, system):
+    with open(os.path.join(GOLDEN_DIR, "twist_" + name + ".txt"),
+              encoding="utf-8", newline="") as fh:
+        expected = fh.read()
+    assert twist_transcript(name, system, str(tmp_path)) == expected
+
+
 def record(workdir):
     os.makedirs(GOLDEN_DIR, exist_ok=True)
     for (name, system) in GOLDEN:
@@ -74,10 +147,15 @@ def record(workdir):
             with open(os.path.join(GOLDEN_DIR, name + ext), "w",
                       encoding="utf-8", newline="") as fh:
                 fh.write(out)
+    for (name, system) in TWIST_GOLDEN:
+        with open(os.path.join(GOLDEN_DIR, "twist_" + name + ".txt"), "w",
+                  encoding="utf-8", newline="") as fh:
+            fh.write(twist_transcript(name, system, workdir))
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         record(tmp)
-    print("recorded %d snapshots in %s" % (2 * len(GOLDEN), GOLDEN_DIR),
+    print("recorded %d snapshots in %s"
+          % (2 * len(GOLDEN) + len(TWIST_GOLDEN), GOLDEN_DIR),
           file=sys.stderr)

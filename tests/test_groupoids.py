@@ -222,3 +222,22 @@ def test_table_problems_come_in_pair_order():
         "product ('a0', 'a1') has wrong endpoints",
         "product ('a1', 'b0') should not exist",
         "missing product ('b1', 'b1')"]
+
+
+def test_table_entries_off_the_element_set_are_problems():
+    """A product keyed by a non-element on either side, and an inverse
+    keyed by a non-element, are reported; a scan over pairs of elements
+    never reads them."""
+    base = zn_rotation(3).groupoid
+    cases = [("mul", ("zz", "zz"), "product ('zz', 'zz') should not exist"),
+             ("mul", ("zz", "c0"), "product ('zz', 'c0') should not exist"),
+             ("mul", ("c1", "zz"), "product ('c1', 'zz') should not exist"),
+             ("inv", "zz", "inverse given for unknown element 'zz'")]
+    for (table, key, problem) in cases:
+        tables = {"mul": dict(base._mul), "inv": dict(base._inv)}
+        tables[table][key] = "c0"
+        gpd = ExplicitGroupoid(base.vertices,
+                               [base._elements[g] for g in base.elements()],
+                               base.units, tables["mul"], tables["inv"])
+        assert oracle_groupoid_validate(gpd) == []
+        assert gpd.validate() == [problem], key

@@ -11,15 +11,12 @@ from selfsim.graphs import DirectedGraph, GraphError, is_prefix
 from selfsim.groupoids import GroupoidError, cyclic_group_table, group_bundle
 from selfsim.systems import load_fixture
 from selfsim.twists import (
-    PHASE_ONE,
     Twist,
     TwistError,
     _right_candidates,
     extend_bowtie,
     omega,
     phase,
-    phase_conj,
-    phase_mul,
     phase_str,
     validate_twist,
     verify_omega_cocycle,
@@ -29,15 +26,23 @@ from conftest import zn_rotation
 
 
 # ---------------------------------------------------------------------------
-# Oracles.  extend_bowtie is checked against a direct front-edge-first fold
-# over the edge table; omega failures are replayed from the raw identity.
+# Oracles.  They read each table entry as a Fraction through
+# twist.fraction and add Fractions mod 1, so they are a reference for the
+# int arithmetic mod twist.scale.  extend_bowtie is checked against a
+# direct front-edge-first fold over the edge table; omega failures are
+# replayed from the raw identity.
+
+
+def fraction_of(twist, w):
+    """A phase the library returned, as a Fraction; None stays None."""
+    return None if w is None else twist.fraction(w)
 
 
 def oracle_extend(action, twist, g, p):
-    total = PHASE_ONE
+    total = Fraction(0)
     state = g
     for name in p.edges:
-        total = phase_mul(total, twist.edge(state, name))
+        total = (total + twist.fraction(twist.edge(state, name))) % 1
         state = action.restrict_edge(state, name)
     return total
 
@@ -48,9 +53,9 @@ def oracle_omega_sides(action, twist, r, s, t):
     st = sg.mul(action, s, t)
     if sg.is_zero(sg.mul(action, rs, t)):
         return None
-    lhs = phase_mul(omega(twist, s, t), omega(twist, r, st))
-    rhs = phase_mul(omega(twist, r, s), omega(twist, rs, t))
-    return lhs, rhs
+    w = [twist.fraction(omega(twist, x, y))
+         for (x, y) in ((s, t), (r, st), (r, s), (rs, t))]
+    return (w[0] + w[1]) % 1, (w[2] + w[3]) % 1
 
 
 def oracle_mul(action, s, t):
@@ -76,7 +81,8 @@ def oracle_mul(action, s, t):
 
 
 def oracle_omega(twist, s, t):
-    """omega by its own two-case prefix split; None on a zero product."""
+    """omega by its own two-case prefix split, as a Fraction; None on a
+    zero product."""
     if sg.is_zero(s) or sg.is_zero(t):
         return None
     action = twist.action
@@ -84,14 +90,16 @@ def oracle_omega(twist, s, t):
     beta, gamma = s.beta, t.alpha
     if is_prefix(beta, gamma):
         b1 = graph.tail_after(gamma, len(beta.edges))
-        return phase_mul(extend_bowtie(twist, s.g, b1),
-                         twist.group(action.restrict_path(s.g, b1), t.g))
+        group = twist.group(action.restrict_path(s.g, b1), t.g)
+        return (oracle_extend(action, twist, s.g, b1)
+                + twist.fraction(group)) % 1
     if is_prefix(gamma, beta):
         g1 = graph.tail_after(beta, len(gamma.edges))
         hi = gpd.inv(t.g)
         k = gpd.inv(action.restrict_path(hi, g1))
-        return phase_mul(twist.group(s.g, k),
-                         extend_bowtie(twist, t.g, action.act_path(hi, g1)))
+        return (twist.fraction(twist.group(s.g, k))
+                + oracle_extend(action, twist, t.g,
+                                action.act_path(hi, g1))) % 1
     return None
 
 
@@ -112,10 +120,10 @@ def oracle_verify(twist, bound):
                 if sg.is_zero(st) or sg.is_zero(oracle_mul(action, rs, t)):
                     continue
                 checked += 1
-                lhs = phase_mul(oracle_omega(twist, s, t),
-                                oracle_omega(twist, r, st))
-                rhs = phase_mul(oracle_omega(twist, r, s),
-                                oracle_omega(twist, rs, t))
+                lhs = (oracle_omega(twist, s, t)
+                       + oracle_omega(twist, r, st)) % 1
+                rhs = (oracle_omega(twist, r, s)
+                       + oracle_omega(twist, rs, t)) % 1
                 if lhs == rhs:
                     continue
                 if len(failures) == 20:
@@ -130,14 +138,21 @@ def oracle_verify(twist, bound):
 def oracle_validate_twist(twist):
     """validate_twist as it scanned every pair of elements, kept literally:
     the composable pairs filtered from |G|², every k and every edge
-    filtered again per pair."""
+    filtered again per pair.  Phases are Fractions summed mod 1."""
     action = twist.action
     gpd, graph = action.groupoid, action.graph
+
+    def group(g, h):
+        return twist.fraction(twist.group(g, h))
+
+    def edge(g, e):
+        return twist.fraction(twist.edge(g, e))
+
     bad = []
     for g in gpd.elements():
         lu = gpd.unit_at(gpd.rng(g))
         ru = gpd.unit_at(gpd.src(g))
-        if twist.group(lu, g) != PHASE_ONE or twist.group(g, ru) != PHASE_ONE:
+        if group(lu, g) != 0 or group(g, ru) != 0:
             bad.append("group cocycle is not normalized at %r" % (g,))
     composable = [(g, h) for g in gpd.elements() for h in gpd.elements()
                   if gpd.src(g) == gpd.rng(h)]
@@ -146,15 +161,15 @@ def oracle_validate_twist(twist):
         for k in gpd.elements():
             if gpd.src(h) != gpd.rng(k):
                 continue
-            lhs = phase_mul(twist.group(g, h), twist.group(gh, k))
-            rhs = phase_mul(twist.group(h, k), twist.group(g, gpd.mul(h, k)))
+            lhs = (group(g, h) + group(gh, k)) % 1
+            rhs = (group(h, k) + group(g, gpd.mul(h, k))) % 1
             if lhs != rhs:
                 bad.append("group cocycle identity fails at (%r, %r, %r)"
                            % (g, h, k))
     edge_names = sorted(e.name for e in graph.edges)
     for e in edge_names:
         u = gpd.unit_at(graph.edge(e).rng)
-        if twist.edge(u, e) != PHASE_ONE:
+        if edge(u, e) != 0:
             bad.append("edge phase at the unit is not 1 on %r" % (e,))
     for (g, h) in composable:
         gh = gpd.mul(g, h)
@@ -162,29 +177,43 @@ def oracle_validate_twist(twist):
             if graph.edge(e).rng != gpd.src(h):
                 continue
             he = action.act_edge(h, e)
-            lhs = phase_mul(
-                phase_mul(twist.edge(h, e), phase_conj(twist.edge(gh, e))),
-                twist.edge(g, he))
-            rhs = phase_mul(
-                phase_conj(twist.group(action.restrict_edge(g, he),
-                                       action.restrict_edge(h, e))),
-                twist.group(g, h))
+            lhs = ((edge(h, e) - edge(gh, e)) % 1 + edge(g, he)) % 1
+            rhs = ((-group(action.restrict_edge(g, he),
+                           action.restrict_edge(h, e))) % 1
+                   + group(g, h)) % 1
             if lhs != rhs:
                 bad.append("edge compatibility fails at (%r, %r, %r)"
                            % (g, h, e))
     return bad
 
 
-def random_twist(action, rng, order=6):
-    """Seeded phases k/order on every composable group pair and every
-    (element, edge) pair; not a cocycle, only a table omega reads."""
+def random_twist(action, rng, orders=(6,)):
+    """Seeded phases k/n, n drawn from orders, on every composable group
+    pair and every (element, edge) pair; not a cocycle, only a table omega
+    reads."""
     gpd, graph = action.groupoid, action.graph
-    group = [(g, h, Fraction(rng.randrange(order), order))
-             for g in gpd.elements() for h in gpd.elements()
+
+    def draw():
+        # a single order draws no choice, so seeds keep their tables
+        n = rng.choice(orders) if len(orders) > 1 else orders[0]
+        return Fraction(rng.randrange(n), n)
+
+    group = [(g, h, draw()) for g in gpd.elements() for h in gpd.elements()
              if gpd.src(g) == gpd.rng(h)]
-    edge = [(g, e.name, Fraction(rng.randrange(order), order))
+    edge = [(g, e.name, draw())
             for g in gpd.elements() for e in graph.received_by(gpd.src(g))]
     return Twist(action, group, edge)
+
+
+def table_fractions(twist):
+    """Every group and edge entry of the twist, as Fractions."""
+    action = twist.action
+    gpd, graph = action.groupoid, action.graph
+    group = {(g, h): twist.fraction(twist.group(g, h)) for g in gpd.elements()
+             for h in gpd.elements() if gpd.src(g) == gpd.rng(h)}
+    edge = {(g, e.name): twist.fraction(twist.edge(g, e.name))
+            for g in gpd.elements() for e in graph.received_by(gpd.src(g))}
+    return group, edge
 
 
 def z4_loop_action():
@@ -208,26 +237,44 @@ def test_phase_parses_and_reduces_mod_one():
     assert phase("2/3") == Fraction(2, 3)
     assert phase("5/3") == Fraction(2, 3)
     assert phase("-1/3") == Fraction(2, 3)
-    assert phase(1) == PHASE_ONE
+    assert phase(1) == Fraction(0)
     assert phase(Fraction(7, 4)) == Fraction(3, 4)
-    assert PHASE_ONE == Fraction(0)
+
+
+def sample_twist(texts):
+    """zn_rotation(3) with the given phases on its group pairs, in order;
+    returns the twist and the ints it stores for them."""
+    action = zn_rotation(3)
+    pairs = [(g, h) for g in action.groupoid.elements()
+             for h in action.groupoid.elements()]
+    tw = Twist(action, [p + (t,) for (p, t) in zip(pairs, texts)])
+    return tw, [tw.group(*p) for p in pairs[:len(texts)]]
 
 
 def test_phase_group_laws():
-    samples = [phase(s) for s in ("0", "1/2", "1/3", "2/3", "3/4", "5/7")]
+    """The stored ints form the group Z/scale, and k -> k/scale maps it
+    one to one onto Fraction phases, sums to sums and negation to
+    negation."""
+    tw, samples = sample_twist(("0", "1/2", "1/3", "2/3", "3/4", "5/7"))
+    n, frac = tw.scale, tw.fraction
+    assert n == 84
+    assert len({frac(k) for k in range(n)}) == n and frac(0) == 0
     for a in samples:
-        assert phase_mul(a, PHASE_ONE) == a
-        assert phase_mul(a, phase_conj(a)) == PHASE_ONE
+        assert 0 <= a < n
+        assert (a + 0) % n == a and (a + (-a) % n) % n == 0
+        assert frac(-a % n) == (-frac(a)) % 1
         for b in samples:
-            assert phase_mul(a, b) == phase_mul(b, a)
+            assert (a + b) % n == (b + a) % n
+            assert frac((a + b) % n) == (frac(a) + frac(b)) % 1
             for c in samples:
-                assert phase_mul(phase_mul(a, b), c) == phase_mul(a, phase_mul(b, c))
+                assert ((a + b) % n + c) % n == (a + (b + c) % n) % n
 
 
 def test_phase_str_round_trip():
-    for s in ("0/1", "1/2", "2/3", "3/4"):
+    tw, samples = sample_twist(("0/1", "1/2", "2/3", "3/4"))
+    for (s, k) in zip(("0/1", "1/2", "2/3", "3/4"), samples):
         assert phase_str(phase(s)) == s
-    assert phase_str(PHASE_ONE) == "0/1"
+        assert phase_str(tw.fraction(k)) == s
 
 
 def test_phase_rejects_garbage():
@@ -250,8 +297,9 @@ def test_phase_rejects_garbage():
 def test_twist_defaults_to_trivial_phases():
     action = load_fixture("four_loop_z2").action
     tw = Twist(action)
-    assert tw.group("1", "1") == PHASE_ONE
-    assert tw.edge("1", "e") == PHASE_ONE
+    assert tw.scale == 1
+    assert tw.group("1", "1") == 0
+    assert tw.edge("1", "e") == 0
     assert tw.group_json() == []
     assert tw.edge_json() == []
     assert validate_twist(tw) == []
@@ -262,8 +310,9 @@ def test_twist_json_lists_nonzero_entries():
     tw = Twist(action, group_entries=[("0", "1", "1/3")], edge_entries=[("0", "e", "1/3")])
     assert tw.group_json() == [["0", "1", "1/3"]]
     assert tw.edge_json() == [["0", "e", "1/3"]]
-    assert tw.group("0", "1") == Fraction(1, 3)
-    assert tw.edge("0", "e") == Fraction(1, 3)
+    assert tw.scale == 3
+    assert tw.group("0", "1") == tw.edge("0", "e") == 1
+    assert tw.fraction(tw.group("0", "1")) == Fraction(1, 3)
 
 
 def test_twist_rejects_unknown_names():
@@ -344,15 +393,11 @@ def test_validate_twist_matches_the_literal_scan():
         cases += [Twist(action), random_twist(action, rng)]
     checked = 0
     for tw in cases:
-        gpd, graph = tw.action.groupoid, tw.action.graph
-        group = {(g, h): tw.group(g, h) for g in gpd.elements()
-                 for h in gpd.elements() if gpd.src(g) == gpd.rng(h)}
-        edge = {(g, e.name): tw.edge(g, e.name) for g in gpd.elements()
-                for e in graph.received_by(gpd.src(g))}
+        group, edge = table_fractions(tw)
         for (table, key) in [("group", k) for k in group] + \
                 [("edge", k) for k in edge]:
             moved = {"group": dict(group), "edge": dict(edge)}
-            moved[table][key] = phase_mul(moved[table][key], Fraction(1, 7))
+            moved[table][key] = (moved[table][key] + Fraction(1, 7)) % 1
             bad = Twist(tw.action,
                         [k + (v,) for (k, v) in moved["group"].items()],
                         [k + (v,) for (k, v) in moved["edge"].items()])
@@ -377,7 +422,8 @@ def test_extend_bowtie_matches_edge_fold():
             for g in gpd.elements():
                 if gpd.src(g) != p.base:
                     continue
-                assert extend_bowtie(tw, g, p) == oracle_extend(action, tw, g, p)
+                assert tw.fraction(extend_bowtie(tw, g, p)) == \
+                    oracle_extend(action, tw, g, p)
 
 
 def test_extend_bowtie_half_turn_on_spoke_paths():
@@ -385,9 +431,9 @@ def test_extend_bowtie_half_turn_on_spoke_paths():
     tw, graph = system.twist, system.action.graph
     for n in range(6):
         p = graph.path(["e"] * n + ["em1"])
-        assert extend_bowtie(tw, "1", p) == Fraction(1, 2)
-    assert extend_bowtie(tw, "1", graph.path(["e1"])) == PHASE_ONE
-    assert extend_bowtie(tw, "1", graph.path([], base="v")) == PHASE_ONE
+        assert tw.fraction(extend_bowtie(tw, "1", p)) == Fraction(1, 2)
+    assert extend_bowtie(tw, "1", graph.path(["e1"])) == 0
+    assert extend_bowtie(tw, "1", graph.path([], base="v")) == 0
 
 
 def test_extend_bowtie_rejects_base_mismatch():
@@ -406,7 +452,7 @@ def test_omega_pinned_half_turn():
     graph, gpd = action.graph, action.groupoid
     s = sg.make(action, graph.path([], base="v"), "1", graph.path([], base="v"))
     t = sg.make(action, graph.path(["em1"]), gpd.unit_at("wm1"), graph.path(["em1"]))
-    assert omega(tw, s, t) == Fraction(1, 2)
+    assert tw.fraction(omega(tw, s, t)) == Fraction(1, 2)
 
 
 def test_omega_is_one_against_the_source_idempotent():
@@ -414,7 +460,7 @@ def test_omega_is_one_against_the_source_idempotent():
     action, tw = system.action, system.twist
     for s in sg.elements_up_to(action, 2):
         f = sg.mul(action, sg.star(action, s), s)
-        assert omega(tw, s, f) == PHASE_ONE
+        assert omega(tw, s, f) == 0
 
 
 def test_omega_is_none_on_zero_products():
@@ -442,8 +488,8 @@ def test_omega_idempotent_and_conjugation_clauses():
         ssrc = sg.mul(action, star_s, s)
         for e in idems:
             if not sg.is_zero(sg.mul(action, e, ssrc)) and sg.leq(action, ssrc, e):
-                assert omega(tw, s, e) == PHASE_ONE
-                assert omega(tw, e, star_s) == PHASE_ONE
+                assert omega(tw, s, e) == 0
+                assert omega(tw, e, star_s) == 0
             se = sg.mul(action, s, e)
             if not sg.is_zero(se):
                 ses = sg.mul(action, se, star_s)
@@ -451,7 +497,7 @@ def test_omega_idempotent_and_conjugation_clauses():
     for e in idems:
         for f in idems:
             if not sg.is_zero(sg.mul(action, e, f)):
-                assert omega(tw, e, f) == PHASE_ONE
+                assert omega(tw, e, f) == 0
 
 
 def test_omega_trivial_for_trivial_twist():
@@ -460,7 +506,7 @@ def test_omega_trivial_for_trivial_twist():
     for s in sg.elements_up_to(action, 1):
         for t in sg.elements_up_to(action, 1):
             if not sg.is_zero(sg.mul(action, s, t)):
-                assert omega(tw, s, t) == PHASE_ONE
+                assert omega(tw, s, t) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +544,8 @@ def test_mul_and_omega_match_the_case_split_oracles():
         for (s, t) in pairs:
             st = sg.mul(tw.action, s, t)
             assert st == oracle_mul(tw.action, s, t), (s, t)
-            assert omega(tw, s, t) == oracle_omega(tw, s, t), (s, t)
+            assert fraction_of(tw, omega(tw, s, t)) == \
+                oracle_omega(tw, s, t), (s, t)
             nonzero += not sg.is_zero(st)
     assert nonzero > 5000
 
@@ -520,17 +567,18 @@ def test_verify_omega_cocycle_matches_the_unmemoized_oracle():
 
 
 def test_verify_omega_cocycle_matches_the_oracle_across_denominators():
-    """The integer phases mod D against Fraction arithmetic: seeded order-6
-    twists (phases 1/2, 1/3 and 1/6 mixed), a group table in halves with an
-    edge table in thirds (D = 6, above each denominator), and the trivial
-    twist (D = 1)."""
+    """The integer phases mod scale against Fraction arithmetic: seeded
+    order-6 twists (phases 1/2, 1/3 and 1/6 mixed), a group table in halves
+    with an edge table in thirds (scale 6, above each denominator), and the
+    trivial twist (scale 1)."""
     rng = random.Random(20261019)
     four = load_fixture("four_loop_z2").action
     three = zn_rotation(3)
     for action in (four, three):
         tw = random_twist(action, rng)
-        table = (*tw._group.values(), *tw._edge.values())
-        assert {v.denominator for v in table} >= {2, 3, 6}
+        group, edge = table_fractions(tw)
+        assert {f.denominator for f in (*group.values(), *edge.values())} \
+            >= {2, 3, 6}
         out = verify_omega_cocycle(tw, 1)
         assert out["truncated"] and out == oracle_verify(tw, 1)
     mixed = Twist(four, [("0", "0", "1/2")], [("0", "a", "1/3")])
@@ -541,6 +589,39 @@ def test_verify_omega_cocycle_matches_the_oracle_across_denominators():
     trivial = Twist(load_fixture("twisted_three_spoke").action)
     out = verify_omega_cocycle(trivial, 1)
     assert out["ok"] and out == oracle_verify(trivial, 1)
+
+
+def test_int_phases_match_the_fraction_oracles_across_orders():
+    """Seeded tables mixing phases k/6, k/7 and k/10 (scale 210):
+    extend_bowtie, omega, validate_twist and verify_omega_cocycle equal the
+    Fraction oracles.  The trivial twist has scale 1, and a phase is one
+    int however it is spelled."""
+    rng = random.Random(20261022)
+    four = load_fixture("four_loop_z2").action
+    three = zn_rotation(3)
+    for action in (four, three):
+        tw = random_twist(action, rng, orders=(6, 7, 10))
+        assert tw.scale == 210
+        gpd = action.groupoid
+        for p in action.graph.all_paths(2):
+            for g in gpd.elements():
+                if gpd.src(g) == p.base:
+                    assert tw.fraction(extend_bowtie(tw, g, p)) == \
+                        oracle_extend(action, tw, g, p)
+        elements = sg.elements_up_to(action, 1)
+        for s in elements:
+            for t in elements:
+                assert fraction_of(tw, omega(tw, s, t)) == \
+                    oracle_omega(tw, s, t), (s, t)
+        bad = validate_twist(tw)
+        assert bad and bad == oracle_validate_twist(tw)
+        out = verify_omega_cocycle(tw, 1)
+        assert out["failures"] and out == oracle_verify(tw, 1)
+    assert Twist(four).scale == 1
+    tw = Twist(three, [("c1", "c1", "-2/6"), ("c2", "c2", "2/3"),
+                       ("c1", "c2", "1/7")])
+    assert tw.scale == 21
+    assert tw.group("c1", "c1") == tw.group("c2", "c2") == 14
 
 
 def test_verify_omega_cocycle_meets_each_pair_once(monkeypatch):
