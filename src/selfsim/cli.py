@@ -177,6 +177,10 @@ def cmd_twist(args):
               for (k, a) in enumerate(args.args)]
     if op == "validate":
         _check_arity(parsed, 0, "twist validate")
+        # the identities multiply through the tables, so they must satisfy
+        # the laws first (validate_system would run validate_twist twice)
+        if not _valid(system.problems + action.validate()):
+            return 1
         problems = twists.validate_twist(twist)
         _emit({"valid": not problems, "problems": problems})
         return 0 if not problems else 1

@@ -18,6 +18,7 @@ import math
 from fractions import Fraction
 
 from . import semigroup as sg
+from .graphs import is_prefix
 
 
 class TwistError(ValueError):
@@ -177,66 +178,141 @@ def _right_candidates(action, elements):
     return cands
 
 
+class _Memo(dict):
+    """A dict that fills a missing key with fill(key), once."""
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
 def verify_omega_cocycle(twist, bound):
     """Exhaustively check omega(s,t)·omega(r,st) = omega(r,s)·omega(rs,t)
     over all triples with legs of length <= bound and nonzero products.
 
-    One meet per composable pair gives both the product and its omega, and
-    the pair is memoized: it shows up under many third factors.  The loop
-    works on integers only.  Each triple gets an id on first sight (the
-    elements in order, then each new product), so the memo and the
-    candidate lists hold ids, not triples to hash.  Each omega is the
-    twist's int mod `scale`, and a failing side becomes a Fraction only
-    when it is recorded.
+    A product kernel over int ids does the work.  Each path gets an id on
+    first sight, and each triple is held as (id of alpha, g, id of beta)
+    with an id of its own (the elements in order, then each new product).
+    A pair of triples is met once, giving (id of s·t, omega(s, t)), or
+    None when s·t is zero; the pair shows up under many third factors.
+    The meet is semigroup.meet's case split, with s·t = (alpha', ab,
+    delta') and omega = (edge phase of x along p) + sigma_G(a, b).  For
+    s = (alpha, g, beta) and t = (gamma, h, delta):
+
+        gamma = beta·b1:  s·f_gamma = (alpha', a, gamma), b = h, x = g, p = b1
+        beta = gamma·g1:  t*·f_beta = (delta', b⁻¹, beta), a = g, x = h,
+                          p = h⁻¹·g1 (delta' after |delta|)
+
+    so alpha' = alpha·(g·b1), a = g|_b1 and delta' = delta in the first
+    case, and b = (h⁻¹|_g1)⁻¹ and delta' = delta·(h⁻¹·g1) in the second.
+    Its steps are memoized, keyed by ids: the case and the tail (b1 or
+    g1) per (id of beta, id of gamma); the walk (id of k·q, k|_q, edge
+    phase of k along q) per element k and tail q; each concatenation per
+    (leg, tail); (ab, sigma_G(a, b)) per (a, b); each inverse; and each
+    product triple.  A walk is a pure function of (k, q) over the
+    action's and the twist's fixed tables, and so is every other entry
+    of its key, so the memo changes no answer.  Each entry is filled on
+    first sight by the checked library calls (is_prefix, tail_after,
+    concat, act_path, restrict_path, extend_bowtie, mul, inv and
+    Twist.group), so every check still fires once per distinct input;
+    the tables die with the call.  Each omega is the twist's int mod
+    `scale`, and a failing side becomes a Fraction only when it is
+    recorded.
     """
     action = twist.action
+    gpd, graph = action.groupoid, action.graph
+    scale = twist.scale
     elements = sg.elements_up_to(action, bound)
     cands = _right_candidates(action, elements)
-    scale = twist.scale
-    triples = list(elements)
+    paths, path_ids = [], {}
+
+    def path_id(p):
+        i = path_ids.setdefault(p, len(paths))
+        if i == len(paths):
+            paths.append(p)
+        return i
+
+    triples = [(path_id(x.alpha), x.g, path_id(x.beta)) for x in elements]
     ids = {x: i for (i, x) in enumerate(triples)}
-    pair_lists = [[ids[t] for t in cands(s)] for s in elements]
-    memo = {}
+    pair_lists, by_beta = [], {}
+    for (s, (_, _, beta)) in zip(elements, triples):
+        if beta not in by_beta:      # the candidates depend on beta alone
+            by_beta[beta] = [ids[path_id(t.alpha), t.g, path_id(t.beta)]
+                             for t in cands(s)]
+        pair_lists.append(by_beta[beta])
 
-    def meetc(key):
-        """(id of x·y, omega(x, y)), or None when x·y is zero."""
-        m = sg.meet(action, triples[key[0]], triples[key[1]])
-        if m is not None:
-            xy = sg.Triple(m[0], action.groupoid.mul(m[1], m[2]), m[3])
-            i = ids.setdefault(xy, len(triples))
-            if i == len(triples):
-                triples.append(xy)
-            m = (i, _meet_phase(twist, m))
-        memo[key] = m
-        return m
+    def cut(key):
+        """(True, id of b1), (False, id of g1), or None: incomparable."""
+        beta, gamma = paths[key[0]], paths[key[1]]
+        if is_prefix(beta, gamma):
+            return True, path_id(graph.tail_after(gamma, len(beta.edges)))
+        if is_prefix(gamma, beta):
+            return False, path_id(graph.tail_after(beta, len(gamma.edges)))
+        return None
 
+    def walk(key):
+        k, q = key[0], paths[key[1]]
+        return (path_id(action.act_path(k, q)), action.restrict_path(k, q),
+                extend_bowtie(twist, k, q))
+
+    cuts, walks = _Memo(cut), _Memo(walk)
+    cats = _Memo(lambda key: path_id(graph.concat(paths[key[0]],
+                                                  paths[key[1]])))
+    prods = _Memo(lambda key: (gpd.mul(*key), twist.group(*key)))
+    invs = _Memo(gpd.inv)
+
+    def meet(si, ti):
+        """(id of s·t, omega(s, t)) for the triples s and t with ids si and
+        ti, or None when s·t is zero."""
+        alpha, g, beta = triples[si]
+        gamma, h, delta = triples[ti]
+        c = cuts[beta, gamma]
+        if c is None:
+            return None
+        first, tail = c
+        if first:
+            gb, a, w = walks[g, tail]
+            alpha, b = cats[alpha, gb], h
+        else:
+            hg1, hi_g1, _ = walks[invs[h], tail]
+            a, b = g, invs[hi_g1]
+            delta = cats[delta, hg1]
+            w = walks[h, hg1][2]
+        ab, sigma = prods[a, b]
+        st = (alpha, ab, delta)
+        i = ids.setdefault(st, len(triples))
+        if i == len(triples):
+            triples.append(st)
+        return i, (w + sigma) % scale
+
+    # rows[si][ti] is meet(si, ti); right[s] lists (t, id of s·t,
+    # omega(s, t)) for the candidates t of s with s·t nonzero, in order
+    rows = _Memo(lambda si: _Memo(lambda ti: meet(si, ti)))
+    right = _Memo(lambda s: [(t, *rows[s][t]) for t in pair_lists[s]
+                             if rows[s][t] is not None])
     checked, failures = 0, []
     for r in range(len(elements)):
-        for s in pair_lists[r]:
-            key = (r, s)
-            rs = memo[key] if key in memo else meetc(key)
-            if rs is None:
-                continue
-            for t in pair_lists[s]:
-                key = (s, t)
-                st = memo[key] if key in memo else meetc(key)
-                if st is None:
-                    continue
-                key = (rs[0], t)
-                rst = memo[key] if key in memo else meetc(key)
+        row_r = rows[r]
+        for (s, rs, rs_w) in right[r]:
+            row_rs = rows[rs]
+            for (t, st, st_w) in right[s]:
+                rst = row_rs[t]
                 if rst is None:
                     continue
                 checked += 1
-                key = (r, st[0])
-                r_st = memo[key] if key in memo else meetc(key)
-                if (st[1] + r_st[1] - rs[1] - rst[1]) % scale:
+                r_st_w = row_r[st][1]
+                if (st_w + r_st_w - rs_w - rst[1]) % scale:
                     if len(failures) < 20:
                         failures.append({
-                            "r": sg.to_json(triples[r]),
-                            "s": sg.to_json(triples[s]),
-                            "t": sg.to_json(triples[t]),
-                            "lhs": phase_str(twist.fraction(st[1] + r_st[1])),
-                            "rhs": phase_str(twist.fraction(rs[1] + rst[1])),
+                            "r": sg.to_json(elements[r]),
+                            "s": sg.to_json(elements[s]),
+                            "t": sg.to_json(elements[t]),
+                            "lhs": phase_str(twist.fraction(st_w + r_st_w)),
+                            "rhs": phase_str(twist.fraction(rs_w + rst[1])),
                         })
                     else:
                         return {"ok": False, "checked": checked,

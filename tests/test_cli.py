@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from selfsim import actions as act_mod
-from selfsim import cli, systems
+from selfsim import cli, systems, twists
 from selfsim.groupoids import ExplicitGroupoid
 
 from conftest import EXPLICIT_FIXTURES
@@ -314,6 +314,42 @@ def test_twist_verify_refuses_an_invalid_action(capsys, tmp_path):
     code, out, err = run(capsys, ["twist", path, "verify", "--bound", "1"])
     assert code == 1
     assert out == "" and err.startswith("invalid:")
+
+
+@pytest.mark.parametrize("section, table, row, value, problems", [
+    # a hub element named as a restriction along a spoke
+    ("action", "restriction", ["0", "e1", "u1"], "0",
+     ["src(('0')|_'e1') should be src('e1')",
+      "rng(('0')|_'e1') should be src of the image edge"]),
+    # 1·1 = 1 at the hub: the groupoid's fault, not the twist's
+    ("groupoid", "mul", ["1", "1", "0"], "1",
+     ["groupoid: inverse of '1' is wrong"]),
+])
+def test_twist_validate_refuses_an_invalid_system(capsys, tmp_path, section,
+                                                  table, row, value, problems):
+    path = write_system(tmp_path, _with_row(
+        "twisted_three_spoke", section, table, row, value))
+    code, out, err = run(capsys, ["twist", path, "validate"])
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["invalid: " + p for p in problems]
+    assert run(capsys, ["twist", path, "verify", "--bound", "1"]) == \
+        (1, "", err)
+
+
+def test_twist_validate_checks_the_twist_once(capsys, monkeypatch):
+    calls = []
+    real = twists.validate_twist
+
+    def counting(twist):
+        calls.append(twist)
+        return real(twist)
+
+    monkeypatch.setattr(twists, "validate_twist", counting)
+    monkeypatch.setattr(systems, "validate_twist", counting)
+    code, data, err = run_json(capsys, ["twist", "twisted_three_spoke",
+                                        "validate"])
+    assert (code, data, err) == (0, {"valid": True, "problems": []}, "")
+    assert len(calls) == 1
 
 
 def test_hum_refuses_products_outside_the_isotropy(capsys, tmp_path):

@@ -1,11 +1,13 @@
 """Tests for circle-valued twists: phases, tables, bowtie extension, omega."""
 
+import collections
 import random
 from fractions import Fraction
 
 import pytest
 
 from selfsim import semigroup as sg
+from selfsim import twists
 from selfsim.actions import SelfSimilarAction
 from selfsim.graphs import DirectedGraph, GraphError, is_prefix
 from selfsim.groupoids import GroupoidError, cyclic_group_table, group_bundle
@@ -80,9 +82,10 @@ def oracle_mul(action, s, t):
     return sg.ZERO
 
 
-def oracle_omega(twist, s, t):
+def oracle_omega(twist, s, t, cases=None):
     """omega by its own two-case prefix split, as a Fraction; None on a
-    zero product."""
+    zero product.  A Counter passed as cases counts (case, whether the
+    group phase is nonzero)."""
     if sg.is_zero(s) or sg.is_zero(t):
         return None
     action = twist.action
@@ -90,22 +93,25 @@ def oracle_omega(twist, s, t):
     beta, gamma = s.beta, t.alpha
     if is_prefix(beta, gamma):
         b1 = graph.tail_after(gamma, len(beta.edges))
-        group = twist.group(action.restrict_path(s.g, b1), t.g)
-        return (oracle_extend(action, twist, s.g, b1)
-                + twist.fraction(group)) % 1
-    if is_prefix(gamma, beta):
+        case, group = 1, twist.group(action.restrict_path(s.g, b1), t.g)
+        edge = oracle_extend(action, twist, s.g, b1)
+    elif is_prefix(gamma, beta):
         g1 = graph.tail_after(beta, len(gamma.edges))
         hi = gpd.inv(t.g)
         k = gpd.inv(action.restrict_path(hi, g1))
-        return (twist.fraction(twist.group(s.g, k))
-                + oracle_extend(action, twist, t.g,
-                                action.act_path(hi, g1))) % 1
-    return None
+        case, group = 2, twist.group(s.g, k)
+        edge = oracle_extend(action, twist, t.g, action.act_path(hi, g1))
+    else:
+        return None
+    if cases is not None:
+        cases[case, group != 0] += 1
+    return (twist.fraction(group) + edge) % 1
 
 
-def oracle_verify(twist, bound):
+def oracle_verify(twist, bound, cases=None):
     """verify_omega_cocycle's result from the oracles, unmemoized, over the
-    same candidate index and in the same order."""
+    same candidate index and in the same order; cases as for
+    oracle_omega."""
     action = twist.action
     elements = sg.elements_up_to(action, bound)
     cands = _right_candidates(action, elements)
@@ -120,10 +126,10 @@ def oracle_verify(twist, bound):
                 if sg.is_zero(st) or sg.is_zero(oracle_mul(action, rs, t)):
                     continue
                 checked += 1
-                lhs = (oracle_omega(twist, s, t)
-                       + oracle_omega(twist, r, st)) % 1
-                rhs = (oracle_omega(twist, r, s)
-                       + oracle_omega(twist, rs, t)) % 1
+                lhs = (oracle_omega(twist, s, t, cases)
+                       + oracle_omega(twist, r, st, cases)) % 1
+                rhs = (oracle_omega(twist, r, s, cases)
+                       + oracle_omega(twist, rs, t, cases)) % 1
                 if lhs == rhs:
                     continue
                 if len(failures) == 20:
@@ -202,6 +208,25 @@ def random_twist(action, rng, orders=(6,)):
              if gpd.src(g) == gpd.rng(h)]
     edge = [(g, e.name, draw())
             for g in gpd.elements() for e in graph.received_by(gpd.src(g))]
+    return Twist(action, group, edge)
+
+
+def normalized_twist(action, rng, n=6):
+    """Seeded phases k/n, 0 < k < n, on every composable pair of non-units
+    and every (non-unit, edge) pair, and none at the units.  The identity
+    then holds whenever r is a unit triple, so the check runs on into
+    non-unit triples, and products of them, before it fails."""
+    gpd, graph = action.groupoid, action.graph
+    units = {gpd.unit_at(v) for v in graph.vertices}
+    moving = [g for g in gpd.elements() if g not in units]
+
+    def draw():
+        return Fraction(rng.randrange(1, n), n)
+
+    group = [(g, h, draw()) for g in moving for h in moving
+             if gpd.src(g) == gpd.rng(h)]
+    edge = [(g, e.name, draw())
+            for g in moving for e in graph.received_by(gpd.src(g))]
     return Twist(action, group, edge)
 
 
@@ -591,6 +616,34 @@ def test_verify_omega_cocycle_matches_the_oracle_across_denominators():
     assert out["ok"] and out == oracle_verify(trivial, 1)
 
 
+def test_verify_omega_cocycle_matches_the_oracle_in_both_prefix_cases():
+    """Broken twists at bound 2: the bundled system's with two edge phases
+    moved, and seeded order-6 twists on four_loop_z2 and zn_rotation(3).
+    Seeded twists normalized at the units, with a nonzero sigma_G, on the
+    same two at bound 1.  Both prefix cases are met, and case 2 (gamma a
+    proper prefix of beta, phase sigma_G(g, (h⁻¹|_g1)⁻¹)) with a nonzero
+    group phase on each normalized twist."""
+    rng = random.Random(20261023)
+    spoke = load_fixture("twisted_three_spoke")
+    four = load_fixture("four_loop_z2").action
+    three = zn_rotation(3)
+    reached = collections.Counter()
+    broken = [Twist(spoke.action, edge_entries=[("1", "em1", "1/2"),
+                                                ("1", "e1", "1/3")])]
+    for tw in broken + [random_twist(a, rng) for a in (four, three)]:
+        out = verify_omega_cocycle(tw, 2)
+        assert out["truncated"] and out == oracle_verify(tw, 2, reached)
+    for action in (four, three):
+        cases = collections.Counter()
+        tw = normalized_twist(action, rng)
+        out = verify_omega_cocycle(tw, 1)
+        assert out["truncated"] and out == oracle_verify(tw, 1, cases)
+        assert cases[2, True] > 0
+        reached += cases
+    assert all(reached[case, nonzero] for case in (1, 2)
+               for nonzero in (False, True)), reached
+
+
 def test_int_phases_match_the_fraction_oracles_across_orders():
     """Seeded tables mixing phases k/6, k/7 and k/10 (scale 210):
     extend_bowtie, omega, validate_twist and verify_omega_cocycle equal the
@@ -625,18 +678,27 @@ def test_int_phases_match_the_fraction_oracles_across_orders():
 
 
 def test_verify_omega_cocycle_meets_each_pair_once(monkeypatch):
+    """The meets share their walks: at bound 2 on the bundled twist they
+    walk 28 distinct (element, path) pairs, and each of act_path,
+    restrict_path and extend_bowtie walks each of them once (meeting each
+    pair afresh made 2,250 calls of each)."""
     spoke = load_fixture("twisted_three_spoke")
-    pairs = []
-    meet = sg.meet
+    walks = []
 
-    def counting(action, s, t):
-        pairs.append((s, t))
-        return meet(action, s, t)
+    def counting(name, real):
+        def walk(*args):
+            walks.append((name,) + args[-2:])
+            return real(*args)
+        return walk
 
-    monkeypatch.setattr(sg, "meet", counting)
+    for name in ("act_path", "restrict_path"):
+        monkeypatch.setattr(SelfSimilarAction, name,
+                            counting(name, getattr(SelfSimilarAction, name)))
+    monkeypatch.setattr(twists, "extend_bowtie",
+                        counting("extend_bowtie", extend_bowtie))
     assert verify_omega_cocycle(spoke.twist, 2)["checked"] == 10350
-    assert len(pairs) <= 2646
-    assert len(set(pairs)) == len(pairs)
+    assert len(set(walks)) == len(walks) == 3 * 28
+    assert len({w[1:] for w in walks}) == 28
 
 
 def test_verify_omega_cocycle_on_trivial_twist():
