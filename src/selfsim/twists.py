@@ -14,6 +14,7 @@ so it is an int mod scale, exact; Twist.fraction(k) gives the Fraction
 back for printing.
 """
 
+import collections
 import math
 from fractions import Fraction
 
@@ -190,60 +191,92 @@ class _Memo(dict):
         return value
 
 
+def _interner():
+    """(the keys in order of first sight, a function giving a key's id)."""
+    keys, ids = [], {}
+
+    def intern(key):
+        i = ids.setdefault(key, len(keys))
+        if i == len(keys):
+            keys.append(key)
+        return i
+
+    return keys, intern
+
+
 def verify_omega_cocycle(twist, bound):
     """Exhaustively check omega(s,t)·omega(r,st) = omega(r,s)·omega(rs,t)
     over all triples with legs of length <= bound and nonzero products.
 
-    A product kernel over int ids does the work.  Each path gets an id on
-    first sight, and each triple is held as (id of alpha, g, id of beta)
-    with an id of its own (the elements in order, then each new product).
-    A pair of triples is met once, giving (id of s·t, omega(s, t)), or
-    None when s·t is zero; the pair shows up under many third factors.
-    The meet is semigroup.meet's case split, with s·t = (alpha', ab,
-    delta') and omega = (edge phase of x along p) + sigma_G(a, b).  For
-    s = (alpha, g, beta) and t = (gamma, h, delta):
+    Each identity is evaluated once per class of instances.  Call
+    (beta, g) the right half of s = (alpha, g, beta) and (gamma, h) the
+    left half of t = (gamma, h, delta).  semigroup.meet's case split reads
+    these two halves and nothing else:
 
-        gamma = beta·b1:  s·f_gamma = (alpha', a, gamma), b = h, x = g, p = b1
-        beta = gamma·g1:  t*·f_beta = (delta', b⁻¹, beta), a = g, x = h,
-                          p = h⁻¹·g1 (delta' after |delta|)
+        gamma = beta·b1:  s·t = (alpha·p, ab, delta), p = g·b1, a = g|_b1,
+                          b = h, omega = (edge phase of g along b1) + sigma
+        beta = gamma·g1:  s·t = (alpha, ab, delta·p), p = h⁻¹·g1, a = g,
+                          b = (h⁻¹|_g1)⁻¹, omega = (edge phase of h along
+                          p) + sigma
 
-    so alpha' = alpha·(g·b1), a = g|_b1 and delta' = delta in the first
-    case, and b = (h⁻¹|_g1)⁻¹ and delta' = delta·(h⁻¹·g1) in the second.
-    Its steps are memoized, keyed by ids: the case and the tail (b1 or
-    g1) per (id of beta, id of gamma); the walk (id of k·q, k|_q, edge
-    phase of k along q) per element k and tail q; each concatenation per
-    (leg, tail); (ab, sigma_G(a, b)) per (a, b); each inverse; and each
-    product triple.  A walk is a pure function of (k, q) over the
-    action's and the twist's fixed tables, and so is every other entry
-    of its key, so the memo changes no answer.  Each entry is filled on
-    first sight by the checked library calls (is_prefix, tail_after,
-    concat, act_path, restrict_path, extend_bowtie, mul, inv and
-    Twist.group), so every check still fires once per distinct input;
-    the tables die with the call.  Each omega is the twist's int mod
-    `scale`, and a failing side becomes a Fraction only when it is
-    recorded.
+    with sigma = sigma_G(a, b); s·t is zero when the legs are
+    incomparable.  So core(right half of s, left half of t) = (case, p,
+    ab, omega(s, t)) or None.  For an instance (r, s, t):
+
+      - r·s and omega(r, s) are core(right of r, left of s);
+      - s·t and omega(s, t) are core(right of s, left of t);
+      - the right half of r·s is (beta_s, ab) in the first case and
+        (beta_s·p, ab) in the second, so (rs)·t and omega(rs, t) read the
+        right half of r, s and the left half of t;
+      - the left half of s·t is (alpha_s·p, ab) or (alpha_s, ab), so
+        omega(r, st) reads the same three;
+      - s is a candidate for r when alpha_s is comparable with beta_r, and
+        t for s when gamma is comparable with beta_s.
+
+    So whether an instance is counted, whether it holds and its two sides
+    are functions of (right half of r, s, left half of t), its class.
+    Paths and halves are interned as ints.  core is filled once per pair
+    of halves met, through the checked library calls, each memoized per
+    distinct input: is_prefix and tail_after per pair of legs; act_path,
+    restrict_path and extend_bowtie per element and tail; concat per leg
+    and tail; mul with Twist.group per pair; inv per element.  The
+    candidates of each beta leg are grouped by left half with their
+    multiplicity.  For each right half rho and each candidate s, each
+    left half of t is evaluated once and counted with its multiplicity;
+    rho's total is the count for any r with right half rho, and the r loop
+    adds it in element order.  When the total holds a failing instance,
+    that r is replayed per s and per t in the triple loop's order, so
+    `checked`, the failures in order, the cap of 20 and `truncated` are
+    those of the loop over triples (tests/test_twists.py::oracle_verify).
+
+    Calls the triple loop makes and this one does not: the alpha leg of
+    r·s and the delta leg of s·t are never built (no concat), and no
+    product triple is formed; core(right of rs, left of t) and
+    omega(r, st) are met once per class, not once per r with right half
+    rho and t with left half lambda; omega(r, s) and the right half of
+    r·s once per (rho, s), not once per r.  No instance goes unchecked,
+    since each instance's truth value and sides are its class's and each
+    class is evaluated.  The tables die with the call, and a failing
+    side becomes a Fraction only when it is recorded.
     """
     action = twist.action
     gpd, graph = action.groupoid, action.graph
     scale = twist.scale
     elements = sg.elements_up_to(action, bound)
     cands = _right_candidates(action, elements)
-    paths, path_ids = [], {}
-
-    def path_id(p):
-        i = path_ids.setdefault(p, len(paths))
-        if i == len(paths):
-            paths.append(p)
-        return i
-
-    triples = [(path_id(x.alpha), x.g, path_id(x.beta)) for x in elements]
-    ids = {x: i for (i, x) in enumerate(triples)}
-    pair_lists, by_beta = [], {}
-    for (s, (_, _, beta)) in zip(elements, triples):
-        if beta not in by_beta:      # the candidates depend on beta alone
-            by_beta[beta] = [ids[path_id(t.alpha), t.g, path_id(t.beta)]
-                             for t in cands(s)]
-        pair_lists.append(by_beta[beta])
+    paths, path_id = _interner()
+    halves, half_id = _interner()
+    legs = [(path_id(x.alpha), x.g, path_id(x.beta)) for x in elements]
+    lefts = [half_id((alpha, g)) for (alpha, g, _) in legs]
+    rights = [half_id((beta, g)) for (_, g, beta) in legs]
+    position = {x: i for (i, x) in enumerate(elements)}
+    # per beta leg: its candidates t in order, and (left half, count)
+    groups = {}
+    for (x, (_, _, beta)) in zip(elements, legs):
+        if beta not in groups:      # the candidates depend on beta alone
+            ts = [position[t] for t in cands(x)]
+            groups[beta] = ts, list(collections.Counter(
+                lefts[t] for t in ts).items())
 
     def cut(key):
         """(True, id of b1), (False, id of g1), or None: incomparable."""
@@ -265,56 +298,92 @@ def verify_omega_cocycle(twist, bound):
     prods = _Memo(lambda key: (gpd.mul(*key), twist.group(*key)))
     invs = _Memo(gpd.inv)
 
-    def meet(si, ti):
-        """(id of s·t, omega(s, t)) for the triples s and t with ids si and
-        ti, or None when s·t is zero."""
-        alpha, g, beta = triples[si]
-        gamma, h, delta = triples[ti]
+    def meet(rho, lam):
+        """(first case?, id of p, ab, omega) for the halves with ids rho
+        and lam, or None when the product is zero."""
+        beta, g = halves[rho]
+        gamma, h = halves[lam]
         c = cuts[beta, gamma]
         if c is None:
             return None
         first, tail = c
         if first:
-            gb, a, w = walks[g, tail]
-            alpha, b = cats[alpha, gb], h
+            p, a, w = walks[g, tail]
+            b = h
         else:
-            hg1, hi_g1, _ = walks[invs[h], tail]
+            p, hi_g1, _ = walks[invs[h], tail]
             a, b = g, invs[hi_g1]
-            delta = cats[delta, hg1]
-            w = walks[h, hg1][2]
+            w = walks[h, p][2]
         ab, sigma = prods[a, b]
-        st = (alpha, ab, delta)
-        i = ids.setdefault(st, len(triples))
-        if i == len(triples):
-            triples.append(st)
-        return i, (w + sigma) % scale
+        return first, p, ab, (w + sigma) % scale
 
-    # rows[si][ti] is meet(si, ti); right[s] lists (t, id of s·t,
-    # omega(s, t)) for the candidates t of s with s·t nonzero, in order
-    rows = _Memo(lambda si: _Memo(lambda ti: meet(si, ti)))
-    right = _Memo(lambda s: [(t, *rows[s][t]) for t in pair_lists[s]
-                             if rows[s][t] is not None])
+    core = _Memo(lambda rho: _Memo(lambda lam: meet(rho, lam)))
+
+    def by_left_of(s):
+        """(lambda, its count, omega(s, t), left half of s·t) for each
+        left half lambda of the candidates t of s."""
+        alpha, _, beta = legs[s]
+        row = core[rights[s]]
+        out = []
+        for (lam, m) in groups[beta][1]:
+            first, p, ab, w = row[lam]
+            out.append((lam, m, w,
+                        half_id((cats[alpha, p] if first else alpha, ab))))
+        return out
+
+    by_left = _Memo(by_left_of)
+
+    def total(rho):
+        """(checks for an r with right half rho, None) when they all hold;
+        else (checks, [(s, its checks, row of r·s, {lambda: (lhs, rhs)}
+        for the failing lambda)] per candidate s, in order)."""
+        row = core[rho]
+        n, per_s, failing = 0, [], False
+        for s in groups[halves[rho][0]][0]:
+            first, p, ab, w_rs = row[lefts[s]]
+            beta = legs[s][2]
+            row_rs = core[half_id((beta if first else cats[beta, p], ab))]
+            count, bad = 0, {}
+            for (lam, m, w_st, lam_st) in by_left[s]:
+                c = row_rs[lam]
+                if c is None:
+                    continue
+                count += m
+                lhs, rhs = w_st + row[lam_st][3], w_rs + c[3]
+                if (lhs - rhs) % scale:
+                    bad[lam] = lhs, rhs
+            n += count
+            failing = failing or bool(bad)
+            per_s.append((s, count, row_rs, bad))
+        return n, per_s if failing else None
+
+    totals = _Memo(total)
     checked, failures = 0, []
     for r in range(len(elements)):
-        row_r = rows[r]
-        for (s, rs, rs_w) in right[r]:
-            row_rs = rows[rs]
-            for (t, st, st_w) in right[s]:
-                rst = row_rs[t]
-                if rst is None:
+        n, per_s = totals[rights[r]]
+        if per_s is None:
+            checked += n
+            continue
+        for (s, count, row_rs, bad) in per_s:
+            if not bad:
+                checked += count
+                continue
+            for t in groups[legs[s][2]][0]:
+                lam = lefts[t]
+                if row_rs[lam] is None:
                     continue
                 checked += 1
-                r_st_w = row_r[st][1]
-                if (st_w + r_st_w - rs_w - rst[1]) % scale:
-                    if len(failures) < 20:
-                        failures.append({
-                            "r": sg.to_json(elements[r]),
-                            "s": sg.to_json(elements[s]),
-                            "t": sg.to_json(elements[t]),
-                            "lhs": phase_str(twist.fraction(st_w + r_st_w)),
-                            "rhs": phase_str(twist.fraction(rs_w + rst[1])),
-                        })
-                    else:
-                        return {"ok": False, "checked": checked,
-                                "failures": failures, "truncated": True}
+                if lam not in bad:
+                    continue
+                if len(failures) == 20:
+                    return {"ok": False, "checked": checked,
+                            "failures": failures, "truncated": True}
+                lhs, rhs = bad[lam]
+                failures.append({
+                    "r": sg.to_json(elements[r]),
+                    "s": sg.to_json(elements[s]),
+                    "t": sg.to_json(elements[t]),
+                    "lhs": phase_str(twist.fraction(lhs)),
+                    "rhs": phase_str(twist.fraction(rhs)),
+                })
     return {"ok": not failures, "checked": checked, "failures": failures}

@@ -2,11 +2,14 @@
 byte-for-byte determinism of reports, and DOT exports."""
 
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
+import selfsim
 from selfsim import actions as act_mod
 from selfsim import cli, systems, twists
 from selfsim.groupoids import ExplicitGroupoid
@@ -619,8 +622,13 @@ def test_system_json_round_trip(capsys, tmp_path, name):
 
 
 def test_console_script_runs():
+    """python -m selfsim.cli in a child process that imports the package
+    from where this one does, installed or not."""
+    root = str(pathlib.Path(selfsim.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "selfsim.cli",
                            "report", "four_loop_z2"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["system"] == "four_loop_z2"

@@ -24,7 +24,7 @@ from selfsim.twists import (
     verify_omega_cocycle,
 )
 
-from conftest import zn_rotation
+from conftest import random_action, zn_rotation
 
 
 # ---------------------------------------------------------------------------
@@ -108,14 +108,13 @@ def oracle_omega(twist, s, t, cases=None):
     return (twist.fraction(group) + edge) % 1
 
 
-def oracle_verify(twist, bound, cases=None):
-    """verify_omega_cocycle's result from the oracles, unmemoized, over the
-    same candidate index and in the same order; cases as for
-    oracle_omega."""
+def oracle_instances(twist, bound, cases=None):
+    """Each counted instance (r, s, t, lhs, rhs) of the cocycle identity,
+    from the oracles, unmemoized, over verify_omega_cocycle's candidate
+    index and in its order; cases as for oracle_omega."""
     action = twist.action
     elements = sg.elements_up_to(action, bound)
     cands = _right_candidates(action, elements)
-    checked, failures = 0, []
     for r in elements:
         for s in cands(r):
             rs = oracle_mul(action, r, s)
@@ -125,19 +124,27 @@ def oracle_verify(twist, bound, cases=None):
                 st = oracle_mul(action, s, t)
                 if sg.is_zero(st) or sg.is_zero(oracle_mul(action, rs, t)):
                     continue
-                checked += 1
                 lhs = (oracle_omega(twist, s, t, cases)
                        + oracle_omega(twist, r, st, cases)) % 1
                 rhs = (oracle_omega(twist, r, s, cases)
                        + oracle_omega(twist, rs, t, cases)) % 1
-                if lhs == rhs:
-                    continue
-                if len(failures) == 20:
-                    return {"ok": False, "checked": checked,
-                            "failures": failures, "truncated": True}
-                failures.append({"r": sg.to_json(r), "s": sg.to_json(s),
-                                 "t": sg.to_json(t), "lhs": phase_str(lhs),
-                                 "rhs": phase_str(rhs)})
+                yield r, s, t, lhs, rhs
+
+
+def oracle_verify(twist, bound, cases=None):
+    """verify_omega_cocycle's result, one instance at a time from
+    oracle_instances."""
+    checked, failures = 0, []
+    for (r, s, t, lhs, rhs) in oracle_instances(twist, bound, cases):
+        checked += 1
+        if lhs == rhs:
+            continue
+        if len(failures) == 20:
+            return {"ok": False, "checked": checked,
+                    "failures": failures, "truncated": True}
+        failures.append({"r": sg.to_json(r), "s": sg.to_json(s),
+                         "t": sg.to_json(t), "lhs": phase_str(lhs),
+                         "rhs": phase_str(rhs)})
     return {"ok": not failures, "checked": checked, "failures": failures}
 
 
@@ -699,6 +706,52 @@ def test_verify_omega_cocycle_meets_each_pair_once(monkeypatch):
     assert verify_omega_cocycle(spoke.twist, 2)["checked"] == 10350
     assert len(set(walks)) == len(walks) == 3 * 28
     assert len({w[1:] for w in walks}) == 28
+
+
+def test_verify_omega_cocycle_on_four_loop_z2_at_bound_2():
+    """A half turn on one loop of four_loop_z2 is a valid twist; its
+    26,915,112 instances at bound 2 fall into 61,032 classes."""
+    action = load_fixture("four_loop_z2").action
+    tw = Twist(action, [], [("1", "e", "1/2")])
+    assert verify_omega_cocycle(tw, 2) == \
+        {"ok": True, "checked": 26915112, "failures": []}
+
+
+def test_verify_omega_cocycle_matches_the_oracle_on_untruncated_failures():
+    """Seeded random twists on two sampled actions fail between 1 and 19
+    times, so the verifier replays every failing class to its end and
+    the count covers every instance."""
+    for (i, n) in ((16, 16), (39, 10)):
+        action = random_action(random.Random(100 + i))
+        tw = random_twist(action, random.Random(i))
+        out = verify_omega_cocycle(tw, 1)
+        assert len(out["failures"]) == n and "truncated" not in out
+        assert out == oracle_verify(tw, 1)
+
+
+def test_verify_omega_cocycle_replays_failing_classes_per_triple():
+    """The bundled system with two edge phases moved, at bound 1.  The
+    21st failure, where the check stops, falls on an r that is not the
+    first with its (beta, g), so every r of a failing class is replayed,
+    not only the first; and one (r, s) up to it has a passing t between
+    two failing t, so the failures and the count come out only from a
+    replay in the triple loop's order."""
+    spoke = load_fixture("twisted_three_spoke")
+    tw = Twist(spoke.action, edge_entries=[("1", "em1", "1/2"),
+                                           ("1", "e1", "1/3")])
+    out = verify_omega_cocycle(tw, 1)
+    assert out["truncated"] and out == oracle_verify(tw, 1)
+    first = {}
+    for x in sg.elements_up_to(spoke.action, 1):
+        first.setdefault((x.beta, x.g), x)
+    runs, failed = collections.defaultdict(str), 0
+    for (r, s, _, lhs, rhs) in oracle_instances(tw, 1):
+        runs[r, s] += "P" if lhs == rhs else "F"
+        failed += lhs != rhs
+        if failed == 21:
+            break
+    assert first[r.beta, r.g] != r
+    assert any("P" in run.strip("P") for run in runs.values())
 
 
 def test_verify_omega_cocycle_on_trivial_twist():
