@@ -12,9 +12,10 @@ on explicit groupoids it must also satisfy the two product laws
 
     (hg)·e = h·(g·e)        (hg)|_e = (h|_{g·e}) (g|_e)
 
-The unit law is checked edge by edge.  The product laws are checked for g
-in a generating set S of the groupoid (ExplicitGroupoid.generators) and
-every composable h and e, by Lemma 2: once the groupoid is associative,
+The unit law is checked edge by edge.  The product laws are checked for
+the non-units g of a generating set S of the groupoid
+(ExplicitGroupoid.generators) and every composable h and e, by Lemma 2:
+once the groupoid is associative,
 the set T of g satisfying both laws for every composable h and e is closed
 under products.  For a, b in T, expand through b and then through a:
 
@@ -23,7 +24,9 @@ under products.  For a, b in T, expand through b and then through a:
                = h|_{(ab)·e} (ab)|_e,
 
 using b in T with h = a for (ab)·e = a·(b·e) and (ab)|_e = a|_{b·e} b|_e.
-S generates G, so S in T gives T = G.  If some g in S fails, every g is
+Once the unit law holds, every unit u is in T, since (hu)·e = h·e =
+h·(u·e) and (hu)|_e = h|_e = h|_{u·e} u|_e.  S generates G, so the
+non-units of S in T give T = G.  If one of them fails, every g is
 checked, so the problem list names every failing (h, g, e).  The
 inverse-restriction law (g|_p)⁻¹ = g⁻¹|_{g·p} on paths is implied, so it
 is not checked.  Take h = g⁻¹ in the product law and use the unit law:
@@ -143,10 +146,12 @@ class SelfSimilarAction:
         that each g acts as a bijection src(g)E1 -> rng(g)E1 with
         restrictions of the right source and range; and the unit law.
         On an explicit groupoid it then checks both product laws at every
-        composable (h, g, e) with g in the groupoid's generators().  The
-        groupoid stage has proved associativity, so by Lemma 2 (see the
-        module docstring) the g passing both laws are closed under
-        products, and passing on generators proves the laws for every g.
+        composable (h, g, e) with g a non-unit in the groupoid's
+        generators().  The groupoid stage has proved associativity, so by
+        Lemma 2 (see the module docstring) the g passing both laws are
+        closed under products, and the units pass once the unit stage
+        has.  So passing on the non-unit generators proves the laws for
+        every g.
         If a law fails there, the scan is rerun over every g, so the
         problems are every failing (h, g, e), in sorted order.  No path is
         enumerated: the inverse-restriction law on paths is implied.
@@ -215,7 +220,8 @@ class SelfSimilarAction:
                     problems.append("unit at %r restricts to non-unit on %r" % (v, e.name))
 
         if gpd.kind == "explicit" and not problems:
-            problems = self._law_failures(set(gpd.generators()))
+            problems = self._law_failures(
+                set(gpd.generators()) - set(gpd.units.values()))
             if problems:
                 problems = self._law_failures(set(gpd.elements()))
         return problems

@@ -43,6 +43,8 @@ def _json_arg(text, what):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise UsageError("%s is not valid JSON: %s" % (what, exc))
+    except RecursionError:
+        raise UsageError("%s is JSON nested too deeply to read" % what)
 
 
 def _emit(obj):
@@ -341,7 +343,17 @@ def _build_parser():
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        return globals()["cmd_" + args.cmd.replace("-", "_")](args)
+        code = globals()["cmd_" + args.cmd.replace("-", "_")](args)
+        # flush inside the try, so that a closed stdout raises here
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the recipe of the signal module's docs for SIGPIPE: point stdout
+        # at devnull, so that the flush at exit does not fail again, and
+        # exit 1 as Python does on EPIPE
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     except UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return 2

@@ -185,9 +185,12 @@ class ExplicitGroupoid(Groupoid):
         For if a and b are such middles, then
             (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y).
         The closure of S under products is every element, so when every
-        a in S passes, the table is associative.  If some triple fails, the
-        scan is repeated over every middle, so the problem list is the
-        full, sorted list of failing (a, b, c).
+        a in S passes, the table is associative.  A unit middle u passes
+        once the unit laws hold, since (xu)y = xy = x(uy); so when the
+        unit and inverse stage finds nothing, only the non-unit generators
+        are scanned.  If some triple fails, the scan is repeated over every
+        middle, so the problem list is the full, sorted list of failing
+        (a, b, c).
         """
         problems = []
         vset = set(self.vertices)
@@ -224,7 +227,10 @@ class ExplicitGroupoid(Groupoid):
                 problems.append("inverse of %r is wrong" % g)
         problems += ["inverse given for unknown element %r" % g
                      for g in sorted(self._inv.keys() - self._elements.keys())]
-        failures = self._associativity_failures(set(self.generators()))
+        middles = set(self.generators())
+        if not problems:
+            middles -= set(self.units.values())
+        failures = self._associativity_failures(middles)
         if failures:
             failures = self._associativity_failures(set(els))
         return problems + failures

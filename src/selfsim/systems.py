@@ -17,6 +17,11 @@ from .groupoids import (BehavioralModel, GroupoidError, ExplicitGroupoid,
 from .twists import Twist, TwistError, validate_twist
 
 
+# A file's "cyclic" fibers may ask for this many product-table entries in
+# all (the sum of n² over the fibers): "cyclic": 1000 is the largest one.
+_MAX_CYCLIC_ENTRIES = 10 ** 6
+
+
 class SystemLoadError(ValueError):
     """The file cannot be parsed into a system at all (shape/parse errors);
     domain problems are reported by validate_system instead."""
@@ -71,14 +76,20 @@ def groupoid_from_json(data, vertices):
         return ExplicitGroupoid(vertices, _records(data["elements"], "'elements'"),
                                 units, mul, inv)
     if kind == "bundle":
+        orders = [fib["cyclic"] for fib in data["fibers"].values()
+                  if "cyclic" in fib]
+        if any(type(n) is not int or n < 1 for n in orders):
+            raise UsageError("'cyclic' must be a positive integer")
+        entries = sum(n * n for n in orders)
+        if entries > _MAX_CYCLIC_ENTRIES:
+            raise UsageError("the 'cyclic' fibers ask for %d table entries; "
+                             "at most %d are built"
+                             % (entries, _MAX_CYCLIC_ENTRIES))
         fibers = {}
         for (v, fib) in data["fibers"].items():
             if "cyclic" in fib:
-                n = fib["cyclic"]
-                if type(n) is not int or n < 1:
-                    raise UsageError("'cyclic' must be a positive integer")
                 fibers[v] = cyclic_group_table(
-                    n, json_name(fib.get("prefix", ""), "'prefix'"))
+                    fib["cyclic"], json_name(fib.get("prefix", ""), "'prefix'"))
             else:
                 fibers[v] = {
                     "elements": json_names(fib["elements"], "'elements'"),
@@ -205,6 +216,10 @@ def load_system(path):
         raise SystemLoadError("cannot read %s: %s" % (path, exc))
     except json.JSONDecodeError as exc:
         raise SystemLoadError("not valid JSON: %s" % (exc,))
+    except UnicodeDecodeError as exc:
+        raise SystemLoadError("not valid UTF-8: %s" % (exc,))
+    except RecursionError:
+        raise SystemLoadError("JSON nested too deeply to read")
     return system_from_json(data)
 
 

@@ -104,41 +104,99 @@ def extend_bowtie(twist, g, p):
 
 def validate_twist(twist):
     """All normalization, cocycle and compatibility identities; returns the
-    list of violations (empty means valid)."""
+    list of violations (empty means valid), in this order: normalization
+    of sigma_G, the group cocycle identity, the edge phase at the units,
+    edge compatibility.
+
+    The action must be valid (SelfSimilarAction.validate returns no
+    problem), as it is in validate_system and `selfsim twist validate`.
+    The identities are then checked at middles h in the non-units of the
+    groupoid's generators() only, once both normalization scans are clean.
+
+    The group cocycle identity at (g, h, k) says that (u_g u_h) u_k =
+    u_g (u_h u_k) in the twisted groupoid algebra, whose basis elements
+    u_g multiply as u_g u_h = sigma_G(g, h) u_gh.  The scalars are central
+    and invertible, so by Light's associativity test (see
+    ExplicitGroupoid.validate) the middles h at which it holds for every
+    composable g and k are closed under products.  A unit middle passes by
+    normalization: sigma_G(g, u) + sigma_G(gu, k) = sigma_G(u, k) +
+    sigma_G(g, uk) reads 0 + sigma_G(g, k) on both sides.
+
+    Write D(g, h, e) for the edge compatibility defect
+        sigma_bowtie(h, e) - sigma_bowtie(gh, e) + sigma_bowtie(g, h·e)
+        - sigma_G(g, h) + sigma_G(g|_{h·e}, h|_e).
+    Once the group identity holds everywhere, the middles h with
+    D(g, h, e) = 0 for every g and e are closed under products.  Take a
+    and b among them, and expand sigma_bowtie((ga)b, e) through
+    D(ga, b, e) and D(g, a, b·e), and sigma_bowtie(ab, e) through
+    D(a, b, e).  By the action laws (ga)|_{b·e} = g|_{ab·e} a|_{b·e} and
+    (ab)|_e = a|_{b·e} b|_e, and what is left of D(g, ab, e) is the group
+    identity at (g, a, b) and at (g|_{ab·e}, a|_{b·e}, b|_e), so it is 0.
+    A unit middle u passes by normalization and the unit law of the
+    action, u·e = e and u|_e a unit: D(g, u, e) = sigma_G(g|_e, u|_e) = 0.
+
+    Every middle is a product of generators, so passing on the non-unit
+    generators proves each identity everywhere.  If either normalization
+    scan, or a reduced scan, finds a failure, that identity is scanned
+    again at every middle, so the list is that of the full scan.
+    """
     action = twist.action
     gpd, graph = action.groupoid, action.graph
     group, edge, scale = twist.group, twist.edge, twist.scale
-    bad = []
-    for g in gpd.elements():
+    elements, by_rng = gpd.elements(), gpd.by_range()
+    received = {v: sorted(e.name for e in graph.received_by(v))
+                for v in gpd.vertices}
+    normal = []
+    for g in elements:
         lu = gpd.unit_at(gpd.rng(g))
         ru = gpd.unit_at(gpd.src(g))
         if group(lu, g) or group(g, ru):
-            bad.append("group cocycle is not normalized at %r" % (g,))
-    # composable pairs (g, h) and triples (g, h, k) in sorted order
-    by_rng = gpd.by_range()
-    composable = [(g, h) for g in gpd.elements() for h in by_rng[gpd.src(g)]]
-    for (g, h) in composable:
-        gh = gpd.mul(g, h)
-        for k in by_rng[gpd.src(h)]:
-            if (group(g, h) + group(gh, k) - group(h, k)
-                    - group(g, gpd.mul(h, k))) % scale:
-                bad.append("group cocycle identity fails at (%r, %r, %r)"
-                           % (g, h, k))
+            normal.append("group cocycle is not normalized at %r" % (g,))
+    unit_edges = []
     for e in sorted(e.name for e in graph.edges):
         u = gpd.unit_at(graph.edge(e).rng)
         if edge(u, e):
-            bad.append("edge phase at the unit is not 1 on %r" % (e,))
-    for (g, h) in composable:
-        gh = gpd.mul(g, h)
-        for e in sorted(e.name for e in graph.received_by(gpd.src(h))):
-            he = action.act_edge(h, e)
-            lhs = edge(h, e) - edge(gh, e) + edge(g, he)
-            rhs = group(g, h) - group(action.restrict_edge(g, he),
-                                      action.restrict_edge(h, e))
-            if (lhs - rhs) % scale:
-                bad.append("edge compatibility fails at (%r, %r, %r)"
-                           % (g, h, e))
-    return bad
+            unit_edges.append("edge phase at the unit is not 1 on %r" % (e,))
+
+    def identity(middles):
+        bad, mid_by_rng = [], gpd.by_range(middles)
+        for g in elements:
+            for h in mid_by_rng[gpd.src(g)]:
+                gh = gpd.mul(g, h)
+                for k in by_rng[gpd.src(h)]:
+                    if (group(g, h) + group(gh, k) - group(h, k)
+                            - group(g, gpd.mul(h, k))) % scale:
+                        bad.append("group cocycle identity fails at "
+                                   "(%r, %r, %r)" % (g, h, k))
+        return bad
+
+    def compatibility(middles):
+        bad, mid_by_rng = [], gpd.by_range(middles)
+        for g in elements:
+            for h in mid_by_rng[gpd.src(g)]:
+                gh = gpd.mul(g, h)
+                for e in received[gpd.src(h)]:
+                    he = action.act_edge(h, e)
+                    lhs = edge(h, e) - edge(gh, e) + edge(g, he)
+                    rhs = group(g, h) - group(action.restrict_edge(g, he),
+                                              action.restrict_edge(h, e))
+                    if (lhs - rhs) % scale:
+                        bad.append("edge compatibility fails at "
+                                   "(%r, %r, %r)" % (g, h, e))
+        return bad
+
+    def scan(check, reduced):
+        """check at the non-unit generators when reduced, and at every
+        middle when not, or when they show a failure."""
+        if reduced and not check(set(gpd.generators())
+                                 - set(gpd.units.values())):
+            return []
+        return check(set(elements))
+
+    normalized = not normal and not unit_edges
+    cocycle = scan(identity, normalized)
+    return (normal + cocycle + unit_edges
+            + scan(compatibility, normalized and not cocycle))
 
 
 def omega(twist, s, t):

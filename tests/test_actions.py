@@ -21,7 +21,7 @@ from selfsim.germs import point_prepend
 
 from selfsim.graphs import DirectedGraph, Path, path_key
 from selfsim.groupoids import (BehavioralModel, ExplicitGroupoid,
-                               from_group_action)
+                               from_group_action, group_bundle)
 
 from conftest import (EXPLICIT_FIXTURES, FIXTURES, oracle_action_validate,
                       oracle_groupoid_validate, single_entry_corruptions,
@@ -942,6 +942,24 @@ def test_validate_matches_the_literal_validators_on_every_corruption(
             for law in ("associativity", "(hg)·e law", "(hg)|_e law"):
                 reached[law] += any(law in p for p in expected)
     assert min(reached.values()) >= 50, reached
+
+
+def test_the_product_laws_wait_for_the_unit_law():
+    """The trivial group on one vertex, its unit swapping the two loops:
+    both product laws fail only at the unit middle, which the scan over
+    the non-unit generators (none here) never takes.  The unit stage runs
+    first and names the fault, so the list is the literal validator's."""
+    graph = DirectedGraph(["v"], [("e", "v", "v"), ("f", "v", "v")])
+    gpd = group_bundle(["v"], {})
+    action = SelfSimilarAction(graph, gpd,
+                               {("1@v", "e"): "f", ("1@v", "f"): "e"},
+                               {("1@v", "e"): "1@v", ("1@v", "f"): "1@v"})
+    assert gpd.generators() == ("1@v",)
+    assert action._law_failures({"1@v"}) == [
+        "(hg)·e law fails at ('1@v', '1@v', 'e')",
+        "(hg)·e law fails at ('1@v', '1@v', 'f')"]
+    assert action.validate() == oracle_action_validate(action) == [
+        "unit at 'v' moves edge 'e'", "unit at 'v' moves edge 'f'"]
 
 
 def test_validate_makes_subcubic_products(monkeypatch):

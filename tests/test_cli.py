@@ -14,7 +14,7 @@ from selfsim import actions as act_mod
 from selfsim import cli, systems, twists
 from selfsim.groupoids import ExplicitGroupoid
 
-from conftest import EXPLICIT_FIXTURES
+from conftest import EXPLICIT_FIXTURES, zn_rotation
 
 FIXTURES = sorted(systems.fixture_names())
 
@@ -89,6 +89,61 @@ def test_malformed_json_is_a_parse_failure(capsys, tmp_path):
     code, _, err = run(capsys, ["validate", str(path)])
     assert code == 2
     assert "parse error" in err
+
+
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe{}",                          # not UTF-8
+    b"[" * 100000 + b"]" * 100000,          # nested past the parser's depth
+], ids=["not-utf-8", "deep"])
+def test_unreadable_file_bytes_are_a_parse_failure(capsys, tmp_path, content):
+    path = tmp_path / "junk.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, ["validate", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error:")
+
+
+def test_a_deeply_nested_json_argument_is_a_usage_failure(capsys):
+    code, out, err = run(capsys, ["semigroup", "four_loop_z2", "star",
+                                  "[" * 20000 + "]" * 20000])
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: argument 1")
+
+
+@pytest.mark.parametrize("orders", [[1001], [708, 708]])
+def test_cyclic_fibers_past_a_million_entries_are_refused(capsys, tmp_path,
+                                                         monkeypatch, orders):
+    """1001² and 2·708² are past 10⁶ table entries: the file is refused
+    before any table is built."""
+    def refuse(n, prefix=""):
+        raise AssertionError("built a table of order %d" % n)
+
+    monkeypatch.setattr(systems, "cyclic_group_table", refuse)
+    vs = ["v%d" % k for k in range(len(orders))]
+    path = write_system(tmp_path, {
+        "graph": {"vertices": vs, "edges": []},
+        "groupoid": {"kind": "bundle", "fibers": {
+            v: {"cyclic": n, "prefix": v} for (v, n) in zip(vs, orders)}},
+        "action": {"edge_action": [], "restriction": []}})
+    code, out, err = run(capsys, ["validate", path])
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error:") and "table entries" in err
+
+
+def test_cyclic_fibers_up_to_a_million_entries_are_built(monkeypatch):
+    built = []
+
+    def record(n, prefix=""):
+        built.append(n)
+        return {"elements": [prefix + "0"], "unit": prefix + "0",
+                "mul": {(prefix + "0", prefix + "0"): prefix + "0"}}
+
+    monkeypatch.setattr(systems, "cyclic_group_table", record)
+    for orders in ([1000], [600, 800]):
+        vs = ["v%d" % k for k in range(len(orders))]
+        systems.groupoid_from_json({"kind": "bundle", "fibers": {
+            v: {"cyclic": n, "prefix": v} for (v, n) in zip(vs, orders)}}, vs)
+    assert built == [1000, 600, 800]
 
 
 def test_missing_section_is_a_parse_failure(capsys, tmp_path):
@@ -621,14 +676,53 @@ def test_system_json_round_trip(capsys, tmp_path, name):
     assert data["valid"] is True
 
 
-def test_console_script_runs():
-    """python -m selfsim.cli in a child process that imports the package
-    from where this one does, installed or not."""
+def child_env():
+    """The environment for python -m selfsim.cli in a child process that
+    imports the package from where this one does, installed or not."""
     root = str(pathlib.Path(selfsim.__file__).parent.parent)
     path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def test_console_script_runs():
     proc = subprocess.run([sys.executable, "-m", "selfsim.cli",
                            "report", "four_loop_z2"],
-                          capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=path))
+                          capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["system"] == "four_loop_z2"
+
+
+def test_a_closed_stdout_ends_without_a_traceback(tmp_path):
+    """The reader closes the pipe after one line of a DOT export of about
+    200 kB, more than a pipe holds, so a later write of the child meets a
+    closed pipe.  The child's stdout is buffered, as by default: with
+    PYTHONUNBUFFERED set, one large write that the pipe cuts short is
+    dropped without an error."""
+    path = str(tmp_path / "zn_rotation_80.json")
+    systems.save_system(systems.System("zn_rotation_80", zn_rotation(80)),
+                        path)
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.Popen([sys.executable, "-m", "selfsim.cli",
+                             "export-dot", path, "--what", "restriction"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=env)
+    assert proc.stdout.readline().startswith(b"digraph")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (1, b"")
+
+
+def test_a_stdout_closed_from_the_start_ends_without_a_traceback():
+    """A short report fits the buffer, so the pipe's closed end is met
+    only when the buffer is flushed, before the interpreter exits."""
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    proc = subprocess.run([sys.executable, "-m", "selfsim.cli",
+                           "report", "four_loop_z2"],
+                          stdout=write_end, stderr=subprocess.PIPE, env=env)
+    os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")

@@ -241,3 +241,25 @@ def test_table_entries_off_the_element_set_are_problems():
                                base.units, tables["mul"], tables["inv"])
         assert oracle_groupoid_validate(gpd) == []
         assert gpd.validate() == [problem], key
+
+
+def test_a_failure_only_at_a_unit_middle_is_listed():
+    """a absorbs, b·b = a, b and u commute to b, and u·u = a breaks the
+    unit law.  Associativity fails only at the middle u, and the scan over
+    the non-unit generators (here b) passes.  The unit stage has found a
+    problem, so the units stay among the middles and both triples are
+    listed."""
+    els = ["a", "b", "u"]
+    mul = {(x, y): "a" for x in els for y in els}
+    mul[("b", "u")] = mul[("u", "b")] = "b"
+    gpd = ExplicitGroupoid(["v"], [(x, "v", "v") for x in els], {"v": "u"},
+                           mul, {x: x for x in els})
+    assert gpd.generators() == ("u", "b")
+    assert gpd._associativity_failures({"b"}) == []
+    assert gpd.validate() == oracle_groupoid_validate(gpd) == [
+        "inverse of 'a' is wrong",
+        "inverse of 'b' is wrong",
+        "units do not act as identities on 'u'",
+        "inverse of 'u' is wrong",
+        "associativity fails on ('b', 'u', 'u')",
+        "associativity fails on ('u', 'u', 'b')"]

@@ -24,7 +24,7 @@ from selfsim.twists import (
     verify_omega_cocycle,
 )
 
-from conftest import random_action, zn_rotation
+from conftest import random_action, transformation_action, zn_rotation
 
 
 # ---------------------------------------------------------------------------
@@ -438,6 +438,115 @@ def test_validate_twist_matches_the_literal_scan():
             checked += 1
         assert validate_twist(tw) == oracle_validate_twist(tw)
     assert checked == (6 + 6) + 2 * ((4 + 8) + (9 + 9) + (16 + 16))
+
+
+def coboundary_twist(action, rng, n=6):
+    """The coboundary of seeded phases f = k/n on the non-units and on the
+    edges, 0 at the units: sigma_G(g, h) = f(g) + f(h) - f(gh) and
+    sigma_bowtie(g, e) = f(g) + f(e) - f(g·e) - f(g|_e).  On a valid
+    action it is a valid twist, with its class trivial."""
+    gpd, graph = action.groupoid, action.graph
+    f = {g: Fraction(0 if gpd.is_unit(g) else rng.randrange(n), n)
+         for g in gpd.elements()}
+    fe = {e.name: Fraction(rng.randrange(n), n) for e in graph.edges}
+    group = [(g, h, (f[g] + f[h] - f[gpd.mul(g, h)]) % 1)
+             for g in gpd.elements() for h in gpd.elements()
+             if gpd.src(g) == gpd.rng(h)]
+    edge = [(g, e.name, (f[g] + fe[e.name] - fe[action.act_edge(g, e.name)]
+                         - f[action.restrict_edge(g, e.name)]) % 1)
+            for g in gpd.elements() for e in graph.received_by(gpd.src(g))]
+    return Twist(action, group, edge)
+
+
+def klein_bicharacter_twist():
+    """Z2×Z2 fixing one loop, each element its own restriction, with
+    sigma_G(x, y) = x1·y2/2 and sigma_bowtie(x, e) = x1/2.  A bicharacter
+    is a cocycle, and an additive edge phase is compatible here.  The
+    class is not trivial: a coboundary f(x) + f(y) - f(xy) on an abelian
+    group is symmetric, and sigma_G(10, 01) = 1/2 != sigma_G(01, 10)."""
+    graph = DirectedGraph(["v"], [("e", "v", "v")])
+    names = ["00", "01", "10", "11"]
+
+    def xor(x, y):
+        return "%d%d" % (int(x[0]) ^ int(y[0]), int(x[1]) ^ int(y[1]))
+
+    gpd = group_bundle(["v"], {"v": {
+        "elements": names, "unit": "00",
+        "mul": {(x, y): xor(x, y) for x in names for y in names}}})
+    action = SelfSimilarAction(graph, gpd, {(x, "e"): "e" for x in names},
+                               {(x, "e"): x for x in names})
+    return Twist(action,
+                 [(x, y, Fraction(int(x[0]) * int(y[1]), 2))
+                  for x in names for y in names],
+                 [(x, "e", Fraction(int(x[0]), 2)) for x in names])
+
+
+def test_validate_twist_on_generators_matches_the_literal_scan():
+    """On valid twists validate_twist checks the identities at the
+    non-unit generators only, and rescans every middle on a failure.  The
+    twists: coboundaries on four_loop_z2, zn_rotation(3..4),
+    transformation_action() and eight seeded random actions; the two
+    golden twists; and the Klein bicharacter, whose class is not trivial.
+    Each is valid, and each single entry moved by 1/7 and by 1/2 gives
+    exactly the literal scan's problems, order included.  A move by 1/2
+    can give another valid twist (a Z2 character on the edges, say)."""
+    from test_golden import sevenths_and_elevenths
+
+    rng = random.Random(20261019)
+    actions = [load_fixture("four_loop_z2").action, zn_rotation(3),
+               zn_rotation(4), transformation_action()]
+    actions += [random_action(random.Random(300 + i)) for i in range(8)]
+    cases = [coboundary_twist(action, rng) for action in actions]
+    cases += [load_fixture("twisted_three_spoke").twist,
+              sevenths_and_elevenths().twist, klein_bicharacter_twist()]
+    reached = collections.Counter()
+    for tw in cases:
+        assert tw.action.validate() == []
+        assert validate_twist(tw) == oracle_validate_twist(tw) == []
+        group, edge = table_fractions(tw)
+        for (table, key) in [("group", k) for k in group] + \
+                [("edge", k) for k in edge]:
+            for step in (Fraction(1, 7), Fraction(1, 2)):
+                moved = {"group": dict(group), "edge": dict(edge)}
+                moved[table][key] = (moved[table][key] + step) % 1
+                bad = Twist(tw.action,
+                            [k + (v,) for (k, v) in moved["group"].items()],
+                            [k + (v,) for (k, v) in moved["edge"].items()])
+                expected = oracle_validate_twist(bad)
+                assert validate_twist(bad) == expected, (table, key, step)
+                # with both normalization scans clean, the generators run
+                if not any("normalized" in p or "at the unit" in p
+                           for p in expected):
+                    for kind in ("identity", "compatibility"):
+                        reached[kind] += any(kind in p for p in expected)
+    assert min(reached.values()) >= 20, reached
+
+
+def test_validate_twist_reads_subcubic_entries(monkeypatch):
+    """A valid coboundary twist on zn_rotation(32), |G| = |E| = 32, whose
+    non-unit generator is c1: the literal scan reads sigma_G 4·|G|³ +
+    2·|G|²·|E| times and sigma_bowtie 3·|G|²·|E| times.  On the generator
+    it reads sigma_G 2·|G| times to check normalization, 4·|G|² times for
+    the identity and 2·|G|·|E| times for compatibility, and sigma_bowtie
+    |E| + 3·|G|·|E| times."""
+    n = 32
+    tw = coboundary_twist(zn_rotation(n), random.Random(32))
+    reads = collections.Counter()
+    real_group, real_edge = Twist.group, Twist.edge
+
+    def counting_group(self, g, h):
+        reads["group"] += 1
+        return real_group(self, g, h)
+
+    def counting_edge(self, g, e):
+        reads["edge"] += 1
+        return real_edge(self, g, e)
+
+    monkeypatch.setattr(Twist, "group", counting_group)
+    monkeypatch.setattr(Twist, "edge", counting_edge)
+    assert validate_twist(tw) == []
+    assert reads == {"group": 2 * n + 4 * n * n + 2 * n * n,
+                     "edge": n + 3 * n * n}
 
 
 # ---------------------------------------------------------------------------
