@@ -20,8 +20,7 @@ from .conditions import (check_con, check_contracting, check_cyc, check_evr,
                          invariant_closure, run_report)
 from .semigroup import ZERO, SemigroupError, Triple
 from .germs import (Germ, GermError, classify, germ_eq, germ_inv, germ_mul,
-                    hum_check, hum_for_point, in_core,
-                    singular_decompositions, xbar)
+                    hum_for_point, in_core, singular_decompositions, xbar)
 from .twists import Twist, TwistError, extend_bowtie, omega, validate_twist
 from .systems import (System, SystemLoadError, fixture_names, load_fixture,
                       load_system, save_system)

@@ -12,12 +12,11 @@ on explicit groupoids it must also satisfy the two product laws
 
     (hg)·e = h·(g·e)        (hg)|_e = (h|_{g·e}) (g|_e)
 
-The unit law is checked edge by edge.  The product laws are checked for
-the non-units g of a generating set S of the groupoid
-(ExplicitGroupoid.generators) and every composable h and e, by Lemma 2:
-once the groupoid is associative,
-the set T of g satisfying both laws for every composable h and e is closed
-under products.  For a, b in T, expand through b and then through a:
+The unit law is checked edge by edge.  The product laws are checked at
+middles g through ExplicitGroupoid.law_failures, by Lemma 2: once the
+groupoid is associative, the set T of g satisfying both laws for every
+composable h and e is closed under products.  For a, b in T, expand
+through b and then through a:
 
     (h(ab))·e = ((ha)b)·e = (ha)·(b·e) = h·(a·(b·e)) = h·((ab)·e),
     (h(ab))|_e = ((ha)b)|_e = (ha)|_{b·e} b|_e = h|_{a·(b·e)} a|_{b·e} b|_e
@@ -25,11 +24,9 @@ under products.  For a, b in T, expand through b and then through a:
 
 using b in T with h = a for (ab)·e = a·(b·e) and (ab)|_e = a|_{b·e} b|_e.
 Once the unit law holds, every unit u is in T, since (hu)·e = h·e =
-h·(u·e) and (hu)|_e = h|_e = h|_{u·e} u|_e.  S generates G, so the
-non-units of S in T give T = G.  If one of them fails, every g is
-checked, so the problem list names every failing (h, g, e).  The
-inverse-restriction law (g|_p)⁻¹ = g⁻¹|_{g·p} on paths is implied, so it
-is not checked.  Take h = g⁻¹ in the product law and use the unit law:
+h·(u·e) and (hu)|_e = h|_e = h|_{u·e} u|_e.  The inverse-restriction
+law (g|_p)⁻¹ = g⁻¹|_{g·p} on paths is implied, so it is not checked.
+Take h = g⁻¹ in the product law and use the unit law:
 
     g⁻¹|_{g·e} (g|_e) = (g⁻¹g)|_e = u_{src e},  so  g⁻¹|_{g·e} = (g|_e)⁻¹;
     for p = e p':  g⁻¹|_{g·p} = (g⁻¹|_{g·e})|_{g|_e·p'} = ((g|_e)⁻¹)|_{g|_e·p'}
@@ -145,14 +142,11 @@ class SelfSimilarAction:
         the graph and the groupoid; which pairs (g, e) carry table entries;
         that each g acts as a bijection src(g)E1 -> rng(g)E1 with
         restrictions of the right source and range; and the unit law.
-        On an explicit groupoid it then checks both product laws at every
-        composable (h, g, e) with g a non-unit in the groupoid's
-        generators().  The groupoid stage has proved associativity, so by
-        Lemma 2 (see the module docstring) the g passing both laws are
-        closed under products, and the units pass once the unit stage
-        has.  So passing on the non-unit generators proves the laws for
-        every g.
-        If a law fails there, the scan is rerun over every g, so the
+        On an explicit groupoid it then checks both product laws through
+        the groupoid's law_failures, with g as the middle of (h, g, e).
+        The groupoid stage has proved associativity, so by Lemma 2 (see
+        the module docstring) the g passing both laws are closed under
+        products, and the units pass once the unit stage has.  The
         problems are every failing (h, g, e), in sorted order.  No path is
         enumerated: the inverse-restriction law on paths is implied.
         """
@@ -220,10 +214,7 @@ class SelfSimilarAction:
                     problems.append("unit at %r restricts to non-unit on %r" % (v, e.name))
 
         if gpd.kind == "explicit" and not problems:
-            problems = self._law_failures(
-                set(gpd.generators()) - set(gpd.units.values()))
-            if problems:
-                problems = self._law_failures(set(gpd.elements()))
+            problems = gpd.law_failures(self._law_failures, units_pass=True)
         return problems
 
     def _law_failures(self, right):
@@ -232,18 +223,15 @@ class SelfSimilarAction:
         received_by.  Walks composable pairs only."""
         gpd, received_by = self.groupoid, self.graph.received_by
         act, res, out = self.edge_action, self.restriction, []
-        by_rng = gpd.by_range(right)
-        for h in gpd.elements():
-            for g in by_rng[gpd.src(h)]:
-                hg = gpd.mul(h, g)
-                for e in received_by(gpd.src(g)):
-                    ge = act[(g, e.name)]
-                    if act[(hg, e.name)] != act[(h, ge)]:
-                        out.append(
-                            "(hg)·e law fails at (%r, %r, %r)" % (h, g, e.name))
-                    if res[(hg, e.name)] != gpd.mul(res[(h, ge)], res[(g, e.name)]):
-                        out.append(
-                            "(hg)|_e law fails at (%r, %r, %r)" % (h, g, e.name))
+        for (h, g, hg) in gpd.composable_pairs(right):
+            for e in received_by(gpd.src(g)):
+                ge = act[(g, e.name)]
+                if act[(hg, e.name)] != act[(h, ge)]:
+                    out.append(
+                        "(hg)·e law fails at (%r, %r, %r)" % (h, g, e.name))
+                if res[(hg, e.name)] != gpd.mul(res[(h, ge)], res[(g, e.name)]):
+                    out.append(
+                        "(hg)|_e law fails at (%r, %r, %r)" % (h, g, e.name))
         return out
 
 

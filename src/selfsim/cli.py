@@ -5,6 +5,7 @@ Exit codes: 0 success, 1 domain failure, 2 usage or parse failure.
 """
 
 import argparse
+import errno
 import functools
 import json
 import os
@@ -47,8 +48,30 @@ def _json_arg(text, what):
         raise UsageError("%s is JSON nested too deeply to read" % what)
 
 
+def _write(text):
+    """The one writer of stdout.  Where stdout has a binary buffer, the
+    text layer is flushed and the encoded text is written to the buffer
+    until every byte is taken: an unbuffered stream (PYTHONUNBUFFERED)
+    may take part of a write and drop the rest without an error.  A
+    stream without one (io.StringIO) is written as text."""
+    out = sys.stdout
+    buffer = getattr(out, "buffer", None)
+    if buffer is None:
+        out.write(text)
+        return
+    out.flush()
+    data = memoryview(text.encode(out.encoding, out.errors))
+    while data:
+        n = buffer.write(data)
+        if n is None:
+            # a non-blocking stream that takes nothing now: fail as a
+            # buffered write would, rather than retry at once
+            raise BlockingIOError(errno.EAGAIN, "stdout would block")
+        data = data[n:]
+
+
 def _emit(obj):
-    print(json.dumps(obj, indent=2, sort_keys=True))
+    _write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _valid(problems):
@@ -94,7 +117,7 @@ def cmd_report(args):
                                    scope_mode=args.scope,
                                    notes=system.notes)
     if args.format == "text":
-        sys.stdout.write(report.to_text())
+        _write(report.to_text())
     else:
         _emit(report.to_json())
     return 0
@@ -242,14 +265,14 @@ def cmd_export_dot(args):
     system = _load(args.system)
     what = args.what
     if what == "graph":
-        sys.stdout.write(system.graph.to_dot(system.name or "graph"))
+        _write(system.graph.to_dot(system.name or "graph"))
     elif what == "restriction":
-        sys.stdout.write(act_mod.restriction_digraph_dot(system.action))
+        _write(act_mod.restriction_digraph_dot(system.action))
     elif what.startswith("fixing:"):
         g = what.split(":", 1)[1]
         if not system.groupoid.has_element(g):
             raise ActionError("unknown element %r" % (g,))
-        sys.stdout.write(FixingAutomaton(system.action, g).to_dot())
+        _write(FixingAutomaton(system.action, g).to_dot())
     else:
         raise UsageError("--what must be graph, restriction, or fixing:<g>")
     return 0

@@ -178,19 +178,13 @@ class ExplicitGroupoid(Groupoid):
         unit and inverse laws, inverses given for elements only, and
         associativity.
 
-        Associativity is checked on middles from generators() only, by
-        Light's associativity test (Clifford and Preston, The Algebraic
-        Theory of Semigroups I, §1.2).  Lemma 1: the middles a with
-        (xa)y = x(ay) for every composable x, y are closed under products.
-        For if a and b are such middles, then
+        Associativity goes through law_failures.  Lemma 1: the middles a
+        with (xa)y = x(ay) for every composable x, y are closed under
+        products.  For if a and b are such middles, then
             (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y).
-        The closure of S under products is every element, so when every
-        a in S passes, the table is associative.  A unit middle u passes
-        once the unit laws hold, since (xu)y = xy = x(uy); so when the
-        unit and inverse stage finds nothing, only the non-unit generators
-        are scanned.  If some triple fails, the scan is repeated over every
-        middle, so the problem list is the full, sorted list of failing
-        (a, b, c).
+        A unit middle u passes once the unit laws hold, since
+        (xu)y = xy = x(uy), so the units pass when the unit and inverse
+        stage finds nothing.
         """
         problems = []
         vset = set(self.vertices)
@@ -214,8 +208,7 @@ class ExplicitGroupoid(Groupoid):
         problems = self._table_problems()
         if problems:
             return problems
-        els = self.elements()
-        for g in els:
+        for g in self.elements():
             u_r, u_s = self.unit_at(self.rng(g)), self.unit_at(self.src(g))
             if self._mul[(u_r, g)] != g or self._mul[(g, u_s)] != g:
                 problems.append("units do not act as identities on %r" % g)
@@ -227,13 +220,40 @@ class ExplicitGroupoid(Groupoid):
                 problems.append("inverse of %r is wrong" % g)
         problems += ["inverse given for unknown element %r" % g
                      for g in sorted(self._inv.keys() - self._elements.keys())]
+        return problems + self.law_failures(self._associativity_failures,
+                                            units_pass=not problems)
+
+    def composable_pairs(self, middles):
+        """(a, b, ab) for every composable a and b with b in middles, in
+        elements() order of a and then of b.  It reads the product table
+        directly, so the table must be defined on composable pairs."""
+        els, mul = self._elements, self._mul
+        mid_by_rng = self.by_range(middles)
+        for a in self.elements():
+            for b in mid_by_rng[els[a].src]:
+                yield a, b, mul[(a, b)]
+
+    def law_failures(self, scan, units_pass):
+        """The failures of a law checked by middles, by Light's
+        associativity test (Clifford and Preston, The Algebraic Theory of
+        Semigroups I, §1.2).  scan(middles) lists, in a fixed order, the
+        failures of the law at every composable triple whose middle is in
+        middles.  The law must be one whose passing middles are closed
+        under products, as each caller's docstring proves.
+
+        The closure of generators() under products is every element, so
+        when scan finds nothing on the generators the law holds
+        everywhere.  When units_pass is true (the caller has proved that
+        every unit middle passes) the units are left out of that scan.  If
+        it lists anything, the answer is scan over every element, so the
+        list is that of the full scan.
+        """
         middles = set(self.generators())
-        if not problems:
+        if units_pass:
             middles -= set(self.units.values())
-        failures = self._associativity_failures(middles)
-        if failures:
-            failures = self._associativity_failures(set(els))
-        return problems + failures
+        if not scan(middles):
+            return []
+        return scan(set(self.elements()))
 
     def _table_problems(self):
         """The table stage's problems, sorted by pair as a scan of every
@@ -268,13 +288,11 @@ class ExplicitGroupoid(Groupoid):
         """One problem per composable (a, b, c) with b in middles and
         (ab)c != a(bc), in sorted order.  Walks composable pairs only."""
         els, mul, out = self._elements, self._mul, []
-        by_rng, mid_by_rng = self.by_range(), self.by_range(middles)
-        for a in self.elements():
-            for b in mid_by_rng[els[a].src]:
-                ab = mul[(a, b)]
-                for c in by_rng[els[b].src]:
-                    if mul[(ab, c)] != mul[(a, mul[(b, c)])]:
-                        out.append("associativity fails on (%r, %r, %r)" % (a, b, c))
+        by_rng = self.by_range()
+        for (a, b, ab) in self.composable_pairs(middles):
+            for c in by_rng[els[b].src]:
+                if mul[(ab, c)] != mul[(a, mul[(b, c)])]:
+                    out.append("associativity fails on (%r, %r, %r)" % (a, b, c))
         return out
 
 

@@ -1,6 +1,7 @@
 """End-to-end tests for the command line: exit codes, output shapes,
 byte-for-byte determinism of reports, and DOT exports."""
 
+import io
 import json
 import os
 import pathlib
@@ -692,17 +693,21 @@ def test_console_script_runs():
     assert json.loads(proc.stdout)["system"] == "four_loop_z2"
 
 
-def test_a_closed_stdout_ends_without_a_traceback(tmp_path):
+@pytest.mark.parametrize("unbuffered", [None, "1"],
+                         ids=["buffered", "unbuffered"])
+def test_a_closed_stdout_ends_without_a_traceback(tmp_path, unbuffered):
     """The reader closes the pipe after one line of a DOT export of about
     200 kB, more than a pipe holds, so a later write of the child meets a
-    closed pipe.  The child's stdout is buffered, as by default: with
-    PYTHONUNBUFFERED set, one large write that the pipe cuts short is
-    dropped without an error."""
+    closed pipe.  The child's stdout is buffered, as by default, or
+    unbuffered (PYTHONUNBUFFERED=1), where a write that the pipe cuts
+    short must still end in the error."""
     path = str(tmp_path / "zn_rotation_80.json")
     systems.save_system(systems.System("zn_rotation_80", zn_rotation(80)),
                         path)
     env = child_env()
     env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
     proc = subprocess.Popen([sys.executable, "-m", "selfsim.cli",
                              "export-dot", path, "--what", "restriction"],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
@@ -712,6 +717,32 @@ def test_a_closed_stdout_ends_without_a_traceback(tmp_path):
     err = proc.stderr.read()
     proc.stderr.close()
     assert (proc.wait(), err) == (1, b"")
+
+
+def test_write_hands_every_byte_to_the_buffer(monkeypatch):
+    """A raw stream may take part of a write, or, non-blocking, nothing
+    (None): _write keeps writing until every byte is taken, and fails
+    rather than retry a stream that takes nothing."""
+    class Raw(io.RawIOBase):
+        def __init__(self, step):
+            self.step, self.data = step, bytearray()
+
+        def writable(self):
+            return True
+
+        def write(self, b):
+            if self.step is None:
+                return None
+            self.data += bytes(b[:self.step])
+            return min(self.step, len(b))
+
+    raw = Raw(3)
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, "utf-8"))
+    cli._write("σ·e = e\n" * 5)
+    assert raw.data.decode("utf-8") == "σ·e = e\n" * 5
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(Raw(None), "utf-8"))
+    with pytest.raises(BlockingIOError):
+        cli._write("digraph {}\n")
 
 
 def test_a_stdout_closed_from_the_start_ends_without_a_traceback():

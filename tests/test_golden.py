@@ -7,8 +7,10 @@ note and witness word, so a refactor of the deciders that changes any of
 them shows up here.  The twist transcripts run `twist validate`, `twist
 verify --bound 2` and a fixed list of `extend` and `omega` calls on
 twisted_three_spoke and on a twist whose phases are sevenths and
-elevenths.  To re-record them (only when a change of output is
-intended), run from the repository root:
+elevenths.  The `hum` transcript runs `selfsim hum` at every point of
+`boundary_points_from(v, 3)`, for every vertex v of every fixture.  To
+re-record them (only when a change of output is intended), run from the
+repository root:
 
     PYTHONPATH=src:tests python tests/test_golden.py
 """
@@ -25,7 +27,8 @@ import pytest
 
 from selfsim import cli, systems
 from selfsim import semigroup as sg
-from selfsim.actions import SelfSimilarAction
+from selfsim.actions import (SelfSimilarAction, boundary_points_from,
+                             point_to_json)
 from selfsim.graphs import DirectedGraph
 from selfsim.groupoids import cyclic_group_table, group_bundle
 from selfsim.twists import Twist
@@ -139,6 +142,34 @@ def test_twist_matches_golden_transcript(tmp_path, name, system):
     assert twist_transcript(name, system, str(tmp_path)) == expected
 
 
+def hum_transcript():
+    """`selfsim hum` at every point of length at most 3 from every vertex of
+    every fixture: each call's arguments, stdout, stderr and exit code."""
+    lines = []
+    for name in FIXTURES:
+        graph = systems.load_fixture(name).graph
+        for v in graph.vertices:
+            for x in boundary_points_from(graph, v, 3):
+                point = json.dumps(point_to_json(x), sort_keys=True)
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), \
+                        contextlib.redirect_stderr(err):
+                    code = cli.main(["hum", name, point])
+                lines.append("$ hum %s %s\n%s%sexit %d\n"
+                             % (name, point, out.getvalue(), err.getvalue(),
+                                code))
+    return "".join(lines)
+
+
+HUM_GOLDEN = os.path.join(GOLDEN_DIR, "hum.txt")
+
+
+def test_hum_matches_golden_transcript():
+    with open(HUM_GOLDEN, encoding="utf-8", newline="") as fh:
+        expected = fh.read()
+    assert hum_transcript() == expected
+
+
 def record(workdir):
     os.makedirs(GOLDEN_DIR, exist_ok=True)
     for (name, system) in GOLDEN:
@@ -151,11 +182,13 @@ def record(workdir):
         with open(os.path.join(GOLDEN_DIR, "twist_" + name + ".txt"), "w",
                   encoding="utf-8", newline="") as fh:
             fh.write(twist_transcript(name, system, workdir))
+    with open(HUM_GOLDEN, "w", encoding="utf-8", newline="") as fh:
+        fh.write(hum_transcript())
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         record(tmp)
     print("recorded %d snapshots in %s"
-          % (2 * len(GOLDEN) + len(TWIST_GOLDEN), GOLDEN_DIR),
+          % (2 * len(GOLDEN) + len(TWIST_GOLDEN) + 1, GOLDEN_DIR),
           file=sys.stderr)

@@ -489,7 +489,12 @@ def test_validate_twist_on_generators_matches_the_literal_scan():
     golden twists; and the Klein bicharacter, whose class is not trivial.
     Each is valid, and each single entry moved by 1/7 and by 1/2 gives
     exactly the literal scan's problems, order included.  A move by 1/2
-    can give another valid twist (a Z2 character on the edges, say)."""
+    can give another valid twist (a Z2 character on the edges, say).
+
+    One more input breaks normalization on its own: the edge phase at the
+    unit of a vertex that no non-unit meets, moved by 1/3 on every edge the
+    vertex receives.  Its only compatibility failures have that unit as
+    middle, so the scan must keep the units when normalization fails."""
     from test_golden import sevenths_and_elevenths
 
     rng = random.Random(20261019)
@@ -520,6 +525,20 @@ def test_validate_twist_on_generators_matches_the_literal_scan():
                     for kind in ("identity", "compatibility"):
                         reached[kind] += any(kind in p for p in expected)
     assert min(reached.values()) >= 20, reached
+
+    tw = cases[5]   # random_action(Random(301)): only units meet vertex p
+    gpd, graph = tw.action.groupoid, tw.action.graph
+    u = gpd.unit_at("p")
+    group, edge = table_fractions(tw)
+    for e in graph.received_by("p"):
+        edge[(u, e.name)] += Fraction(1, 3)
+    bad = Twist(tw.action, [k + (v,) for (k, v) in group.items()],
+                [k + (v,) for (k, v) in edge.items()])
+    expected = oracle_validate_twist(bad)
+    assert [p for p in expected if "compatibility" in p] == [
+        "edge compatibility fails at (%r, %r, %r)" % (u, u, e.name)
+        for e in sorted(graph.received_by("p"), key=lambda e: e.name)]
+    assert validate_twist(bad) == expected
 
 
 def test_validate_twist_reads_subcubic_entries(monkeypatch):
