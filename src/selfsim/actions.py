@@ -24,8 +24,10 @@ through b and then through a:
 
 using b in T with h = a for (ab)·e = a·(b·e) and (ab)|_e = a|_{b·e} b|_e.
 Once the unit law holds, every unit u is in T, since (hu)·e = h·e =
-h·(u·e) and (hu)|_e = h|_e = h|_{u·e} u|_e.  The inverse-restriction
-law (g|_p)⁻¹ = g⁻¹|_{g·p} on paths is implied, so it is not checked.
+h·(u·e) and (hu)|_e = h|_e = h|_{u·e} u|_e, and a unit outer factor u
+passes, since (ug)·e = u·(g·e) and (ug)|_e = g|_e = u|_{g·e} g|_e.  The
+inverse-restriction law (g|_p)⁻¹ = g⁻¹|_{g·p} on paths is implied, so it
+is not checked.
 Take h = g⁻¹ in the product law and use the unit law:
 
     g⁻¹|_{g·e} (g|_e) = (g⁻¹g)|_e = u_{src e},  so  g⁻¹|_{g·e} = (g|_e)⁻¹;
@@ -146,9 +148,10 @@ class SelfSimilarAction:
         the groupoid's law_failures, with g as the middle of (h, g, e).
         The groupoid stage has proved associativity, so by Lemma 2 (see
         the module docstring) the g passing both laws are closed under
-        products, and the units pass once the unit stage has.  The
-        problems are every failing (h, g, e), in sorted order.  No path is
-        enumerated: the inverse-restriction law on paths is implied.
+        products, and the units pass, as middles and as outer factors,
+        once the unit stage has.  The problems are every failing
+        (h, g, e), in sorted order.  No path is enumerated: the
+        inverse-restriction law on paths is implied.
         """
         problems = []
         problems += ["graph: " + m for m in self.graph.validate()]
@@ -159,79 +162,89 @@ class SelfSimilarAction:
         if problems:
             return problems
 
-        composable = set()
-        for g in gpd.elements():
-            for e in graph.received_by(gpd.src(g)):
-                composable.add((g, e.name))
-        for key in self.edge_action:
+        # The records are checked: the stages below read them directly.
+        els, act, res = gpd._elements, self.edge_action, self.restriction
+        received = {v: [e.name for e in graph.received_by(v)]
+                    for v in graph.vertices}
+        received_set = {v: set(names) for (v, names) in received.items()}
+        edge_src = {e.name: e.src for e in graph.edges}
+        composable = {(g, e) for (g, eg) in els.items()
+                      for e in received[eg.src]}
+        for key in act:
             if key not in composable:
                 problems.append("edge action on non-composable pair %r" % (key,))
-        for key in self.restriction:
+        for key in res:
             if key not in composable:
                 problems.append("restriction on non-composable pair %r" % (key,))
-        for key in sorted(composable):
-            if key not in self.edge_action:
-                problems.append("missing edge action for %r" % (key,))
-            if key not in self.restriction:
-                problems.append("missing restriction for %r" % (key,))
+        # Without an extra key, a table as large as composable has its keys.
+        if problems or not len(act) == len(res) == len(composable):
+            for key in sorted(composable):
+                if key not in act:
+                    problems.append("missing edge action for %r" % (key,))
+                if key not in res:
+                    problems.append("missing restriction for %r" % (key,))
         if problems:
             return problems
 
-        for g in gpd.elements():
-            dom = graph.received_by(gpd.src(g))
-            cod = {e.name for e in graph.received_by(gpd.rng(g))}
+        for (g, eg) in sorted(els.items()):
+            dom, cod = received[eg.src], received_set[eg.rng]
             seen = set()
             for e in dom:
-                img = self.edge_action[(g, e.name)]
+                img = act[(g, e)]
                 if img not in cod:
                     problems.append(
-                        "(%r)·%r = %r is not received by rng(%r)" % (g, e.name, img, g))
+                        "(%r)·%r = %r is not received by rng(%r)" % (g, e, img, g))
                 if img in seen:
                     problems.append("edge action of %r is not injective" % (g,))
                 seen.add(img)
-                r = self.restriction[(g, e.name)]
-                if not gpd.has_element(r):
-                    problems.append("restriction (%r)|_%r = %r unknown" % (g, e.name, r))
+                r = res[(g, e)]
+                er = els.get(r)
+                if er is None:
+                    problems.append("restriction (%r)|_%r = %r unknown" % (g, e, r))
                     continue
-                if gpd.src(r) != e.src:
+                if er.src != edge_src[e]:
                     problems.append(
-                        "src((%r)|_%r) should be src(%r)" % (g, e.name, e.name))
-                if img in cod and gpd.rng(r) != graph.edge(img).src:
+                        "src((%r)|_%r) should be src(%r)" % (g, e, e))
+                if img in cod and er.rng != edge_src[img]:
                     problems.append(
-                        "rng((%r)|_%r) should be src of the image edge" % (g, e.name))
+                        "rng((%r)|_%r) should be src of the image edge" % (g, e))
             if len(seen) != len(dom) or len(dom) != len(cod):
                 problems.append("edge action of %r is not a bijection" % (g,))
         if problems:
             return problems
 
+        units = {v: gpd.unit_at(v) for v in graph.vertices}
         for v in graph.vertices:
-            u = gpd.unit_at(v)
-            for e in graph.received_by(v):
-                if self.edge_action[(u, e.name)] != e.name:
-                    problems.append("unit at %r moves edge %r" % (v, e.name))
-                r = self.restriction[(u, e.name)]
-                if r != gpd.unit_at(e.src):
-                    problems.append("unit at %r restricts to non-unit on %r" % (v, e.name))
+            u = units[v]
+            for e in received[v]:
+                if act[(u, e)] != e:
+                    problems.append("unit at %r moves edge %r" % (v, e))
+                if res[(u, e)] != units[edge_src[e]]:
+                    problems.append("unit at %r restricts to non-unit on %r" % (v, e))
 
         if gpd.kind == "explicit" and not problems:
             problems = gpd.law_failures(self._law_failures, units_pass=True)
         return problems
 
-    def _law_failures(self, right):
+    def _law_failures(self, right, outer=None):
         """One problem per product law failing at a composable (h, g, e)
-        with g in right, in sorted (h, g) order and then the order of
-        received_by.  Walks composable pairs only."""
-        gpd, received_by = self.groupoid, self.graph.received_by
+        with g in right and h in outer (if given), in sorted (h, g) order
+        and then the order of received_by.  Walks composable pairs only;
+        the bijection stage has made (h|_{g·e}, g|_e) composable."""
+        gpd, graph = self.groupoid, self.graph
+        els, mul = gpd._elements, gpd._mul
         act, res, out = self.edge_action, self.restriction, []
-        for (h, g, hg) in gpd.composable_pairs(right):
-            for e in received_by(gpd.src(g)):
-                ge = act[(g, e.name)]
-                if act[(hg, e.name)] != act[(h, ge)]:
+        received = {v: [e.name for e in graph.received_by(v)]
+                    for v in graph.vertices}
+        for (h, g, hg) in gpd.composable_pairs(right, outer):
+            for e in received[els[g].src]:
+                ge = act[(g, e)]
+                if act[(hg, e)] != act[(h, ge)]:
                     out.append(
-                        "(hg)·e law fails at (%r, %r, %r)" % (h, g, e.name))
-                if res[(hg, e.name)] != gpd.mul(res[(h, ge)], res[(g, e.name)]):
+                        "(hg)·e law fails at (%r, %r, %r)" % (h, g, e))
+                if res[(hg, e)] != mul[(res[(h, ge)], res[(g, e)])]:
                     out.append(
-                        "(hg)|_e law fails at (%r, %r, %r)" % (h, g, e.name))
+                        "(hg)|_e law fails at (%r, %r, %r)" % (h, g, e))
         return out
 
 

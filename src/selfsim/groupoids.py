@@ -183,7 +183,8 @@ class ExplicitGroupoid(Groupoid):
         products.  For if a and b are such middles, then
             (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y).
         A unit middle u passes once the unit laws hold, since
-        (xu)y = xy = x(uy), so the units pass when the unit and inverse
+        (xu)y = xy = x(uy), and so does a unit outer factor, since
+        (ua)b = ab = u(ab), so the units pass when the unit and inverse
         stage finds nothing.
         """
         problems = []
@@ -208,52 +209,60 @@ class ExplicitGroupoid(Groupoid):
         problems = self._table_problems()
         if problems:
             return problems
-        for g in self.elements():
-            u_r, u_s = self.unit_at(self.rng(g)), self.unit_at(self.src(g))
-            if self._mul[(u_r, g)] != g or self._mul[(g, u_s)] != g:
+        els, mul, units = self._elements, self._mul, self.units
+        for (g, eg) in sorted(els.items()):
+            u_r, u_s = units[eg.rng], units[eg.src]
+            if mul[(u_r, g)] != g or mul[(g, u_s)] != g:
                 problems.append("units do not act as identities on %r" % g)
             gi = self._inv.get(g)
-            if gi is None or gi not in self._elements:
+            egi = els.get(gi)
+            if egi is None:
                 problems.append("missing or unknown inverse for %r" % g)
-            elif (self.src(gi) != self.rng(g) or self.rng(gi) != self.src(g)
-                  or self._mul[(gi, g)] != u_s or self._mul[(g, gi)] != u_r):
+            elif (egi.src != eg.rng or egi.rng != eg.src
+                  or mul[(gi, g)] != u_s or mul[(g, gi)] != u_r):
                 problems.append("inverse of %r is wrong" % g)
         problems += ["inverse given for unknown element %r" % g
                      for g in sorted(self._inv.keys() - self._elements.keys())]
         return problems + self.law_failures(self._associativity_failures,
                                             units_pass=not problems)
 
-    def composable_pairs(self, middles):
-        """(a, b, ab) for every composable a and b with b in middles, in
-        elements() order of a and then of b.  It reads the product table
-        directly, so the table must be defined on composable pairs."""
+    def composable_pairs(self, middles, outer=None):
+        """(a, b, ab) for every composable a and b with b in middles (and
+        a in outer, if given), in elements() order of a and then of b.  It
+        reads the product table directly, so the table must be defined on
+        composable pairs."""
         els, mul = self._elements, self._mul
         mid_by_rng = self.by_range(middles)
         for a in self.elements():
-            for b in mid_by_rng[els[a].src]:
-                yield a, b, mul[(a, b)]
+            if outer is None or a in outer:
+                for b in mid_by_rng[els[a].src]:
+                    yield a, b, mul[(a, b)]
 
     def law_failures(self, scan, units_pass):
         """The failures of a law checked by middles, by Light's
         associativity test (Clifford and Preston, The Algebraic Theory of
-        Semigroups I, §1.2).  scan(middles) lists, in a fixed order, the
-        failures of the law at every composable triple whose middle is in
-        middles.  The law must be one whose passing middles are closed
-        under products, as each caller's docstring proves.
+        Semigroups I, §1.2).  scan(middles, outer) lists, in a fixed order,
+        the failures of the law at every composable triple whose middle is
+        in middles and whose outer factors are in outer (all of them when
+        outer is None).  The law must be one whose passing middles are
+        closed under products, as each caller's docstring proves.
 
         The closure of generators() under products is every element, so
-        when scan finds nothing on the generators the law holds
-        everywhere.  When units_pass is true (the caller has proved that
-        every unit middle passes) the units are left out of that scan.  If
-        it lists anything, the answer is scan over every element, so the
-        list is that of the full scan.
+        when every generator passes as a middle the law holds everywhere.
+        When units_pass is true, the caller has proved that every triple
+        with a unit as its middle or as an outer factor passes, so the
+        scan takes only non-units in those places.  If it lists anything,
+        the answer is the scan over every element, so the list is that of
+        the full scan.
         """
-        middles = set(self.generators())
+        middles, outer = set(self.generators()), None
         if units_pass:
-            middles -= set(self.units.values())
-        if not scan(middles):
+            units = set(self.units.values())
+            middles -= units
+            outer = self._elements.keys() - units
+        if not scan(middles, outer):
             return []
-        return scan(set(self.elements()))
+        return scan(set(self.elements()), None)
 
     def _table_problems(self):
         """The table stage's problems, sorted by pair as a scan of every
@@ -284,12 +293,13 @@ class ExplicitGroupoid(Groupoid):
                       or els[a].src != els[b].rng]
         return [problem for (_, _, problem) in sorted(found)]
 
-    def _associativity_failures(self, middles):
-        """One problem per composable (a, b, c) with b in middles and
-        (ab)c != a(bc), in sorted order.  Walks composable pairs only."""
+    def _associativity_failures(self, middles, outer=None):
+        """One problem per composable (a, b, c) with b in middles, a and c
+        in outer (if given) and (ab)c != a(bc), in sorted order.  Walks
+        composable pairs only."""
         els, mul, out = self._elements, self._mul, []
-        by_rng = self.by_range()
-        for (a, b, ab) in self.composable_pairs(middles):
+        by_rng = self.by_range(outer)
+        for (a, b, ab) in self.composable_pairs(middles, outer):
             for c in by_rng[els[b].src]:
                 if mul[(ab, c)] != mul[(a, mul[(b, c)])]:
                     out.append("associativity fails on (%r, %r, %r)" % (a, b, c))

@@ -112,7 +112,7 @@ def validate_twist(twist):
     problem), as it is in validate_system and `selfsim twist validate`.
     Both identities are checked at middles h through the groupoid's
     law_failures, with the units passing once both normalization scans
-    are clean.
+    are clean.  The action is valid, so its tables are read directly.
 
     The group cocycle identity at (g, h, k) says that (u_g u_h) u_k =
     u_g (u_h u_k) in the twisted groupoid algebra, whose basis elements
@@ -121,7 +121,8 @@ def validate_twist(twist):
     ExplicitGroupoid.law_failures) the middles h at which it holds for
     every composable g and k are closed under products.  A unit middle
     passes by normalization: sigma_G(g, u) + sigma_G(gu, k) =
-    sigma_G(u, k) + sigma_G(g, uk) reads 0 + sigma_G(g, k) on both sides.
+    sigma_G(u, k) + sigma_G(g, uk) reads 0 + sigma_G(g, k) on both sides,
+    and a unit outer factor g or k passes by normalization the same way.
 
     Write D(g, h, e) for the edge compatibility defect
         sigma_bowtie(h, e) - sigma_bowtie(gh, e) + sigma_bowtie(g, h·e)
@@ -134,46 +135,46 @@ def validate_twist(twist):
     (ab)|_e = a|_{b·e} b|_e, and what is left of D(g, ab, e) is the group
     identity at (g, a, b) and at (g|_{ab·e}, a|_{b·e}, b|_e), so it is 0.
     A unit middle u passes by normalization and the unit law of the
-    action, u·e = e and u|_e a unit: D(g, u, e) = sigma_G(g|_e, u|_e) = 0.
+    action, u·e = e and u|_e a unit: D(g, u, e) = sigma_G(g|_e, u|_e) = 0,
+    and D(u, h, e) = sigma_bowtie(u, h·e) + sigma_G(u|_{h·e}, h|_e) = 0.
     When the group identity fails somewhere, compatibility is scanned at
     every middle.
     """
     action = twist.action
     gpd, graph = action.groupoid, action.graph
     group, edge, scale = twist.group, twist.edge, twist.scale
-    elements, by_rng = gpd.elements(), gpd.by_range()
+    els, mul, units = gpd._elements, gpd._mul, gpd.units
+    act, res = action.edge_action, action.restriction
+    elements = gpd.elements()
     received = {v: sorted(e.name for e in graph.received_by(v))
                 for v in gpd.vertices}
     normal = []
     for g in elements:
-        lu = gpd.unit_at(gpd.rng(g))
-        ru = gpd.unit_at(gpd.src(g))
-        if group(lu, g) or group(g, ru):
+        if group(units[els[g].rng], g) or group(g, units[els[g].src]):
             normal.append("group cocycle is not normalized at %r" % (g,))
     unit_edges = []
-    for e in sorted(e.name for e in graph.edges):
-        u = gpd.unit_at(graph.edge(e).rng)
-        if edge(u, e):
-            unit_edges.append("edge phase at the unit is not 1 on %r" % (e,))
+    for e in sorted(graph.edges, key=lambda e: e.name):
+        if edge(units[e.rng], e.name):
+            unit_edges.append("edge phase at the unit is not 1 on %r"
+                              % (e.name,))
 
-    def identity(middles):
-        bad = []
-        for (g, h, gh) in gpd.composable_pairs(middles):
-            for k in by_rng[gpd.src(h)]:
+    def identity(middles, outer=None):
+        bad, by_rng = [], gpd.by_range(outer)
+        for (g, h, gh) in gpd.composable_pairs(middles, outer):
+            for k in by_rng[els[h].src]:
                 if (group(g, h) + group(gh, k) - group(h, k)
-                        - group(g, gpd.mul(h, k))) % scale:
+                        - group(g, mul[(h, k)])) % scale:
                     bad.append("group cocycle identity fails at "
                                "(%r, %r, %r)" % (g, h, k))
         return bad
 
-    def compatibility(middles):
+    def compatibility(middles, outer=None):
         bad = []
-        for (g, h, gh) in gpd.composable_pairs(middles):
-            for e in received[gpd.src(h)]:
-                he = action.act_edge(h, e)
+        for (g, h, gh) in gpd.composable_pairs(middles, outer):
+            for e in received[els[h].src]:
+                he = act[(h, e)]
                 lhs = edge(h, e) - edge(gh, e) + edge(g, he)
-                rhs = group(g, h) - group(action.restrict_edge(g, he),
-                                          action.restrict_edge(h, e))
+                rhs = group(g, h) - group(res[(g, he)], res[(h, e)])
                 if (lhs - rhs) % scale:
                     bad.append("edge compatibility fails at "
                                "(%r, %r, %r)" % (g, h, e))

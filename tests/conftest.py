@@ -181,23 +181,26 @@ def transformation_action(k=2, m=4, d=2):
 
 
 def single_entry_corruptions(action):
-    """Every copy of an explicit action with one entry of its mul, inv,
+    """Every copy of an action with one entry of its mul, inv,
     edge_action or restriction table changed to another value (every
     element or edge name, and one unknown name) or deleted, plus copies
     with one extra entry on a pair outside the table's domain, plus every
-    swap of the images of two edges under one element.  Yields (table,
-    key, value, action); value None means deleted."""
+    swap of the images of two edges under one element.  A behavioral
+    model has no mul or inv table, so only its action tables are changed.
+    Yields (table, key, value, action); value None means deleted."""
     gpd, graph = action.groupoid, action.graph
     els, edges = gpd.elements(), [e.name for e in graph.edges]
-    tables = {"mul": gpd._mul, "inv": gpd._inv,
-              "edge_action": action.edge_action,
-              "restriction": action.restriction}
-    extra = {"mul": [("zz", "zz")] + [
-                 (a, b) for a in els for b in els
-                 if gpd.src(a) != gpd.rng(b)][:1],
-             "inv": ["zz"],
-             "edge_action": [("zz", edges[0])] if edges else [],
-             "restriction": [(els[0], "zz")]}
+    tables, extra = {}, {}
+    if gpd.kind == "explicit":
+        tables = {"mul": gpd._mul, "inv": gpd._inv}
+        extra = {"mul": [("zz", "zz")] + [
+                     (a, b) for a in els for b in els
+                     if gpd.src(a) != gpd.rng(b)][:1],
+                 "inv": ["zz"]}
+    tables.update(edge_action=action.edge_action,
+                  restriction=action.restriction)
+    extra.update(edge_action=[("zz", edges[0])] if edges else [],
+                 restriction=[(els[0], "zz")])
     for (name, table) in tables.items():
         values = edges if name == "edge_action" else els
         for key in sorted(table):
@@ -219,9 +222,10 @@ def single_entry_corruptions(action):
 
 def _with_entry(action, name, key, value):
     gpd = action.groupoid
-    tables = {"mul": dict(gpd._mul), "inv": dict(gpd._inv),
-              "edge_action": dict(action.edge_action),
+    tables = {"edge_action": dict(action.edge_action),
               "restriction": dict(action.restriction)}
+    if name in ("mul", "inv"):
+        tables.update(mul=dict(gpd._mul), inv=dict(gpd._inv))
     if value is None:
         del tables[name][key]
     else:

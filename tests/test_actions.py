@@ -20,7 +20,7 @@ from selfsim.actions import (BoundaryPoint, FixingAutomaton, SelfSimilarAction,
 from selfsim.germs import point_prepend
 
 from selfsim.graphs import DirectedGraph, Path, path_key
-from selfsim.groupoids import (BehavioralModel, ExplicitGroupoid,
+from selfsim.groupoids import (BehavioralModel, ExplicitGroupoid, Groupoid,
                                from_group_action, group_bundle)
 
 from conftest import (EXPLICIT_FIXTURES, FIXTURES, oracle_action_validate,
@@ -944,6 +944,25 @@ def test_validate_matches_the_literal_validators_on_every_corruption(
     assert min(reached.values()) >= 50, reached
 
 
+def test_validate_matches_the_literal_validator_on_behavioral_corruptions(
+        wide_random_actions):
+    """The linear stages read the records of a behavioral model as they
+    read an explicit groupoid's: every single-entry corruption of the
+    action tables of the behavioral half of wide_random_actions gets
+    exactly the literal validator's problems, order included."""
+    reached = collections.Counter()
+    for base in wide_random_actions:
+        if base.groupoid.kind != "behavioral":
+            continue
+        for (table, key, value, action) in single_entry_corruptions(base):
+            expected = oracle_action_validate(action)
+            assert action.validate() == expected, (table, key, value)
+            for stage in ("non-composable", "missing", "bijection",
+                          "unknown", "should be src", "unit at"):
+                reached[stage] += any(stage in p for p in expected)
+    assert min(reached.values()) >= 20, reached
+
+
 def test_the_product_laws_wait_for_the_unit_law():
     """The trivial group on one vertex, its unit swapping the two loops:
     both product laws fail only at the unit middle, which the scan over
@@ -962,6 +981,22 @@ def test_the_product_laws_wait_for_the_unit_law():
         "unit at 'v' moves edge 'e'", "unit at 'v' moves edge 'f'"]
 
 
+class _CountingTable(dict):
+    """A table that counts its lookups."""
+
+    def __init__(self, table):
+        super().__init__(table)
+        self.reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return dict.__getitem__(self, key)
+
+    def get(self, key, default=None):
+        self.reads += 1
+        return dict.get(self, key, default)
+
+
 def test_validate_makes_subcubic_products(monkeypatch):
     """zn_rotation(32), |G| = |E| = 32: the literal validators make about
     |G|²·|E| products through mul and 3·|G|³ reads of the product table."""
@@ -974,17 +1009,52 @@ def test_validate_makes_subcubic_products(monkeypatch):
         calls["mul"] += 1
         return real_mul(self, a, b)
 
-    class CountingTable(dict):
-        def __getitem__(self, key):
-            calls["read"] += 1
-            return dict.__getitem__(self, key)
-
-        def get(self, key, default=None):
-            calls["read"] += 1
-            return dict.get(self, key, default)
-
     monkeypatch.setattr(ExplicitGroupoid, "mul", counting_mul)
-    action.groupoid._mul = CountingTable(action.groupoid._mul)
+    action.groupoid._mul = _CountingTable(action.groupoid._mul)
     assert action.validate() == []
     assert calls["mul"] < n * n * n // 4
-    assert calls["read"] < n * n * n // 2
+    assert action.groupoid._mul.reads < n * n * n // 2
+
+
+def test_the_reduced_law_scans_take_no_unit_outer_factor():
+    """zn_rotation(32), |G| = |E| = n = 32, whose one non-unit generator
+    is c1.  The reduced associativity scan visits (a, c1, c) for the
+    n - 1 non-units a and c only: composable_pairs reads the product
+    table once per pair and the scan three times per triple, so it makes
+    (n - 1) + 3·(n - 1)² reads.  The reduced action-law scan visits
+    (h, c1, e) for the n - 1 non-units h and every edge e, reading the
+    edge action three times per triple."""
+    n = 32
+    action = zn_rotation(n)
+    gpd = action.groupoid
+    assert action.validate() == []
+    assert gpd.generators() == ("c0", "c1")
+    gpd._mul = _CountingTable(gpd._mul)
+    assert gpd.law_failures(gpd._associativity_failures, True) == []
+    assert gpd._mul.reads == (n - 1) + 3 * (n - 1) ** 2
+    action.edge_action = _CountingTable(action.edge_action)
+    assert gpd.law_failures(action._law_failures, True) == []
+    assert action.edge_action.reads == 3 * (n - 1) * n
+
+
+def test_validate_calls_no_checked_accessor_per_entry(monkeypatch):
+    """Once a stage has checked the records, the later stages read them
+    directly: on a valid zn_rotation(n) the checked accessors are called
+    as often at n = 8 as at n = 32."""
+    actions = [zn_rotation(8), zn_rotation(32)]
+    calls = collections.Counter()
+    for (cls, name) in [(Groupoid, "src"), (Groupoid, "rng"),
+                        (Groupoid, "_get"), (Groupoid, "has_element"),
+                        (ExplicitGroupoid, "mul"), (DirectedGraph, "edge"),
+                        (SelfSimilarAction, "act_edge"),
+                        (SelfSimilarAction, "restrict_edge")]:
+        def counting(*args, _real=getattr(cls, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(cls, name, counting)
+    counts = []
+    for action in actions:
+        calls.clear()
+        assert action.validate() == []
+        counts.append(dict(calls))
+    assert counts[0] == counts[1], counts

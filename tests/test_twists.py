@@ -544,10 +544,11 @@ def test_validate_twist_on_generators_matches_the_literal_scan():
 def test_validate_twist_reads_subcubic_entries(monkeypatch):
     """A valid coboundary twist on zn_rotation(32), |G| = |E| = 32, whose
     non-unit generator is c1: the literal scan reads sigma_G 4·|G|³ +
-    2·|G|²·|E| times and sigma_bowtie 3·|G|²·|E| times.  On the generator
-    it reads sigma_G 2·|G| times to check normalization, 4·|G|² times for
-    the identity and 2·|G|·|E| times for compatibility, and sigma_bowtie
-    |E| + 3·|G|·|E| times."""
+    2·|G|²·|E| times and sigma_bowtie 3·|G|²·|E| times.  With c1 as the
+    middle and the |G| - 1 non-units as outer factors, it reads sigma_G
+    2·|G| times to check normalization, 4·(|G| - 1)² times for the
+    identity (g and k outer) and 2·(|G| - 1)·|E| times for compatibility
+    (g outer), and sigma_bowtie |E| + 3·(|G| - 1)·|E| times."""
     n = 32
     tw = coboundary_twist(zn_rotation(n), random.Random(32))
     reads = collections.Counter()
@@ -564,8 +565,8 @@ def test_validate_twist_reads_subcubic_entries(monkeypatch):
     monkeypatch.setattr(Twist, "group", counting_group)
     monkeypatch.setattr(Twist, "edge", counting_edge)
     assert validate_twist(tw) == []
-    assert reads == {"group": 2 * n + 4 * n * n + 2 * n * n,
-                     "edge": n + 3 * n * n}
+    assert reads == {"group": 2 * n + 4 * (n - 1) ** 2 + 2 * n * (n - 1),
+                     "edge": n + 3 * n * (n - 1)}
 
 
 # ---------------------------------------------------------------------------
