@@ -186,7 +186,8 @@ class SelfSimilarAction:
         if problems:
             return problems
 
-        for (g, eg) in sorted(els.items()):
+        for g in gpd.elements():
+            eg = els[g]
             dom, cod = received[eg.src], received_set[eg.rng]
             seen = set()
             for e in dom:

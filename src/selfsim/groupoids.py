@@ -40,13 +40,25 @@ class GroupoidElement:
 
 class Groupoid:
     """The accessors both backends share.  A backend keeps its members in
-    self._elements (name -> GroupoidElement) and calls them `member`
-    ("element" or "state") in error messages."""
+    self._elements (name -> GroupoidElement), fixed at construction, and
+    calls them `member` ("element" or "state") in error messages."""
 
     member = "element"
 
+    def __init__(self, vertices, members):
+        """members: GroupoidElement records or rows that start (name, src,
+        rng); a name given twice keeps its last record."""
+        self.vertices = tuple(vertices)
+        self._elements = {}
+        for m in members:
+            if not isinstance(m, GroupoidElement):
+                m = GroupoidElement(*m[:3])
+            self._elements[m.name] = m
+        self._sorted = tuple(sorted(self._elements))
+
     def elements(self):
-        return tuple(sorted(self._elements))
+        """The member names in sorted order, one tuple per groupoid."""
+        return self._sorted
 
     def has_element(self, g):
         return g in self._elements
@@ -81,11 +93,7 @@ class ExplicitGroupoid(Groupoid):
     unit_reflecting = element_complete = orbit_complete = True
 
     def __init__(self, vertices, elements, units, mul_table, inv_table):
-        self.vertices = tuple(vertices)
-        self._elements = {}
-        for el in elements:
-            el = GroupoidElement(*el) if not isinstance(el, GroupoidElement) else el
-            self._elements[el.name] = el
+        super().__init__(vertices, elements)
         self.units = dict(units)          # vertex -> unit element name
         self._mul = dict(mul_table)       # (a, b) -> ab, with src(a) = rng(b)
         self._inv = dict(inv_table)       # a -> a^{-1}
@@ -210,7 +218,8 @@ class ExplicitGroupoid(Groupoid):
         if problems:
             return problems
         els, mul, units = self._elements, self._mul, self.units
-        for (g, eg) in sorted(els.items()):
+        for g in self.elements():
+            eg = els[g]
             u_r, u_s = units[eg.rng], units[eg.src]
             if mul[(u_r, g)] != g or mul[(g, u_s)] != g:
                 problems.append("units do not act as identities on %r" % g)
@@ -310,34 +319,24 @@ class BehavioralModel(Groupoid):
     kind = "behavioral"
     member = "state"
 
-    def __init__(self, vertices, states, unit_reflecting=False,
-                 element_complete=False, orbit_complete=False):
-        self.vertices = tuple(vertices)
-        self._elements = {}
-        for st in states:
-            self._elements[st[0]] = GroupoidElement(*st[:3])
-        self._unit_names, self._unit_at = set(), {}
-        self.unit_reflecting = bool(unit_reflecting)
-        self.element_complete = bool(element_complete)
-        self.orbit_complete = bool(orbit_complete)
+    def __init__(self, vertices, states, flags=None):
+        """states: (name, src, rng, is_unit) rows; flags: a dict of the
+        three capability flags, each False when absent.  unit_at(v) is the
+        least unit state at v."""
+        states = list(states)
+        super().__init__(vertices, states)
+        self._unit_names = {st[0] for st in states if st[3]}
+        # the last write wins, so the least unit name at each vertex stays
+        self._unit_at = {self._elements[name].src: name
+                         for name in sorted(self._unit_names, reverse=True)}
+        flags = flags or {}
+        self.unit_reflecting = bool(flags.get("unit_reflecting", False))
+        self.element_complete = bool(flags.get("element_complete", False))
+        self.orbit_complete = bool(flags.get("orbit_complete", False))
 
     @classmethod
     def from_states(cls, vertices, states, flags=None):
-        """states: iterable of (name, src, rng, is_unit) tuples."""
-        rows, unit_names = [], set()
-        for (name, src, rng, isu) in states:
-            rows.append((name, src, rng))
-            if isu:
-                unit_names.add(name)
-        flags = flags or {}
-        model = cls(vertices, rows,
-                    unit_reflecting=flags.get("unit_reflecting", False),
-                    element_complete=flags.get("element_complete", False),
-                    orbit_complete=flags.get("orbit_complete", False))
-        model._unit_names = unit_names
-        for name in sorted(unit_names & model._elements.keys()):
-            model._unit_at.setdefault(model._elements[name].src, name)
-        return model
+        return cls(vertices, states, flags)
 
     def is_unit(self, g):
         self._get(g)
@@ -364,14 +363,10 @@ class BehavioralModel(Groupoid):
             if st.src not in vset or st.rng not in vset:
                 problems.append("state %r has unknown src/rng" % (st.name,))
         for u in self._unit_names:
-            st = self._elements.get(u)
-            if st is None:
-                problems.append("unit mark on unknown state %r" % (u,))
-            elif st.src != st.rng:
+            if self._elements[u].src != self._elements[u].rng:
                 problems.append("unit state %r has src != rng" % (u,))
         units_here = collections.Counter(self._elements[u].src
-                                         for u in self._unit_names
-                                         if u in self._elements)
+                                         for u in self._unit_names)
         for v in self.vertices:
             if not units_here[v]:
                 problems.append("no unit state at vertex %r" % (v,))
@@ -380,39 +375,33 @@ class BehavioralModel(Groupoid):
         return problems
 
 
-def group_bundle(vertices, fibers):
-    """Explicit groupoid with isotropy only: fibers[v] = (elements, unit, mul).
+def _inverses(mul, unit):
+    """a -> the first b, in the table's order, with ab = unit."""
+    inv = {}
+    for (a, b) in [pair for (pair, ab) in mul.items() if ab == unit]:
+        inv.setdefault(a, b)
+    return inv
 
-    fibers maps a vertex to a dict {"elements": [...], "unit": name,
-    "mul": {(a, b): ab}} describing a finite group.  Element names must be
-    globally unique.  Vertices missing from fibers get the trivial group
-    with unit named "1@<v>".  A missing product raises GroupoidError; the
-    group laws are left to ExplicitGroupoid.validate, so a table that is
-    not a group is reported where the system is validated.
+
+def group_bundle(vertices, fibers):
+    """Explicit groupoid with isotropy only.  fibers maps a vertex to a
+    dict {"elements": [...], "unit": name, "mul": {(a, b): ab}} describing
+    a finite group.  Element names must be globally unique.  Vertices
+    missing from fibers get the trivial group with unit named "1@<v>".
+    Each table is merged as given, so ExplicitGroupoid.validate judges it
+    as it judges an explicit one.  The inverse of a is the first b, in
+    its fiber's table order, with ab the unit.
     """
     elements, units, mul, inv = [], {}, {}, {}
     for v in vertices:
         fib = fibers.get(v)
         if fib is None:
             name = "1@%s" % v
-            elements.append((name, v, v))
-            units[v] = name
-            mul[(name, name)] = name
-            inv[name] = name
-            continue
-        els, unit = list(fib["elements"]), fib["unit"]
-        for a in els:
-            elements.append((a, v, v))
-        units[v] = unit
-        table = dict(fib["mul"])
-        for a in els:
-            for b in els:
-                ab = table.get((a, b))
-                if ab is None:
-                    raise GroupoidError("fiber at %r missing product (%r, %r)" % (v, a, b))
-                mul[(a, b)] = ab
-                if ab == unit:
-                    inv.setdefault(a, b)
+            fib = {"elements": [name], "unit": name, "mul": {(name, name): name}}
+        elements += [(a, v, v) for a in fib["elements"]]
+        units[v] = fib["unit"]
+        mul.update(fib["mul"])
+        inv.update(_inverses(fib["mul"], fib["unit"]))
     return ExplicitGroupoid(vertices, elements, units, mul, inv)
 
 
@@ -434,10 +423,13 @@ def from_group_action(group_elements, group_mul, group_unit, vertices, vertex_ac
     def nm(gamma, v):
         return "%s@%s" % (gamma, v)
 
+    group_inv = _inverses(group_mul, group_unit)
     elements, units, mul, inv = [], {}, {}, {}
     for gamma in group_elements:
         for v in vertices:
             elements.append((nm(gamma, v), v, vertex_action[(gamma, v)]))
+            if gamma in group_inv:
+                inv[nm(gamma, v)] = nm(group_inv[gamma], vertex_action[(gamma, v)])
     for v in vertices:
         units[v] = nm(group_unit, v)
     for gamma in group_elements:
@@ -446,8 +438,4 @@ def from_group_action(group_elements, group_mul, group_unit, vertices, vertex_ac
                 a = nm(gamma, vertex_action[(delta, w)])
                 b = nm(delta, w)
                 mul[(a, b)] = nm(group_mul[(gamma, delta)], w)
-    for gamma in group_elements:
-        gi = next(d for d in group_elements if group_mul[(gamma, d)] == group_unit)
-        for v in vertices:
-            inv[nm(gamma, v)] = nm(gi, vertex_action[(gamma, v)])
     return ExplicitGroupoid(vertices, elements, units, mul, inv)

@@ -5,6 +5,7 @@ All names are strings and phases are "p/q" strings, so files diff cleanly
 and serialization round-trips bit-exactly.
 """
 
+import collections
 import itertools
 import json
 from importlib import resources
@@ -46,11 +47,21 @@ def _records(rows, what):
 
 
 def _table(rows, what):
-    """rows, once it is a JSON array of arrays of names."""
+    """A JSON array of [first, second, value] name triples, as the dict
+    (first, second) -> value.  A key listed twice is refused, where the
+    dict would keep its last row silently."""
     if not isinstance(rows, list) or set(map(type, rows)) - {list}:
         raise UsageError("%s must be a JSON array of arrays" % what)
     json_names(list(itertools.chain.from_iterable(rows)), "the entries of " + what)
-    return rows
+    try:
+        table = {(a, b): c for (a, b, c) in rows}
+    except ValueError:
+        raise UsageError("each row of %s must hold three names" % what)
+    if len(table) < len(rows):
+        counts = collections.Counter((a, b) for (a, b, _) in rows)
+        raise UsageError("%s lists the key %r twice" % (
+            what, next(key for (key, n) in counts.items() if n > 1)))
+    return table
 
 
 def graph_from_json(data):
@@ -72,9 +83,8 @@ def groupoid_from_json(data, vertices):
         units, inv = data["units"], data["inv"]
         json_names(list(units.values()) + list(inv.values()),
                    "the values of 'units' and 'inv'")
-        mul = {(a, b): c for (a, b, c) in _table(data["mul"], "'mul'")}
         return ExplicitGroupoid(vertices, _records(data["elements"], "'elements'"),
-                                units, mul, inv)
+                                units, _table(data["mul"], "'mul'"), inv)
     if kind == "bundle":
         orders = [fib["cyclic"] for fib in data["fibers"].values()
                   if "cyclic" in fib]
@@ -94,7 +104,7 @@ def groupoid_from_json(data, vertices):
                 fibers[v] = {
                     "elements": json_names(fib["elements"], "'elements'"),
                     "unit": json_name(fib["unit"], "'unit'"),
-                    "mul": {(a, b): c for (a, b, c) in _table(fib["mul"], "'mul'")},
+                    "mul": _table(fib["mul"], "the 'mul' of fiber %r" % (v,)),
                 }
         return group_bundle(vertices, fibers)
     if kind == "behavioral":
@@ -131,11 +141,9 @@ def groupoid_to_json(gpd):
 
 
 def action_from_json(data, graph, gpd):
-    edge_action = {(g, e): e2 for (g, e, e2)
-                   in _table(data["edge_action"], "'edge_action'")}
-    restriction = {(g, e): g2 for (g, e, g2)
-                   in _table(data["restriction"], "'restriction'")}
-    return SelfSimilarAction(graph, gpd, edge_action, restriction)
+    return SelfSimilarAction(graph, gpd,
+                             _table(data["edge_action"], "'edge_action'"),
+                             _table(data["restriction"], "'restriction'"))
 
 
 def action_to_json(action):
@@ -171,8 +179,10 @@ def system_from_json(data):
         if "twist" in data:
             tw = data["twist"]
             try:
-                twist = Twist(action, _table(tw.get("sigma_G", []), "'sigma_G'"),
-                              _table(tw.get("sigma_bowtie", []), "'sigma_bowtie'"))
+                sigma = {key: tw.get(key, []) for key in ("sigma_G", "sigma_bowtie")}
+                for (key, rows) in sigma.items():
+                    _table(rows, repr(key))
+                twist = Twist(action, *sigma.values())
             except (TwistError, GraphError, GroupoidError) as exc:
                 problems.append("twist: %s" % (exc,))
         section = "top-level"

@@ -23,6 +23,27 @@ FIXTURES = ("entrance_free_loop", "four_loop_z2", "not_exel_pardo",
 EXPLICIT_FIXTURES = ("entrance_free_loop", "four_loop_z2",
                      "twisted_three_spoke")
 
+# A bundle document with a cyclic fibre and a table fibre, for the tests
+# of the bundle reader: system_to_json writes every groupoid as an
+# explicit table, so no bundled system reaches it.
+TWO_FIBRE_BUNDLE = {
+    "name": "two_fibre_bundle",
+    "graph": {"vertices": ["v", "w"],
+              "edges": [{"name": "e", "src": "v", "rng": "v"},
+                        {"name": "f", "src": "w", "rng": "v"},
+                        {"name": "k", "src": "w", "rng": "w"}]},
+    "groupoid": {"kind": "bundle", "fibers": {
+        "v": {"cyclic": 2, "prefix": "c"},
+        "w": {"elements": ["1", "t"], "unit": "1",
+              "mul": [["1", "1", "1"], ["1", "t", "t"], ["t", "1", "t"],
+                      ["t", "t", "1"]]}}},
+    "action": {
+        "edge_action": [["c0", "e", "e"], ["c0", "f", "f"], ["c1", "e", "e"],
+                        ["c1", "f", "f"], ["1", "k", "k"], ["t", "k", "k"]],
+        "restriction": [["c0", "e", "c0"], ["c0", "f", "1"], ["c1", "e", "c1"],
+                        ["c1", "f", "t"], ["1", "k", "1"], ["t", "k", "t"]]},
+}
+
 
 @pytest.fixture(scope="session")
 def fix():

@@ -1,6 +1,7 @@
 """End-to-end tests for the command line: exit codes, output shapes,
 byte-for-byte determinism of reports, and DOT exports."""
 
+import copy
 import io
 import json
 import os
@@ -13,9 +14,9 @@ import pytest
 import selfsim
 from selfsim import actions as act_mod
 from selfsim import cli, systems, twists
-from selfsim.groupoids import ExplicitGroupoid
+from selfsim.groupoids import ExplicitGroupoid, cyclic_group_table
 
-from conftest import EXPLICIT_FIXTURES, zn_rotation
+from conftest import EXPLICIT_FIXTURES, TWO_FIBRE_BUNDLE, zn_rotation
 
 FIXTURES = sorted(systems.fixture_names())
 
@@ -348,6 +349,138 @@ def test_bundle_groups_are_checked_only_by_validate(capsys, tmp_path,
         "semigroup", path, "length",
         '{"alpha": ["e"], "g": "c1", "beta": ["e", "e"]}'])
     assert (code, data) == (0, {"length": -1})
+
+
+Z2_ROWS = [["a", "a", "a"], ["a", "b", "b"], ["b", "a", "b"], ["b", "b", "a"]]
+
+
+@pytest.mark.parametrize("rows, problem", [
+    (Z2_ROWS[:3], "groupoid: missing product ('b', 'b')"),
+    (Z2_ROWS + [["a", "zz", "b"]],
+     "groupoid: product ('a', 'zz') should not exist"),
+], ids=["missing", "extra"])
+def test_a_fibre_table_is_judged_by_validate(capsys, tmp_path, rows, problem):
+    fibre = {"elements": ["a", "b"], "unit": "a", "mul": rows}
+    path = write_system(tmp_path, one_loop_bundle(fibre, ["a", "b"]))
+    code, data, err = run_json(capsys, ["validate", path])
+    assert (code, data["problems"], err) == (1, [problem], "")
+
+
+def _table_fibres(doc):
+    """doc with each "cyclic" fibre written out as its table."""
+    doc = copy.deepcopy(doc)
+    fibers = doc["groupoid"]["fibers"]
+    for (v, fib) in fibers.items():
+        if "cyclic" in fib:
+            t = cyclic_group_table(fib["cyclic"], fib["prefix"])
+            fibers[v] = {"elements": t["elements"], "unit": t["unit"],
+                         "mul": [[a, b, c] for ((a, b), c) in t["mul"].items()]}
+    return doc
+
+
+def _as_explicit(doc):
+    """A bundle document of table fibres written as an explicit groupoid:
+    the same elements, units and product rows, and as the inverse of a the
+    first b, in its fibre's row order, with ab the fibre's unit."""
+    elements, units, mul, inv = [], {}, [], {}
+    for (v, fib) in doc["groupoid"]["fibers"].items():
+        elements += [{"name": a, "src": v, "rng": v} for a in fib["elements"]]
+        units[v] = fib["unit"]
+        mul += fib["mul"]
+        first = {}
+        for (a, b, ab) in fib["mul"]:
+            if ab == fib["unit"]:
+                first.setdefault(a, b)
+        inv.update(first)
+    return dict(doc, groupoid={"kind": "explicit", "elements": elements,
+                               "units": units, "mul": mul, "inv": inv})
+
+
+def _fibre_corruptions(doc):
+    """doc with its fibres written as tables, and one fibre entry changed
+    to each other name or "zz", deleted, or added with a key that names
+    "zz" or an element of another fibre."""
+    doc = _table_fibres(doc)
+    fibers = doc["groupoid"]["fibers"]
+    names = sorted(a for fib in fibers.values() for a in fib["elements"])
+    for (v, fib) in fibers.items():
+        rows, a = fib["mul"], fib["elements"][-1]
+        edits = [(k, None) for k in range(len(rows))]
+        edits += [(k, [x, y, value]) for (k, (x, y, z)) in enumerate(rows)
+                  for value in names + ["zz"] if value != z]
+        edits += [(len(rows), [a, b, a]) for b in names + ["zz"]
+                  if b not in fib["elements"]]
+        edits += [(len(rows), ["zz", a, a])]
+        for (k, row) in edits:
+            bad = copy.deepcopy(doc)
+            bad_rows = bad["groupoid"]["fibers"][v]["mul"]
+            bad_rows[k:k + 1] = [] if row is None else [row]
+            yield (v, k, row), bad
+
+
+@pytest.mark.parametrize("doc", [
+    TWO_FIBRE_BUNDLE,
+    one_loop_bundle({"cyclic": 3, "prefix": "c"}, ["c0", "c1", "c2"]),
+], ids=["two-fibre", "cyclic-3"])
+def test_a_corrupt_fibre_gets_the_problems_of_its_explicit_form(doc):
+    for (where, bad) in _fibre_corruptions(doc):
+        bundle = systems.validate_system(systems.system_from_json(bad))
+        explicit = systems.validate_system(
+            systems.system_from_json(_as_explicit(bad)))
+        assert bundle == explicit != [], where
+
+
+# Every table of name triples, in a document that has a row in it.
+TABLES = [("four_loop_z2", ("groupoid", "mul")),
+          ("two_fibre_bundle", ("groupoid", "fibers", "w", "mul")),
+          ("four_loop_z2", ("action", "edge_action")),
+          ("four_loop_z2", ("action", "restriction")),
+          ("twisted_three_spoke", ("twist", "sigma_G")),
+          ("twisted_three_spoke", ("twist", "sigma_bowtie"))]
+TABLE_IDS = ["mul", "fibre-mul", "edge_action", "restriction", "sigma_G",
+             "sigma_bowtie"]
+
+
+def _rows_of(name, table):
+    """A document and the rows of one of its tables, which stay those of
+    the document.  The empty sigma_G gets one row."""
+    if name == "two_fibre_bundle":
+        doc = copy.deepcopy(TWO_FIBRE_BUNDLE)
+    else:
+        doc = systems.system_to_json(systems.load_fixture(name))
+    node = doc
+    for key in table[:-1]:
+        node = node[key]
+    rows = node[table[-1]]
+    if not rows:
+        rows.append(["1", "1", "1/2"])
+    return doc, rows
+
+
+@pytest.mark.parametrize("name, table", TABLES, ids=TABLE_IDS)
+def test_a_table_that_lists_a_key_twice_is_a_parse_failure(capsys, tmp_path,
+                                                          name, table):
+    doc, rows = _rows_of(name, table)
+    (a, b, _) = rows[0]
+    rows.append([a, b, rows[-1][2]])
+    code, out, err = run(capsys, ["validate", write_system(tmp_path, doc)])
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error:")
+    assert repr(table[-1]) in err
+    assert "lists the key %r twice" % ((a, b),) in err
+
+
+@pytest.mark.parametrize("length", [2, 4])
+@pytest.mark.parametrize("name, table", TABLES, ids=TABLE_IDS)
+def test_a_row_that_is_not_three_names_is_a_parse_failure(capsys, tmp_path,
+                                                         name, table, length):
+    doc, rows = _rows_of(name, table)
+    rows[-1] = (rows[-1] + ["zz"])[:length]
+    code, out, err = run(capsys, ["validate", write_system(tmp_path, doc)])
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error:")
+    assert repr(table[-1]) in err
+    assert "must hold three names" in err
 
 
 def test_report_refuses_invalid_systems(capsys, tmp_path):

@@ -19,7 +19,7 @@ from selfsim import semigroup as sg
 from selfsim.actions import boundary_points_from, point_from_json, point_to_json
 from selfsim.graphs import UsageError
 
-from conftest import EXPLICIT_FIXTURES, FIXTURES
+from conftest import EXPLICIT_FIXTURES, FIXTURES, TWO_FIBRE_BUNDLE
 
 UNKNOWN = "nope"
 
@@ -145,24 +145,7 @@ def _places(node, at=()):
 
 
 # system_to_json writes every groupoid as an explicit table, so the bundle
-# reader meets only this document: a cyclic fibre and a table fibre.
-TWO_FIBRE_BUNDLE = {
-    "name": "two_fibre_bundle",
-    "graph": {"vertices": ["v", "w"],
-              "edges": [{"name": "e", "src": "v", "rng": "v"},
-                        {"name": "f", "src": "w", "rng": "v"},
-                        {"name": "k", "src": "w", "rng": "w"}]},
-    "groupoid": {"kind": "bundle", "fibers": {
-        "v": {"cyclic": 2, "prefix": "c"},
-        "w": {"elements": ["1", "t"], "unit": "1",
-              "mul": [["1", "1", "1"], ["1", "t", "t"], ["t", "1", "t"],
-                      ["t", "t", "1"]]}}},
-    "action": {
-        "edge_action": [["c0", "e", "e"], ["c0", "f", "f"], ["c1", "e", "e"],
-                        ["c1", "f", "f"], ["1", "k", "k"], ["t", "k", "k"]],
-        "restriction": [["c0", "e", "c0"], ["c0", "f", "1"], ["c1", "e", "c1"],
-                        ["c1", "f", "t"], ["1", "k", "1"], ["t", "k", "t"]]},
-}
+# reader meets only this document.
 DOCUMENTS = {"two_fibre_bundle": TWO_FIBRE_BUNDLE}
 
 

@@ -87,6 +87,30 @@ def test_from_group_action_rejects_non_actions():
     assert "product ('t@b', 't@a') has wrong endpoints" in g.validate()
 
 
+def test_from_group_action_reports_a_missing_inverse():
+    # t·t = t: a monoid, whose t has no inverse
+    names = ["u", "t"]
+    mul = {("u", "u"): "u", ("u", "t"): "t", ("t", "u"): "t", ("t", "t"): "t"}
+    vertex_action = {(g, "a"): "a" for g in names}
+    g = from_group_action(names, mul, "u", ["a"], vertex_action)
+    assert g.validate() == ["missing or unknown inverse for 't@a'"]
+
+
+def test_elements_is_one_tuple_per_groupoid():
+    for gpd in (zn_rotation(3).groupoid,
+                BehavioralModel(["v"], [("u", "v", "v", True),
+                                        ("g", "v", "v", False)])):
+        assert gpd.elements() is gpd.elements()
+        assert gpd.elements() == tuple(sorted(gpd.elements()))
+
+
+def test_behavioral_model_constructor_marks_units():
+    m = BehavioralModel(["v"], [("u", "v", "v", True)])
+    assert m.unit_at("v") == "u" and m.is_unit("u")
+    assert m.validate() == []
+    assert not (m.unit_reflecting or m.element_complete or m.orbit_complete)
+
+
 def test_behavioral_model_flags_and_refusals():
     m = BehavioralModel.from_states(
         ["v"],
