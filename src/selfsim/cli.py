@@ -123,106 +123,101 @@ def cmd_report(args):
     return 0
 
 
+# -- arithmetic -------------------------------------------------------------
+
+# The reader of each argument letter: (action, JSON value, letter) -> value.
+# The readers, like the operations below, call the library through its
+# module when they run, so a patched module function is the one called.
+_READERS = {
+    **dict.fromkeys("ST", lambda action, data, _: sg.from_json(action, data)),
+    **dict.fromkeys("AB", lambda action, data, _: germs.from_json(action, data)),
+    "X": lambda action, data, _: point_from_json(action.graph, data),
+    "G": lambda action, data, letter: json_name(data, letter),
+    "P": _path_arg, "PATH": _path_arg,
+}
+
+
+def _xbar(action, x):
+    data = germs.xbar(action, x)
+    return {"point": point_to_json(data["point"]), "size": data["size"],
+            "germs": [germs.to_json(g) for g in data["germs"]],
+            "note": data["note"]}
+
+
+def _phase(twist, w):
+    return ({"zero": True} if w is None
+            else {"phase": twists.phase_str(twist.fraction(w))})
+
+
+# command -> op -> (argument letters, output): the output takes the action
+# (the twist, for twist) and the arguments, and returns the JSON to print.
+# twist validate and verify have no output here: cmd_twist checks the
+# system before it runs them.
+_OPS = {
+    "semigroup": {
+        "mul": ("S T", lambda a, s, t: sg.to_json(sg.mul(a, s, t))),
+        "star": ("S", lambda a, s: sg.to_json(sg.star(a, s))),
+        "leq": ("S T", lambda a, s, t: {"leq": sg.leq(a, s, t)}),
+        "conj": ("T P", lambda a, t, p: sg.to_json(sg.conj_idempotent(a, t, p))),
+        "length": ("S", lambda a, s: {"length": sg.length_cocycle(s)}),
+    },
+    "germ": {
+        "eq": ("A B", lambda a, x, y: {"equal": germs.germ_eq(a, x, y)}),
+        "compose": ("A B", lambda a, x, y: germs.to_json(germs.germ_mul(a, x, y))),
+        "inverse": ("A", lambda a, x: germs.to_json(germs.germ_inv(a, x))),
+        "classify": ("A", lambda a, x: germs.classify(a, x)),
+        "in-core": ("A", lambda a, x: {"in_core": germs.in_core(a, x)}),
+        "xbar": ("X", _xbar),
+    },
+    "twist": {
+        "validate": ("", None),
+        "extend": ("G PATH",
+                   lambda tw, g, p: _phase(tw, twists.extend_bowtie(tw, g, p))),
+        "omega": ("S T", lambda tw, s, t: _phase(tw, twists.omega(tw, s, t))),
+        "verify": ("", None),
+    },
+}
+
+
+def _op_args(args, action):
+    """The arguments of args.op: each parsed as JSON, their count checked
+    against the op's letters, then read left to right."""
+    letters = _OPS[args.cmd][args.op][0].split()
+    parsed = [_json_arg(a, "argument %d" % (k + 1))
+              for (k, a) in enumerate(args.args)]
+    if len(parsed) != len(letters):
+        raise UsageError("expected %d argument(s): %s" % (
+            len(letters), " ".join([args.cmd, args.op] + letters)))
+    return [_READERS[c](action, data, c) for (c, data) in zip(letters, parsed)]
+
+
 def cmd_semigroup(args):
-    system = _load(args.system)
-    action = system.action
-    op = args.op
-    parsed = [_json_arg(a, "argument %d" % (k + 1))
-              for (k, a) in enumerate(args.args)]
-
-    def triple(k):
-        return sg.from_json(action, parsed[k])
-
-    if op == "mul":
-        _check_arity(parsed, 2, "semigroup mul S T")
-        _emit(sg.to_json(sg.mul(action, triple(0), triple(1))))
-    elif op == "star":
-        _check_arity(parsed, 1, "semigroup star S")
-        _emit(sg.to_json(sg.star(action, triple(0))))
-    elif op == "leq":
-        _check_arity(parsed, 2, "semigroup leq S T")
-        _emit({"leq": sg.leq(action, triple(0), triple(1))})
-    elif op == "conj":
-        _check_arity(parsed, 2, "semigroup conj T P")
-        p = _path_arg(action, parsed[1], "P")
-        _emit(sg.to_json(sg.conj_idempotent(action, triple(0), p)))
-    elif op == "length":
-        _check_arity(parsed, 1, "semigroup length S")
-        _emit({"length": sg.length_cocycle(triple(0))})
+    """semigroup and germ: the op's output on its arguments."""
+    action = _load(args.system).action
+    _emit(_OPS[args.cmd][args.op][1](action, *_op_args(args, action)))
     return 0
 
 
-def cmd_germ(args):
-    system = _load(args.system)
-    action = system.action
-    op = args.op
-    parsed = [_json_arg(a, "argument %d" % (k + 1))
-              for (k, a) in enumerate(args.args)]
-
-    def germ(k):
-        return germs.from_json(action, parsed[k])
-
-    if op == "eq":
-        _check_arity(parsed, 2, "germ eq A B")
-        _emit({"equal": germs.germ_eq(action, germ(0), germ(1))})
-    elif op == "compose":
-        _check_arity(parsed, 2, "germ compose A B")
-        _emit(germs.to_json(germs.germ_mul(action, germ(0), germ(1))))
-    elif op == "inverse":
-        _check_arity(parsed, 1, "germ inverse A")
-        _emit(germs.to_json(germs.germ_inv(action, germ(0))))
-    elif op == "classify":
-        _check_arity(parsed, 1, "germ classify A")
-        _emit(germs.classify(action, germ(0)))
-    elif op == "in-core":
-        _check_arity(parsed, 1, "germ in-core A")
-        _emit({"in_core": germs.in_core(action, germ(0))})
-    elif op == "xbar":
-        _check_arity(parsed, 1, "germ xbar X")
-        x = point_from_json(action.graph, parsed[0])
-        data = germs.xbar(action, x)
-        _emit({"point": point_to_json(data["point"]),
-               "size": data["size"],
-               "germs": [germs.to_json(g) for g in data["germs"]],
-               "note": data["note"]})
-    return 0
+cmd_germ = cmd_semigroup
 
 
 def cmd_twist(args):
     system = _load(args.system)
     action = system.action
-    if system.twist is None:
-        if not _valid(system.problems):
-            return 1
-        twist = twists.Twist(action)   # trivial twist
-    else:
-        twist = system.twist
-    op = args.op
-    parsed = [_json_arg(a, "argument %d" % (k + 1))
-              for (k, a) in enumerate(args.args)]
-    if op == "validate":
-        _check_arity(parsed, 0, "twist validate")
+    # problems are kept only for a twist that could not be built
+    if not _valid(system.problems):
+        return 1
+    twist = system.twist if system.twist is not None else twists.Twist(action)
+    values = _op_args(args, action)
+    if args.op == "validate":
         # the identities multiply through the tables, so they must satisfy
         # the laws first (validate_system would run validate_twist twice)
-        if not _valid(system.problems + action.validate()):
+        if not _valid(action.validate()):
             return 1
         problems = twists.validate_twist(twist)
         _emit({"valid": not problems, "problems": problems})
         return 0 if not problems else 1
-    if op == "extend":
-        _check_arity(parsed, 2, "twist extend G PATH")
-        g = json_name(parsed[0], "G")
-        p = _path_arg(action, parsed[1], "PATH")
-        w = twists.extend_bowtie(twist, g, p)
-        _emit({"phase": twists.phase_str(twist.fraction(w))})
-    elif op == "omega":
-        _check_arity(parsed, 2, "twist omega S T")
-        s, t = sg.from_json(action, parsed[0]), sg.from_json(action, parsed[1])
-        w = twists.omega(twist, s, t)
-        _emit({"zero": True} if w is None
-              else {"phase": twists.phase_str(twist.fraction(w))})
-    elif op == "verify":
-        _check_arity(parsed, 0, "twist verify")
+    if args.op == "verify":
         # the brute-force check multiplies through the tables, so they
         # must satisfy the laws first
         if not _valid(systems.validate_system(system)):
@@ -230,6 +225,7 @@ def cmd_twist(args):
         out = twists.verify_omega_cocycle(twist, args.bound)
         _emit(out)
         return 0 if out["ok"] else 1
+    _emit(_OPS["twist"][args.op][1](twist, *values))
     return 0
 
 
@@ -278,11 +274,6 @@ def cmd_export_dot(args):
     return 0
 
 
-def _check_arity(parsed, n, usage):
-    if len(parsed) != n:
-        raise UsageError("expected %d argument(s): %s" % (n, usage))
-
-
 # -- argument parsing -------------------------------------------------------
 
 
@@ -322,24 +313,18 @@ def _build_parser():
                    help="whether on-model verdicts propagate into derived "
                         "verdicts (default model)")
 
-    p = sub.add_parser("semigroup", help="triple arithmetic")
-    p.add_argument("system")
-    p.add_argument("op", choices=["mul", "star", "leq", "conj", "length"])
-    p.add_argument("args", nargs="*",
-                   help="JSON arguments, e.g. "
-                        "'{\"alpha\": [\"e\"], \"g\": \"1\", \"beta\": []}'")
-
-    p = sub.add_parser("germ", help="germ calculus")
-    p.add_argument("system")
-    p.add_argument("op", choices=["eq", "compose", "inverse", "classify",
-                                  "in-core", "xbar"])
-    p.add_argument("args", nargs="*",
-                   help="JSON germs (triple plus \"xi\") or points")
-
-    p = sub.add_parser("twist", help="twist calculus")
-    p.add_argument("system")
-    p.add_argument("op", choices=["validate", "extend", "omega", "verify"])
-    p.add_argument("args", nargs="*")
+    for (cmd, text, args_help) in (
+            ("semigroup", "triple arithmetic",
+             "JSON arguments, e.g. "
+             "'{\"alpha\": [\"e\"], \"g\": \"1\", \"beta\": []}'"),
+            ("germ", "germ calculus",
+             "JSON germs (triple plus \"xi\") or points"),
+            ("twist", "twist calculus", None)):
+        p = sub.add_parser(cmd, help=text)
+        p.add_argument("system")
+        p.add_argument("op", choices=_OPS[cmd])
+        p.add_argument("args", nargs="*", help=args_help)
+    # p is twist's parser
     p.add_argument("--bound", type=_length, default=3, metavar="L",
                    help="truncation length for the brute-force verify "
                         "(default 3)")

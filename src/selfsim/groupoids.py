@@ -47,13 +47,16 @@ class Groupoid:
 
     def __init__(self, vertices, members):
         """members: GroupoidElement records or rows that start (name, src,
-        rng); a name given twice keeps its last record."""
+        rng).  A name given twice is refused, where the dict would keep
+        its last record silently."""
         self.vertices = tuple(vertices)
-        self._elements = {}
-        for m in members:
-            if not isinstance(m, GroupoidElement):
-                m = GroupoidElement(*m[:3])
-            self._elements[m.name] = m
+        members = [m if isinstance(m, GroupoidElement)
+                   else GroupoidElement(*m[:3]) for m in members]
+        self._elements = {m.name: m for m in members}
+        if len(self._elements) < len(members):
+            counts = collections.Counter(m.name for m in members)
+            raise GroupoidError("'%ss' lists the name %r twice" % (
+                self.member, next(g for (g, n) in counts.items() if n > 1)))
         self._sorted = tuple(sorted(self._elements))
 
     def elements(self):
@@ -386,23 +389,31 @@ def _inverses(mul, unit):
 def group_bundle(vertices, fibers):
     """Explicit groupoid with isotropy only.  fibers maps a vertex to a
     dict {"elements": [...], "unit": name, "mul": {(a, b): ab}} describing
-    a finite group.  Element names must be globally unique.  Vertices
-    missing from fibers get the trivial group with unit named "1@<v>".
-    Each table is merged as given, so ExplicitGroupoid.validate judges it
-    as it judges an explicit one.  The inverse of a is the first b, in
-    its fiber's table order, with ab the unit.
+    a finite group.  Vertices missing from fibers get the trivial group
+    with unit named "1@<v>".  The bundle is judged as the explicit
+    groupoid it abbreviates: an element name, or a product key, listed in
+    two fibers is refused, and the elements of a fiber at a name that is
+    not a vertex are kept, for validate to report their endpoints.  Each
+    table is merged as given, so ExplicitGroupoid.validate judges it as
+    it judges an explicit one.  The inverse of a is the first b, in its
+    fiber's table order, with ab the unit.
     """
-    elements, units, mul, inv = [], {}, {}, {}
-    for v in vertices:
-        fib = fibers.get(v)
+    elements, units, mul, inv, listed = [], {}, {}, {}, []
+    for (v, fib) in {**dict.fromkeys(vertices), **fibers}.items():
         if fib is None:
             name = "1@%s" % v
             fib = {"elements": [name], "unit": name, "mul": {(name, name): name}}
         elements += [(a, v, v) for a in fib["elements"]]
         units[v] = fib["unit"]
         mul.update(fib["mul"])
+        listed.append(fib["mul"])
         inv.update(_inverses(fib["mul"], fib["unit"]))
-    return ExplicitGroupoid(vertices, elements, units, mul, inv)
+    gpd = ExplicitGroupoid(vertices, elements, units, mul, inv)
+    if len(mul) < sum(map(len, listed)):
+        counts = collections.Counter(key for table in listed for key in table)
+        raise GroupoidError("two fibers' 'mul' list the key %r" % (
+            next(key for (key, n) in counts.items() if n > 1),))
+    return gpd
 
 
 def cyclic_group_table(n, prefix=""):

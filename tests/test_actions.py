@@ -854,6 +854,47 @@ def test_nucleus_refuses_sources_and_behavioral(fix):
         act.nucleus(fix("not_exel_pardo").action)
 
 
+# -- guards of the one-step calculus -----------------------------------------
+
+
+def unit_spoke_action(vertices=("v", "w")):
+    """An edge e from w to v and a loop f at w; the unit groupoid on
+    vertices, each unit fixing what it acts on."""
+    graph = DirectedGraph(["v", "w"], [("e", "w", "v"), ("f", "w", "w")])
+    units = {v: "u" + v for v in vertices}
+    gpd = ExplicitGroupoid(vertices, [(u, v, v) for (v, u) in units.items()],
+                           units, {(u, u): u for u in units.values()},
+                           {u: u for u in units.values()})
+    acts = [(g, e) for (g, e) in (("uv", "e"), ("uw", "f")) if g in gpd.elements()]
+    return SelfSimilarAction(graph, gpd, {(g, e): e for (g, e) in acts},
+                             {(g, e): "uw" for (g, e) in acts})
+
+
+def test_validate_refuses_a_groupoid_on_other_vertices():
+    action = unit_spoke_action(vertices=("v",))
+    assert action.validate() == ["groupoid vertex set differs from the graph's"]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda a, p, x: a.act_path("uw", p), "'uw' cannot act on path e"),
+    (lambda a, p, x: a.restrict_path("uw", p), "'uw' cannot restrict along path e"),
+    (lambda a, p, x: act_point(a, "uw", x), "'uw' cannot act on point"),
+    (lambda a, p, x: strongly_fixed_prefix(a, "uw", x), "'uw' does not sit at point"),
+    (lambda a, p, x: fixes_point(a, "uw", x), "'uw' cannot act on point"),
+], ids=["act_path", "restrict_path", "act_point", "strongly_fixed_prefix",
+        "fixes_point"])
+def test_an_element_elsewhere_cannot_act(call, message):
+    """uw sits at w; the path e and the point e·f^∞ have range v.  The
+    commands reach the one-edge guards through a restriction table that
+    lands at the wrong vertex (test_cli); these are tested here."""
+    action = unit_spoke_action()
+    assert action.validate() == []
+    p = action.graph.path(["e"])
+    x = point_from_json(action.graph, {"prefix": ["e"], "period": ["f"]})
+    with pytest.raises(act.ActionError, match=message):
+        call(action, p, x)
+
+
 # -- pseudo-freeness ---------------------------------------------------------
 
 

@@ -13,7 +13,8 @@ import pytest
 
 import selfsim
 from selfsim import actions as act_mod
-from selfsim import cli, systems, twists
+from selfsim import cli, germs, systems, twists
+from selfsim import semigroup as sg
 from selfsim.groupoids import ExplicitGroupoid, cyclic_group_table
 
 from conftest import EXPLICIT_FIXTURES, TWO_FIBRE_BUNDLE, zn_rotation
@@ -258,6 +259,36 @@ def test_an_argument_twist_validate_or_verify_ignores_is_a_usage_failure(
     assert "expected 0 argument(s): twist %s" % argv[2] in err
 
 
+def test_arithmetic_calls_the_library_through_its_module(capsys, monkeypatch):
+    """The ops look the library up when they run, so a function patched
+    on its module (as a tracer does) is the one called."""
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(germs, "classify", counting("classify", germs.classify))
+    monkeypatch.setattr(sg, "mul", counting("mul", sg.mul))
+    ab = '{"alpha": ["a"], "g": "1", "beta": ["b"]}'
+    germ = '{"alpha": ["a"], "g": "1", "beta": ["b"], "xi": {"prefix": [], "period": ["e"]}}'
+    assert run(capsys, ["germ", "four_loop_z2", "classify", germ])[0] == 0
+    assert run(capsys, ["semigroup", "four_loop_z2", "mul", ab, ab])[0] == 0
+    assert calls == ["classify", "mul"]
+
+
+def test_conj_reads_its_arguments_left_to_right(capsys):
+    """T is read before P: an unknown element in T is reported before a
+    malformed path in P."""
+    code, out, err = run(capsys, ["semigroup", "four_loop_z2", "conj",
+                                  '{"alpha": [], "g": "zz", "beta": []}',
+                                  '[["e"]]'])
+    assert (code, out) == (1, "")
+    assert "unknown element 'zz'" in err
+
+
 def test_in_core_on_a_behavioral_model_is_a_domain_failure(capsys):
     # no state is known to be an element, so no answer is sound: refuse
     code, out, err = run(capsys, [
@@ -364,6 +395,167 @@ def test_a_fibre_table_is_judged_by_validate(capsys, tmp_path, rows, problem):
     path = write_system(tmp_path, one_loop_bundle(fibre, ["a", "b"]))
     code, data, err = run_json(capsys, ["validate", path])
     assert (code, data["problems"], err) == (1, [problem], "")
+
+
+REPEATS = [
+    # at: the index of the extra record (None: appended).  An extra first
+    # record is the one a dict of the records would drop.
+    ("twisted_three_spoke", ("groupoid", "elements"), 0,
+     {"name": "0", "src": "v1", "rng": "v1"}, "elements", "0"),
+    ("twisted_three_spoke", ("groupoid", "elements"), None,
+     {"name": "0", "src": "v1", "rng": "v1"}, "elements", "0"),
+    ("two_edges", ("groupoid", "states"), None,
+     {"name": "0u", "src": "u", "rng": "u", "is_unit": True}, "states", "0u"),
+    ("two_fibre_bundle", ("groupoid", "fibers", "w", "elements"), None,
+     "c1", "elements", "c1"),
+]
+
+
+@pytest.mark.parametrize("name, table, at, record, section, repeated",
+                         REPEATS, ids=["first", "last", "state", "fibres"])
+def test_a_name_listed_twice_is_a_parse_failure(capsys, tmp_path, name, table,
+                                                at, record, section, repeated):
+    doc, rows = _rows_of(name, table)
+    rows.insert(len(rows) if at is None else at, record)
+    code, out, err = run(capsys, ["validate", write_system(tmp_path, doc)])
+    assert (code, out) == (2, "")
+    assert err == ("parse error: bad groupoid section: %r lists the name %r "
+                   "twice\n" % (section, repeated))
+
+
+@pytest.mark.parametrize("fibre, row", [
+    ("v", ["t", "t", "t"]),      # a wrong product of w, in v's table
+    ("w", ["c1", "c1", "c0"]),   # a right product of v, in w's table
+], ids=["earlier", "later"])
+def test_a_key_listed_in_two_fibres_is_a_parse_failure(capsys, tmp_path,
+                                                       fibre, row):
+    doc = _table_fibres(TWO_FIBRE_BUNDLE)
+    doc["groupoid"]["fibers"][fibre]["mul"].append(row)
+    code, out, err = run(capsys, ["validate", write_system(tmp_path, doc)])
+    assert (code, out) == (2, "")
+    assert err == ("parse error: bad groupoid section: two fibers' 'mul' "
+                   "list the key %r\n" % (tuple(row[:2]),))
+
+
+def test_a_fibre_off_the_graph_is_a_domain_failure(capsys, tmp_path):
+    doc = copy.deepcopy(TWO_FIBRE_BUNDLE)
+    doc["groupoid"]["fibers"]["x"] = {"cyclic": 1, "prefix": "x"}
+    code, data, err = run_json(capsys, ["validate",
+                                        write_system(tmp_path, doc)])
+    assert (code, err) == (1, "")
+    assert data["problems"] == ["groupoid: element 'x0' has unknown src 'x'",
+                                "groupoid: element 'x0' has unknown rng 'x'"]
+
+
+# Safety checks of validate and of the one-step calculus, each reached
+# from a system file: a loop-free edge e from w to v, one unit per vertex.
+def unit_spoke(kind="explicit"):
+    units = [("uv", "v"), ("uw", "w")]
+    if kind == "explicit":
+        groupoid = {"kind": "explicit",
+                    "elements": [{"name": u, "src": v, "rng": v}
+                                 for (u, v) in units],
+                    "units": {v: u for (u, v) in units},
+                    "mul": [[u, u, u] for (u, _) in units],
+                    "inv": {u: u for (u, _) in units}}
+    else:
+        groupoid = {"kind": "behavioral",
+                    "states": [{"name": u, "src": v, "rng": v, "is_unit": True}
+                               for (u, v) in units]}
+    return {"graph": {"vertices": ["v", "w"],
+                      "edges": [{"name": "e", "src": "w", "rng": "v"}]},
+            "groupoid": groupoid,
+            "action": {"edge_action": [["uv", "e", "e"]],
+                       "restriction": [["uv", "e", "uw"]]}}
+
+
+def _edge(name, src, rng):
+    return {"name": name, "src": src, "rng": rng}
+
+
+SAFETY_CASES = [
+    ("explicit", ("graph", "vertices"), "v", ["graph: duplicate vertex 'v'"]),
+    ("explicit", ("graph", "edges"), _edge("e", "w", "v"),
+     ["graph: duplicate edge name 'e'"]),
+    ("explicit", ("graph", "edges"), _edge("f", "x", "v"),
+     ["graph: edge 'f' has unknown src 'x'"]),
+    ("explicit", ("graph", "edges"), _edge("f", "v", "x"),
+     ["graph: edge 'f' has unknown rng 'x'"]),
+    ("explicit", ("graph", "edges"), _edge("w", "v", "v"),
+     ["graph: name 'w' used for both a vertex and an edge"]),
+    ("explicit", ("groupoid", "elements"), _edge("a", "x", "v"),
+     ["groupoid: element 'a' has unknown src 'x'"]),
+    ("explicit", ("groupoid", "elements"), _edge("a", "v", "x"),
+     ["groupoid: element 'a' has unknown rng 'x'"]),
+    ("explicit", ("groupoid", "units", "w"), None,
+     ["groupoid: no unit at vertex 'w'"]),
+    ("explicit", ("groupoid", "units", "w"), "z",
+     ["groupoid: unit 'z' at 'w' is not an element"]),
+    ("explicit", ("groupoid", "units", "w"), "uv",
+     ["groupoid: unit 'uv' at 'w' has src/rng elsewhere"]),
+    ("behavioral", ("groupoid", "states"), _edge("s", "x", "v"),
+     ["groupoid: state 's' has unknown src/rng"]),
+    ("behavioral", ("groupoid", "states"), dict(_edge("s", "w", "v"),
+                                                is_unit=True),
+     ["groupoid: unit state 's' has src != rng",
+      "groupoid: several unit states at vertex 'w'"]),
+]
+
+
+@pytest.mark.parametrize("kind, field, value, problems", SAFETY_CASES,
+                         ids=[c[3][0].split(": ", 1)[1] for c in SAFETY_CASES])
+def test_validate_reports_each_structural_problem(capsys, tmp_path, kind,
+                                                  field, value, problems):
+    """A value appended to a list, set at a key, or (None) a key removed."""
+    doc = unit_spoke(kind)
+    assert systems.validate_system(systems.system_from_json(doc)) == []
+    node = doc
+    for key in field[:-1]:
+        node = node[key]
+    if isinstance(node[field[-1]], list):
+        node[field[-1]].append(value)
+    elif value is None:
+        del node[field[-1]]
+    else:
+        node[field[-1]] = value
+    code, data, err = run_json(capsys, ["validate", write_system(tmp_path, doc)])
+    assert (code, data["problems"], err) == (1, problems, "")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["semigroup", "conj", '{"alpha": [], "g": "uv", "beta": []}', '["e", "f"]'],
+     "element 'uv' cannot act on edge 'f'"),
+    (["germ", "inverse", '{"alpha": [], "g": "uv", "beta": [], '
+      '"xi": {"prefix": ["e"], "period": ["f"]}}'],
+     "element 'uv' cannot restrict along edge 'f'"),
+], ids=["act", "restrict"])
+def test_a_restriction_at_the_wrong_vertex_cannot_act(capsys, tmp_path, argv,
+                                                      message):
+    """uv|_e = uv sits at v, not at src(e) = w, so it meets an edge f at w
+    that it cannot act on or restrict along."""
+    path = write_system(tmp_path, broken_restriction_system())
+    code, out, err = run(capsys, argv[:1] + [path] + argv[1:])
+    assert (code, out, err) == (1, "", "error: %s\n" % message)
+
+
+def test_a_counterexample_the_model_cannot_vouch_for_is_refused(capsys,
+                                                                tmp_path):
+    """A non-unit state s fixes every path, but without unit_reflecting
+    the model cannot say that s is not a unit: Faithful is refused."""
+    doc = {"graph": {"vertices": ["v"], "edges": [_edge("e", "v", "v")]},
+           "groupoid": {"kind": "behavioral", "states": [
+               dict(_edge("u", "v", "v"), is_unit=True), _edge("s", "v", "v")]},
+           "action": {"edge_action": [["u", "e", "e"], ["s", "e", "e"]],
+                      "restriction": [["u", "e", "u"], ["s", "e", "s"]]}}
+    path = write_system(tmp_path, doc)
+    code, data, _ = run_json(capsys, ["kernel", path])
+    assert (code, data["kernel"]) == (0, ["s", "u"])
+    assert data["Faithful"]["status"] == "RequiresExplicit"
+    doc["groupoid"]["flags"] = {"unit_reflecting": True}
+    code, data, _ = run_json(capsys, ["kernel", write_system(tmp_path, doc)])
+    assert data["Faithful"] == {"status": "Fails", "witness": {"element": "s"},
+                                "scope": "a non-unit fixes every path at its "
+                                         "source"}
 
 
 def _table_fibres(doc):

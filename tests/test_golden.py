@@ -8,7 +8,9 @@ them shows up here.  The twist transcripts run `twist validate`, `twist
 verify --bound 2` and a fixed list of `extend` and `omega` calls on
 twisted_three_spoke and on a twist whose phases are sevenths and
 elevenths.  The `hum` transcript runs `selfsim hum` at every point of
-`boundary_points_from(v, 3)`, for every vertex v of every fixture.  To
+`boundary_points_from(v, 3)`, for every vertex v of every fixture.  The
+help transcript pins `selfsim --help` and every subcommand's `--help` at
+80 columns.  To
 re-record them (only when a change of output is intended), run from the
 repository root:
 
@@ -22,6 +24,7 @@ import os
 import random
 import sys
 import tempfile
+from unittest import mock
 
 import pytest
 
@@ -170,6 +173,33 @@ def test_hum_matches_golden_transcript():
     assert hum_transcript() == expected
 
 
+SUBCOMMANDS = ("validate", "report", "semigroup", "germ", "twist", "nucleus",
+               "kernel", "hum", "export-dot")
+
+
+def help_transcript():
+    """`selfsim --help`, then `selfsim CMD --help` for every subcommand,
+    formatted at 80 columns."""
+    lines = []
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        for argv in [["--help"]] + [[cmd, "--help"] for cmd in SUBCOMMANDS]:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            lines.append("$ selfsim %s\n%sexit %s\n"
+                         % (" ".join(argv), out.getvalue(), exc.value.code))
+    return "".join(lines)
+
+
+HELP_GOLDEN = os.path.join(GOLDEN_DIR, "help.txt")
+
+
+def test_help_matches_golden_transcript():
+    with open(HELP_GOLDEN, encoding="utf-8", newline="") as fh:
+        expected = fh.read()
+    assert help_transcript() == expected
+
+
 def record(workdir):
     os.makedirs(GOLDEN_DIR, exist_ok=True)
     for (name, system) in GOLDEN:
@@ -184,11 +214,13 @@ def record(workdir):
             fh.write(twist_transcript(name, system, workdir))
     with open(HUM_GOLDEN, "w", encoding="utf-8", newline="") as fh:
         fh.write(hum_transcript())
+    with open(HELP_GOLDEN, "w", encoding="utf-8", newline="") as fh:
+        fh.write(help_transcript())
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         record(tmp)
     print("recorded %d snapshots in %s"
-          % (2 * len(GOLDEN) + len(TWIST_GOLDEN) + 1, GOLDEN_DIR),
+          % (2 * len(GOLDEN) + len(TWIST_GOLDEN) + 2, GOLDEN_DIR),
           file=sys.stderr)
