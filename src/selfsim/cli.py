@@ -71,7 +71,7 @@ def _write(text):
 
 
 def _emit(obj):
-    _write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    _write(systems.json_text(obj))
 
 
 def _valid(problems):

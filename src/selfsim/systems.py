@@ -9,6 +9,7 @@ import collections
 import itertools
 import json
 from importlib import resources
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from .actions import SelfSimilarAction
 from .graphs import (DirectedGraph, GraphError, UsageError, json_name,
@@ -233,10 +234,68 @@ def load_system(path):
     return system_from_json(data)
 
 
+def json_text(value):
+    """The one writer of JSON text: exactly
+    json.dumps(value, indent=2, sort_keys=True) + "\n".  The stdlib's
+    indent encoder runs a chain of generator frames for every line, and
+    its closures, which refer to each other, leave cycles for the
+    collector on every call."""
+    out = []
+    _write_json(value, out.append, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(value, append, newline):
+    """Append value's text; newline is the line break plus the indent of
+    value's own line.  A module-level function fed append, not a closure
+    that calls itself, so that a call leaves no reference cycle."""
+    if isinstance(value, str):
+        append(_encode_str(value))
+    elif isinstance(value, dict):
+        if not value:
+            append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        # json sorts the items by their original keys, then converts them
+        for (key, item) in sorted(value.items()):
+            append(sep)
+            append(_encode_str(key if isinstance(key, str) else _json_key(key)))
+            append(": ")
+            _write_json(item, append, inner)
+            sep = "," + inner
+        append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            append(sep)
+            _write_json(item, append, inner)
+            sep = "," + inner
+        append(newline + "]")
+    else:
+        append(json.dumps(value))
+
+
+def _json_key(key):
+    """A non-string key as json converts it: a number, bool or None as its
+    JSON text, anything else refused."""
+    if isinstance(key, (int, float)) or key is None:
+        return json.dumps(key)
+    raise TypeError("keys must be str, int, float, bool or None, not %s"
+                    % type(key).__name__)
+
+
 def save_system(system, path):
+    """Write the system's file.  The text is made before the file is
+    opened, so a value that cannot be written leaves an old file whole."""
+    text = json_text(system_to_json(system))
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(system_to_json(system), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 # -- bundled examples -------------------------------------------------------

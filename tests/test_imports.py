@@ -7,7 +7,9 @@ leading underscore must be named somewhere in the package; and so must a
 public function or method, unless __init__ exports it, it is a cmd_*
 handler of the CLI, or UNCALLED_PUBLIC names it with a reason.  Every
 parameter but self and cls is read by the body of its function, unless
-UNREAD_PARAMETERS names the function with a reason."""
+UNREAD_PARAMETERS names the function with a reason.  Only systems.py
+writes JSON documents: no other module calls json.dump, or json.dumps with
+an indent."""
 
 import ast
 import pathlib
@@ -174,3 +176,52 @@ def test_package_reads_every_parameter():
              for u in unread_parameters(path.read_text(encoding="utf-8"))}
     assert sorted({name for (_, _, name, _) in found}) == \
         sorted(UNREAD_PARAMETERS), sorted(found)
+
+
+def json_document_writers(source):
+    """(line, call) for every call of json.dump, and of json.dumps with an
+    indent keyword, whether through the module (under any name) or through
+    a name imported from it."""
+    tree = ast.parse(source)
+    modules, names = set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.asname or alias.name for alias in node.names
+                           if alias.name == "json")
+        elif isinstance(node, ast.ImportFrom) and node.module == "json":
+            names.update((alias.asname or alias.name, alias.name)
+                         for alias in node.names)
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+                and func.value.id in modules):
+            called = func.attr
+        elif isinstance(func, ast.Name) and func.id in names:
+            called = names[func.id]
+        else:
+            continue
+        if called == "dump" or (called == "dumps" and any(
+                k.arg == "indent" for k in node.keywords)):
+            out.append((node.lineno, "json." + called))
+    return sorted(out)
+
+
+def test_json_document_writers_are_found():
+    source = ("import json\nimport json as j\nfrom json import dump, dumps as d\n"
+              "json.dump(x, fh)\nj.dumps(x, indent=2)\ndump(x, fh)\n"
+              "d(x, indent=None)\njson.dumps(x, sort_keys=True)\n"
+              "other.dump(x)\n")
+    assert json_document_writers(source) == [
+        (4, "json.dump"), (5, "json.dumps"), (6, "json.dump"),
+        (7, "json.dumps")]
+
+
+def test_only_systems_writes_json_documents():
+    """Every JSON the CLI prints and every file save_system writes comes
+    from systems.json_text; a compact json.dumps, as for a witness, stays."""
+    found = {(path.name,) + w for path in MODULES if path.name != "systems.py"
+             for w in json_document_writers(path.read_text(encoding="utf-8"))}
+    assert sorted(found) == []
