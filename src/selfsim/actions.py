@@ -68,8 +68,8 @@ import collections
 import functools
 from dataclasses import dataclass
 
-from .graphs import (Path, GraphError, UsageError, json_name, json_names,
-                     path_key)
+from .graphs import (Path, GraphError, UsageError, dot_id, json_name,
+                     json_names, path_key)
 from .groupoids import RequiresExplicitError
 from . import verdicts
 
@@ -230,8 +230,9 @@ class SelfSimilarAction:
     def _law_failures(self, right, outer=None):
         """One problem per product law failing at a composable (h, g, e)
         with g in right and h in outer (if given), in sorted (h, g) order
-        and then the order of received_by.  Walks composable pairs only;
-        the bijection stage has made (h|_{g·e}, g|_e) composable."""
+        and then by the name of e, the order of received_by.  Walks
+        composable pairs only; the bijection stage has made
+        (h|_{g·e}, g|_e) composable."""
         gpd, graph = self.groupoid, self.graph
         els, mul = gpd._elements, gpd._mul
         act, res, out = self.edge_action, self.restriction, []
@@ -458,14 +459,15 @@ def _closure(seeds, step, avoid=frozenset()):
 
 
 def _dot(name, arrows, is_unit, root=None):
-    lines = ["digraph %s {" % name]
+    lines = ["digraph %s {" % dot_id(name)]
     for h in sorted(arrows):
         shape = "doublecircle" if is_unit(h) else "circle"
         mark = ' style=bold' if h == root else ""
-        lines.append('  "%s" [shape=%s%s];' % (h, shape, mark))
+        lines.append('  %s [shape=%s%s];' % (dot_id(h), shape, mark))
     for h in sorted(arrows):
         for (e, n) in arrows[h]:
-            lines.append('  "%s" -> "%s" [label="%s"];' % (h, n, e))
+            lines.append('  %s -> %s [label=%s];'
+                         % (dot_id(h), dot_id(n), dot_id(e)))
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -474,10 +476,11 @@ class RestrictionDigraph:
     """The arrows g -e-> g|_e of an action, one per composable (g, e).
 
     arrows[g] lists every arrow out of g and fixed[g] the fixed ones
-    (g·e = e), both sorted by edge name; movers are the elements with an
-    arrow that is not fixed.  Each table entry is read once, here; the
-    derived sets are computed on first use.  The tables are not assumed
-    valid: an arrow into a name the groupoid lacks raises ActionError.
+    (g·e = e), both by edge name, the order of received_by; movers are
+    the elements with an arrow that is not fixed.  Each table entry is
+    read once, here; the derived sets are computed on first use.  The
+    tables are not assumed valid: an arrow into a name the groupoid lacks
+    raises ActionError.
     """
 
     def __init__(self, action):
@@ -487,7 +490,7 @@ class RestrictionDigraph:
             if gpd.is_unit(g):
                 self.units.add(g)
             outs, fixed = [], []
-            for e in sorted(graph.received_by(gpd.src(g)), key=lambda e: e.name):
+            for e in graph.received_by(gpd.src(g)):
                 arrow = (e.name, action.restrict_edge(g, e.name))
                 if not gpd.has_element(arrow[1]):
                     raise ActionError("restriction (%r)|_%r = %r is not an "
@@ -604,7 +607,7 @@ def orbit_classes(groupoid):
         linked[a].append(b)
         linked[b].append(a)
     classes = {}
-    for v in sorted(groupoid.vertices):
+    for v in groupoid.vertices:
         if v not in classes:
             classes.update(dict.fromkeys(_closure([v], linked.get), v))
     return classes
@@ -625,7 +628,7 @@ class OrbitGraph:
         graph = action.graph
         self.classes = orbit_classes(action.groupoid)
         self.members = {}
-        for v in sorted(graph.vertices):
+        for v in graph.vertices:
             self.members.setdefault(self.classes[v], []).append(v)
         self.sources = {v: [e.src for e in graph.received_by(v)]
                         for v in graph.vertices}

@@ -109,7 +109,7 @@ def check_cyc(action):
     graph, gpd = action.graph, action.groupoid
     classes = action.orbits.classes
     witness, limit = None, len(graph.vertices)
-    for base in sorted(graph.vertices):
+    for base in graph.vertices:
         edges = _closing_chain(graph, classes, base, limit)
         if edges:
             witness = {"op": "has_entrance", "path": edges,

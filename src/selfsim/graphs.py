@@ -8,6 +8,7 @@ src = src(en), and it extends by appending edges at its source end.
 Vertices double as the paths of length zero.
 """
 
+import operator
 from dataclasses import dataclass
 
 
@@ -65,14 +66,22 @@ class Path:
 
 
 class DirectedGraph:
+    """A graph with one order, fixed here: the vertices sorted, the edges
+    sorted by name (stably, so a repeated name still reaches validate),
+    and each vertex's received edges in edge order.  Every reader trusts
+    this order, so no answer depends on how a file lists the graph."""
+
     def __init__(self, vertices, edges):
-        self.vertices = tuple(vertices)
-        self.edges = tuple(Edge(*e) if not isinstance(e, Edge) else e for e in edges)
+        self.vertices = tuple(sorted(vertices))
+        self.edges = tuple(sorted([e if isinstance(e, Edge) else Edge(*e)
+                                   for e in edges],
+                                  key=operator.attrgetter("name")))
         self._by_name = {e.name: e for e in self.edges}
-        self._received = {v: [] for v in self.vertices}  # vE1: edges with rng = v
+        received = {v: [] for v in self.vertices}  # vE1: edges with rng = v
         for e in self.edges:
-            if e.rng in self._received:
-                self._received[e.rng].append(e)
+            if e.rng in received:
+                received[e.rng].append(e)
+        self._received = {v: tuple(es) for (v, es) in received.items()}
 
     def validate(self):
         """Collect structural problems; empty list means the graph is well formed."""
@@ -105,10 +114,11 @@ class DirectedGraph:
         return v in self._received
 
     def received_by(self, v):
-        """vE1: the edges whose range is v, in declaration order."""
-        if v not in self._received:
+        """vE1: the edges whose range is v, in name order."""
+        try:
+            return self._received[v]
+        except KeyError:
             raise GraphError("unknown vertex %r" % (v,))
-        return tuple(self._received[v])
 
     def is_source(self, v):
         return not self.received_by(v)
@@ -173,7 +183,7 @@ class DirectedGraph:
         for _ in range(max_len):
             nxt = []
             for p in frontier:
-                for e in sorted(self.received_by(self.path_src(p)), key=lambda e: e.name):
+                for e in self.received_by(self.path_src(p)):
                     nxt.append(Path(p.base, p.edges + (e.name,)))
             out.extend(nxt)
             frontier = nxt
@@ -183,20 +193,28 @@ class DirectedGraph:
 
     def all_paths(self, max_len):
         out = []
-        for v in sorted(self.vertices):
+        for v in self.vertices:
             out.extend(self.paths_from(v, max_len))
         out.sort(key=path_key)
         return out
 
     def to_dot(self, name="graph"):
-        lines = ["digraph %s {" % name]
-        for v in sorted(self.vertices):
+        lines = ["digraph %s {" % dot_id(name)]
+        for v in self.vertices:
             shape = "doublecircle" if self.is_source(v) else "circle"
-            lines.append('  "%s" [shape=%s];' % (v, shape))
-        for e in sorted(self.edges, key=lambda e: e.name):
-            lines.append('  "%s" -> "%s" [label="%s"];' % (e.rng, e.src, e.name))
+            lines.append('  %s [shape=%s];' % (dot_id(v), shape))
+        for e in self.edges:
+            lines.append('  %s -> %s [label=%s];'
+                         % (dot_id(e.rng), dot_id(e.src), dot_id(e.name)))
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+
+def dot_id(name):
+    """name as a quoted DOT ID, its backslashes and double quotes escaped:
+    every ID and label the DOT writers print goes through here, so any
+    name makes valid DOT."""
+    return '"%s"' % name.replace("\\", "\\\\").replace('"', '\\"')
 
 
 def path_key(p):

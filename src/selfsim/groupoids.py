@@ -48,8 +48,9 @@ class Groupoid:
     def __init__(self, vertices, members):
         """members: GroupoidElement records or rows that start (name, src,
         rng).  A name given twice is refused, where the dict would keep
-        its last record silently."""
-        self.vertices = tuple(vertices)
+        its last record silently.  The vertices are kept sorted, as a
+        graph keeps them."""
+        self.vertices = tuple(sorted(vertices))
         members = [m if isinstance(m, GroupoidElement)
                    else GroupoidElement(*m[:3]) for m in members]
         self._elements = {m.name: m for m in members}

@@ -72,9 +72,9 @@ def graph_from_json(data):
 
 def graph_to_json(graph):
     return {
-        "vertices": sorted(graph.vertices),
+        "vertices": list(graph.vertices),
         "edges": [{"name": e.name, "src": e.src, "rng": e.rng}
-                  for e in sorted(graph.edges, key=lambda e: e.name)],
+                  for e in graph.edges],
     }
 
 
@@ -135,7 +135,7 @@ def groupoid_to_json(gpd):
         "kind": "explicit",
         "elements": [{"name": g, "src": gpd.src(g), "rng": gpd.rng(g)}
                      for g in gpd.elements()],
-        "units": {v: gpd.unit_at(v) for v in sorted(gpd.vertices)},
+        "units": {v: gpd.unit_at(v) for v in gpd.vertices},
         "mul": sorted([a, b, c] for ((a, b), c) in gpd._mul.items()),
         "inv": {g: gpd.inv(g) for g in gpd.elements()},
     }

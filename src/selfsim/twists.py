@@ -146,14 +146,14 @@ def validate_twist(twist):
     els, mul, units = gpd._elements, gpd._mul, gpd.units
     act, res = action.edge_action, action.restriction
     elements = gpd.elements()
-    received = {v: sorted(e.name for e in graph.received_by(v))
+    received = {v: [e.name for e in graph.received_by(v)]
                 for v in gpd.vertices}
     normal = []
     for g in elements:
         if group(units[els[g].rng], g) or group(g, units[els[g].src]):
             normal.append("group cocycle is not normalized at %r" % (g,))
     unit_edges = []
-    for e in sorted(graph.edges, key=lambda e: e.name):
+    for e in graph.edges:
         if edge(units[e.rng], e.name):
             unit_edges.append("edge phase at the unit is not 1 on %r"
                               % (e.name,))

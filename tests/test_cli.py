@@ -6,6 +6,7 @@ import io
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -984,6 +985,52 @@ def test_export_dot_rejects_bad_targets(capsys):
                                 "--what", "junk"])
     assert code == 2
     assert "usage error" in err
+
+
+def read_dot(text):
+    """(graph name, nodes, arrows) of a DOT digraph in the shape the
+    exports print, with each quoted ID unescaped; AssertionError on any
+    text that is not DOT of that shape, such as an unescaped quote."""
+    tokens = []
+    for m in re.finditer(r'\s+|"((?:[^"\\]|\\.)*)"|->|[][=;{}]|\w+|(.)', text):
+        assert m.group(2) is None, "stray %r in DOT" % m.group(2)
+        if m.group(1) is not None:
+            tokens.append(("id", re.sub(r"\\(.)", r"\1", m.group(1))))
+        elif not m.group().isspace():
+            tokens.append(m.group())
+    assert tokens[:3:2] == ["digraph", "{"] and tokens[-1] == "}", tokens
+    name, nodes, arrows, rest = tokens[1][1], [], [], tokens[3:-1]
+    while rest:
+        end = rest.index(";")
+        stmt, rest = rest[:end], rest[end + 1:]
+        if stmt[1] == "->":
+            assert stmt[3:6] == ["[", "label", "="] and stmt[7] == "]", stmt
+            arrows.append((stmt[0][1], stmt[2][1], stmt[6][1]))
+        else:
+            assert stmt[1] == "[" and stmt[-1] == "]", stmt
+            nodes.append(stmt[0][1])
+    return name, nodes, arrows
+
+
+def test_export_dot_quotes_every_name(capsys, tmp_path):
+    # a space, quotes and backslashes, one of them just before a closing quote
+    name, v, e, u, g = 'my "loop" \\', 'w"x\\', 'e \\"f', 'u\\1"', 'g "2"'
+    path = write_system(tmp_path, {
+        "name": name,
+        "graph": {"vertices": [v], "edges": [{"name": e, "src": v, "rng": v}]},
+        "groupoid": {"kind": "bundle", "fibers": {v: {
+            "elements": [u, g], "unit": u,
+            "mul": [[u, u, u], [u, g, g], [g, u, g], [g, g, u]]}}},
+        "action": {"edge_action": [[u, e, e], [g, e, e]],
+                   "restriction": [[u, e, u], [g, e, g]]}})
+    assert run(capsys, ["validate", path])[0] == 0
+    expected = {"graph": (name, [v], [(v, v, e)]),
+                "restriction": ("restrictions", [g, u], [(g, g, e), (u, u, e)]),
+                "fixing:" + g: ("fixing", [g], [(g, g, e)])}
+    for (what, want) in expected.items():
+        code, out, err = run(capsys, ["export-dot", path, "--what", what])
+        assert (code, err) == (0, "")
+        assert read_dot(out) == want, what
 
 
 # ---------------------------------------------------------------------------

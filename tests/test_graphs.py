@@ -4,6 +4,7 @@ import pytest
 
 from selfsim.graphs import (DirectedGraph, GraphError, comparable, is_prefix,
                             path_key)
+from selfsim.groupoids import BehavioralModel
 
 from conftest import oracle_has_entrance
 
@@ -59,3 +60,23 @@ def test_sources_and_entrances(diamond):
 def test_dot_export_is_deterministic(diamond):
     assert diamond.to_dot() == diamond.to_dot()
     assert "digraph" in diamond.to_dot()
+
+
+def test_a_graph_keeps_one_order_fixed_at_construction():
+    g = DirectedGraph(["w", "v", "u"],
+                      [("f", "v", "w"), ("e", "u", "w"), ("d", "w", "v")])
+    assert g.vertices == ("u", "v", "w")
+    assert [e.name for e in g.edges] == ["d", "e", "f"]
+    assert [e.name for e in g.received_by("w")] == ["e", "f"]
+    assert g.received_by("w") is g.received_by("w")
+    assert g.sources() == ("u",)
+    # the sort is stable, so a repeated name keeps its records for validate
+    dup = DirectedGraph(["v"], [("e", "v", "v"), ("a", "v", "v"),
+                                ("e", "x", "v")])
+    assert [e.src for e in dup.edges] == ["v", "v", "x"]
+    assert dup.validate() == ["duplicate edge name 'e'",
+                              "edge 'e' has unknown src 'x'"]
+    model = BehavioralModel(["w", "v"], [("1", "v", "v", True),
+                                         ("2", "w", "w", True)])
+    assert model.vertices == ("v", "w")
+

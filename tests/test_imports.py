@@ -9,7 +9,8 @@ handler of the CLI, or UNCALLED_PUBLIC names it with a reason.  Every
 parameter but self and cls is read by the body of its function, unless
 UNREAD_PARAMETERS names the function with a reason.  Only systems.py
 writes JSON documents: no other module calls json.dump, or json.dumps with
-an indent."""
+an indent.  Only graphs.py orders a graph: no other module sorts vertices,
+edges or the edges a vertex receives, which a graph keeps sorted."""
 
 import ast
 import pathlib
@@ -224,4 +225,55 @@ def test_only_systems_writes_json_documents():
     from systems.json_text; a compact json.dumps, as for a witness, stays."""
     found = {(path.name,) + w for path in MODULES if path.name != "systems.py"
              for w in json_document_writers(path.read_text(encoding="utf-8"))}
+    assert sorted(found) == []
+
+
+def graph_order_sorts(source):
+    """(line, attribute) for every call of sorted whose first argument is
+    some X.vertices or X.edges, or a call of some X.received_by: bare, in
+    list, tuple or set, or as the iterable of a comprehension.  Sorting
+    what is computed from them, such as a closure, is not flagged."""
+
+    def ordered(node):
+        if isinstance(node, ast.Attribute) and node.attr in ("vertices", "edges"):
+            return node.attr
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr == "received_by":
+            return "received_by"
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id in ("list", "tuple", "set") and node.args:
+            return ordered(node.args[0])
+        if isinstance(node, (ast.GeneratorExp, ast.ListComp, ast.SetComp)):
+            return next(filter(None, (ordered(c.iter) for c in node.generators)),
+                        None)
+        return None
+
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "sorted" and node.args
+                and (what := ordered(node.args[0]))):
+            out.append((node.lineno, what))
+    return sorted(out)
+
+
+def test_graph_order_sorts_are_found():
+    source = ("sorted(g.vertices)\nsorted(graph.edges, key=lambda e: e.name)\n"
+              "sorted(e.name for e in graph.received_by(v))\n"
+              "sorted(set(self.vertices))\n"
+              "sorted([(a, b) for a in x for b in y.edges])\n"
+              "sorted(vertices)\nsorted(pts, key=lambda x: x.edges)\n"
+              "sorted(closure([u(v) for v in graph.vertices], step))\n"
+              "list(graph.vertices)\nmin(graph.received_by(v))\n")
+    assert graph_order_sorts(source) == [
+        (1, "vertices"), (2, "edges"), (3, "received_by"), (4, "vertices"),
+        (5, "edges")]
+
+
+def test_only_graphs_orders_a_graph():
+    """A graph sorts its vertices and edges once, when it is built, and a
+    groupoid its vertices (a plain name, sorted(vertices), in its
+    constructor); every other reader trusts that order."""
+    found = {(path.name,) + w for path in MODULES if path.name != "graphs.py"
+             for w in graph_order_sorts(path.read_text(encoding="utf-8"))}
     assert sorted(found) == []
