@@ -66,7 +66,7 @@ state is assumed to describe the behavior of at least one actual element.
 
 import collections
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graphs import (Path, GraphError, UsageError, dot_id, json_name,
                      json_names, path_key)
@@ -164,12 +164,11 @@ class SelfSimilarAction:
 
         # The records are checked: the stages below read them directly.
         els, act, res = gpd._elements, self.edge_action, self.restriction
-        received = {v: [e.name for e in graph.received_by(v)]
-                    for v in graph.vertices}
-        received_set = {v: set(names) for (v, names) in received.items()}
+        received = graph.received_names
+        received_set = {v: set(received(v)) for v in graph.vertices}
         edge_src = {e.name: e.src for e in graph.edges}
         composable = {(g, e) for (g, eg) in els.items()
-                      for e in received[eg.src]}
+                      for e in received(eg.src)}
         for key in act:
             if key not in composable:
                 problems.append("edge action on non-composable pair %r" % (key,))
@@ -188,7 +187,7 @@ class SelfSimilarAction:
 
         for g in gpd.elements():
             eg = els[g]
-            dom, cod = received[eg.src], received_set[eg.rng]
+            dom, cod = received(eg.src), received_set[eg.rng]
             seen = set()
             for e in dom:
                 img = act[(g, e)]
@@ -217,7 +216,7 @@ class SelfSimilarAction:
         units = {v: gpd.unit_at(v) for v in graph.vertices}
         for v in graph.vertices:
             u = units[v]
-            for e in received[v]:
+            for e in received(v):
                 if act[(u, e)] != e:
                     problems.append("unit at %r moves edge %r" % (v, e))
                 if res[(u, e)] != units[edge_src[e]]:
@@ -236,10 +235,9 @@ class SelfSimilarAction:
         gpd, graph = self.groupoid, self.graph
         els, mul = gpd._elements, gpd._mul
         act, res, out = self.edge_action, self.restriction, []
-        received = {v: [e.name for e in graph.received_by(v)]
-                    for v in graph.vertices}
+        received = graph.received_names
         for (h, g, hg) in gpd.composable_pairs(right, outer):
-            for e in received[els[g].src]:
+            for e in received(els[g].src):
                 ge = act[(g, e)]
                 if act[(hg, e)] != act[(h, ge)]:
                     out.append(
@@ -253,8 +251,7 @@ class SelfSimilarAction:
 # -- eventually periodic boundary points ---------------------------------
 
 
-@dataclass(frozen=True)
-class BoundaryPoint:
+class BoundaryPoint(NamedTuple):
     """A finite path, or an eventually periodic infinite path prefix·period^∞.
 
     Stored canonically: the period is primitive and the prefix is as short
@@ -662,8 +659,7 @@ class FixingAutomaton:
 # -- minimal strongly fixed paths -------------------------------------------
 
 
-@dataclass(frozen=True)
-class MinimalFixedResult:
+class MinimalFixedResult(NamedTuple):
     status: str            # "finite" | "infinite"
     paths: tuple = ()      # the minimal strongly fixed paths when finite
     witness: dict = None   # pumping data when infinite

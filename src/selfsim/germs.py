@@ -8,12 +8,13 @@ common prefix edge by edge and is complete by pigeonhole on the pair of
 tracked restrictions and the phase of the point.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import semigroup as sg
 from .actions import (BoundaryPoint, act_point, canonical_point,
-                      edge_at, fixes_point, point_from_json, point_prefix,
-                      point_tail, point_to_json, strongly_fixed_prefix, walk)
+                      edge_at, fixes_point, point_from_json, point_phase,
+                      point_prefix, point_tail, point_to_json,
+                      strongly_fixed_prefix, walk)
 from .graphs import UsageError
 from .groupoids import GroupoidError
 
@@ -22,8 +23,7 @@ class GermError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Germ:
+class Germ(NamedTuple):
     triple: sg.Triple
     xi: BoundaryPoint   # the tail of the base point after the beta leg
 
@@ -177,8 +177,7 @@ def from_json(action, data):
 # -- singular decompositions and xbar --------------------------------------
 
 
-@dataclass(frozen=True)
-class SingularClass:
+class SingularClass(NamedTuple):
     position: int
     element: str
 
@@ -200,20 +199,22 @@ def _tail_states_good(action, g, tail):
 
 def _singular_candidates(action, x):
     """The (position, element) pairs singular_decompositions starts from,
-    in order.  Past the prefix the tail repeats with the period, so each
-    distinct tail is tested once."""
+    in order.  Past the prefix the tail repeats with the period, and equal
+    phases mean equal tails, so each distinct tail is built and tested
+    once."""
     graph, gpd = action.graph, action.groupoid
     bound = len(x.prefix) + len(x.period) * max(1, len(gpd.elements()))
     passing, cands = {}, []
     for i in range(bound + 1):
-        tail = point_tail(graph, x, i)
-        if tail not in passing:
-            passing[tail] = [
+        phase = point_phase(x, i)
+        if phase not in passing:
+            tail = point_tail(graph, x, i)
+            passing[phase] = [
                 g for g in gpd.isotropy_at(tail.base)
                 if not gpd.is_unit(g) and fixes_point(action, g, tail)
                 and strongly_fixed_prefix(action, g, tail) is None
                 and _tail_states_good(action, g, tail)]
-        cands.extend(SingularClass(i, g) for g in passing[tail])
+        cands.extend(SingularClass(i, g) for g in passing[phase])
     return cands
 
 

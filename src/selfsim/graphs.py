@@ -9,7 +9,7 @@ Vertices double as the paths of length zero.
 """
 
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class GraphError(ValueError):
@@ -38,21 +38,23 @@ def json_name(data, what):
     return data
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     name: str
     src: str
     rng: str
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(NamedTuple):
     """A finite path: range vertex plus the tuple of edge names, in order.
 
     Paths are validated once, where they enter from outside: by
     DirectedGraph.path, and inside boundary points by
     actions.boundary_point.  Every other operation trusts them and builds
     its results directly.
+
+    len(p) is the number of edges, not of fields, so a vertex path is
+    falsy.  For that reason namedtuple's _make and _replace, which check
+    len(), must not be used on a Path; build one with Path(base, edges).
     """
 
     base: str            # the range vertex of the path
@@ -82,6 +84,8 @@ class DirectedGraph:
             if e.rng in received:
                 received[e.rng].append(e)
         self._received = {v: tuple(es) for (v, es) in received.items()}
+        self._received_names = {v: tuple([e.name for e in es])
+                                for (v, es) in received.items()}
 
     def validate(self):
         """Collect structural problems; empty list means the graph is well formed."""
@@ -117,6 +121,14 @@ class DirectedGraph:
         """vE1: the edges whose range is v, in name order."""
         try:
             return self._received[v]
+        except KeyError:
+            raise GraphError("unknown vertex %r" % (v,))
+
+    def received_names(self, v):
+        """The names of the edges received_by(v), in that order: one tuple
+        per vertex, built with the graph."""
+        try:
+            return self._received_names[v]
         except KeyError:
             raise GraphError("unknown vertex %r" % (v,))
 

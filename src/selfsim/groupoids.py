@@ -20,7 +20,7 @@ behavioral model.
 """
 
 import collections
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class GroupoidError(ValueError):
@@ -31,8 +31,7 @@ class RequiresExplicitError(GroupoidError):
     """The operation needs multiplication, which a behavioral model lacks."""
 
 
-@dataclass(frozen=True)
-class GroupoidElement:
+class GroupoidElement(NamedTuple):
     name: str
     src: str
     rng: str

@@ -11,7 +11,7 @@ Everything product-shaped needs an explicit groupoid; the behavioral
 backend raises RequiresExplicitError through the groupoid calls.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graphs import (Path, UsageError, comparable, is_prefix, json_name,
                      json_names)
@@ -40,8 +40,7 @@ def is_zero(s):
     return isinstance(s, _Zero)
 
 
-@dataclass(frozen=True)
-class Triple:
+class Triple(NamedTuple):
     alpha: Path
     g: str
     beta: Path

@@ -146,8 +146,7 @@ def validate_twist(twist):
     els, mul, units = gpd._elements, gpd._mul, gpd.units
     act, res = action.edge_action, action.restriction
     elements = gpd.elements()
-    received = {v: [e.name for e in graph.received_by(v)]
-                for v in gpd.vertices}
+    received = graph.received_names
     normal = []
     for g in elements:
         if group(units[els[g].rng], g) or group(g, units[els[g].src]):
@@ -171,7 +170,7 @@ def validate_twist(twist):
     def compatibility(middles, outer=None):
         bad = []
         for (g, h, gh) in gpd.composable_pairs(middles, outer):
-            for e in received[els[h].src]:
+            for e in received(els[h].src):
                 he = act[(h, e)]
                 lhs = edge(h, e) - edge(gh, e) + edge(g, he)
                 rhs = group(g, h) - group(res[(g, he)], res[(h, e)])
@@ -238,16 +237,16 @@ class _Memo(dict):
 
 
 def _interner():
-    """(the keys in order of first sight, a function giving a key's id)."""
-    keys, ids = [], {}
+    """(the keys in order of first sight, a function giving a key's id).
+    The function is the lookup of a _Memo, so a key seen before never
+    reaches Python code."""
+    keys = []
 
-    def intern(key):
-        i = ids.setdefault(key, len(keys))
-        if i == len(keys):
-            keys.append(key)
-        return i
+    def fill(key):
+        keys.append(key)
+        return len(keys) - 1
 
-    return keys, intern
+    return keys, _Memo(fill).__getitem__
 
 
 def verify_omega_cocycle(twist, bound):

@@ -13,7 +13,7 @@ Witnesses are plain JSON-able dicts and every Fails witness replays
 through the public operations.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 HOLDS = "Holds"
 FAILS = "Fails"
@@ -21,8 +21,7 @@ HOLDS_ON_MODEL = "HoldsOnModel"
 REQUIRES_EXPLICIT = "RequiresExplicit"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     status: str
     witness: dict = None
     note: str = ""

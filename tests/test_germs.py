@@ -570,6 +570,29 @@ def test_singular_decompositions_work_is_polynomial():
     assert calls[0] <= 4 * n * (0 + n * 1 + 1), calls[0]
 
 
+def test_singular_decompositions_build_each_tail_once(monkeypatch):
+    # past the prefix the tail repeats with the period, so the candidate
+    # search builds at most one tail per prefix position and per phase of
+    # the period (plus one per class returned), not one per position up
+    # to |prefix| + |period|·|G|
+    action = zn_rotation(8)
+    graph = action.graph
+    calls, tail = [0], germs.point_tail
+
+    def counting(*args):
+        calls[0] += 1
+        return tail(*args)
+
+    monkeypatch.setattr(germs, "point_tail", counting)
+    for (prefix, period, most) in [([], ["x0"], 1), ([], ["x1", "x2", "x5"], 3),
+                                   (["x3", "x4"], ["x0"], 3)]:
+        x = _pt(graph, prefix, period)
+        calls[0] = 0
+        classes, _ = singular_decompositions(action, x)
+        assert calls[0] <= len(x.prefix) + len(x.period) + len(classes)
+        assert calls[0] <= most, (x, calls[0])
+
+
 def test_singular_decompositions_pinned_on_four_loop(fix):
     action = fix("four_loop_z2").action
     graph = action.graph

@@ -80,3 +80,14 @@ def test_a_graph_keeps_one_order_fixed_at_construction():
                                          ("2", "w", "w", True)])
     assert model.vertices == ("v", "w")
 
+
+def test_received_names_are_stored_once_per_vertex(diamond):
+    for v in diamond.vertices:
+        names = diamond.received_names(v)
+        assert type(names) is tuple
+        assert names == tuple(e.name for e in diamond.received_by(v))
+        assert diamond.received_names(v) is names
+    assert diamond.received_names("v") == ("a", "b")
+    with pytest.raises(GraphError):
+        diamond.received_names("x")
+

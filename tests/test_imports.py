@@ -10,10 +10,15 @@ parameter but self and cls is read by the body of its function, unless
 UNREAD_PARAMETERS names the function with a reason.  Only systems.py
 writes JSON documents: no other module calls json.dump, or json.dumps with
 an indent.  Only graphs.py orders a graph: no other module sorts vertices,
-edges or the edges a vertex receives, which a graph keeps sorted."""
+edges or the edges a vertex receives, which a graph keeps sorted.  No
+module imports dataclasses: the records are named tuples, so importing
+the command line loads neither dataclasses nor inspect."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -277,3 +282,43 @@ def test_only_graphs_orders_a_graph():
     found = {(path.name,) + w for path in MODULES if path.name != "graphs.py"
              for w in graph_order_sorts(path.read_text(encoding="utf-8"))}
     assert sorted(found) == []
+
+
+def imported_modules(source):
+    """(line, module) for every module an import statement names, relative
+    imports aside."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out.extend((node.lineno, alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            out.append((node.lineno, node.module))
+    return sorted(out)
+
+
+def test_imported_modules_are_found():
+    source = ("import os, dataclasses as dc\nfrom dataclasses import field\n"
+              "from . import graphs\nfrom .dataclasses import x\n"
+              "def f():\n    import dataclasses\n")
+    assert imported_modules(source) == [
+        (1, "dataclasses"), (1, "os"), (2, "dataclasses"), (6, "dataclasses")]
+
+
+def test_no_module_imports_dataclasses():
+    """The records (Path, Triple, Verdict and the rest) are named tuples,
+    hashed and compared in C; a frozen dataclass hashes in Python."""
+    found = {(path.name, line) for path in MODULES
+             for (line, name) in imported_modules(path.read_text(encoding="utf-8"))
+             if name.split(".")[0] == "dataclasses"}
+    assert sorted(found) == []
+
+
+def test_the_command_line_loads_neither_dataclasses_nor_inspect():
+    src = str(pathlib.Path(selfsim.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, selfsim.cli; "
+         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
