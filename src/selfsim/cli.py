@@ -222,6 +222,10 @@ def cmd_twist(args):
         # must satisfy the laws first
         if not _valid(systems.validate_system(system)):
             return 1
+        cap = systems.MAX_VERIFY_TRIPLES
+        if sg.count_up_to(action, args.bound, cap) > cap:
+            raise UsageError("--bound %d asks for more than %d triples; "
+                             "choose a smaller bound" % (args.bound, cap))
         out = twists.verify_omega_cocycle(twist, args.bound)
         _emit(out)
         return 0 if out["ok"] else 1

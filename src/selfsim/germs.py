@@ -11,7 +11,7 @@ tracked restrictions and the phase of the point.
 from typing import NamedTuple
 
 from . import semigroup as sg
-from .actions import (BoundaryPoint, act_point, canonical_point,
+from .actions import (BoundaryPoint, _closure, act_point, canonical_point,
                       edge_at, fixes_point, point_from_json, point_phase,
                       point_prefix, point_tail, point_to_json,
                       strongly_fixed_prefix, walk)
@@ -277,21 +277,6 @@ def xbar(action, x):
 # -- the group-summation test ----------------------------------------------
 
 
-def generated_subgroup(mul, gens):
-    out = set(gens)
-    frontier = set(gens)
-    while frontier:
-        nxt = set()
-        for a in frontier:
-            for b in out:
-                for c in (mul[(a, b)], mul[(b, a)]):
-                    if c not in out:
-                        nxt.add(c)
-        out |= nxt
-        frontier = nxt
-    return sorted(out)
-
-
 def hum_for_point(action, x):
     """The group summation test on the subgroup sub generated by the germ
     components of xbar(x) minus the point, when they sit at one vertex of
@@ -302,7 +287,9 @@ def hum_for_point(action, x):
     translate is sub itself, so the one constraint is a sum over sub, and
     the answer is len(sub) == 1.  The generators are the class elements,
     which are not units, so the answer is False at every point with a
-    singular class and True only where there is none."""
+    singular class and True only where there is none.  sub is their
+    closure under right multiplication by them, which in a finite group
+    is the subgroup they generate."""
     gpd = action.groupoid
     classes, note = singular_decompositions(action, x)
     if x.is_finite():
@@ -321,12 +308,12 @@ def hum_for_point(action, x):
                 "note": "germ components sit at several vertices; refusing "
                         "to aggregate them into one group"}
     v = vertices.pop()
-    iso = gpd.isotropy_at(v)
-    mul = {(a, b): gpd.mul(a, b) for a in iso for b in iso}
-    outside = sorted(set(mul.values()) - set(iso))
+    iso = set(gpd.isotropy_at(v))
+    gens = sorted({c.element for c in classes})
+    sub = sorted(_closure(gens, lambda a: [gpd.mul(a, g) for g in gens]
+                          if a in iso else ()))
+    outside = [a for a in sub if a not in iso]
     if outside:
         raise GroupoidError("the isotropy at %r is not closed under "
                             "products: %r is outside it" % (v, outside[0]))
-    gens = sorted({c.element for c in classes})
-    sub = generated_subgroup(mul, gens)
     return {"result": len(sub) == 1, "group": sub, "family": [sub], "note": ""}

@@ -69,9 +69,9 @@ class Path(NamedTuple):
 
 class DirectedGraph:
     """A graph with one order, fixed here: the vertices sorted, the edges
-    sorted by name (stably, so a repeated name still reaches validate),
-    and each vertex's received edges in edge order.  Every reader trusts
-    this order, so no answer depends on how a file lists the graph."""
+    sorted by name, and each vertex's received edges in edge order.  Every
+    reader trusts this order, so no answer depends on how a file lists the
+    graph.  A vertex or edge name listed twice is refused here."""
 
     def __init__(self, vertices, edges):
         self.vertices = tuple(sorted(vertices))
@@ -80,6 +80,10 @@ class DirectedGraph:
                                   key=operator.attrgetter("name")))
         self._by_name = {e.name: e for e in self.edges}
         received = {v: [] for v in self.vertices}  # vE1: edges with rng = v
+        if len(received) < len(self.vertices):
+            _refuse_repeat("vertices", self.vertices)
+        if len(self._by_name) < len(self.edges):
+            _refuse_repeat("edges", [e.name for e in self.edges])
         for e in self.edges:
             if e.rng in received:
                 received[e.rng].append(e)
@@ -90,21 +94,12 @@ class DirectedGraph:
     def validate(self):
         """Collect structural problems; empty list means the graph is well formed."""
         problems = []
-        seen = set()
-        for v in self.vertices:
-            if v in seen:
-                problems.append("duplicate vertex %r" % v)
-            seen.add(v)
-        names = set()
         for e in self.edges:
-            if e.name in names:
-                problems.append("duplicate edge name %r" % e.name)
-            names.add(e.name)
             if e.src not in self._received:
                 problems.append("edge %r has unknown src %r" % (e.name, e.src))
             if e.rng not in self._received:
                 problems.append("edge %r has unknown rng %r" % (e.name, e.rng))
-            if e.name in self._received and e.name in seen:
+            if e.name in self._received:
                 problems.append("name %r used for both a vertex and an edge" % e.name)
         return problems
 
@@ -220,6 +215,12 @@ class DirectedGraph:
                          % (dot_id(e.rng), dot_id(e.src), dot_id(e.name)))
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+
+def _refuse_repeat(what, names):
+    """GraphError naming a name listed twice in names, which are sorted."""
+    raise GraphError("%r lists the name %r twice" % (what, next(
+        a for (a, b) in zip(names, names[1:]) if a == b)))
 
 
 def dot_id(name):

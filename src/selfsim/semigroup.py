@@ -258,6 +258,31 @@ def elements_up_to(action, bound):
     return out
 
 
+def count_up_to(action, bound, limit):
+    """len(elements_up_to(action, bound)), counted without building a
+    path; the count stops at the first length where it passes limit, or
+    where no path of that length is left.  S_k(v), the number of paths of
+    length k with source v, is 1 at k = 0 and S_{k+1}(w) is the sum of
+    S_k(rng e) over the edges e with src(e) = w; with P the sum of S_k up
+    to the bound, there are P(rng g)·P(src g) triples for each g."""
+    gpd, graph = action.groupoid, action.graph
+    ends = [(gpd.rng(g), gpd.src(g)) for g in gpd.elements()]
+    layer = dict.fromkeys(graph.vertices, 1)
+    total = dict(layer)
+    count = len(ends)
+    for _ in range(bound):
+        if count > limit or not any(layer.values()):
+            break
+        nxt = dict.fromkeys(graph.vertices, 0)
+        for e in graph.edges:
+            nxt[e.src] += layer[e.rng]
+        layer = nxt
+        for (v, n) in layer.items():
+            total[v] += n
+        count = sum(total[r] * total[s] for (r, s) in ends)
+    return count
+
+
 def to_json(s):
     if is_zero(s):
         return {"zero": True}

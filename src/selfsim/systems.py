@@ -23,6 +23,11 @@ from .twists import Twist, TwistError, validate_twist
 # all (the sum of n² over the fibers): "cyclic": 1000 is the largest one.
 _MAX_CYCLIC_ENTRIES = 10 ** 6
 
+# `twist verify` checks the cocycle over at most this many triples, so a
+# large --bound is refused before any triple is built (four_loop_z2 has
+# 232,562 triples at bound 4 and 3,726,450 at bound 5).
+MAX_VERIFY_TRIPLES = 250_000
+
 
 class SystemLoadError(ValueError):
     """The file cannot be parsed into a system at all (shape/parse errors);

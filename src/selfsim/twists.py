@@ -71,14 +71,11 @@ class Twist:
         return Fraction(k % self.scale, self.scale)
 
     def group(self, g, h):
-        gpd = self.action.groupoid
-        if gpd.src(g) != gpd.rng(h):
-            raise TwistError("(%r, %r) is not composable" % (g, h))
+        """sigma_G(g, h); (g, h) must compose, as every stored entry does."""
         return self._group.get((g, h), 0)
 
     def edge(self, g, e):
-        if self.action.groupoid.src(g) != self.action.graph.edge(e).rng:
-            raise TwistError("%r does not act on edge %r" % (g, e))
+        """sigma_bowtie(g, e); g must act on e, as in every stored entry."""
         return self._edge.get((g, e), 0)
 
     def group_json(self):
@@ -91,7 +88,8 @@ class Twist:
 
 
 def extend_bowtie(twist, g, p):
-    """The edge phase extended along a path, front edge first."""
+    """The edge phase extended along a path, front edge first; each step's
+    pair is checked by the restriction that follows its edge read."""
     action = twist.action
     if p.base != action.groupoid.src(g):
         raise TwistError("%r does not act on path %s" % (g, p))
@@ -187,14 +185,14 @@ def validate_twist(twist):
 
 
 def omega(twist, s, t):
-    """The induced semigroup 2-cocycle; None when the product is zero."""
+    """The induced semigroup 2-cocycle; None when the product is zero.  The
+    meet's (a, b) is checked: on an unvalidated action it may not compose."""
     m = sg.meet(twist.action, s, t)
-    return None if m is None else _meet_phase(twist, m)
-
-
-def _meet_phase(twist, m):
-    """omega from a meet: the edge phase of x along p times sigma_G(a, b)."""
+    if m is None:
+        return None
     _, a, b, _, x, p = m
+    if twist.action.groupoid.src(a) != twist.action.groupoid.rng(b):
+        raise TwistError("(%r, %r) is not composable" % (a, b))
     return (extend_bowtie(twist, x, p) + twist.group(a, b)) % twist.scale
 
 

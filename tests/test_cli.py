@@ -200,6 +200,26 @@ def test_zero_bound_is_accepted(capsys):
     assert (code, data["ok"]) == (0, True)
 
 
+@pytest.mark.parametrize("bound", ["5", "1000000"])
+def test_a_verify_bound_past_the_cap_is_a_usage_failure(capsys, monkeypatch,
+                                                       bound):
+    """four_loop_z2 has 3,726,450 triples at bound 5: refused at once,
+    before the verifier builds any."""
+    monkeypatch.setattr(twists, "verify_omega_cocycle", None)
+    code, out, err = run(capsys, ["twist", "four_loop_z2", "verify",
+                                  "--bound", bound])
+    assert (code, out) == (2, "")
+    assert err == ("usage error: --bound %s asks for more than 250000 "
+                   "triples; choose a smaller bound\n" % bound)
+
+
+def test_the_default_verify_bound_is_under_the_cap():
+    for name in ("four_loop_z2", "twisted_three_spoke"):
+        action = systems.load_fixture(name).action
+        assert sg.count_up_to(action, 3, systems.MAX_VERIFY_TRIPLES) \
+            <= systems.MAX_VERIFY_TRIPLES
+
+
 def test_bad_json_argument_is_a_usage_failure(capsys):
     code, _, err = run(capsys, ["semigroup", "four_loop_z2", "star", "{oops"])
     assert code == 2
@@ -346,6 +366,85 @@ def test_unknown_restriction_is_a_domain_failure(capsys, tmp_path):
         assert out == "" and "'zz'" in err
 
 
+def _document(name):
+    """A fresh document of two_fibre_bundle, or of a bundled system
+    written as explicit tables."""
+    if name == "two_fibre_bundle":
+        return copy.deepcopy(TWO_FIBRE_BUNDLE)
+    return systems.system_to_json(systems.load_fixture(name))
+
+
+def _edited(name, edit):
+    """A maker of SYSTEM: _document(name) changed by edit, then saved."""
+    def make(tmp_path):
+        doc = _document(name)
+        edit(doc)
+        return write_system(tmp_path, doc)
+    return make
+
+
+def _bundled(name):
+    return lambda tmp_path: name
+
+
+def _zz_edge_phase(doc):
+    doc["twist"]["sigma_bowtie"].append(["1", "zz", "1/2"])
+
+
+# (SYSTEM maker, argv with SYSTEM in place, exit code, the start of a line
+# of the output)
+REFUSALS = {
+    "cyclic-zero": (
+        _edited("two_fibre_bundle",
+                lambda doc: doc["groupoid"]["fibers"]["v"].update(cyclic=0)),
+        ["validate", "SYSTEM"], 2,
+        "parse error: bad groupoid section: 'cyclic' must be a positive "
+        "integer"),
+    "unknown-kind": (
+        _edited("four_loop_z2", lambda doc: doc["groupoid"].update(kind="nope")),
+        ["validate", "SYSTEM"], 2,
+        "parse error: bad groupoid section: unknown groupoid kind 'nope'"),
+    "twist-edge-validate": (
+        _edited("twisted_three_spoke", _zz_edge_phase),
+        ["validate", "SYSTEM"], 1, '    "twist: unknown edge \'zz\'"'),
+    "twist-edge-extend": (
+        _edited("twisted_three_spoke", _zz_edge_phase),
+        ["twist", "SYSTEM", "extend", '"1"', '["e"]'], 1,
+        "invalid: twist: unknown edge 'zz'"),
+    "directory": (
+        str, ["validate", "SYSTEM"], 2, "parse error: cannot read "),
+    "zero-degree": (
+        _bundled("four_loop_z2"),
+        ["semigroup", "SYSTEM", "length", '{"zero": true}'], 1,
+        "error: zero has no degree"),
+    "beta-leg": (
+        _bundled("twisted_three_spoke"),
+        ["semigroup", "SYSTEM", "star",
+         '{"alpha": [], "g": "0", "beta": ["e1"]}'], 1,
+        "error: src(beta)='w1' is not src('0')"),
+    "open-period": (
+        _bundled("twisted_three_spoke"),
+        ["hum", "SYSTEM", '{"prefix": [], "period": ["e1"]}'], 1,
+        "error: period e1 is not a closed word"),
+    "missing-restriction": (
+        _edited("four_loop_z2", lambda doc: doc["action"]["restriction"].pop(0)),
+        ["kernel", "SYSTEM"], 1, "error: restriction missing for ('0', 'a')"),
+}
+
+
+@pytest.mark.parametrize("make, argv, code, line", REFUSALS.values(),
+                         ids=list(REFUSALS))
+def test_each_refusal_ends_in_its_exit_code(capsys, tmp_path, make, argv,
+                                            code, line):
+    """Refusals of the readers and of the one-step calculus, each reached
+    from the command line."""
+    system = make(tmp_path)     # str: the directory tmp_path itself
+    got, out, err = run(capsys, [system if a == "SYSTEM" else a
+                                 for a in argv])
+    assert got == code
+    assert any(s.startswith(line) for s in (out + err).splitlines()), err
+
+
 def one_loop_bundle(fiber, names):
     """One vertex, one loop e, one fibre with these element names, the
     first the unit; every element fixes e and restricts to the unit."""
@@ -475,9 +574,6 @@ def _edge(name, src, rng):
 
 
 SAFETY_CASES = [
-    ("explicit", ("graph", "vertices"), "v", ["graph: duplicate vertex 'v'"]),
-    ("explicit", ("graph", "edges"), _edge("e", "w", "v"),
-     ["graph: duplicate edge name 'e'"]),
     ("explicit", ("graph", "edges"), _edge("f", "x", "v"),
      ["graph: edge 'f' has unknown src 'x'"]),
     ("explicit", ("graph", "edges"), _edge("f", "v", "x"),
@@ -521,6 +617,33 @@ def test_validate_reports_each_structural_problem(capsys, tmp_path, kind,
         node[field[-1]] = value
     code, data, err = run_json(capsys, ["validate", write_system(tmp_path, doc)])
     assert (code, data["problems"], err) == (1, problems, "")
+
+
+GRAPH_REPEATS = [
+    ({"vertices": ["v"]}, "vertices", "v"),
+    ({"edges": [_edge("e", "w", "v")]}, "edges", "e"),
+    # both at once: the vertices are read first
+    ({"vertices": ["v"], "edges": [_edge("e", "w", "v")]}, "vertices", "v"),
+]
+
+
+@pytest.mark.parametrize("cmd", ["validate", "report", "kernel", "nucleus",
+                                 "export-dot"])
+@pytest.mark.parametrize("extra, section, repeated", GRAPH_REPEATS,
+                         ids=["vertex", "edge", "both"])
+def test_a_graph_name_listed_twice_is_a_parse_failure(capsys, tmp_path, cmd,
+                                                      extra, section,
+                                                      repeated):
+    """The graph refuses a repeated name when it is built, so the commands
+    that skip validate refuse it too, where a dict of the records would
+    keep the last one."""
+    doc = unit_spoke()
+    for (field, values) in extra.items():
+        doc["graph"][field].extend(values)
+    code, out, err = run(capsys, [cmd, write_system(tmp_path, doc)])
+    assert (code, out) == (2, "")
+    assert err == ("parse error: bad graph section: %r lists the name %r "
+                   "twice\n" % (section, repeated))
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -637,10 +760,7 @@ TABLE_IDS = ["mul", "fibre-mul", "edge_action", "restriction", "sigma_G",
 def _rows_of(name, table):
     """A document and the rows of one of its tables, which stay those of
     the document.  The empty sigma_G gets one row."""
-    if name == "two_fibre_bundle":
-        doc = copy.deepcopy(TWO_FIBRE_BUNDLE)
-    else:
-        doc = systems.system_to_json(systems.load_fixture(name))
+    doc = _document(name)
     node = doc
     for key in table[:-1]:
         node = node[key]

@@ -13,7 +13,7 @@ from selfsim.actions import (SelfSimilarAction, act_point, boundary_point,
                              boundary_points_from, edge_at, point_phase,
                              point_prefix, point_tail, strongly_fixed_prefix)
 from selfsim.germs import (Germ, GermError, SingularClass, classify,
-                           cycle_expansion, generated_subgroup, germ_eq,
+                           cycle_expansion, germ_eq,
                            germ_inv, germ_mul, hum_for_point, in_core,
                            make_germ, point_prepend, range_point,
                            singular_decompositions, source_point, xbar)
@@ -649,16 +649,47 @@ def test_positions_respect_the_search_bound(fix):
 # -- the group summation test ----------------------------------------------------
 
 
-def _group(n):
-    t = cyclic_group_table(n)
-    return t["elements"], t["mul"]
+def oracle_subgroup(gpd, gens):
+    """The subgroup gens generate, from products of any two members until
+    nothing new appears."""
+    out = set(gens)
+    while True:
+        new = {gpd.mul(a, b) for a in out for b in out} - out
+        if not new:
+            return sorted(out)
+        out |= new
 
 
-def test_generated_subgroup():
-    _, m4 = _group(4)
-    assert generated_subgroup(m4, ["2"]) == ["0", "2"]
-    assert generated_subgroup(m4, ["1"]) == ["0", "1", "2", "3"]
-    assert generated_subgroup(m4, ["0"]) == ["0"]
+def test_hum_group_is_the_subgroup_the_classes_generate(seeded_actions):
+    """hum closes the class elements under right multiplication by them:
+    the subgroup they generate, from at most |group|·|generators|
+    products, never the isotropy's whole table."""
+    groups, proper = 0, 0
+    for action in seeded_actions:
+        gpd = action.groupoid
+        if gpd.kind != "explicit":
+            continue
+        for v in action.graph.vertices:
+            for x in boundary_points_from(action.graph, v, 2):
+                classes, _ = singular_decompositions(action, x)
+                if x.is_finite() or not classes:
+                    continue
+                gens = sorted({c.element for c in classes})
+                calls = []
+                gpd.mul = lambda a, b: calls.append(1) or type(gpd).mul(
+                    gpd, a, b)
+                try:
+                    out = hum_for_point(action, x)
+                finally:
+                    del gpd.mul
+                if out["result"] is None:
+                    continue
+                groups += 1
+                assert out["group"] == oracle_subgroup(gpd, gens)
+                assert len(calls) <= len(out["group"]) * len(gens)
+                proper += len(out["group"]) < len(
+                    gpd.isotropy_at(gpd.src(gens[0])))
+    assert groups > 50 and proper > 0, (groups, proper)
 
 
 def test_hum_for_point_cases(fix):

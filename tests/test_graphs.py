@@ -70,12 +70,16 @@ def test_a_graph_keeps_one_order_fixed_at_construction():
     assert [e.name for e in g.received_by("w")] == ["e", "f"]
     assert g.received_by("w") is g.received_by("w")
     assert g.sources() == ("u",)
-    # the sort is stable, so a repeated name keeps its records for validate
-    dup = DirectedGraph(["v"], [("e", "v", "v"), ("a", "v", "v"),
-                                ("e", "x", "v")])
-    assert [e.src for e in dup.edges] == ["v", "v", "x"]
-    assert dup.validate() == ["duplicate edge name 'e'",
-                              "edge 'e' has unknown src 'x'"]
+    # a repeated name is refused here, not left for validate
+    with pytest.raises(GraphError, match="'edges' lists the name 'e' twice"):
+        DirectedGraph(["v"], [("e", "v", "v"), ("a", "v", "v"),
+                              ("e", "x", "v")])
+    with pytest.raises(GraphError,
+                       match="'vertices' lists the name 'v' twice"):
+        DirectedGraph(["w", "v", "u", "v"], [])
+    clash = DirectedGraph(["v", "w"], [("w", "v", "x")])
+    assert clash.validate() == ["edge 'w' has unknown rng 'x'",
+                                "name 'w' used for both a vertex and an edge"]
     model = BehavioralModel(["w", "v"], [("1", "v", "v", True),
                                          ("2", "w", "w", True)])
     assert model.vertices == ("v", "w")

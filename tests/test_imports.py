@@ -12,13 +12,18 @@ writes JSON documents: no other module calls json.dump, or json.dumps with
 an indent.  Only graphs.py orders a graph: no other module sorts vertices,
 edges or the edges a vertex receives, which a graph keeps sorted.  No
 module imports dataclasses: the records are named tuples, so importing
-the command line loads neither dataclasses nor inspect."""
+the command line loads neither dataclasses nor inspect.  The benchmark's
+tracer patches methods by name, so each method it lists is a function of
+its class's own namespace, and conditions.BASE_CHECKS stays a list of
+(id, function) pairs."""
 
 import ast
+import importlib
 import os
 import pathlib
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -322,3 +327,31 @@ def test_the_command_line_loads_neither_dataclasses_nor_inspect():
          "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
         env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def tracer_rows():
+    """METHODS and MODULES of the benchmark's tracer, read from its source
+    with ast: the tracer patches these by name, so a renamed or moved
+    method would break a traced run without failing an import."""
+    path = pathlib.Path(__file__).parent.parent / "perfbench" / "tracing.py"
+    out = {}
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+            if node.targets[0].id in ("METHODS", "MODULES"):
+                out[node.targets[0].id] = ast.literal_eval(node.value)
+    return out
+
+
+def test_the_tracer_patches_what_the_package_defines():
+    rows = tracer_rows()
+    modules = {m: importlib.import_module("selfsim." + m)
+               for m in rows["MODULES"]}
+    assert rows["METHODS"]
+    for (module, cls, method, _, kind) in rows["METHODS"]:
+        found = vars(getattr(modules[module], cls)).get(method)
+        assert isinstance(found, types.FunctionType), (module, cls, method)
+        assert kind in ("span", "count")
+    checks = modules["conditions"].BASE_CHECKS
+    assert type(checks) is list
+    assert all(type(pair) is tuple and len(pair) == 2 and callable(pair[1])
+               for pair in checks)

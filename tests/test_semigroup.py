@@ -137,6 +137,26 @@ def test_pinned_product_and_star(fix):
     assert mul(action, s, s) == ZERO  # legs b and a are incomparable
 
 
+@pytest.mark.parametrize("bound", range(4))
+def test_count_up_to_counts_the_elements(fix, random_actions, bound):
+    actions = [fix(name).action for name in FIXTURES] + random_actions
+    for action in actions:
+        n = len(elements_up_to(action, bound))
+        assert sg.count_up_to(action, bound, n) == n
+
+
+def test_count_up_to_stops_past_its_limit(fix):
+    # four loops: 2·(1 + 4 + ... + 4^k)² triples at bound k, one length
+    # at a time, so a huge bound stops at the first count past the limit
+    loops = fix("four_loop_z2").action
+    assert sg.count_up_to(loops, 10 ** 9, 1000) == 2 * 85 ** 2
+    assert sg.count_up_to(loops, 4, 10 ** 6) == 232562
+    # no path on two_edges has more than two edges, so the count stops
+    two = fix("two_edges").action
+    assert sg.count_up_to(two, 10 ** 9, 10 ** 6) == \
+        len(elements_up_to(two, 3))
+
+
 def test_json_roundtrip(fix):
     action = fix("entrance_free_loop").action
     for s in small_suite(action, 2):

@@ -11,7 +11,7 @@ from selfsim import twists
 from selfsim.actions import SelfSimilarAction
 from selfsim.graphs import DirectedGraph, GraphError, is_prefix
 from selfsim.groupoids import GroupoidError, cyclic_group_table, group_bundle
-from selfsim.systems import load_fixture
+from selfsim.systems import load_fixture, system_from_json, system_to_json
 from selfsim.twists import (
     Twist,
     TwistError,
@@ -364,11 +364,22 @@ def test_twist_rejects_noncomposable_entries():
 
 
 def test_twist_queries_reject_noncomposable_pairs():
+    """Twist.group and Twist.edge trust their pair, whose entries were
+    checked when the twist was built; the queries check the pairs they
+    meet.  With the hub element 0 named as the restriction along the spoke
+    e1, the meet of s = (v, 0, v) and t = (e1, u1, e1) has (a, b) =
+    (0, u1), which does not compose, on an action nobody validated."""
     tw = load_fixture("twisted_three_spoke").twist
-    with pytest.raises(TwistError):
-        tw.edge("u1", "e")
-    with pytest.raises(TwistError):
-        tw.group("u1", "1")
+    with pytest.raises(TwistError, match="'u1' does not act on path e"):
+        extend_bowtie(tw, "u1", tw.action.graph.path(["e"]))
+    doc = system_to_json(load_fixture("twisted_three_spoke"))
+    rows = doc["action"]["restriction"]
+    rows[rows.index(["0", "e1", "u1"])][2] = "0"
+    bad = system_from_json(doc).twist
+    s = sg.from_json(bad.action, {"alpha": [], "g": "0", "beta": []})
+    t = sg.from_json(bad.action, {"alpha": ["e1"], "g": "u1", "beta": ["e1"]})
+    with pytest.raises(TwistError, match=r"\('0', 'u1'\) is not composable"):
+        omega(bad, s, t)
 
 
 def test_twist_requires_an_explicit_model():
