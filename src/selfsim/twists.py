@@ -14,12 +14,11 @@ so it is an int mod scale, exact; Twist.fraction(k) gives the Fraction
 back for printing.
 """
 
-import collections
 import math
 from fractions import Fraction
 
 from . import semigroup as sg
-from .graphs import is_prefix
+from .graphs import Path, is_prefix
 
 
 class TwistError(ValueError):
@@ -196,32 +195,6 @@ def omega(twist, s, t):
     return (extend_bowtie(twist, x, p) + twist.group(a, b)) % twist.scale
 
 
-def _right_candidates(action, elements):
-    """Index: for an element s, the t with mul(s,t) nonzero are those whose
-    alpha leg is comparable with s.beta."""
-    graph = action.graph
-    exact = {}
-    extends = {}
-    for t in elements:
-        exact.setdefault(t.alpha, []).append(t)
-        p = t.alpha
-        while True:
-            extends.setdefault(p, []).append(t)
-            if not p.edges:
-                break
-            p = graph.prefix(p, len(p.edges) - 1)
-
-    def cands(s):
-        out = list(extends.get(s.beta, ()))
-        p = s.beta
-        while p.edges:
-            p = graph.prefix(p, len(p.edges) - 1)
-            out.extend(exact.get(p, ()))
-        return out
-
-    return cands
-
-
 class _Memo(dict):
     """A dict that fills a missing key with fill(key), once."""
 
@@ -247,9 +220,29 @@ def _interner():
     return keys, _Memo(fill).__getitem__
 
 
+def _walk(twist, g, q):
+    """(g·q, g|_q, edge phase of g along q) in one pass over q, read
+    straight from the tables: g must act on q and the action be valid."""
+    action = twist.action
+    act, res, edge = action.edge_action, action.restriction, twist._edge
+    h, image, w = g, [], 0
+    for e in q.edges:
+        image.append(act[h, e])
+        w += edge.get((h, e), 0)
+        h = res[h, e]
+    return (Path(action.groupoid._elements[g].rng, tuple(image)), h,
+            w % twist.scale)
+
+
 def verify_omega_cocycle(twist, bound):
     """Exhaustively check omega(s,t)·omega(r,st) = omega(r,s)·omega(rs,t)
     over all triples with legs of length <= bound and nonzero products.
+
+    The action must be valid (SelfSimilarAction.validate returns no
+    problem), as it is in `selfsim twist verify`, after validate_system,
+    and in validate_twist: the groupoid's product, inverse and element
+    tables, the action's edge action and restriction tables and the
+    twist's entries are read directly, without the one-step guards.
 
     Each identity is evaluated once per class of instances.  Call
     (beta, g) the right half of s = (alpha, g, beta) and (gamma, h) the
@@ -278,19 +271,23 @@ def verify_omega_cocycle(twist, bound):
 
     So whether an instance is counted, whether it holds and its two sides
     are functions of (right half of r, s, left half of t), its class.
-    Paths and halves are interned as ints.  core is filled once per pair
-    of halves met, through the checked library calls, each memoized per
-    distinct input: is_prefix and tail_after per pair of legs; act_path,
-    restrict_path and extend_bowtie per element and tail; concat per leg
-    and tail; mul with Twist.group per pair; inv per element.  The
-    candidates of each beta leg are grouped by left half with their
-    multiplicity.  For each right half rho and each candidate s, each
-    left half of t is evaluated once and counted with its multiplicity;
-    rho's total is the count for any r with right half rho, and the r loop
-    adds it in element order.  When the total holds a failing instance,
-    that r is replayed per s and per t in the triple loop's order, so
-    `checked`, the failures in order, the cap of 20 and `truncated` are
-    those of the loop over triples (tests/test_twists.py::oracle_verify).
+    Paths and halves are interned as ints, the paths up to the bound
+    first, and the elements are the legs (alpha, g, beta) in
+    semigroup.elements_up_to's order, each (g, alpha) a run of betas.
+    core is filled once per pair of halves met, each step memoized per
+    distinct input: the case and tail per pair of legs; one walk giving
+    k·q, k|_q and the edge phase of k along q per element and tail; each
+    concatenation.  Products, inverses and group phases are table
+    lookups.  The candidates of each beta leg are the runs whose alpha
+    extends beta, then those whose alpha is a proper prefix of beta,
+    longest first, each with its multiplicity.  For each right half rho
+    and each candidate s, each left half of t is evaluated once and
+    counted with its multiplicity; rho's total is the count for any r
+    with right half rho, and the r loop adds it in element order.  When
+    the total holds a failing instance, that r is replayed per s and per
+    t in the triple loop's order, so `checked`, the failures in order,
+    the cap of 20 and `truncated` are those of the loop over triples
+    (tests/test_twists.py::oracle_verify).
 
     Calls the triple loop makes and this one does not: the alpha leg of
     r·s and the delta leg of s·t are never built (no concat), and no
@@ -304,42 +301,69 @@ def verify_omega_cocycle(twist, bound):
     """
     action = twist.action
     gpd, graph = action.groupoid, action.graph
-    scale = twist.scale
-    elements = sg.elements_up_to(action, bound)
-    cands = _right_candidates(action, elements)
+    els, mul, inv = gpd._elements, gpd._mul, gpd._inv
+    group, scale = twist._group, twist.scale
     paths, path_id = _interner()
+    srcs = _Memo(lambda i: graph.path_src(paths[i]))
+    by_src = {}
+    for p in graph.all_paths(bound):
+        i = path_id(p)
+        by_src.setdefault(srcs[i], []).append(i)
+    shorter = {i: path_id(Path(p.base, p.edges[:-1]))
+               for (i, p) in enumerate(paths) if p.edges}
     halves, half_id = _interner()
-    legs = [(path_id(x.alpha), x.g, path_id(x.beta)) for x in elements]
-    lefts = [half_id((alpha, g)) for (alpha, g, _) in legs]
-    rights = [half_id((beta, g)) for (_, g, beta) in legs]
-    position = {x: i for (i, x) in enumerate(elements)}
-    # per beta leg: its candidates t in order, and (left half, count)
-    groups = {}
-    for (x, (_, _, beta)) in zip(elements, legs):
-        if beta not in groups:      # the candidates depend on beta alone
-            ts = [position[t] for t in cands(x)]
-            groups[beta] = ts, list(collections.Counter(
-                lefts[t] for t in ts).items())
+    legs, lefts, rights = [], [], []
+    # per path id: the left halves (alpha, g) with that alpha, and with
+    # an alpha extending it, each with its run of element positions
+    exact, extends, runs = {}, {}, {}
+    for g in gpd.elements():
+        betas = by_src[els[g].src]
+        right = [half_id((b, g)) for b in betas]
+        for a in by_src[els[g].rng]:
+            lam = half_id((a, g))
+            runs[lam] = range(len(legs), len(legs) + len(betas))
+            exact.setdefault(a, []).append(lam)
+            p = a
+            while p is not None:
+                extends.setdefault(p, []).append(lam)
+                p = shorter.get(p)
+            legs += [(a, g, b) for b in betas]
+            lefts += [lam] * len(betas)
+            rights += right
+
+    def candidates(beta):
+        """(the t with mul(s, t) nonzero for an s with this beta leg, in
+        order, and (left half, count) for their left halves)."""
+        lams = list(extends.get(beta, ()))
+        p = shorter.get(beta)
+        while p is not None:
+            lams += exact.get(p, ())
+            p = shorter.get(p)
+        return ([t for lam in lams for t in runs[lam]],
+                [(lam, len(runs[lam])) for lam in lams])
+
+    groups = _Memo(candidates)
 
     def cut(key):
         """(True, id of b1), (False, id of g1), or None: incomparable."""
         beta, gamma = paths[key[0]], paths[key[1]]
         if is_prefix(beta, gamma):
-            return True, path_id(graph.tail_after(gamma, len(beta.edges)))
+            return True, path_id(Path(srcs[key[0]],
+                                      gamma.edges[len(beta.edges):]))
         if is_prefix(gamma, beta):
-            return False, path_id(graph.tail_after(beta, len(gamma.edges)))
+            return False, path_id(Path(srcs[key[1]],
+                                       beta.edges[len(gamma.edges):]))
         return None
 
     def walk(key):
-        k, q = key[0], paths[key[1]]
-        return (path_id(action.act_path(k, q)), action.restrict_path(k, q),
-                extend_bowtie(twist, k, q))
+        image, h, w = _walk(twist, key[0], paths[key[1]])
+        return path_id(image), h, w
 
-    cuts, walks = _Memo(cut), _Memo(walk)
-    cats = _Memo(lambda key: path_id(graph.concat(paths[key[0]],
-                                                  paths[key[1]])))
-    prods = _Memo(lambda key: (gpd.mul(*key), twist.group(*key)))
-    invs = _Memo(gpd.inv)
+    def cat(key):
+        p, q = paths[key[0]], paths[key[1]]
+        return path_id(Path(p.base, p.edges + q.edges))
+
+    cuts, walks, cats = _Memo(cut), _Memo(walk), _Memo(cat)
 
     def meet(rho, lam):
         """(first case?, id of p, ab, omega) for the halves with ids rho
@@ -354,11 +378,10 @@ def verify_omega_cocycle(twist, bound):
             p, a, w = walks[g, tail]
             b = h
         else:
-            p, hi_g1, _ = walks[invs[h], tail]
-            a, b = g, invs[hi_g1]
+            p, hi_g1, _ = walks[inv[h], tail]
+            a, b = g, inv[hi_g1]
             w = walks[h, p][2]
-        ab, sigma = prods[a, b]
-        return first, p, ab, (w + sigma) % scale
+        return first, p, mul[a, b], (w + group.get((a, b), 0)) % scale
 
     core = _Memo(lambda rho: _Memo(lambda lam: meet(rho, lam)))
 
@@ -400,9 +423,15 @@ def verify_omega_cocycle(twist, bound):
             per_s.append((s, count, row_rs, bad))
         return n, per_s if failing else None
 
+    def leg_json(x):
+        """semigroup.to_json of the element at position x."""
+        alpha, g, beta = legs[x]
+        return {"alpha": list(paths[alpha].edges), "g": g,
+                "beta": list(paths[beta].edges)}
+
     totals = _Memo(total)
     checked, failures = 0, []
-    for r in range(len(elements)):
+    for r in range(len(legs)):
         n, per_s = totals[rights[r]]
         if per_s is None:
             checked += n
@@ -423,9 +452,7 @@ def verify_omega_cocycle(twist, bound):
                             "failures": failures, "truncated": True}
                 lhs, rhs = bad[lam]
                 failures.append({
-                    "r": sg.to_json(elements[r]),
-                    "s": sg.to_json(elements[s]),
-                    "t": sg.to_json(elements[t]),
+                    "r": leg_json(r), "s": leg_json(s), "t": leg_json(t),
                     "lhs": phase_str(twist.fraction(lhs)),
                     "rhs": phase_str(twist.fraction(rhs)),
                 })

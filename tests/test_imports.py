@@ -111,6 +111,8 @@ def test_package_has_no_dead_private_helpers():
 UNCALLED_PUBLIC = {
     "boundary_points_from": "enumerates boundary points for the germ tests "
                             "and the benchmark's query workload",
+    "elements_up_to": "the literal triple enumeration that the verifier "
+                      "oracles and count_up_to's test compare with",
     "fixed_by": "the paper's fixedness decision, named in README; no CLI "
                 "operation exposes it yet",
     "in_S00": "the paper's S00 membership; no CLI operation exposes it yet",

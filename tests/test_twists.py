@@ -10,12 +10,13 @@ from selfsim import semigroup as sg
 from selfsim import twists
 from selfsim.actions import SelfSimilarAction
 from selfsim.graphs import DirectedGraph, GraphError, is_prefix
-from selfsim.groupoids import GroupoidError, cyclic_group_table, group_bundle
-from selfsim.systems import load_fixture, system_from_json, system_to_json
+from selfsim.groupoids import (ExplicitGroupoid, Groupoid, GroupoidError,
+                               cyclic_group_table, group_bundle)
+from selfsim.systems import (load_fixture, system_from_json, system_to_json,
+                             validate_system)
 from selfsim.twists import (
     Twist,
     TwistError,
-    _right_candidates,
     extend_bowtie,
     omega,
     phase,
@@ -108,10 +109,37 @@ def oracle_omega(twist, s, t, cases=None):
     return (twist.fraction(group) + edge) % 1
 
 
+def _right_candidates(action, elements):
+    """Index: for an element s, the t with mul(s,t) nonzero are those whose
+    alpha leg is comparable with s.beta."""
+    graph = action.graph
+    exact = {}
+    extends = {}
+    for t in elements:
+        exact.setdefault(t.alpha, []).append(t)
+        p = t.alpha
+        while True:
+            extends.setdefault(p, []).append(t)
+            if not p.edges:
+                break
+            p = graph.prefix(p, len(p.edges) - 1)
+
+    def cands(s):
+        out = list(extends.get(s.beta, ()))
+        p = s.beta
+        while p.edges:
+            p = graph.prefix(p, len(p.edges) - 1)
+            out.extend(exact.get(p, ()))
+        return out
+
+    return cands
+
+
 def oracle_instances(twist, bound, cases=None):
     """Each counted instance (r, s, t, lhs, rhs) of the cocycle identity,
-    from the oracles, unmemoized, over verify_omega_cocycle's candidate
-    index and in its order; cases as for oracle_omega."""
+    from the oracles, unmemoized, over the literal candidate index
+    _right_candidates, in verify_omega_cocycle's order; cases as for
+    oracle_omega."""
     action = twist.action
     elements = sg.elements_up_to(action, bound)
     cands = _right_candidates(action, elements)
@@ -765,7 +793,10 @@ def test_verify_omega_cocycle_matches_the_oracle_across_denominators():
 
 def test_verify_omega_cocycle_matches_the_oracle_in_both_prefix_cases():
     """Broken twists at bound 2: the bundled system's with two edge phases
-    moved, and seeded order-6 twists on four_loop_z2 and zn_rotation(3).
+    moved, the trivial twist on the bundled action with one edge phase of
+    1/7, whose first 20 failures put candidates s of one r in two proper
+    prefixes of its beta leg (so the prefixes must come longest first),
+    and seeded order-6 twists on four_loop_z2 and zn_rotation(3).
     Seeded twists normalized at the units, with a nonzero sigma_G, on the
     same two at bound 1.  Both prefix cases are met, and case 2 (gamma a
     proper prefix of beta, phase sigma_G(g, (h⁻¹|_g1)⁻¹)) with a nonzero
@@ -776,7 +807,8 @@ def test_verify_omega_cocycle_matches_the_oracle_in_both_prefix_cases():
     three = zn_rotation(3)
     reached = collections.Counter()
     broken = [Twist(spoke.action, edge_entries=[("1", "em1", "1/2"),
-                                                ("1", "e1", "1/3")])]
+                                                ("1", "e1", "1/3")]),
+              Twist(spoke.action, edge_entries=[("1", "e", "1/7")])]
     for tw in broken + [random_twist(a, rng) for a in (four, three)]:
         out = verify_omega_cocycle(tw, 2)
         assert out["truncated"] and out == oracle_verify(tw, 2, reached)
@@ -824,28 +856,94 @@ def test_int_phases_match_the_fraction_oracles_across_orders():
     assert tw.group("c1", "c1") == tw.group("c2", "c2") == 14
 
 
+def verifier_work(monkeypatch, twist, bound):
+    """(the (element, path) arguments of each fused walk, the number of
+    meets) of one verify_omega_cocycle call.  The meets are the entries of
+    the core rows: the memo tables held by another memo table."""
+    walks, memos = [], []
+    memo, walk = twists._Memo, twists._walk
+
+    class Recording(memo):
+        def __init__(self, fill):
+            super().__init__(fill)
+            memos.append(self)
+
+    def counting(tw, g, q):
+        walks.append((g, q))
+        return walk(tw, g, q)
+
+    with monkeypatch.context() as m:
+        m.setattr(twists, "_walk", counting)
+        m.setattr(twists, "_Memo", Recording)
+        verify_omega_cocycle(twist, bound)
+    return walks, sum(len(row) for table in memos for row in table.values()
+                      if isinstance(row, memo))
+
+
 def test_verify_omega_cocycle_meets_each_pair_once(monkeypatch):
     """The meets share their walks: at bound 2 on the bundled twist they
-    walk 28 distinct (element, path) pairs, and each of act_path,
-    restrict_path and extend_bowtie walks each of them once (meeting each
-    pair afresh made 2,250 calls of each)."""
+    walk 28 distinct (element, path) pairs, each once (meeting each pair
+    afresh made 2,250 calls of each of the three walks this one fuses)."""
     spoke = load_fixture("twisted_three_spoke")
-    walks = []
+    walks, _ = verifier_work(monkeypatch, spoke.twist, 2)
+    assert len(set(walks)) == len(walks) == 28
 
-    def counting(name, real):
-        def walk(*args):
-            walks.append((name,) + args[-2:])
-            return real(*args)
-        return walk
 
-    for name in ("act_path", "restrict_path"):
-        monkeypatch.setattr(SelfSimilarAction, name,
-                            counting(name, getattr(SelfSimilarAction, name)))
-    monkeypatch.setattr(twists, "extend_bowtie",
-                        counting("extend_bowtie", extend_bowtie))
-    assert verify_omega_cocycle(spoke.twist, 2)["checked"] == 10350
-    assert len(set(walks)) == len(walks) == 3 * 28
-    assert len({w[1:] for w in walks}) == 28
+def test_verify_omega_cocycle_work_is_bounded_by_its_inputs(monkeypatch):
+    """On the bundled twist at bounds 1-3 and coboundary twists on two
+    sampled actions at bounds 1 and 2: the fused walks are at most the
+    (element k, path q at src k) pairs with q no longer than 2·bound, the
+    longest tail a meet can cut, and the meets at most the right halves
+    times the left halves of the elements and of their nonzero products
+    over the oracle's candidate pairs."""
+    spoke = load_fixture("twisted_three_spoke")
+    cases = [(spoke.twist, bound) for bound in (1, 2, 3)]
+    for seed in (3, 4):
+        action = random_action(random.Random(seed))
+        tw = coboundary_twist(action, random.Random(seed))
+        cases += [(tw, 1), (tw, 2)]
+    for (tw, bound) in cases:
+        action = tw.action
+        gpd = action.groupoid
+        tails = action.graph.all_paths(2 * bound)
+        pairs = sum(gpd.src(k) == q.base for k in gpd.elements()
+                    for q in tails)
+        elements = sg.elements_up_to(action, bound)
+        cands = _right_candidates(action, elements)
+        rights = {(x.beta, x.g) for x in elements}
+        lefts = {(x.alpha, x.g) for x in elements}
+        for s in elements:
+            for t in cands(s):
+                st = oracle_mul(action, s, t)
+                rights.add((st.beta, st.g))
+                lefts.add((st.alpha, st.g))
+        walks, meets = verifier_work(monkeypatch, tw, bound)
+        assert len(walks) <= pairs, (bound, len(walks), pairs)
+        assert meets <= len(rights) * len(lefts), (bound, meets)
+
+
+def test_verify_omega_cocycle_reads_the_proved_tables(monkeypatch):
+    """Once the system validates, the verifier reads the groupoid, action
+    and twist tables directly: with every checked accessor raising, the
+    bundled twist still verifies at bound 2."""
+    spoke = load_fixture("twisted_three_spoke")
+    assert validate_system(spoke) == []
+
+    def refuse(*args):
+        raise AssertionError("a checked accessor was called")
+
+    with monkeypatch.context() as m:
+        for name in ("act_edge", "restrict_edge", "act_path",
+                     "restrict_path"):
+            m.setattr(SelfSimilarAction, name, refuse)
+        m.setattr(Groupoid, "_get", refuse)
+        m.setattr(ExplicitGroupoid, "mul", refuse)
+        m.setattr(ExplicitGroupoid, "inv", refuse)
+        m.setattr(Twist, "group", refuse)
+        m.setattr(Twist, "edge", refuse)
+        m.setattr(twists, "extend_bowtie", refuse)
+        out = verify_omega_cocycle(spoke.twist, 2)
+    assert out == {"ok": True, "checked": 10350, "failures": []}
 
 
 def test_verify_omega_cocycle_on_four_loop_z2_at_bound_2():
