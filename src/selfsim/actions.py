@@ -475,26 +475,40 @@ class RestrictionDigraph:
     arrows[g] lists every arrow out of g and fixed[g] the fixed ones
     (g·e = e), both by edge name, the order of received_by; movers are
     the elements with an arrow that is not fixed.  Each table entry is
-    read once, here; the derived sets are computed on first use.  The
-    tables are not assumed valid: an arrow into a name the groupoid lacks
-    raises ActionError.
+    read once, here, straight from the tables: every e that src(g)
+    receives composes with g, so act_edge's guard has nothing to check.
+    The derived sets are computed on first use.  The tables are not
+    assumed valid: an element whose source is not a vertex raises
+    GraphError, and a missing entry, or an arrow into a name the groupoid
+    lacks, raises ActionError.
     """
 
     def __init__(self, action):
         gpd, graph = action.groupoid, action.graph
+        members, moves, restricts = (gpd._elements, action.edge_action,
+                                     action.restriction)
         self.arrows, self.fixed, self.movers, self.units = {}, {}, set(), set()
         for g in gpd.elements():
             if gpd.is_unit(g):
                 self.units.add(g)
             outs, fixed = [], []
-            for e in graph.received_by(gpd.src(g)):
-                arrow = (e.name, action.restrict_edge(g, e.name))
-                if not gpd.has_element(arrow[1]):
+            for e in graph.received_names(members[g].src):
+                try:
+                    h = restricts[(g, e)]
+                except KeyError:
+                    raise ActionError("restriction missing for (%r, %r)"
+                                      % (g, e))
+                if h not in members:
                     raise ActionError("restriction (%r)|_%r = %r is not an "
-                                      "element" % (g, e.name, arrow[1]))
-                outs.append(arrow)
-                if action.act_edge(g, e.name) == e.name:
-                    fixed.append(arrow)
+                                      "element" % (g, e, h))
+                try:
+                    moved = moves[(g, e)]
+                except KeyError:
+                    raise ActionError("edge action missing for (%r, %r)"
+                                      % (g, e))
+                outs.append((e, h))
+                if moved == e:
+                    fixed.append((e, h))
             self.arrows[g], self.fixed[g] = tuple(outs), tuple(fixed)
             if len(fixed) < len(outs):
                 self.movers.add(g)
@@ -753,12 +767,9 @@ def kernel_elements(action):
 
 def faithful(action):
     """Only units may fix all paths."""
-    gpd = action.groupoid
-    witness = None
-    for g in sorted(action.digraph.kernel):
-        if not gpd.is_unit(g):
-            witness = {"element": g}
-            break
+    gpd, dg = action.groupoid, action.digraph
+    nonunits = dg.kernel - dg.units
+    witness = {"element": min(nonunits)} if nonunits else None
     return verdicts.universal_verdict(
         gpd, witness,
         witness_note="a non-unit fixes every path at its source",
@@ -771,10 +782,19 @@ def tight_kernel_elements(action):
     edges with restrictions already in the set.  Such a g joins once its
     last arrow's target has joined."""
     gpd, graph, dg = action.groupoid, action.graph, action.digraph
-    waiting = {g: len(dg.arrows[g]) for g in gpd.elements()
-               if not graph.is_source(gpd.src(g))
-               and not graph.is_source(gpd.rng(g))
-               and g not in dg.movers}
+    regular = {v for v in graph.vertices if not graph.is_source(v)}
+    waiting = {}
+    for g in gpd.elements():
+        el = gpd._elements[g]
+        if el.src not in regular:
+            continue
+        if el.rng not in regular:
+            # kernel skips validate, so a range that is no vertex is
+            # refused here
+            if not graph.has_vertex(el.rng):
+                raise GraphError("unknown vertex %r" % (el.rng,))
+        elif g not in dg.movers:
+            waiting[g] = len(dg.arrows[g])
 
     def step(h):
         # a fixer's arrows are all fixed, so the fixed index lists them all
@@ -825,11 +845,13 @@ def nucleus(action):
 
 def pseudo_free(action):
     """No non-unit fixes an edge with unit restriction."""
-    gpd = action.groupoid
+    gpd, dg = action.groupoid, action.digraph
     witness = None
-    for g in gpd.nonunits():
-        for (e, h) in action.digraph.fixed[g]:
-            if gpd.is_unit(h):
+    for g in gpd.elements():
+        if g in dg.units:
+            continue
+        for (e, h) in dg.fixed[g]:
+            if h in dg.units:
                 witness = {"element": g, "edge": e}
                 break
         if witness:

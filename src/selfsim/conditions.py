@@ -16,6 +16,8 @@ inputs, and honest scope propagation (a HoldsOnModel input never yields a
 plain Holds, and --scope strict refuses to propagate it at all).
 """
 
+import collections
+
 from . import actions as act_mod
 from . import verdicts
 from .verdicts import holds, fails, holds_on_model, requires_explicit
@@ -81,19 +83,54 @@ def check_evr(action):
         model_note="every all-path-fixing element strongly fixes a path")
 
 
-def _closing_chain(graph, classes, base, limit):
-    """The edges of the shortest entrance-free path at base, of at most
-    limit edges, whose source is orbit-related to base; None if there is
-    none.  Each vertex on such a path receives at most one edge, so the
-    path is the unique chain of received edges out of base."""
-    u, edges = base, []
-    while len(edges) < limit and len(graph.received_by(u)) == 1:
-        e = graph.received_by(u)[0]
-        u = e.src
-        edges.append(e.name)
-        if len(graph.received_by(u)) < 2 and classes[u] == classes[base]:
-            return edges
-    return None
+def _closing_lengths(orb):
+    """base -> the length of its closing chain, for each base that has one:
+    the least k >= 1 such that k steps of u -> the source of the one edge
+    u receives lead from base to a vertex that receives at most one edge
+    and is orbit-related to base.
+
+    The step is a function on the vertices receiving one edge, so its
+    graph is a forest of in-trees, each hanging from a vertex outside its
+    domain or from one of its cycles.  One depth-first walk per tree, away
+    from its root, keeps per orbit class the depths of the vertices on the
+    way down that receive at most one edge; a base's chain closes at the
+    nearest of them in its class.  Below a cycle the chain goes round it,
+    so that walk starts with one lap of the cycle on the stacks.
+    """
+    classes, sources = orb.classes, orb.sources
+    step = {u: s[0] for (u, s) in sources.items() if len(s) == 1}
+    below = {}
+    for (u, w) in step.items():
+        below.setdefault(w, []).append(u)
+    roots = [(w, ()) for w in below if w not in step]
+    seen = set()
+    for u in step:
+        trail = {}
+        while u in step and u not in seen:
+            seen.add(u)
+            trail[u] = len(trail)
+            u = step[u]
+        if u in trail:
+            roots.append((u, list(trail)[trail[u]:]))
+    lengths = {}
+    for (root, cycle) in roots:
+        near = collections.defaultdict(list)   # class -> depths, nearest last
+        for i in range(len(cycle), 0, -1):
+            near[classes[cycle[i % len(cycle)]]].append(-i)
+        work = [(root, 0)]
+        while work:
+            u, depth = work.pop()
+            if u is None:               # leaving a vertex of class depth
+                near[depth].pop()
+                continue
+            above = near[classes[u]]
+            if u in step and above:
+                lengths[u] = depth - above[-1]
+            if len(sources[u]) < 2:
+                above.append(depth)
+                work.append((None, classes[u]))
+            work.extend((w, depth + 1) for w in below.get(u, ()) if w != root)
+    return lengths
 
 
 def check_cyc(action):
@@ -103,20 +140,25 @@ def check_cyc(action):
     orbit; paths up to |vertices| edges suffice (a longer entrance-free
     path repeats a base vertex, and the enclosed cycle is again
     entrance-free with orbit-related endpoints).  An entrance-free path is
-    fixed by its base and its length, so one walk per base finds the
-    shortest; the least (length, base) is the path_key-least witness.
+    fixed by its base and its length: each vertex on it but the last
+    receives one edge, so it is the chain of received edges out of its
+    base, and the shortest per base comes from one pass over the chains
+    (_closing_lengths, never longer than |vertices|).  The least
+    (length, base) is the path_key-least witness.
     """
-    graph, gpd = action.graph, action.groupoid
-    classes = action.orbits.classes
-    witness, limit = None, len(graph.vertices)
-    for base in graph.vertices:
-        edges = _closing_chain(graph, classes, base, limit)
-        if edges:
-            witness = {"op": "has_entrance", "path": edges,
-                       "src": graph.edge(edges[-1]).src, "rng": base}
-            limit = len(edges) - 1
+    graph = action.graph
+    lengths = _closing_lengths(action.orbits)
+    witness = None
+    if lengths:
+        n, base = min((n, b) for (b, n) in lengths.items())
+        u, edges = base, []
+        for _ in range(n):
+            e = graph.received_by(u)[0]
+            u = e.src
+            edges.append(e.name)
+        witness = {"op": "has_entrance", "path": edges, "src": u, "rng": base}
     return _orbit_scoped(
-        gpd, witness,
+        action.groupoid, witness,
         witness_note="an entrance-free path closes up to the orbit relation",
         model_note="every orbit-cycle has an entrance")
 
@@ -132,9 +174,12 @@ def check_sla(action):
     The witness is the least such element and its least such node.
     """
     gpd, dg = action.groupoid, action.digraph
-    succ = dg.fixed
-    bad = dg.kernel & dg.cyclic & dg.reaching(set(dg.arrows) - dg.units)
-    starts = dg.kernel & dg.reaching(bad)
+    succ, kernel = dg.fixed, dg.kernel
+    # fixed walks from the kernel stay inside it, so the kernel nodes that
+    # reach a non-unit are those reaching one of kernel - units
+    reach = kernel & dg.reaching(kernel - dg.units)
+    bad = reach & dg.cyclic if reach else set()
+    starts = kernel & dg.reaching(bad)
     witness = None
     if starts:
         g = min(starts)
@@ -160,9 +205,10 @@ def check_rec(action):
     gpd = action.groupoid
     witness = None
     for g in gpd.elements():
-        if not gpd.is_unit(g) and gpd.src(g) == gpd.rng(g):
+        m = gpd._elements[g]
+        if m.src == m.rng and not gpd.is_unit(g):
             witness = {"op": "restrict_path", "element": g,
-                       "path": {"base": gpd.src(g), "edges": []}}
+                       "path": {"base": m.src, "edges": []}}
             break
     return verdicts.universal_verdict(
         gpd, witness,

@@ -78,16 +78,13 @@ class Groupoid:
     def rng(self, g):
         return self._get(g).rng
 
-    def nonunits(self):
-        return tuple(g for g in self.elements() if not self.is_unit(g))
-
     def isotropy_at(self, v):
         return tuple(g for g in self.elements()
                      if self.src(g) == v and self.rng(g) == v)
 
     def orbit_pairs(self):
-        """All (src, rng) pairs realized by elements."""
-        return sorted({(self.src(g), self.rng(g)) for g in self.elements()})
+        """The set of (src, rng) pairs realized by elements."""
+        return {(m.src, m.rng) for m in self._elements.values()}
 
 
 class ExplicitGroupoid(Groupoid):

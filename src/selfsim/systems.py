@@ -254,9 +254,16 @@ def json_text(value):
 def _write_json(value, append, newline):
     """Append value's text; newline is the line break plus the indent of
     value's own line.  A module-level function fed append, not a closure
-    that calls itself, so that a call leaves no reference cycle."""
+    that calls itself, so that a call leaves no reference cycle.  The three
+    constants are tested by identity, so 1 and 0 stay numbers."""
     if isinstance(value, str):
         append(_encode_str(value))
+    elif value is None:
+        append("null")
+    elif value is True:
+        append("true")
+    elif value is False:
+        append("false")
     elif isinstance(value, dict):
         if not value:
             append("{}")

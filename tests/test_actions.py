@@ -903,7 +903,8 @@ def test_pseudo_free_witnesses_replay(fix, name):
     action = fix(name).action
     gpd = action.groupoid
     v = act.pseudo_free(action)
-    pairs = [(g, e.name) for g in gpd.nonunits()
+    pairs = [(g, e.name) for g in gpd.elements()
+             if not gpd.is_unit(g)
              for e in action.graph.received_by(gpd.src(g))
              if action.act_edge(g, e.name) == e.name
              and gpd.is_unit(action.restrict_edge(g, e.name))]
@@ -1023,18 +1024,22 @@ def test_the_product_laws_wait_for_the_unit_law():
 
 
 class _CountingTable(dict):
-    """A table that counts its lookups."""
+    """A table that counts its lookups, in all (reads) and per key
+    (by_key)."""
 
     def __init__(self, table):
         super().__init__(table)
         self.reads = 0
+        self.by_key = collections.Counter()
 
     def __getitem__(self, key):
         self.reads += 1
+        self.by_key[key] += 1
         return dict.__getitem__(self, key)
 
     def get(self, key, default=None):
         self.reads += 1
+        self.by_key[key] += 1
         return dict.get(self, key, default)
 
 

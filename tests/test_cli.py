@@ -366,6 +366,58 @@ def test_unknown_restriction_is_a_domain_failure(capsys, tmp_path):
         assert out == "" and "'zz'" in err
 
 
+def _element(doc, name):
+    return next(g for g in doc["groupoid"]["elements"] if g["name"] == name)
+
+
+# (an edit of four_loop_z2, the error line of kernel, nucleus and
+# export-dot --what restriction, which read the tables without validating)
+DIGRAPH_REFUSALS = {
+    "missing-restriction": (
+        lambda doc: doc["action"]["restriction"].pop(0),
+        "error: restriction missing for ('0', 'a')"),
+    "restriction-not-an-element": (
+        lambda doc: doc["action"]["restriction"][0].__setitem__(2, "zz"),
+        "error: restriction ('0')|_'a' = 'zz' is not an element"),
+    "missing-edge-action": (
+        lambda doc: doc["action"]["edge_action"].pop(0),
+        "error: edge action missing for ('0', 'a')"),
+    "source-not-a-vertex": (
+        lambda doc: _element(doc, "1").update(src="zz"),
+        "error: unknown vertex 'zz'"),
+    # the restriction is judged before the edge action of its pair
+    "two-faults-at-one-pair": (
+        lambda doc: (doc["action"]["restriction"][0].__setitem__(2, "zz"),
+                     doc["action"]["edge_action"].pop(0)),
+        "error: restriction ('0')|_'a' = 'zz' is not an element"),
+}
+
+
+@pytest.mark.parametrize("argv", [["kernel"], ["nucleus"],
+                                  ["export-dot", "--what", "restriction"]],
+                         ids=["kernel", "nucleus", "export-dot"])
+@pytest.mark.parametrize("edit, line", DIGRAPH_REFUSALS.values(),
+                         ids=list(DIGRAPH_REFUSALS))
+def test_the_restriction_digraph_refuses_tables_never_validated(
+        capsys, tmp_path, argv, edit, line):
+    doc = _document("four_loop_z2")
+    edit(doc)
+    path = write_system(tmp_path, doc)
+    got = run(capsys, argv[:1] + [path] + argv[1:])
+    assert got == (1, "", line + "\n")
+
+
+def test_kernel_refuses_an_element_whose_range_is_not_a_vertex(capsys,
+                                                               tmp_path):
+    """The digraph reads only sources; the tight kernel reads ranges too,
+    so kernel refuses there, while nucleus never reads a range."""
+    doc = _document("four_loop_z2")
+    _element(doc, "1").update(rng="zz")
+    path = write_system(tmp_path, doc)
+    assert run(capsys, ["kernel", path]) == (
+        1, "", "error: unknown vertex 'zz'\n")
+
+
 def _document(name):
     """A fresh document of two_fibre_bundle, or of a bundled system
     written as explicit tables."""

@@ -28,8 +28,9 @@ from selfsim.verdicts import fails, holds, holds_on_model, requires_explicit
 
 from conftest import (FIXTURES, oracle_has_entrance, random_action,
                       strongly_fixes, zn_rotation)
-from test_actions import (fixed_chain, oracle_fixed_arrows, oracle_fixes_all,
-                          oracle_sla_witness, oracle_unit_reachable)
+from test_actions import (_CountingTable, fixed_chain, oracle_fixed_arrows,
+                          oracle_fixes_all, oracle_sla_witness,
+                          oracle_unit_reachable)
 
 
 # -- oracles ----------------------------------------------------------------
@@ -431,6 +432,27 @@ def test_check_cyc_enumerates_no_paths(monkeypatch):
     assert v.witness["src"] == v.witness["rng"] == "r0"
 
 
+def test_check_cyc_work_doubles_with_the_ring(monkeypatch):
+    """On the loopless ring every base's chain closes only after all n
+    edges, so a walk per base reads received_by about n² times.  One pass
+    over the chains reads it a bounded number of times per vertex: each
+    doubling of n at most doubles the count (slack 10%)."""
+    calls = collections.Counter()
+    received_by = DirectedGraph.received_by
+
+    def counting(self, v):
+        calls[len(self.vertices)] += 1
+        return received_by(self, v)
+
+    monkeypatch.setattr(DirectedGraph, "received_by", counting)
+    sizes = (100, 200, 400)
+    for n in sizes:
+        v = check_cyc(ring_action(n, loops=False))
+        assert len(v.witness["path"]) == n
+    for (n, m) in zip(sizes, sizes[1:]):
+        assert 0 < calls[m] <= 2.2 * calls[n], dict(calls)
+
+
 def test_con_base_points_match_the_profile_pair_search():
     """Both ways of finding base points are met often: a class inside one
     component of the range-to-source walk is read from that component, a
@@ -734,26 +756,25 @@ def test_report_reads_each_table_entry_once(monkeypatch):
     pool = [load_fixture(name).action for name in FIXTURES]
     pool += [zn_rotation(n) for n in (3, 4, 5)]
     pool += [random_action(rng) for _ in range(20)]
-    reads = collections.Counter()
-
-    def counted(meth):
-        original = getattr(SelfSimilarAction, meth)
-
-        def wrapper(self, g, e):
-            reads[(meth, id(self), g, e)] += 1
-            return original(self, g, e)
-        return wrapper
 
     def no_automaton(self, action, root):
         raise AssertionError("run_report built a FixingAutomaton")
 
     for action in pool:
         assert action.validate() == []
-    for meth in ("act_edge", "restrict_edge"):
-        monkeypatch.setattr(SelfSimilarAction, meth, counted(meth))
+        action.edge_action = _CountingTable(action.edge_action)
+        action.restriction = _CountingTable(action.restriction)
     monkeypatch.setattr(act_mod.FixingAutomaton, "__init__", no_automaton)
+    reads = collections.Counter()
     for action in pool:
         run_report(action)
+        gpd, graph = action.groupoid, action.graph
+        composable = {(g, e) for g in gpd.elements()
+                      for e in graph.received_names(gpd.src(g))}
+        for table in (action.edge_action, action.restriction):
+            assert set(table.by_key) <= composable
+            reads.update({(id(table), key): n
+                          for (key, n) in table.by_key.items()})
     assert reads and max(reads.values()) == 1
 
 
@@ -768,7 +789,8 @@ def test_witnesses_are_the_least(fix, random_actions, wide_random_actions):
         kernel = [g for g in gpd.elements() if oracle_fixes_all(action, g)]
         stuck = [{"op": "fixes_all_paths", "element": g} for g in kernel
                  if g not in oracle_unit_reachable(action, g)]
-        strong = [{"element": g, "edge": e} for g in gpd.nonunits()
+        strong = [{"element": g, "edge": e} for g in gpd.elements()
+                  if not gpd.is_unit(g)
                   for (e, h) in oracle_fixed_arrows(action, g)
                   if gpd.is_unit(h)]
         loose = [{"element": g} for g in kernel if not gpd.is_unit(g)]

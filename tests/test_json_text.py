@@ -85,6 +85,11 @@ EDGE_CASES = {
     "object": [object()],
     "complex key": {"a": {1j: 0}},
     "too many digits": [10 ** 5000],
+    "constants beside numbers": [
+        [None, True, False, 0, 1, 1.0, -2],
+        {"a": None, "b": True, "c": False, "d": 0, "e": 1, "f": 1.0,
+         "g": -2}],
+    "constant keys": [{True: None, False: 1}, {None: True}],
 }
 
 
@@ -92,7 +97,8 @@ EDGE_CASES = {
 def test_json_text_matches_the_stdlib_on_edge_cases(value):
     """Subclasses write as their base types; empty containers, a key that
     is not a scalar, keys that do not sort and a value json cannot write
-    meet the same text or the same error."""
+    meet the same text or the same error; None, True and False stay
+    apart from the numbers equal to them."""
     assert outcome(systems.json_text, value) == outcome(stdlib_text, value)
 
 
