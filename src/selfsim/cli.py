@@ -179,22 +179,29 @@ _OPS = {
 }
 
 
-def _op_args(args, action):
-    """The arguments of args.op: each parsed as JSON, their count checked
-    against the op's letters, then read left to right."""
+def _op_json(args):
+    """The arguments of args.op as (letter, JSON value) pairs: each parsed
+    as JSON and their count checked against the op's letters.  This needs
+    no system, so it runs before the file is read."""
     letters = _OPS[args.cmd][args.op][0].split()
     parsed = [_json_arg(a, "argument %d" % (k + 1))
               for (k, a) in enumerate(args.args)]
     if len(parsed) != len(letters):
         raise UsageError("expected %d argument(s): %s" % (
             len(letters), " ".join([args.cmd, args.op] + letters)))
-    return [_READERS[c](action, data, c) for (c, data) in zip(letters, parsed)]
+    return list(zip(letters, parsed))
+
+
+def _read_args(action, pairs):
+    """The values of _op_json's pairs, read left to right."""
+    return [_READERS[c](action, data, c) for (c, data) in pairs]
 
 
 def cmd_semigroup(args):
     """semigroup and germ: the op's output on its arguments."""
+    pairs = _op_json(args)
     action = _load(args.system).action
-    _emit(_OPS[args.cmd][args.op][1](action, *_op_args(args, action)))
+    _emit(_OPS[args.cmd][args.op][1](action, *_read_args(action, pairs)))
     return 0
 
 
@@ -202,13 +209,14 @@ cmd_germ = cmd_semigroup
 
 
 def cmd_twist(args):
+    pairs = _op_json(args)
     system = _load(args.system)
     action = system.action
     # problems are kept only for a twist that could not be built
     if not _valid(system.problems):
         return 1
     twist = system.twist if system.twist is not None else twists.Twist(action)
-    values = _op_args(args, action)
+    values = _read_args(action, pairs)
     if args.op == "validate":
         # the identities multiply through the tables, so they must satisfy
         # the laws first (validate_system would run validate_twist twice)
@@ -254,27 +262,28 @@ def cmd_kernel(args):
 
 
 def cmd_hum(args):
+    point = _json_arg(args.point, "POINT")
     system = _load(args.system)
-    x = point_from_json(system.graph, _json_arg(args.point, "POINT"))
+    x = point_from_json(system.graph, point)
     out = germs.hum_for_point(system.action, x)
     _emit(out)
     return 0
 
 
 def cmd_export_dot(args):
-    system = _load(args.system)
     what = args.what
+    if what not in ("graph", "restriction") and not what.startswith("fixing:"):
+        raise UsageError("--what must be graph, restriction, or fixing:<g>")
+    system = _load(args.system)
     if what == "graph":
         _write(system.graph.to_dot(system.name or "graph"))
     elif what == "restriction":
         _write(act_mod.restriction_digraph_dot(system.action))
-    elif what.startswith("fixing:"):
+    else:
         g = what.split(":", 1)[1]
         if not system.groupoid.has_element(g):
             raise ActionError("unknown element %r" % (g,))
         _write(FixingAutomaton(system.action, g).to_dot())
-    else:
-        raise UsageError("--what must be graph, restriction, or fixing:<g>")
     return 0
 
 
@@ -291,6 +300,11 @@ def _length(text):
         raise argparse.ArgumentTypeError(
             "%r is not a non-negative integer" % (text,))
     return n
+
+
+# command name -> its parser: the choices of the subparsers action, kept
+# by _build_parser beside the parser it caches
+_COMMAND_PARSERS = {}
 
 
 @functools.cache
@@ -349,11 +363,32 @@ def _build_parser():
     p.add_argument("--what", default="graph",
                    help="graph | restriction | fixing:<element>")
 
+    _COMMAND_PARSERS.update(sub.choices)
     return parser
 
 
+def _parse(argv):
+    """The namespace of argv, as parser.parse_args(argv) gives it.  When
+    argv[0] names a command, its parser alone reads the rest: the top
+    parser would scan every argument, then hand the same strings to that
+    parser, which scans them again.  Any other argv (none, -h, an unknown
+    command, a leading --) goes to the top parser, the one source of the
+    top-level help and of the errors for a bad command."""
+    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    sub = _COMMAND_PARSERS.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    args, extra = sub.parse_known_args(argv[1:])
+    if extra:
+        parser.error("unrecognized arguments: %s" % " ".join(extra))
+    args.cmd = argv[0]
+    return args
+
+
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    args = _parse(argv)
     try:
         code = globals()["cmd_" + args.cmd.replace("-", "_")](args)
         # flush inside the try, so that a closed stdout raises here

@@ -226,8 +226,11 @@ def validate_system(system):
 
 def load_system(path):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        # one binary read and a strict decode: json.loads on the bytes would
+        # take a UTF-8 BOM and lone surrogates, which are refused here
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        data = json.loads(raw.decode("utf-8"))
     except OSError as exc:
         raise SystemLoadError("cannot read %s: %s" % (path, exc))
     except json.JSONDecodeError as exc:

@@ -95,16 +95,32 @@ def test_malformed_json_is_a_parse_failure(capsys, tmp_path):
     assert "parse error" in err
 
 
-@pytest.mark.parametrize("content", [
-    b"\xff\xfe{}",                          # not UTF-8
-    b"[" * 100000 + b"]" * 100000,          # nested past the parser's depth
-], ids=["not-utf-8", "deep"])
-def test_unreadable_file_bytes_are_a_parse_failure(capsys, tmp_path, content):
+@pytest.mark.parametrize("content, message", [
+    (b"\xff\xfe{}", "not valid UTF-8"),
+    # a lone surrogate, which only the surrogatepass handler decodes
+    (b'{"name": "\xed\xa0\x80"}', "not valid UTF-8"),
+    # json.loads would take the BOM from bytes, never from text
+    (b"\xef\xbb\xbf{}", "not valid JSON: Unexpected UTF-8 BOM"),
+    (b"[" * 100000 + b"]" * 100000, "JSON nested too deeply to read"),
+], ids=["not-utf-8", "surrogate", "bom", "deep"])
+def test_unreadable_file_bytes_are_a_parse_failure(capsys, tmp_path, content,
+                                                   message):
     path = tmp_path / "junk.json"
     path.write_bytes(content)
     code, out, err = run(capsys, ["validate", str(path)])
     assert (code, out) == (2, "")
-    assert err.startswith("parse error:")
+    assert err.startswith("parse error: " + message), err
+
+
+def test_a_file_with_crlf_line_ends_loads_as_with_lf(capsys, tmp_path):
+    text = json.dumps(broken_restriction_system(), indent=2)
+    outputs = []
+    for (name, newline) in (("lf.json", "\n"), ("crlf.json", "\r\n")):
+        path = tmp_path / name
+        path.write_bytes(text.replace("\n", newline).encode("utf-8"))
+        outputs.append(run(capsys, ["validate", str(path)]))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 1
 
 
 def test_a_deeply_nested_json_argument_is_a_usage_failure(capsys):
@@ -260,6 +276,41 @@ def test_commands_dispatch_by_name_through_one_parser(capsys, monkeypatch):
     assert cli.main(["nucleus", "two_edges"]) == 0
     assert [a.system for a in calls] == ["four_loop_z2", "two_edges"]
     assert cli._build_parser() is cli._build_parser()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["semigroup", "SYSTEM", "mul", "{oops", "{}"],
+     "argument 1 is not valid JSON"),
+    (["hum", "SYSTEM", "[not json"], "POINT is not valid JSON"),
+    (["twist", "SYSTEM", "verify", "extra"], "argument 1 is not valid JSON"),
+    (["twist", "SYSTEM", "verify", "1"], "expected 0 argument(s)"),
+    (["export-dot", "SYSTEM", "--what", "bogus"],
+     "--what must be graph, restriction, or fixing:<g>"),
+], ids=["semigroup", "hum", "twist", "twist-count", "export-dot"])
+@pytest.mark.parametrize("system", ["nosuch.json", "file"])
+def test_arguments_are_checked_before_the_system_file(
+        capsys, monkeypatch, tmp_path, argv, message, system):
+    """A malformed argument, a wrong argument count or a bad --what exits 2
+    without reading the file: a missing file is not reported, and an
+    existing one is never opened."""
+    def refuse(path):
+        raise AssertionError("read %s" % path)
+
+    monkeypatch.setattr(systems, "load_system", refuse)
+    if system == "file":
+        system = write_system(tmp_path, broken_restriction_system())
+    code, out, err = run(capsys, [system if a == "SYSTEM" else a
+                                  for a in argv])
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: " + message), err
+
+
+def test_a_valid_argument_against_a_missing_file_is_a_parse_failure(capsys):
+    code, out, err = run(capsys, ["semigroup", "nosuch.json", "mul",
+                                  '{"zero": true}', '{"zero": true}'])
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: 'nosuch.json' is neither a file nor "
+                          "a bundled example"), err
 
 
 def test_wrong_arity_is_a_usage_failure(capsys):
@@ -463,6 +514,12 @@ REFUSALS = {
         _edited("twisted_three_spoke", _zz_edge_phase),
         ["twist", "SYSTEM", "extend", '"1"', '["e"]'], 1,
         "invalid: twist: unknown edge 'zz'"),
+    # a malformed argument is refused before the file is read, so it wins
+    # over a twist that could not be built
+    "twist-edge-malformed-argument": (
+        _edited("twisted_three_spoke", _zz_edge_phase),
+        ["twist", "SYSTEM", "extend", '"1"', '{nope'], 2,
+        "usage error: argument 2 is not valid JSON"),
     "directory": (
         str, ["validate", "SYSTEM"], 2, "parse error: cannot read "),
     "zero-degree": (
@@ -1235,6 +1292,24 @@ def test_console_script_runs():
                           capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["system"] == "four_loop_z2"
+
+
+def test_commands_run_under_dev_mode_without_a_warning(tmp_path):
+    """Under -X dev -W error, reading a system file (which must close it),
+    a full report and an argument refused before the read neither warn
+    nor fail."""
+    path = str(tmp_path / "zn_rotation_3.json")
+    systems.save_system(systems.System("zn_rotation_3", zn_rotation(3)), path)
+    for (argv, code) in ((["validate", path], 0),
+                         (["report", "four_loop_z2"], 0),
+                         (["semigroup", path, "mul", "{oops", "{}"], 2)):
+        proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error",
+                               "-m", "selfsim.cli"] + argv,
+                              capture_output=True, text=True, env=child_env())
+        assert proc.returncode == code, (argv, proc.stderr)
+        expected = "usage error: argument 1 is not valid JSON" if code else ""
+        assert proc.stderr.startswith(expected), (argv, proc.stderr)
+        assert proc.stderr.count("\n") == (1 if code else 0), proc.stderr
 
 
 @pytest.mark.parametrize("unbuffered", [None, "1"],

@@ -3,7 +3,9 @@ shape, built from the names of a bundled explicit system plus one unknown
 name, arbitrary JSON values in every argument slot, and system files with
 one field replaced must end in exit 0, 1 or 2 and never in a Python
 exception.  The readers of triples, germs and points refuse malformed
-shapes with UsageError."""
+shapes with UsageError.  Argvs built from command names, options and JSON
+words parse through the dispatch by name as through argparse's top
+parser: the same namespace, or the same exit and the same text."""
 
 import contextlib
 import functools
@@ -97,6 +99,70 @@ def _quiet_main(argv):
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
         return cli.main(argv)
+
+
+# -- dispatch by name against argparse ----------------------------------------
+
+
+def _parsed(parse, argv):
+    """What parse(argv) gives: ("args", the namespace's attributes), or
+    ("exit", code, stdout, stderr) when it exits."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args = parse(argv)
+    except SystemExit as exc:
+        return ("exit", exc.code, out.getvalue(), err.getvalue())
+    return ("args", vars(args))
+
+
+def _argparse(argv):
+    return cli._build_parser().parse_args(argv)
+
+
+COMMAND_WORDS = ["validate", "report", "semigroup", "germ", "twist",
+                 "nucleus", "kernel", "hum", "export-dot"]
+ARGV_WORDS = COMMAND_WORDS + [
+    "nope", "mul", "omega", "verify", "-h", "--help", "--h", "--format",
+    "--form", "json", "text", "--scope=strict", "--bound", "--b", "2",
+    "--what", "graph", "--", "-", "-1", "x", "{}", "[]", '{"a": 1}',
+    "[1, 2]", "{oops", "--unknown", "y"]
+
+ARGV_CASES = [
+    [],
+    ["nope"],
+    ["--", "validate", "x"],
+    ["validate", "x", "--unknown", "y"],
+    ["report", "x", "--form", "text"],
+    ["twist", "--bound", "2", "x", "omega", "{}", "{}"],
+    ["semigroup", "x", "mul", "-1", "{}"],
+    ["-h"],
+    ["--help"],
+    ["--h"],
+    ["validate"],
+    ["validate", "-h"],
+    ["report", "x", "--scope=strict", "--format", "json"],
+    ["report", "x", "--format", "xml"],
+    ["twist", "x", "verify", "--b", "-1"],
+    ["twist", "x", "verify", "--", "{}"],
+    ["hum", "x", "-"],
+    ["export-dot", "x", "--what", "fixing:1", "extra"],
+    ["kernel", "x", "--h"],
+]
+
+
+@pytest.mark.parametrize("argv", ARGV_CASES, ids=lambda argv: " ".join(argv))
+def test_dispatch_by_name_parses_as_argparse_does(argv):
+    assert _parsed(cli._parse, argv) == _parsed(_argparse, argv)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.one_of(st.sampled_from(COMMAND_WORDS), st.sampled_from(ARGV_WORDS)),
+       st.lists(st.sampled_from(ARGV_WORDS), max_size=6))
+def test_dispatch_by_name_parses_fuzzed_argvs_as_argparse_does(first, rest):
+    """The first word is a command name about half the time."""
+    argv = [first] + rest
+    assert _parsed(cli._parse, argv) == _parsed(_argparse, argv)
 
 
 # -- arbitrary JSON values -----------------------------------------------------

@@ -3,9 +3,10 @@ every helper it defines.  No linter ships with the project, so this reads
 each module's syntax tree: a name bound by an import must appear somewhere
 else in the module (__init__.py is skipped, because its imports are the
 package's public names); a function, method or class named with one
-leading underscore must be named somewhere in the package; and so must a
-public function or method, unless __init__ exports it, it is a cmd_*
-handler of the CLI, or UNCALLED_PUBLIC names it with a reason.  Every
+leading underscore must be used somewhere in the package (a method only
+through an attribute or an import, never through a local of its name);
+and so must a public function or method, unless __init__ exports it, it
+is a cmd_* handler of the CLI, or UNCALLED_PUBLIC names it with a reason.  Every
 parameter but self and cls is read by the body of its function, unless
 UNREAD_PARAMETERS names the function with a reason.  Only systems.py
 writes JSON documents: no other module calls json.dump, or json.dumps with
@@ -58,21 +59,31 @@ def test_module_uses_every_import(path):
 
 def unnamed_definitions(sources, wanted):
     """(module, line, name) for every definition node with wanted(node)
-    whose name the package never names anywhere: not as a name, not as an
-    attribute and not in an import (so an export from __init__ counts).
-    sources maps module names to their text."""
-    defined, named = [], set()
+    whose name the package never uses: as an attribute or in an import (so
+    an export from __init__ counts), or, unless the definition is a method
+    (a function of a class body), as a name that is read.  A name that is
+    bound, such as a local variable, never counts, so a local of the same
+    name cannot hide a dead method.  sources maps module names to their
+    text."""
+    defined, read, reached = [], set(), set()
     for (module, source) in sorted(sources.items()):
-        for node in ast.walk(ast.parse(source)):
+        tree = ast.parse(source)
+        methods = {id(child) for node in ast.walk(tree)
+                   if isinstance(node, ast.ClassDef) for child in node.body}
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                named.add(node.id)
+                if not isinstance(node.ctx, ast.Store):
+                    read.add(node.id)
             elif isinstance(node, ast.Attribute):
-                named.add(node.attr)
+                reached.add(node.attr)
             elif isinstance(node, ast.alias):
-                named.add(node.name.split(".")[-1])
+                reached.add(node.name.split(".")[-1])
             elif wanted(node):
-                defined.append((module, node.lineno, node.name))
-    return [d for d in defined if d[2] not in named]
+                defined.append((module, node.lineno, node.name,
+                                id(node) in methods))
+    return [(module, line, name)
+            for (module, line, name, method) in defined
+            if name not in reached and (method or name not in read)]
 
 
 def dead_private_helpers(sources):
@@ -121,14 +132,18 @@ UNCALLED_PUBLIC = {
 
 def test_dead_public_functions_are_found():
     sources = {
-        "__init__.py": "from .a import exported\n",
+        "__init__.py": "from .a import exported, faithful\n",
         "a.py": "def exported():\n    pass\ndef called():\n    pass\n"
                 "def dead():\n    pass\ndef cmd_x(args):\n    called()\n"
                 "def _private():\n    pass\n"
-                "class K:\n    def method(self):\n        pass\n",
+                "class K:\n    def method(self):\n        pass\n"
+                "class G:\n    def nonunits(self):\n        pass\n"
+                "def faithful(gpd):\n    nonunits = gpd.units()\n"
+                "    return nonunits\n",
     }
     assert dead_public_functions(sources) == [("a.py", 5, "dead"),
-                                              ("a.py", 12, "method")]
+                                              ("a.py", 12, "method"),
+                                              ("a.py", 15, "nonunits")]
 
 
 def test_package_names_every_public_function_it_keeps():
