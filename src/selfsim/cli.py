@@ -17,7 +17,7 @@ from . import germs
 from . import semigroup as sg
 from . import systems
 from . import twists
-from .actions import ActionError, FixingAutomaton, point_from_json, point_to_json
+from .actions import ActionError, FixingAutomaton, point_from_json
 from .germs import GermError
 from .graphs import GraphError, UsageError, json_name, json_names
 from .groupoids import GroupoidError, RequiresExplicitError
@@ -113,13 +113,12 @@ def cmd_report(args):
     system = _load(args.system)
     if not _valid(systems.validate_system(system)):
         return 1
-    report = conditions.run_report(system.action, name=system.name,
-                                   scope_mode=args.scope,
-                                   notes=system.notes)
+    doc = conditions.run_report(system.action, name=system.name,
+                                scope_mode=args.scope, notes=system.notes)
     if args.format == "text":
-        _write(report.to_text())
+        _write(conditions.report_text(doc))
     else:
-        _emit(report.to_json())
+        _emit(doc)
     return 0
 
 
@@ -135,13 +134,6 @@ _READERS = {
     "G": lambda action, data, letter: json_name(data, letter),
     "P": _path_arg, "PATH": _path_arg,
 }
-
-
-def _xbar(action, x):
-    data = germs.xbar(action, x)
-    return {"point": point_to_json(data["point"]), "size": data["size"],
-            "germs": [germs.to_json(g) for g in data["germs"]],
-            "note": data["note"]}
 
 
 def _phase(twist, w):
@@ -167,7 +159,7 @@ _OPS = {
         "inverse": ("A", lambda a, x: germs.to_json(germs.germ_inv(a, x))),
         "classify": ("A", lambda a, x: germs.classify(a, x)),
         "in-core": ("A", lambda a, x: {"in_core": germs.in_core(a, x)}),
-        "xbar": ("X", _xbar),
+        "xbar": ("X", lambda a, x: germs.xbar(a, x)),
     },
     "twist": {
         "validate": ("", None),

@@ -17,6 +17,7 @@ plain Holds, and --scope strict refuses to propagate it at all).
 """
 
 import collections
+import json
 
 from . import actions as act_mod
 from . import verdicts
@@ -417,84 +418,55 @@ def combine(inputs, scope_mode="model"):
 
 
 def run_report(action, name="", scope_mode="model", notes=()):
-    base = {}
-    for (cid, fn) in BASE_CHECKS:
-        base[cid] = fn(action)
+    """The report, as the JSON document `selfsim report` prints: every base
+    verdict with its condition's text, every derived verdict with its rule
+    and inputs, and the system's notes plus the purely infinite note."""
+    base = {cid: fn(action) for (cid, fn) in BASE_CHECKS}
     derived = {}
     for (did, input_ids, rule) in DERIVED_RULES:
         v = combine([(cid, base[cid]) for cid in input_ids], scope_mode)
-        derived[did] = {"verdict": v, "rule": rule, "inputs": list(input_ids)}
+        derived[did] = dict(v.to_json(), citation=rule, inputs=list(input_ids))
     extra = list(notes)
-    if (derived["SimpleEssential"]["verdict"].status in
+    if (derived["SimpleEssential"]["status"] in
             (verdicts.HOLDS, verdicts.HOLDS_ON_MODEL)
             and base["Con"].status == verdicts.HOLDS):
         extra.append(
             "Con also holds, so the simple essential algebra is purely "
             "infinite")
-    return Report(name, action.groupoid.kind, scope_mode, base, derived, extra)
+    return {
+        "system": name,
+        "backend": action.groupoid.kind,
+        "scope_mode": scope_mode,
+        "conditions": {cid: dict(v.to_json(), citation=CONDITION_TEXT[cid])
+                       for (cid, v) in base.items()},
+        "derived": derived,
+        "notes": extra,
+    }
 
 
-class Report:
-    def __init__(self, name, backend, scope_mode, base, derived, notes):
-        self.name = name
-        self.backend = backend
-        self.scope_mode = scope_mode
-        self.base = base
-        self.derived = derived
-        self.notes = list(notes)
-
-    def to_json(self):
-        conditions = {}
-        for (cid, v) in sorted(self.base.items()):
-            entry = v.to_json()
-            entry["citation"] = CONDITION_TEXT[cid]
-            conditions[cid] = entry
-        derived = {}
-        for (did, d) in sorted(self.derived.items()):
-            entry = d["verdict"].to_json()
-            entry["citation"] = d["rule"]
-            entry["inputs"] = d["inputs"]
-            derived[did] = entry
-        return {
-            "system": self.name,
-            "backend": self.backend,
-            "scope_mode": self.scope_mode,
-            "conditions": conditions,
-            "derived": derived,
-            "notes": self.notes,
-        }
-
-    def to_text(self):
-        lines = []
-        title = self.name or "(unnamed system)"
-        lines.append("system: %s  [backend=%s, scope=%s]"
-                     % (title, self.backend, self.scope_mode))
-        lines.append("")
-        lines.append("conditions:")
-        for (cid, _) in BASE_CHECKS:
-            v = self.base[cid]
-            lines.append("  %-16s %-16s %s" % (cid, v.status, v.note))
-            if v.witness:
-                lines.append("    witness: %s" % _fmt_witness(v.witness))
-        lines.append("")
-        lines.append("derived:")
-        for (did, _inputs, _rule) in DERIVED_RULES:
-            d = self.derived[did]
-            v = d["verdict"]
-            lines.append("  %-16s %-16s via %s" % (did, v.status,
-                                                   "+".join(d["inputs"])))
-            if v.witness:
-                lines.append("    witness: %s" % _fmt_witness(v.witness))
-            if v.note:
-                lines.append("    note: %s" % v.note)
-        if self.notes:
-            lines.append("")
-            lines.append("notes:")
-            for n in self.notes:
-                lines.append("  - %s" % n)
-        return "\n".join(lines) + "\n"
-
-
-def _fmt_witness(w):
-    import json
-    return json.dumps(w, sort_keys=True)
+def report_text(doc):
+    """The text form of a run_report document, read from the document
+    alone, so a report read back from its JSON renders the same."""
+    lines = ["system: %s  [backend=%s, scope=%s]"
+             % (doc["system"] or "(unnamed system)", doc["backend"],
+                doc["scope_mode"]),
+             "", "conditions:"]
+    for (cid, _) in BASE_CHECKS:
+        v = doc["conditions"][cid]
+        lines.append("  %-16s %-16s %s" % (cid, v["status"], v["scope"]))
+        if v["witness"]:
+            lines.append("    witness: %s" % json.dumps(v["witness"],
+                                                        sort_keys=True))
+    lines += ["", "derived:"]
+    for (did, _inputs, _rule) in DERIVED_RULES:
+        v = doc["derived"][did]
+        lines.append("  %-16s %-16s via %s" % (did, v["status"],
+                                               "+".join(v["inputs"])))
+        if v["witness"]:
+            lines.append("    witness: %s" % json.dumps(v["witness"],
+                                                        sort_keys=True))
+        if v["scope"]:
+            lines.append("    note: %s" % v["scope"])
+    if doc["notes"]:
+        lines += ["", "notes:"] + ["  - %s" % n for n in doc["notes"]]
+    return "\n".join(lines) + "\n"

@@ -263,15 +263,13 @@ def singular_decompositions(action, x):
 
 
 def xbar(action, x):
-    """The closure data of the point: the point itself plus one isotropy
-    germ per singular decomposition class."""
+    """The closure data of the point, as the JSON `germ xbar` prints: the
+    point itself plus one isotropy germ per singular decomposition class."""
     classes, note = singular_decompositions(action, x)
-    return {
-        "point": x,
-        "germs": [c.germ(action, x) for c in classes],
-        "size": 1 + len(classes),
-        "note": note,
-    }
+    return {"point": point_to_json(x),
+            "germs": [to_json(c.germ(action, x)) for c in classes],
+            "size": 1 + len(classes),
+            "note": note}
 
 
 # -- the group-summation test ----------------------------------------------

@@ -8,6 +8,7 @@ src = src(en), and it extends by appending edges at its source end.
 Vertices double as the paths of length zero.
 """
 
+import collections
 import operator
 from typing import NamedTuple
 
@@ -81,9 +82,11 @@ class DirectedGraph:
         self._by_name = {e.name: e for e in self.edges}
         received = {v: [] for v in self.vertices}  # vE1: edges with rng = v
         if len(received) < len(self.vertices):
-            _refuse_repeat("vertices", self.vertices)
+            raise GraphError("'vertices' lists the name %r twice"
+                             % (first_repeat(self.vertices),))
         if len(self._by_name) < len(self.edges):
-            _refuse_repeat("edges", [e.name for e in self.edges])
+            raise GraphError("'edges' lists the name %r twice" % (
+                first_repeat(e.name for e in self.edges),))
         for e in self.edges:
             if e.rng in received:
                 received[e.rng].append(e)
@@ -217,10 +220,12 @@ class DirectedGraph:
         return "\n".join(lines) + "\n"
 
 
-def _refuse_repeat(what, names):
-    """GraphError naming a name listed twice in names, which are sorted."""
-    raise GraphError("%r lists the name %r twice" % (what, next(
-        a for (a, b) in zip(names, names[1:]) if a == b)))
+def first_repeat(names):
+    """The first key listed more than once in names, in the order of first
+    listing (on a sorted list, the least repeated key): the key that every
+    refusal of a name or key listed twice names."""
+    return next(key for (key, n) in collections.Counter(names).items()
+                if n > 1)
 
 
 def dot_id(name):

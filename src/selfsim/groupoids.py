@@ -22,6 +22,8 @@ behavioral model.
 import collections
 from typing import NamedTuple
 
+from .graphs import first_repeat
+
 
 class GroupoidError(ValueError):
     pass
@@ -54,9 +56,8 @@ class Groupoid:
                    else GroupoidElement(*m[:3]) for m in members]
         self._elements = {m.name: m for m in members}
         if len(self._elements) < len(members):
-            counts = collections.Counter(m.name for m in members)
             raise GroupoidError("'%ss' lists the name %r twice" % (
-                self.member, next(g for (g, n) in counts.items() if n > 1)))
+                self.member, first_repeat(m.name for m in members)))
         self._sorted = tuple(sorted(self._elements))
 
     def elements(self):
@@ -407,9 +408,8 @@ def group_bundle(vertices, fibers):
         inv.update(_inverses(fib["mul"], fib["unit"]))
     gpd = ExplicitGroupoid(vertices, elements, units, mul, inv)
     if len(mul) < sum(map(len, listed)):
-        counts = collections.Counter(key for table in listed for key in table)
         raise GroupoidError("two fibers' 'mul' list the key %r" % (
-            next(key for (key, n) in counts.items() if n > 1),))
+            first_repeat(key for table in listed for key in table),))
     return gpd
 
 

@@ -291,11 +291,16 @@ def to_json(s):
 
 def from_json(action, data):
     """The one reader of a triple: {"zero": true}, or an object with edge
-    arrays "alpha" and "beta" and an element name "g".  A malformed value
-    raises UsageError."""
+    arrays "alpha" and "beta" and an element name "g" ("zero" false or
+    absent).  A malformed value raises UsageError."""
     if not isinstance(data, dict):
         raise UsageError("a triple must be a JSON object")
-    if data.get("zero"):
+    zero = data.get("zero", False)
+    if zero is not True and zero is not False:
+        raise UsageError("'zero' must be true or false")
+    if zero:
+        if {"alpha", "g", "beta"} & data.keys():
+            raise UsageError("a zero triple takes no 'alpha', 'g' or 'beta'")
         return ZERO
     if not {"alpha", "g", "beta"} <= data.keys():
         raise UsageError("a triple needs 'alpha', 'g' and 'beta'")

@@ -5,15 +5,14 @@ All names are strings and phases are "p/q" strings, so files diff cleanly
 and serialization round-trips bit-exactly.
 """
 
-import collections
 import itertools
 import json
 from importlib import resources
 from json.encoder import encode_basestring_ascii as _encode_str
 
 from .actions import SelfSimilarAction
-from .graphs import (DirectedGraph, GraphError, UsageError, json_name,
-                     json_names)
+from .graphs import (DirectedGraph, GraphError, UsageError, first_repeat,
+                     json_name, json_names)
 from .groupoids import (BehavioralModel, GroupoidError, ExplicitGroupoid,
                         cyclic_group_table, group_bundle)
 from .twists import Twist, TwistError, validate_twist
@@ -64,9 +63,8 @@ def _table(rows, what):
     except ValueError:
         raise UsageError("each row of %s must hold three names" % what)
     if len(table) < len(rows):
-        counts = collections.Counter((a, b) for (a, b, _) in rows)
         raise UsageError("%s lists the key %r twice" % (
-            what, next(key for (key, n) in counts.items() if n > 1)))
+            what, first_repeat((a, b) for (a, b, _) in rows)))
     return table
 
 

@@ -30,7 +30,7 @@ from test_semigroup import oracle_order_counterexample
 
 def statuses(name, scope="model"):
     report = run_report(load_fixture(name).action, name=name,
-                        scope_mode=scope).to_json()
+                        scope_mode=scope)
     conds = {k: v["status"] for (k, v) in report["conditions"].items()}
     derived = {k: v["status"] for (k, v) in report["derived"].items()}
     return report, conds, derived

@@ -269,6 +269,35 @@ def test_malformed_json_argument_is_a_usage_failure(capsys, argv):
     assert "usage error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["semigroup", "four_loop_z2", "star", '{"zero": "false"}'],
+    ["semigroup", "four_loop_z2", "star", '{"zero": [1]}'],
+    ["semigroup", "four_loop_z2", "star", '{"zero": 1}'],
+    ["semigroup", "four_loop_z2", "star", '{"zero": null}'],
+    ["semigroup", "four_loop_z2", "star", '{"zero": true, "alpha": 3}'],
+    ["semigroup", "four_loop_z2", "star", '{"zero": false}'],
+    ["germ", "four_loop_z2", "classify",
+     '{"zero": "false", "xi": {"prefix": [], "period": ["e"]}}'],
+])
+def test_zero_is_json_true_or_false(capsys, argv):
+    """"zero" true is zero and takes no triple keys; false, like no "zero",
+    asks for a triple; any other value is a usage failure."""
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: "), err
+
+
+def test_zero_true_and_false_are_read(capsys):
+    triple = '{"alpha": ["a"], "g": "1", "beta": ["b"]}'
+    code, data, _ = run_json(capsys, ["semigroup", "four_loop_z2", "star",
+                                      '{"zero": true}'])
+    assert (code, data) == (0, {"zero": True})
+    expected = run_json(capsys, ["semigroup", "four_loop_z2", "star", triple])
+    assert expected[0] == 0
+    assert run_json(capsys, ["semigroup", "four_loop_z2", "star",
+                             triple[:-1] + ', "zero": false}']) == expected
+
+
 def test_commands_dispatch_by_name_through_one_parser(capsys, monkeypatch):
     calls = []
     monkeypatch.setattr(cli, "cmd_nucleus", lambda args: calls.append(args) or 0)

@@ -7,14 +7,16 @@ measured against the definition, not against itself.
 
 import collections
 import itertools
+import json
 import random
 
 import pytest
 
 from selfsim import actions as act_mod
+from selfsim import cli, germs, systems, verdicts
 from selfsim import conditions as cond
-from selfsim import verdicts
-from selfsim.actions import (SelfSimilarAction, faithful, orbit_classes,
+from selfsim.actions import (SelfSimilarAction, boundary_points_from,
+                             faithful, orbit_classes, point_to_json,
                              pseudo_free)
 from selfsim.conditions import (check_con, check_contracting, check_cyc,
                                 check_evr, check_fin, check_min, check_rec,
@@ -546,8 +548,8 @@ def test_report_deciders_make_one_pass_on_the_doubled_chain(monkeypatch):
     assert check_min(fixed_chain(301, width=2)).status == "Holds"
     assert calls["invariant_closure"] == 1
     calls.clear()
-    base = run_report(fixed_chain(301, width=2)).base
-    assert (base["Fin"].status, base["Min"].status) == ("Holds", "Holds")
+    base = run_report(fixed_chain(301, width=2))["conditions"]
+    assert (base["Fin"]["status"], base["Min"]["status"]) == ("Holds", "Holds")
     assert calls["orbit_classes"] == 1
 
 
@@ -717,8 +719,7 @@ def test_combine_precedence_and_scope():
 
 
 def test_report_structure_and_notes(fix):
-    rep = run_report(fix("four_loop_z2").action, name="four_loop_z2")
-    data = rep.to_json()
+    data = run_report(fix("four_loop_z2").action, name="four_loop_z2")
     assert data["system"] == "four_loop_z2"
     assert data["backend"] == "explicit"
     assert data["scope_mode"] == "model"
@@ -732,20 +733,68 @@ def test_report_structure_and_notes(fix):
         assert entry["inputs"] == list(
             [i for (d, i, _r) in cond.DERIVED_RULES if d == did][0])
     assert any("purely" in n for n in data["notes"])
-    text = rep.to_text()
+    text = cond.report_text(data)
     assert "four_loop_z2" in text
     for cid in data["conditions"]:
         assert cid in text
 
 
 def test_report_strict_scope_downgrades_model_verdicts(fix):
-    rep = run_report(fix("two_edges").action, scope_mode="strict")
-    data = rep.to_json()
+    data = run_report(fix("two_edges").action, scope_mode="strict")
     assert data["conditions"]["Evr"]["status"] == "HoldsOnModel"
     assert data["derived"]["TopFreeTight"]["status"] == "RequiresExplicit"
     relaxed = run_report(fix("two_edges").action, scope_mode="model")
-    assert relaxed.to_json()["derived"]["TopFreeTight"]["status"] == \
-        "HoldsOnModel"
+    assert relaxed["derived"]["TopFreeTight"]["status"] == "HoldsOnModel"
+
+
+def report_systems(random_actions, workdir):
+    """(CLI reference, System) for the fixtures, zn_rotation(3..5) and the
+    seeded random pool; each built system is saved under workdir."""
+    out = [(name, load_fixture(name)) for name in FIXTURES]
+    built = [systems.System("zn_rotation_%d" % n, zn_rotation(n))
+             for n in (3, 4, 5)]
+    built += [systems.System("random_%02d" % k, action)
+              for (k, action) in enumerate(random_actions)]
+    for system in built:
+        ref = str(workdir / (system.name + ".json"))
+        systems.save_system(system, ref)
+        out.append((ref, system))
+    return out
+
+
+@pytest.mark.parametrize("scope", ["model", "strict"])
+def test_the_report_is_the_document_the_cli_prints(tmp_path, capsys,
+                                                   random_actions, scope):
+    """run_report returns the document `selfsim report` prints: it reads
+    back from its JSON unchanged, its text form depends only on that JSON,
+    and the CLI prints exactly these two."""
+    for (ref, system) in report_systems(random_actions, tmp_path):
+        doc = run_report(system.action, name=system.name, scope_mode=scope,
+                         notes=system.notes)
+        printed = systems.json_text(doc)
+        assert json.loads(printed) == doc
+        text = cond.report_text(doc)
+        assert cond.report_text(json.loads(printed)) == text
+        for (fmt, expected) in (("json", printed), ("text", text)):
+            code = cli.main(["report", ref, "--scope", scope,
+                             "--format", fmt])
+            assert (code, capsys.readouterr().out) == (0, expected), ref
+
+
+def test_xbar_returns_the_json_the_cli_prints(fix, capsys):
+    """germs.xbar returns what `germ xbar` prints, at the first points of
+    length up to 2 at each vertex of each fixture."""
+    seen = 0
+    for name in FIXTURES:
+        action = fix(name).action
+        for v in action.graph.vertices:
+            for x in boundary_points_from(action.graph, v, 2)[:4]:
+                arg = json.dumps(point_to_json(x))
+                assert cli.main(["germ", name, "xbar", arg]) == 0
+                assert (capsys.readouterr().out
+                        == systems.json_text(germs.xbar(action, x)))
+                seen += 1
+    assert seen >= 15
 
 
 def test_report_reads_each_table_entry_once(monkeypatch):

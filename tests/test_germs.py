@@ -601,7 +601,7 @@ def test_singular_decompositions_pinned_on_four_loop(fix):
     assert [(c.position, c.element) for c in classes] == [(0, "1")]
     data = xbar(action, einf)
     assert data["size"] == 2
-    g = data["germs"][0]
+    g = germs.from_json(action, data["germs"][0])
     out = classify(action, g)
     assert out["kind"] == "isotropy" and out["case"] == "a"
     finf = _pt(graph, [], ["f"])
