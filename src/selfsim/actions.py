@@ -70,12 +70,16 @@ from typing import NamedTuple
 
 from .graphs import (Path, GraphError, UsageError, dot_id, json_name,
                      json_names, path_key)
-from .groupoids import RequiresExplicitError
+from .groupoids import NO_ROW, RequiresExplicitError
 from . import verdicts
 
 
 class ActionError(ValueError):
     pass
+
+
+# the rows of an element with no entry in either table
+NO_ROWS = (NO_ROW, NO_ROW)
 
 
 class SelfSimilarAction:
@@ -84,6 +88,24 @@ class SelfSimilarAction:
         self.groupoid = groupoid
         self.edge_action = dict(edge_action)    # (g, e) -> g·e
         self.restriction = dict(restriction)    # (g, e) -> g|_e
+        self._rows = None                       # rows(), once built
+
+    def rows(self):
+        """Both tables as rows, g -> ({e: g·e}, {e: g|_e}), each row
+        holding exactly the tables' entries for g (an element with entries
+        in one table only gets an empty row for the other).  The scans of
+        validate and twists.validate_twist fetch an element's rows once
+        and read them by edge.  Built on first use and kept, so do not
+        change the tables after that."""
+        if self._rows is None:
+            self._rows = rows = {}
+            for (i, table) in enumerate((self.edge_action, self.restriction)):
+                for ((g, e), x) in table.items():
+                    pair = rows.get(g)
+                    if pair is None:
+                        pair = rows[g] = ({}, {})
+                    pair[i][e] = x
+        return self._rows
 
     @functools.cached_property
     def digraph(self):
@@ -185,19 +207,21 @@ class SelfSimilarAction:
         if problems:
             return problems
 
+        rows = self.rows()
         for g in gpd.elements():
             eg = els[g]
             dom, cod = received(eg.src), received_set[eg.rng]
+            act_g, res_g = rows.get(g, NO_ROWS)
             seen = set()
             for e in dom:
-                img = act[(g, e)]
+                img = act_g[e]
                 if img not in cod:
                     problems.append(
                         "(%r)·%r = %r is not received by rng(%r)" % (g, e, img, g))
                 if img in seen:
                     problems.append("edge action of %r is not injective" % (g,))
                 seen.add(img)
-                r = res[(g, e)]
+                r = res_g[e]
                 er = els.get(r)
                 if er is None:
                     problems.append("restriction (%r)|_%r = %r unknown" % (g, e, r))
@@ -215,11 +239,11 @@ class SelfSimilarAction:
 
         units = {v: gpd.unit_at(v) for v in graph.vertices}
         for v in graph.vertices:
-            u = units[v]
+            act_u, res_u = rows.get(units[v], NO_ROWS)
             for e in received(v):
-                if act[(u, e)] != e:
+                if act_u[e] != e:
                     problems.append("unit at %r moves edge %r" % (v, e))
-                if res[(u, e)] != units[edge_src[e]]:
+                if res_u[e] != units[edge_src[e]]:
                     problems.append("unit at %r restricts to non-unit on %r" % (v, e))
 
         if gpd.kind == "explicit" and not problems:
@@ -231,18 +255,23 @@ class SelfSimilarAction:
         with g in right and h in outer (if given), in sorted (h, g) order
         and then by the name of e, the order of received_by.  Walks
         composable pairs only; the bijection stage has made
-        (h|_{g·e}, g|_e) composable."""
-        gpd, graph = self.groupoid, self.graph
-        els, mul = gpd._elements, gpd._mul
-        act, res, out = self.edge_action, self.restriction, []
-        received = graph.received_names
+        (h|_{g·e}, g|_e) composable.  Each middle's g·e and g|_e are read
+        once, then the rows of h and hg once per pair (h, g)."""
+        gpd, received = self.groupoid, self.graph.received_names
+        els, products, rows = gpd._elements, gpd.product_rows(), self.rows()
+        legs, out = {}, []
+        for g in right:
+            act_g, res_g = rows.get(g, NO_ROWS)
+            legs[g] = [(e, act_g[e], res_g[e]) for e in received(els[g].src)]
         for (h, g, hg) in gpd.composable_pairs(right, outer):
-            for e in received(els[g].src):
-                ge = act[(g, e)]
-                if act[(hg, e)] != act[(h, ge)]:
+            if not legs[g]:
+                continue
+            (act_h, res_h), (act_hg, res_hg) = rows[h], rows[hg]
+            for (e, ge, g_e) in legs[g]:
+                if act_hg[e] != act_h[ge]:
                     out.append(
                         "(hg)·e law fails at (%r, %r, %r)" % (h, g, e))
-                if res[(hg, e)] != mul[(res[(h, ge)], res[(g, e)])]:
+                if res_hg[e] != products[res_h[ge]][g_e]:
                     out.append(
                         "(hg)|_e law fails at (%r, %r, %r)" % (h, g, e))
         return out

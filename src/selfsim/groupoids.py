@@ -25,6 +25,10 @@ from typing import NamedTuple
 from .graphs import first_repeat
 
 
+# the row of a first factor with no entry in its table; never written
+NO_ROW = {}
+
+
 class GroupoidError(ValueError):
     pass
 
@@ -98,6 +102,7 @@ class ExplicitGroupoid(Groupoid):
         self.units = dict(units)          # vertex -> unit element name
         self._mul = dict(mul_table)       # (a, b) -> ab, with src(a) = rng(b)
         self._inv = dict(inv_table)       # a -> a^{-1}
+        self._rows = None                 # product_rows(), once built
         self._generators = None           # generators(), once computed
 
     def unit_at(self, v):
@@ -119,6 +124,22 @@ class ExplicitGroupoid(Groupoid):
         except KeyError:
             raise GroupoidError("product (%r, %r) missing from table" % (a, b))
 
+    def product_rows(self):
+        """The product table as rows, a -> {b: ab}, each row holding exactly
+        the table's entries with first factor a.  The scans of validate,
+        generators and composable_pairs fetch a factor's row once and read
+        it by name.  Built on first use and kept, so do not change the
+        table after that."""
+        if self._rows is None:
+            self._rows = rows = {}
+            for ((a, b), ab) in self._mul.items():
+                row = rows.get(a)
+                if row is None:
+                    rows[a] = {b: ab}
+                else:
+                    row[b] = ab
+        return self._rows
+
     def inv(self, g):
         self._get(g)
         try:
@@ -134,12 +155,12 @@ class ExplicitGroupoid(Groupoid):
         finite groupoid every inverse is a positive power, so S also
         generates G as a groupoid.
 
-        Built on first use and kept.  It reads the product table directly,
-        so call it only once that table is defined exactly on composable
+        Built on first use and kept.  It reads the product rows directly,
+        so call it only once the table is defined exactly on composable
         pairs (validate's table stage), and do not change the tables after.
         """
         if self._generators is None:
-            mul, els = self._mul, self._elements
+            rows, els = self.product_rows(), self._elements
             gens, closed = [], set()
             gens_by_rng = collections.defaultdict(list)
             closed_by_src = collections.defaultdict(list)
@@ -151,14 +172,15 @@ class ExplicitGroupoid(Groupoid):
                 # right by every generator once.
                 gens.append(s)
                 gens_by_rng[els[s].rng].append(s)
-                frontier = [s] + [mul[(x, s)] for x in closed_by_src[els[s].rng]]
+                frontier = [s] + [rows[x][s] for x in closed_by_src[els[s].rng]]
                 while frontier:
                     x = frontier.pop()
                     if x in closed:
                         continue
                     closed.add(x)
                     closed_by_src[els[x].src].append(x)
-                    frontier.extend(mul[(x, t)] for t in gens_by_rng[els[x].src])
+                    row = rows[x]
+                    frontier.extend([row[t] for t in gens_by_rng[els[x].src]])
 
             for v in self.vertices:
                 adjoin(self.units[v])
@@ -218,18 +240,18 @@ class ExplicitGroupoid(Groupoid):
         problems = self._table_problems()
         if problems:
             return problems
-        els, mul, units = self._elements, self._mul, self.units
+        els, rows, units = self._elements, self.product_rows(), self.units
         for g in self.elements():
-            eg = els[g]
+            eg, row = els[g], rows[g]
             u_r, u_s = units[eg.rng], units[eg.src]
-            if mul[(u_r, g)] != g or mul[(g, u_s)] != g:
+            if rows[u_r][g] != g or row[u_s] != g:
                 problems.append("units do not act as identities on %r" % g)
             gi = self._inv.get(g)
             egi = els.get(gi)
             if egi is None:
                 problems.append("missing or unknown inverse for %r" % g)
             elif (egi.src != eg.rng or egi.rng != eg.src
-                  or mul[(gi, g)] != u_s or mul[(g, gi)] != u_r):
+                  or rows[gi][g] != u_s or row[gi] != u_r):
                 problems.append("inverse of %r is wrong" % g)
         problems += ["inverse given for unknown element %r" % g
                      for g in sorted(self._inv.keys() - self._elements.keys())]
@@ -239,14 +261,15 @@ class ExplicitGroupoid(Groupoid):
     def composable_pairs(self, middles, outer=None):
         """(a, b, ab) for every composable a and b with b in middles (and
         a in outer, if given), in elements() order of a and then of b.  It
-        reads the product table directly, so the table must be defined on
+        reads a's product row once, so the table must be defined on
         composable pairs."""
-        els, mul = self._elements, self._mul
+        els, rows = self._elements, self.product_rows()
         mid_by_rng = self.by_range(middles)
         for a in self.elements():
             if outer is None or a in outer:
+                row = rows[a]
                 for b in mid_by_rng[els[a].src]:
-                    yield a, b, mul[(a, b)]
+                    yield a, b, row[b]
 
     def law_failures(self, scan, units_pass):
         """The failures of a law checked by middles, by Light's
@@ -280,17 +303,18 @@ class ExplicitGroupoid(Groupoid):
         pairs finds each missing, unknown or misplaced product and counts
         the products present; the rest of the table, where an entry should
         not exist (its pair does not compose, or names a non-element), is
-        read only when it holds more entries than that."""
+        read only when it holds more entries than that.  The walk reads
+        a's product row, which may be missing or partial."""
         els, mul, found, present = self._elements, self._mul, [], 0
-        by_rng = self.by_range()
+        rows, by_rng = self.product_rows(), self.by_range()
         for a in self.elements():
-            ea = els[a]
+            ea, row = els[a], rows.get(a, NO_ROW)
             for b in by_rng[ea.src]:
-                ab = mul.get((a, b))
+                ab = row.get(b)
                 eab = els.get(ab)
                 if eab is not None and eab.src == els[b].src and eab.rng == ea.rng:
                     present += 1
-                elif (a, b) not in mul:
+                elif b not in row:
                     found.append((a, b, "missing product (%r, %r)" % (a, b)))
                 else:
                     present += 1
@@ -306,12 +330,18 @@ class ExplicitGroupoid(Groupoid):
     def _associativity_failures(self, middles, outer=None):
         """One problem per composable (a, b, c) with b in middles, a and c
         in outer (if given) and (ab)c != a(bc), in sorted order.  Walks
-        composable pairs only."""
-        els, mul, out = self._elements, self._mul, []
+        composable pairs only: each middle's products bc are read once,
+        then the rows of a and ab once per pair (a, b)."""
+        els, rows, out = self._elements, self.product_rows(), []
         by_rng = self.by_range(outer)
+        tails = {}
+        for b in middles:
+            row = rows[b]
+            tails[b] = [(c, row[c]) for c in by_rng[els[b].src]]
         for (a, b, ab) in self.composable_pairs(middles, outer):
-            for c in by_rng[els[b].src]:
-                if mul[(ab, c)] != mul[(a, mul[(b, c)])]:
+            row_a, row_ab = rows[a], rows[ab]
+            for (c, bc) in tails[b]:
+                if row_ab[c] != row_a[bc]:
                     out.append("associativity fails on (%r, %r, %r)" % (a, b, c))
         return out
 

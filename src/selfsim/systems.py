@@ -183,10 +183,8 @@ def system_from_json(data):
         if "twist" in data:
             tw = data["twist"]
             try:
-                sigma = {key: tw.get(key, []) for key in ("sigma_G", "sigma_bowtie")}
-                for (key, rows) in sigma.items():
-                    _table(rows, repr(key))
-                twist = Twist(action, *sigma.values())
+                twist = Twist(action, *[_table(tw.get(key, []), repr(key))
+                                        for key in ("sigma_G", "sigma_bowtie")])
             except (TwistError, GraphError, GroupoidError) as exc:
                 problems.append("twist: %s" % (exc,))
         section = "top-level"

@@ -14,11 +14,14 @@ so it is an int mod scale, exact; Twist.fraction(k) gives the Fraction
 back for printing.
 """
 
+import collections
 import math
 from fractions import Fraction
 
 from . import semigroup as sg
+from .actions import NO_ROWS
 from .graphs import Path, is_prefix
+from .groupoids import NO_ROW
 
 
 class TwistError(ValueError):
@@ -37,33 +40,53 @@ def phase_str(a):
     return "%d/%d" % (a.numerator, a.denominator)
 
 
+def _pairs(entries):
+    """((first, second), value) for each entry of a table given as a dict
+    (first, second) -> value or as (first, second, value) rows."""
+    if isinstance(entries, dict):
+        return entries.items()
+    return (((a, b), v) for (a, b, v) in entries)
+
+
+def _scaled(table, scale):
+    """(the table with each phase as an int mod scale, its rows
+    first -> {second: phase}), in one pass."""
+    flat, rows = {}, collections.defaultdict(dict)
+    for ((a, b), f) in table.items():
+        flat[(a, b)] = rows[a][b] = f.numerator * (scale // f.denominator)
+    return flat, dict(rows)
+
+
 class Twist:
     """Sparse table of group phases sigma_G(g,h) and edge phases
     sigma_bowtie(g,e); missing entries are the identity phase.  Phases are
-    ints mod `scale` (1 for the trivial twist)."""
+    ints mod `scale` (1 for the trivial twist).  Each table is kept flat,
+    keyed by pair, and as rows g -> {h: sigma_G(g, h)} and
+    g -> {e: sigma_bowtie(g, e)}, which validate_twist reads; an element
+    without entries has no row."""
 
     def __init__(self, action, group_entries=(), edge_entries=()):
+        """Each table is a dict (first, second) -> phase, as the loader
+        checks it, or (first, second, phase) rows."""
         gpd = action.groupoid
         if gpd.kind != "explicit":
             raise TwistError("twists need products; the backend is behavioral")
         self.action = action
         group, edge = {}, {}
-        for (g, h, val) in group_entries:
+        for ((g, h), val) in _pairs(group_entries):
             if gpd.src(g) != gpd.rng(h):
                 raise TwistError("group entry (%r, %r) is not composable"
                                  % (g, h))
             group[(g, h)] = phase(val)
-        for (g, e, val) in edge_entries:
+        for ((g, e), val) in _pairs(edge_entries):
             if gpd.src(g) != action.graph.edge(e).rng:
                 raise TwistError("edge entry (%r, %r): the element does not "
                                  "act on the edge" % (g, e))
             edge[(g, e)] = phase(val)
         self.scale = scale = math.lcm(
             *(f.denominator for f in (*group.values(), *edge.values())))
-        self._group = {k: f.numerator * (scale // f.denominator)
-                       for (k, f) in group.items()}
-        self._edge = {k: f.numerator * (scale // f.denominator)
-                      for (k, f) in edge.items()}
+        self._group, self._group_rows = _scaled(group, scale)
+        self._edge, self._edge_rows = _scaled(edge, scale)
 
     def fraction(self, k):
         """The phase k/scale as a Fraction mod 1, for printing."""
@@ -109,7 +132,9 @@ def validate_twist(twist):
     problem), as it is in validate_system and `selfsim twist validate`.
     Both identities are checked at middles h through the groupoid's
     law_failures, with the units passing once both normalization scans
-    are clean.  The action is valid, so its tables are read directly.
+    are clean.  The action is valid, so its tables are read directly, as
+    rows: each middle's entries once, then the rows of the outer factors
+    once per pair.
 
     The group cocycle identity at (g, h, k) says that (u_g u_h) u_k =
     u_g (u_h u_k) in the twisted groupoid algebra, whose basis elements
@@ -139,38 +164,54 @@ def validate_twist(twist):
     """
     action = twist.action
     gpd, graph = action.groupoid, action.graph
-    group, edge, scale = twist.group, twist.edge, twist.scale
-    els, mul, units = gpd._elements, gpd._mul, gpd.units
-    act, res = action.edge_action, action.restriction
+    group, edge, scale = twist._group_rows, twist._edge_rows, twist.scale
+    els, products, units = gpd._elements, gpd.product_rows(), gpd.units
+    rows = action.rows()
     elements = gpd.elements()
     received = graph.received_names
     normal = []
     for g in elements:
-        if group(units[els[g].rng], g) or group(g, units[els[g].src]):
+        if (group.get(units[els[g].rng], NO_ROW).get(g, 0)
+                or group.get(g, NO_ROW).get(units[els[g].src], 0)):
             normal.append("group cocycle is not normalized at %r" % (g,))
     unit_edges = []
     for e in graph.edges:
-        if edge(units[e.rng], e.name):
+        if edge.get(units[e.rng], NO_ROW).get(e.name, 0):
             unit_edges.append("edge phase at the unit is not 1 on %r"
                               % (e.name,))
 
+    # s_xy is the phase at (x, y), and xy the product or image there
     def identity(middles, outer=None):
-        bad, by_rng = [], gpd.by_range(outer)
+        bad, by_rng, tails = [], gpd.by_range(outer), {}
+        for h in middles:
+            mul_h, group_h = products[h], group.get(h, NO_ROW)
+            tails[h] = [(k, mul_h[k], group_h.get(k, 0))
+                        for k in by_rng[els[h].src]]
         for (g, h, gh) in gpd.composable_pairs(middles, outer):
-            for k in by_rng[els[h].src]:
-                if (group(g, h) + group(gh, k) - group(h, k)
-                        - group(g, mul[(h, k)])) % scale:
+            group_g, group_gh = group.get(g, NO_ROW), group.get(gh, NO_ROW)
+            s_gh = group_g.get(h, 0)
+            for (k, hk, s_hk) in tails[h]:
+                if (s_gh + group_gh.get(k, 0) - s_hk
+                        - group_g.get(hk, 0)) % scale:
                     bad.append("group cocycle identity fails at "
                                "(%r, %r, %r)" % (g, h, k))
         return bad
 
     def compatibility(middles, outer=None):
-        bad = []
+        bad, legs = [], {}
+        for h in middles:
+            (act_h, res_h), edge_h = rows.get(h, NO_ROWS), edge.get(h, NO_ROW)
+            legs[h] = [(e, act_h[e], res_h[e], edge_h.get(e, 0))
+                       for e in received(els[h].src)]
         for (g, h, gh) in gpd.composable_pairs(middles, outer):
-            for e in received(els[h].src):
-                he = act[(h, e)]
-                lhs = edge(h, e) - edge(gh, e) + edge(g, he)
-                rhs = group(g, h) - group(res[(g, he)], res[(h, e)])
+            if not legs[h]:
+                continue
+            res_g = rows[g][1]
+            edge_g, edge_gh = edge.get(g, NO_ROW), edge.get(gh, NO_ROW)
+            s_gh = group.get(g, NO_ROW).get(h, 0)
+            for (e, he, h_e, s_he) in legs[h]:
+                lhs = s_he - edge_gh.get(e, 0) + edge_g.get(he, 0)
+                rhs = s_gh - group.get(res_g[he], NO_ROW).get(h_e, 0)
                 if (lhs - rhs) % scale:
                     bad.append("edge compatibility fails at "
                                "(%r, %r, %r)" % (g, h, e))

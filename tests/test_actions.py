@@ -1043,9 +1043,31 @@ class _CountingTable(dict):
         return dict.get(self, key, default)
 
 
+def counting_rows(index, keys=()):
+    """A copy of a row index, first -> row or first -> (row, row), with
+    each row a _CountingTable; each of keys gets empty rows if it has
+    none, so that no read falls back to a shared empty row."""
+    shape = next(iter(index.values()))
+    empty = ({}, {}) if isinstance(shape, tuple) else {}
+    out = {}
+    for k in {**index, **dict.fromkeys(keys)}:
+        rows = index.get(k, empty)
+        out[k] = (tuple(map(_CountingTable, rows)) if isinstance(rows, tuple)
+                  else _CountingTable(rows))
+    return out
+
+
+def row_reads(index, part=None):
+    """The reads counted on a counting_rows copy; part picks one row of
+    each pair."""
+    return sum((rows if part is None else rows[part]).reads
+               for rows in index.values())
+
+
 def test_validate_makes_subcubic_products(monkeypatch):
     """zn_rotation(32), |G| = |E| = 32: the literal validators make about
-    |G|²·|E| products through mul and 3·|G|³ reads of the product table."""
+    |G|²·|E| products through mul and 3·|G|³ reads of the product table.
+    validate reads the product rows fewer than |G|³/2 times."""
     action = zn_rotation(32)
     n = 32
     calls = collections.Counter()
@@ -1056,31 +1078,79 @@ def test_validate_makes_subcubic_products(monkeypatch):
         return real_mul(self, a, b)
 
     monkeypatch.setattr(ExplicitGroupoid, "mul", counting_mul)
-    action.groupoid._mul = _CountingTable(action.groupoid._mul)
+    gpd = action.groupoid
+    gpd._rows = counting_rows(gpd.product_rows())
     assert action.validate() == []
     assert calls["mul"] < n * n * n // 4
-    assert action.groupoid._mul.reads < n * n * n // 2
+    assert 0 < row_reads(gpd._rows) < n * n * n // 2
 
 
 def test_the_reduced_law_scans_take_no_unit_outer_factor():
     """zn_rotation(32), |G| = |E| = n = 32, whose one non-unit generator
     is c1.  The reduced associativity scan visits (a, c1, c) for the
-    n - 1 non-units a and c only: composable_pairs reads the product
-    table once per pair and the scan three times per triple, so it makes
-    (n - 1) + 3·(n - 1)² reads.  The reduced action-law scan visits
-    (h, c1, e) for the n - 1 non-units h and every edge e, reading the
-    edge action three times per triple."""
+    n - 1 non-units a and c only.  composable_pairs reads a·c1 from a's
+    row once per pair, the scan reads c1·c from c1's row once per c, and
+    then (a·c1)·c and a·(c1·c) once per triple: (n - 1) + (n - 1) +
+    2·(n - 1)² = 2·n·(n - 1) reads of the product rows, where a read of
+    c1·c per triple made it (n - 1) + 3·(n - 1)².  The reduced action-law
+    scan visits (h, c1, e) for the n - 1 non-units h and every edge e.
+    It reads c1·e and c1|_e once per edge, then (hc1)·e, h·(c1·e),
+    (hc1)|_e and h|_{c1·e} once per triple: n + 2·(n - 1)·n reads of the
+    edge-action rows, where a read of c1·e per triple made it
+    3·(n - 1)·n, and as many of the restriction rows.  Its products are
+    h·c1 per pair and h|_{c1·e}·c1|_e per triple, (n - 1)·(n + 1) reads
+    of the product rows."""
     n = 32
     action = zn_rotation(n)
     gpd = action.groupoid
     assert action.validate() == []
     assert gpd.generators() == ("c0", "c1")
-    gpd._mul = _CountingTable(gpd._mul)
+    gpd._rows = counting_rows(gpd.product_rows())
     assert gpd.law_failures(gpd._associativity_failures, True) == []
-    assert gpd._mul.reads == (n - 1) + 3 * (n - 1) ** 2
-    action.edge_action = _CountingTable(action.edge_action)
+    assert row_reads(gpd._rows) == 2 * n * (n - 1)
+    gpd._rows = counting_rows(gpd.product_rows())
+    action._rows = counting_rows(action.rows())
     assert gpd.law_failures(action._law_failures, True) == []
-    assert action.edge_action.reads == 3 * (n - 1) * n
+    assert row_reads(action._rows, 0) == n + 2 * (n - 1) * n
+    assert row_reads(action._rows, 1) == n + 2 * (n - 1) * n
+    assert row_reads(gpd._rows) == (n - 1) * (n + 1)
+
+
+def flat(index, part=None):
+    """The flat table (first, second) -> value a row index holds."""
+    return {(k, key): value for (k, rows) in index.items()
+            for (key, value) in (rows if part is None else rows[part]).items()}
+
+
+def test_each_row_index_holds_exactly_its_table(fix, random_actions,
+                                                wide_random_actions):
+    """The product rows, and the edge-action and restriction rows, hold
+    exactly the entries of their flat tables, before validate and after
+    it: on the fixtures, zn_rotation(3..6), the sampled actions and every
+    single-entry corruption of them, whose extra keys such as
+    ("zz", "zz") name no element.  The table stage still reports those
+    as entries that should not exist."""
+    pool = [fix(name).action for name in FIXTURES]
+    pool += [zn_rotation(n) for n in range(3, 7)] + list(random_actions)
+    pool += [a for a in wide_random_actions if a.groupoid.kind == "explicit"]
+    cases = 0
+    for base in pool:
+        for action in [base] + [a for (*_, a) in single_entry_corruptions(base)]:
+            gpd = action.groupoid
+            for _ in range(2):
+                rows = action.rows()
+                assert flat(rows, 0) == action.edge_action
+                assert flat(rows, 1) == action.restriction
+                if gpd.kind == "explicit":
+                    assert flat(gpd.product_rows()) == gpd._mul
+                problems = action.validate()
+            if ("zz", "zz") in getattr(gpd, "_mul", ()):
+                assert gpd.product_rows()["zz"] == {"zz": gpd.elements()[0]}
+                assert ("groupoid: product ('zz', 'zz') should not exist"
+                        in problems)
+                cases += 1
+    assert cases == len(pool) - len(FIXTURES) + len(EXPLICIT_FIXTURES)
+    assert act.NO_ROWS == ({}, {})
 
 
 def test_validate_calls_no_checked_accessor_per_entry(monkeypatch):

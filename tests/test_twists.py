@@ -25,7 +25,8 @@ from selfsim.twists import (
     verify_omega_cocycle,
 )
 
-from conftest import random_action, transformation_action, zn_rotation
+from conftest import (EXPLICIT_FIXTURES, FIXTURES, random_action,
+                      transformation_action, zn_rotation)
 
 
 # ---------------------------------------------------------------------------
@@ -580,32 +581,132 @@ def test_validate_twist_on_generators_matches_the_literal_scan():
     assert validate_twist(bad) == expected
 
 
-def test_validate_twist_reads_subcubic_entries(monkeypatch):
-    """A valid coboundary twist on zn_rotation(32), |G| = |E| = 32, whose
-    non-unit generator is c1: the literal scan reads sigma_G 4·|G|³ +
-    2·|G|²·|E| times and sigma_bowtie 3·|G|²·|E| times.  With c1 as the
-    middle and the |G| - 1 non-units as outer factors, it reads sigma_G
-    2·|G| times to check normalization, 4·(|G| - 1)² times for the
-    identity (g and k outer) and 2·(|G| - 1)·|E| times for compatibility
-    (g outer), and sigma_bowtie |E| + 3·(|G| - 1)·|E| times."""
+def test_validate_twist_reads_subcubic_entries():
+    """A valid coboundary twist on zn_rotation(32), |G| = |E| = n = 32,
+    whose non-unit generator is c1: the literal scan reads sigma_G
+    4·n³ + 2·n³ times and sigma_bowtie 3·n³ times.  With c1 as the middle
+    and the n - 1 non-units as outer factors, validate_twist reads the
+    phase rows as follows.
+      - Normalization: sigma_G 2·n times, and sigma_bowtie at the unit
+        once per edge, n times.
+      - The identity at (g, c1, k), g and k outer: sigma_G(c1, k) once
+        per k, sigma_G(g, c1) once per pair, sigma_G(gc1, k) and
+        sigma_G(g, c1k) once per triple, 2·(n - 1) + 2·(n - 1)² =
+        2·n·(n - 1) reads of sigma_G, where reading all four per triple
+        made it 4·(n - 1)².
+      - Compatibility at (g, c1, e), g outer: sigma_bowtie(c1, e) once per
+        edge, sigma_G(g, c1) once per pair, then sigma_bowtie(gc1, e),
+        sigma_bowtie(g, c1·e) and sigma_G(g|_{c1·e}, c1|_e) once per
+        triple: n + 2·(n - 1)·n reads of sigma_bowtie, where three per
+        triple made it 3·(n - 1)·n, and (n - 1) + (n - 1)·n of sigma_G,
+        where two per triple made it 2·(n - 1)·n.
+    In all sigma_G is read 2·n + 2·n·(n - 1) + (n - 1)·(n + 1) =
+    3·n² - 1 times and sigma_bowtie 2·n² times."""
+    from test_actions import counting_rows, row_reads
+
     n = 32
     tw = coboundary_twist(zn_rotation(n), random.Random(32))
-    reads = collections.Counter()
-    real_group, real_edge = Twist.group, Twist.edge
-
-    def counting_group(self, g, h):
-        reads["group"] += 1
-        return real_group(self, g, h)
-
-    def counting_edge(self, g, e):
-        reads["edge"] += 1
-        return real_edge(self, g, e)
-
-    monkeypatch.setattr(Twist, "group", counting_group)
-    monkeypatch.setattr(Twist, "edge", counting_edge)
+    elements = tw.action.groupoid.elements()
+    tw._group_rows = counting_rows(tw._group_rows, elements)
+    tw._edge_rows = counting_rows(tw._edge_rows, elements)
     assert validate_twist(tw) == []
-    assert reads == {"group": 2 * n + 4 * (n - 1) ** 2 + 2 * n * (n - 1),
-                     "edge": n + 3 * n * (n - 1)}
+    assert row_reads(tw._group_rows) == 3 * n * n - 1
+    assert row_reads(tw._edge_rows) == 2 * n * n
+
+
+def phase_rows(tw):
+    """The twist's two phase tables as row indexes, read back from the
+    flat tables."""
+    out = ({}, {})
+    for (rows, table) in zip(out, (tw._group, tw._edge)):
+        for ((g, x), k) in table.items():
+            rows.setdefault(g, {})[x] = k
+    return out
+
+
+def test_the_phase_rows_hold_exactly_the_tables():
+    """Each twist's rows hold exactly the entries of its flat tables, and
+    validate_twist leaves them so: the fixtures' twists, the Klein
+    bicharacter, and trivial, random and coboundary twists of the
+    fixtures and zn_rotation(3..6).  A twist handed its tables as dicts,
+    as the loader hands them, equals the twist handed them as rows."""
+    rng = random.Random(35)
+    cases = [klein_bicharacter_twist()]
+    for action in [load_fixture(name).action for name in EXPLICIT_FIXTURES] \
+            + [zn_rotation(n) for n in range(3, 7)]:
+        cases += [Twist(action), random_twist(action, rng),
+                  coboundary_twist(action, rng)]
+    cases += [load_fixture(name).twist for name in FIXTURES
+              if load_fixture(name).twist is not None]
+    for tw in cases:
+        for _ in range(2):
+            assert (tw._group_rows, tw._edge_rows) == phase_rows(tw)
+            validate_twist(tw)
+        group, edge = ({k: phase_str(tw.fraction(v)) for (k, v) in t.items()}
+                       for t in (tw._group, tw._edge))
+        handed = Twist(tw.action, group, edge)
+        assert (handed._group, handed._edge, handed.scale) == \
+            (tw._group, tw._edge, tw.scale)
+        assert (handed._group_rows, handed._edge_rows) == phase_rows(tw)
+
+
+class _RowsOnly(dict):
+    """A flat table whose entries cannot be read one at a time; iterating
+    it, its len and `in` still work."""
+
+    def __getitem__(self, key):
+        raise AssertionError("a flat table entry was read: %r" % (key,))
+
+    def get(self, key, default=None):
+        raise AssertionError("a flat table entry was read: %r" % (key,))
+
+
+def test_the_validation_scans_read_only_rows():
+    """Once the row indexes are built, validate_system and validate_twist
+    read no entry of the flat tables one at a time: with the product,
+    edge-action, restriction and phase tables refusing item reads, each
+    gives the problems it gives on an untouched copy.  The inputs are the
+    fixtures, the Klein bicharacter, coboundary twists of the fixtures and
+    zn_rotation(3..5), and each of those twists with one phase moved."""
+    def systems_and_twists():
+        rng = random.Random(3535)
+        for name in FIXTURES:
+            yield load_fixture(name), None
+        actions = [load_fixture(name).action for name in EXPLICIT_FIXTURES]
+        actions += [zn_rotation(n) for n in range(3, 6)]
+        twists_ = [klein_bicharacter_twist()]
+        twists_ += [coboundary_twist(action, rng) for action in actions]
+        for tw in twists_:
+            group, edge = table_fractions(tw)
+            key = sorted(edge)[0]
+            edge[key] = (edge[key] + Fraction(1, 3)) % 1
+            moved = Twist(tw.action, group, edge)
+            yield None, tw
+            yield None, moved
+
+    def check(system, tw):
+        if system is not None:
+            return validate_system(system)
+        return validate_twist(tw)
+
+    found = 0
+    for (system, tw) in systems_and_twists():
+        expected = check(system, tw)
+        found += bool(expected)
+        twist = tw if system is None else system.twist
+        action = (system or twist).action
+        gpd = action.groupoid
+        action.rows()
+        action.edge_action = _RowsOnly(action.edge_action)
+        action.restriction = _RowsOnly(action.restriction)
+        if gpd.kind == "explicit":
+            gpd.product_rows()
+            gpd._mul = _RowsOnly(gpd._mul)
+        if twist is not None:
+            twist._group = _RowsOnly(twist._group)
+            twist._edge = _RowsOnly(twist._edge)
+        assert check(system, tw) == expected
+    assert found >= 5
 
 
 # ---------------------------------------------------------------------------
