@@ -65,12 +65,13 @@ state is assumed to describe the behavior of at least one actual element.
 """
 
 import collections
+import collections.abc
 import functools
 from typing import NamedTuple
 
 from .graphs import (Path, GraphError, UsageError, dot_id, json_name,
                      json_names, path_key)
-from .groupoids import NO_ROW, RequiresExplicitError
+from .groupoids import NO_ROW, RequiresExplicitError, _rows
 from . import verdicts
 
 
@@ -78,39 +79,40 @@ class ActionError(ValueError):
     pass
 
 
-# the rows of an element with no entry in either table
-NO_ROWS = (NO_ROW, NO_ROW)
+class _PairView(collections.abc.Mapping):
+    """A read-only (g, e) -> value view of rows g -> {e: value}."""
+
+    def __init__(self, rows):
+        self._rows = rows
+
+    def __getitem__(self, key):
+        g, e = key
+        return self._rows[g][e]
+
+    def __iter__(self):
+        return ((g, e) for (g, row) in self._rows.items() for e in row)
+
+    def __len__(self):
+        return sum(map(len, self._rows.values()))
 
 
 class SelfSimilarAction:
+    """An action given by its edge action and restriction tables, each
+    stored once, as rows g -> {e: g·e} and g -> {e: g|_e}, built here from
+    the rows, dict or triples given; edge_action and restriction view them."""
+
     def __init__(self, graph, groupoid, edge_action, restriction):
         self.graph = graph
         self.groupoid = groupoid
-        self.edge_action = dict(edge_action)    # (g, e) -> g·e
-        self.restriction = dict(restriction)    # (g, e) -> g|_e
-        self._rows = None                       # rows(), once built
+        self._act_rows = _rows(edge_action)     # g -> {e: g·e}
+        self._res_rows = _rows(restriction)     # g -> {e: g|_e}
 
-    def rows(self):
-        """Both tables as rows, g -> ({e: g·e}, {e: g|_e}), each row
-        holding exactly the tables' entries for g (an element with entries
-        in one table only gets an empty row for the other).  The scans of
-        validate and twists.validate_twist fetch an element's rows once
-        and read them by edge.  Built on first use and kept, so do not
-        change the tables after that."""
-        if self._rows is None:
-            self._rows = rows = {}
-            for (i, table) in enumerate((self.edge_action, self.restriction)):
-                for ((g, e), x) in table.items():
-                    pair = rows.get(g)
-                    if pair is None:
-                        pair = rows[g] = ({}, {})
-                    pair[i][e] = x
-        return self._rows
+    edge_action = property(lambda self: _PairView(self._act_rows))
+    restriction = property(lambda self: _PairView(self._res_rows))
 
     @functools.cached_property
     def digraph(self):
-        """The restriction digraph, built from the tables on first use and
-        kept: the tables must not change after that."""
+        """The restriction digraph, built on first use and kept."""
         return RestrictionDigraph(self)
 
     @functools.cached_property
@@ -124,7 +126,7 @@ class SelfSimilarAction:
         if self.groupoid.src(g) != self.graph.edge(e).rng:
             raise ActionError("element %r cannot act on edge %r" % (g, e))
         try:
-            return self.edge_action[(g, e)]
+            return self._act_rows[g][e]
         except KeyError:
             raise ActionError("edge action missing for (%r, %r)" % (g, e))
 
@@ -132,7 +134,7 @@ class SelfSimilarAction:
         if self.groupoid.src(g) != self.graph.edge(e).rng:
             raise ActionError("element %r cannot restrict along edge %r" % (g, e))
         try:
-            return self.restriction[(g, e)]
+            return self._res_rows[g][e]
         except KeyError:
             raise ActionError("restriction missing for (%r, %r)" % (g, e))
 
@@ -185,33 +187,36 @@ class SelfSimilarAction:
             return problems
 
         # The records are checked: the stages below read them directly.
-        els, act, res = gpd._elements, self.edge_action, self.restriction
+        els, act, res = gpd._elements, self._act_rows, self._res_rows
         received = graph.received_names
         received_set = {v: set(received(v)) for v in graph.vertices}
         edge_src = {e.name: e.src for e in graph.edges}
-        composable = {(g, e) for (g, eg) in els.items()
-                      for e in received(eg.src)}
-        for key in act:
-            if key not in composable:
-                problems.append("edge action on non-composable pair %r" % (key,))
-        for key in res:
-            if key not in composable:
-                problems.append("restriction on non-composable pair %r" % (key,))
-        # Without an extra key, a table as large as composable has its keys.
-        if problems or not len(act) == len(res) == len(composable):
-            for key in sorted(composable):
-                if key not in act:
-                    problems.append("missing edge action for %r" % (key,))
-                if key not in res:
-                    problems.append("missing restriction for %r" % (key,))
+        composable = {g: received_set[eg.src] for (g, eg) in els.items()}
+        for (rows, what) in ((act, "edge action"), (res, "restriction")):
+            extra = []
+            for (g, row) in rows.items():
+                edges = composable.get(g, ())
+                for e in row:
+                    if e not in edges:
+                        extra.append((g, e))
+            problems += ["%s on non-composable pair %r" % (what, key)
+                         for key in sorted(extra)]
+        for g in gpd.elements():
+            act_g, res_g = act.get(g, NO_ROW), res.get(g, NO_ROW)
+            # with no extra key, rows as large as composable[g] hold it all
+            if problems or not len(act_g) == len(res_g) == len(composable[g]):
+                for e in received(els[g].src):
+                    if e not in act_g:
+                        problems.append("missing edge action for %r" % ((g, e),))
+                    if e not in res_g:
+                        problems.append("missing restriction for %r" % ((g, e),))
         if problems:
             return problems
 
-        rows = self.rows()
         for g in gpd.elements():
             eg = els[g]
             dom, cod = received(eg.src), received_set[eg.rng]
-            act_g, res_g = rows.get(g, NO_ROWS)
+            act_g, res_g = act.get(g, NO_ROW), res.get(g, NO_ROW)
             seen = set()
             for e in dom:
                 img = act_g[e]
@@ -239,7 +244,7 @@ class SelfSimilarAction:
 
         units = {v: gpd.unit_at(v) for v in graph.vertices}
         for v in graph.vertices:
-            act_u, res_u = rows.get(units[v], NO_ROWS)
+            act_u, res_u = act.get(units[v], NO_ROW), res.get(units[v], NO_ROW)
             for e in received(v):
                 if act_u[e] != e:
                     problems.append("unit at %r moves edge %r" % (v, e))
@@ -258,15 +263,16 @@ class SelfSimilarAction:
         (h|_{g·e}, g|_e) composable.  Each middle's g·e and g|_e are read
         once, then the rows of h and hg once per pair (h, g)."""
         gpd, received = self.groupoid, self.graph.received_names
-        els, products, rows = gpd._elements, gpd.product_rows(), self.rows()
+        els, products = gpd._elements, gpd._mul_rows
+        act, res = self._act_rows, self._res_rows
         legs, out = {}, []
         for g in right:
-            act_g, res_g = rows.get(g, NO_ROWS)
+            act_g, res_g = act.get(g, NO_ROW), res.get(g, NO_ROW)
             legs[g] = [(e, act_g[e], res_g[e]) for e in received(els[g].src)]
         for (h, g, hg) in gpd.composable_pairs(right, outer):
             if not legs[g]:
                 continue
-            (act_h, res_h), (act_hg, res_hg) = rows[h], rows[hg]
+            act_h, res_h, act_hg, res_hg = act[h], res[h], act[hg], res[hg]
             for (e, ge, g_e) in legs[g]:
                 if act_hg[e] != act_h[ge]:
                     out.append(
@@ -504,7 +510,7 @@ class RestrictionDigraph:
     arrows[g] lists every arrow out of g and fixed[g] the fixed ones
     (g·e = e), both by edge name, the order of received_by; movers are
     the elements with an arrow that is not fixed.  Each table entry is
-    read once, here, straight from the tables: every e that src(g)
+    read once, here, straight from g's rows: every e that src(g)
     receives composes with g, so act_edge's guard has nothing to check.
     The derived sets are computed on first use.  The tables are not
     assumed valid: an element whose source is not a vertex raises
@@ -514,16 +520,16 @@ class RestrictionDigraph:
 
     def __init__(self, action):
         gpd, graph = action.groupoid, action.graph
-        members, moves, restricts = (gpd._elements, action.edge_action,
-                                     action.restriction)
+        members, moves, restricts = gpd._elements, action._act_rows, action._res_rows
         self.arrows, self.fixed, self.movers, self.units = {}, {}, set(), set()
         for g in gpd.elements():
             if gpd.is_unit(g):
                 self.units.add(g)
             outs, fixed = [], []
+            moves_g, restricts_g = moves.get(g, NO_ROW), restricts.get(g, NO_ROW)
             for e in graph.received_names(members[g].src):
                 try:
-                    h = restricts[(g, e)]
+                    h = restricts_g[e]
                 except KeyError:
                     raise ActionError("restriction missing for (%r, %r)"
                                       % (g, e))
@@ -531,7 +537,7 @@ class RestrictionDigraph:
                     raise ActionError("restriction (%r)|_%r = %r is not an "
                                       "element" % (g, e, h))
                 try:
-                    moved = moves[(g, e)]
+                    moved = moves_g[e]
                 except KeyError:
                     raise ActionError("edge action missing for (%r, %r)"
                                       % (g, e))

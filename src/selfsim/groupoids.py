@@ -29,6 +29,29 @@ from .graphs import first_repeat
 NO_ROW = {}
 
 
+def _rows(table):
+    """A table as rows, first -> {second: value}: rows (a dict of dicts)
+    as given, or a dict (first, second) -> value or (first, second, value)
+    triples grouped by first, in order, the last value of a key kept."""
+    if isinstance(table, dict):
+        if not table or isinstance(next(iter(table.values())), dict):
+            return table
+        table = [(a, b, v) for ((a, b), v) in table.items()]
+    rows = {}
+    for (a, b, v) in table:
+        row = rows.get(a)
+        if row is None:
+            rows[a] = {b: v}
+        else:
+            row[b] = v
+    return rows
+
+
+def _entries(rows):
+    """[first, second, value] per entry, in the writers' sorted order."""
+    return [[a, b, v] for a in sorted(rows) for (b, v) in sorted(rows[a].items())]
+
+
 class GroupoidError(ValueError):
     pass
 
@@ -93,17 +116,23 @@ class Groupoid:
 
 
 class ExplicitGroupoid(Groupoid):
+    """A groupoid given by its element records and tables.  The product
+    table is stored once, as rows a -> {b: ab}, built here from the rows,
+    dict or triples given, and mul, validate and every scan read them."""
+
     kind = "explicit"
     # the full groupoid is known, so every capability flag holds
     unit_reflecting = element_complete = orbit_complete = True
 
     def __init__(self, vertices, elements, units, mul_table, inv_table):
         super().__init__(vertices, elements)
-        self.units = dict(units)          # vertex -> unit element name
-        self._mul = dict(mul_table)       # (a, b) -> ab, with src(a) = rng(b)
-        self._inv = dict(inv_table)       # a -> a^{-1}
-        self._rows = None                 # product_rows(), once built
-        self._generators = None           # generators(), once computed
+        self.units = dict(units)            # vertex -> unit element name
+        self._mul_rows = _rows(mul_table)   # a -> {b: ab}, src(a) = rng(b)
+        self._inv = dict(inv_table)         # a -> a^{-1}
+        self._generators = None             # generators(), once computed
+        self._by_range = {v: [] for v in self.vertices}     # by_range()
+        for g in self._sorted:
+            self._by_range.setdefault(self._elements[g].rng, []).append(g)
 
     def unit_at(self, v):
         try:
@@ -120,25 +149,9 @@ class ExplicitGroupoid(Groupoid):
         if self.src(a) != self.rng(b):
             raise GroupoidError("elements %r and %r do not compose" % (a, b))
         try:
-            return self._mul[(a, b)]
+            return self._mul_rows[a][b]
         except KeyError:
             raise GroupoidError("product (%r, %r) missing from table" % (a, b))
-
-    def product_rows(self):
-        """The product table as rows, a -> {b: ab}, each row holding exactly
-        the table's entries with first factor a.  The scans of validate,
-        generators and composable_pairs fetch a factor's row once and read
-        it by name.  Built on first use and kept, so do not change the
-        table after that."""
-        if self._rows is None:
-            self._rows = rows = {}
-            for ((a, b), ab) in self._mul.items():
-                row = rows.get(a)
-                if row is None:
-                    rows[a] = {b: ab}
-                else:
-                    row[b] = ab
-        return self._rows
 
     def inv(self, g):
         self._get(g)
@@ -157,10 +170,10 @@ class ExplicitGroupoid(Groupoid):
 
         Built on first use and kept.  It reads the product rows directly,
         so call it only once the table is defined exactly on composable
-        pairs (validate's table stage), and do not change the tables after.
+        pairs (validate's table stage).
         """
         if self._generators is None:
-            rows, els = self.product_rows(), self._elements
+            rows, els = self._mul_rows, self._elements
             gens, closed = [], set()
             gens_by_rng = collections.defaultdict(list)
             closed_by_src = collections.defaultdict(list)
@@ -191,15 +204,12 @@ class ExplicitGroupoid(Groupoid):
         return self._generators
 
     def by_range(self, keep=None):
-        """range -> the elements with that range (those in keep, if
-        given), in elements() order; [] at a range no element has.  It
-        reads only the element records, so it also serves tables that were
-        never validated."""
-        out = collections.defaultdict(list)
-        for g in self.elements():
-            if keep is None or g in keep:
-                out[self._elements[g].rng].append(g)
-        return out
+        """range -> its elements (those in keep, if given) in elements()
+        order, at every vertex and range: built once, not to be changed."""
+        if keep is None:
+            return self._by_range
+        return {r: [g for g in gs if g in keep]
+                for (r, gs) in self._by_range.items()}
 
     def validate(self):
         """Problems with the tables, as strings; empty when they define a
@@ -240,7 +250,7 @@ class ExplicitGroupoid(Groupoid):
         problems = self._table_problems()
         if problems:
             return problems
-        els, rows, units = self._elements, self.product_rows(), self.units
+        els, rows, units = self._elements, self._mul_rows, self.units
         for g in self.elements():
             eg, row = els[g], rows[g]
             u_r, u_s = units[eg.rng], units[eg.src]
@@ -263,7 +273,7 @@ class ExplicitGroupoid(Groupoid):
         a in outer, if given), in elements() order of a and then of b.  It
         reads a's product row once, so the table must be defined on
         composable pairs."""
-        els, rows = self._elements, self.product_rows()
+        els, rows = self._elements, self._mul_rows
         mid_by_rng = self.by_range(middles)
         for a in self.elements():
             if outer is None or a in outer:
@@ -305,8 +315,8 @@ class ExplicitGroupoid(Groupoid):
         not exist (its pair does not compose, or names a non-element), is
         read only when it holds more entries than that.  The walk reads
         a's product row, which may be missing or partial."""
-        els, mul, found, present = self._elements, self._mul, [], 0
-        rows, by_rng = self.product_rows(), self.by_range()
+        els, rows, found, present = self._elements, self._mul_rows, [], 0
+        by_rng = self.by_range()
         for a in self.elements():
             ea, row = els[a], rows.get(a, NO_ROW)
             for b in by_rng[ea.src]:
@@ -321,10 +331,10 @@ class ExplicitGroupoid(Groupoid):
                     found.append((a, b, "product (%r, %r) = %r unknown" % (a, b, ab)
                                   if eab is None else
                                   "product (%r, %r) has wrong endpoints" % (a, b)))
-        if len(mul) > present:
+        if sum(map(len, rows.values())) > present:
             found += [(a, b, "product (%r, %r) should not exist" % (a, b))
-                      for (a, b) in mul if a not in els or b not in els
-                      or els[a].src != els[b].rng]
+                      for (a, row) in rows.items() for b in row
+                      if a not in els or b not in els or els[a].src != els[b].rng]
         return [problem for (_, _, problem) in sorted(found)]
 
     def _associativity_failures(self, middles, outer=None):
@@ -332,7 +342,7 @@ class ExplicitGroupoid(Groupoid):
         in outer (if given) and (ab)c != a(bc), in sorted order.  Walks
         composable pairs only: each middle's products bc are read once,
         then the rows of a and ab once per pair (a, b)."""
-        els, rows, out = self._elements, self.product_rows(), []
+        els, rows, out = self._elements, self._mul_rows, []
         by_rng = self.by_range(outer)
         tails = {}
         for b in middles:
@@ -406,48 +416,49 @@ class BehavioralModel(Groupoid):
         return problems
 
 
-def _inverses(mul, unit):
-    """a -> the first b, in the table's order, with ab = unit."""
-    inv = {}
-    for (a, b) in [pair for (pair, ab) in mul.items() if ab == unit]:
-        inv.setdefault(a, b)
-    return inv
+def _inverses(rows, unit):
+    """a -> the first b, in a's row, with ab = unit."""
+    return {a: next(b for (b, ab) in row.items() if ab == unit)
+            for (a, row) in rows.items() if unit in row.values()}
 
 
 def group_bundle(vertices, fibers):
     """Explicit groupoid with isotropy only.  fibers maps a vertex to a
-    dict {"elements": [...], "unit": name, "mul": {(a, b): ab}} describing
-    a finite group.  Vertices missing from fibers get the trivial group
-    with unit named "1@<v>".  The bundle is judged as the explicit
-    groupoid it abbreviates: an element name, or a product key, listed in
-    two fibers is refused, and the elements of a fiber at a name that is
-    not a vertex are kept, for validate to report their endpoints.  Each
-    table is merged as given, so ExplicitGroupoid.validate judges it as
-    it judges an explicit one.  The inverse of a is the first b, in its
-    fiber's table order, with ab the unit.
+    dict {"elements": [...], "unit": name, "mul": table, in any form
+    ExplicitGroupoid takes} describing a finite group.  Vertices missing
+    from fibers get the trivial group with unit named "1@<v>".  The bundle
+    is judged as the explicit groupoid it abbreviates: an element name, or
+    a product key, listed in two fibers is refused, and the elements of a
+    fiber at a name that is not a vertex are kept, for validate to report
+    their endpoints.  Each table is merged as given, so validate judges it
+    as it judges an explicit one.  The inverse of a is the first b, in a's
+    row of its fiber's table, with ab the unit.
     """
-    elements, units, mul, inv, listed = [], {}, {}, {}, []
+    elements, units, rows, inv, listed = [], {}, {}, {}, []
     for (v, fib) in {**dict.fromkeys(vertices), **fibers}.items():
         if fib is None:
             name = "1@%s" % v
-            fib = {"elements": [name], "unit": name, "mul": {(name, name): name}}
+            fib = {"elements": [name], "unit": name, "mul": {name: {name: name}}}
         elements += [(a, v, v) for a in fib["elements"]]
         units[v] = fib["unit"]
-        mul.update(fib["mul"])
-        listed.append(fib["mul"])
-        inv.update(_inverses(fib["mul"], fib["unit"]))
-    gpd = ExplicitGroupoid(vertices, elements, units, mul, inv)
-    if len(mul) < sum(map(len, listed)):
+        table = _rows(fib["mul"])
+        for (a, row) in table.items():
+            rows[a] = {**rows[a], **row} if a in rows else row
+        listed.append(table)
+        inv.update(_inverses(table, fib["unit"]))
+    gpd = ExplicitGroupoid(vertices, elements, units, rows, inv)
+    if (sum(map(len, rows.values()))
+            < sum(len(row) for table in listed for row in table.values())):
         raise GroupoidError("two fibers' 'mul' list the key %r" % (
-            first_repeat(key for table in listed for key in table),))
+            first_repeat((a, b) for table in listed
+                         for (a, row) in table.items() for b in row),))
     return gpd
 
 
 def cyclic_group_table(n, prefix=""):
-    """Names "<prefix>0".."<prefix>n-1"; returns (elements, unit, mul)."""
+    """Names "<prefix>0".."<prefix>n-1"; returns a fiber, its table rows."""
     names = ["%s%d" % (prefix, k) for k in range(n)]
-    mul = {(names[a], names[b]): names[(a + b) % n]
-           for a in range(n) for b in range(n)}
+    mul = {names[a]: dict(zip(names, names[a:] + names[:a])) for a in range(n)}
     return {"elements": names, "unit": names[0], "mul": mul}
 
 
@@ -461,8 +472,9 @@ def from_group_action(group_elements, group_mul, group_unit, vertices, vertex_ac
     def nm(gamma, v):
         return "%s@%s" % (gamma, v)
 
-    group_inv = _inverses(group_mul, group_unit)
-    elements, units, mul, inv = [], {}, {}, {}
+    group_rows = _rows(group_mul)
+    group_inv = _inverses(group_rows, group_unit)
+    elements, units, mul, inv = [], {}, [], {}
     for gamma in group_elements:
         for v in vertices:
             elements.append((nm(gamma, v), v, vertex_action[(gamma, v)]))
@@ -473,7 +485,6 @@ def from_group_action(group_elements, group_mul, group_unit, vertices, vertex_ac
     for gamma in group_elements:
         for delta in group_elements:
             for w in vertices:
-                a = nm(gamma, vertex_action[(delta, w)])
-                b = nm(delta, w)
-                mul[(a, b)] = nm(group_mul[(gamma, delta)], w)
+                mul.append((nm(gamma, vertex_action[(delta, w)]), nm(delta, w),
+                            nm(group_rows[gamma][delta], w)))
     return ExplicitGroupoid(vertices, elements, units, mul, inv)

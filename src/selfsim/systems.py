@@ -14,7 +14,7 @@ from .actions import SelfSimilarAction
 from .graphs import (DirectedGraph, GraphError, UsageError, first_repeat,
                      json_name, json_names)
 from .groupoids import (BehavioralModel, GroupoidError, ExplicitGroupoid,
-                        cyclic_group_table, group_bundle)
+                        _entries, _rows, cyclic_group_table, group_bundle)
 from .twists import Twist, TwistError, validate_twist
 
 
@@ -52,17 +52,17 @@ def _records(rows, what):
 
 
 def _table(rows, what):
-    """A JSON array of [first, second, value] name triples, as the dict
-    (first, second) -> value.  A key listed twice is refused, where the
-    dict would keep its last row silently."""
+    """A JSON array of [first, second, value] name triples, as the rows
+    first -> {second: value} that the constructors store.  A key listed
+    twice is refused, where the rows would keep its last value silently."""
     if not isinstance(rows, list) or set(map(type, rows)) - {list}:
         raise UsageError("%s must be a JSON array of arrays" % what)
     json_names(list(itertools.chain.from_iterable(rows)), "the entries of " + what)
     try:
-        table = {(a, b): c for (a, b, c) in rows}
+        table = _rows(rows)
     except ValueError:
         raise UsageError("each row of %s must hold three names" % what)
-    if len(table) < len(rows):
+    if sum(map(len, table.values())) < len(rows):
         raise UsageError("%s lists the key %r twice" % (
             what, first_repeat((a, b) for (a, b, _) in rows)))
     return table
@@ -139,7 +139,7 @@ def groupoid_to_json(gpd):
         "elements": [{"name": g, "src": gpd.src(g), "rng": gpd.rng(g)}
                      for g in gpd.elements()],
         "units": {v: gpd.unit_at(v) for v in gpd.vertices},
-        "mul": sorted([a, b, c] for ((a, b), c) in gpd._mul.items()),
+        "mul": _entries(gpd._mul_rows),
         "inv": {g: gpd.inv(g) for g in gpd.elements()},
     }
 
@@ -151,12 +151,8 @@ def action_from_json(data, graph, gpd):
 
 
 def action_to_json(action):
-    return {
-        "edge_action": sorted([g, e, e2] for ((g, e), e2)
-                              in action.edge_action.items()),
-        "restriction": sorted([g, e, g2] for ((g, e), g2)
-                              in action.restriction.items()),
-    }
+    return {"edge_action": _entries(action._act_rows),
+            "restriction": _entries(action._res_rows)}
 
 
 def twist_to_json(twist):

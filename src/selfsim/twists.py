@@ -14,14 +14,12 @@ so it is an int mod scale, exact; Twist.fraction(k) gives the Fraction
 back for printing.
 """
 
-import collections
 import math
 from fractions import Fraction
 
 from . import semigroup as sg
-from .actions import NO_ROWS
 from .graphs import Path, is_prefix
-from .groupoids import NO_ROW
+from .groupoids import NO_ROW, _entries, _rows
 
 
 class TwistError(ValueError):
@@ -40,53 +38,41 @@ def phase_str(a):
     return "%d/%d" % (a.numerator, a.denominator)
 
 
-def _pairs(entries):
-    """((first, second), value) for each entry of a table given as a dict
-    (first, second) -> value or as (first, second, value) rows."""
-    if isinstance(entries, dict):
-        return entries.items()
-    return (((a, b), v) for (a, b, v) in entries)
-
-
-def _scaled(table, scale):
-    """(the table with each phase as an int mod scale, its rows
-    first -> {second: phase}), in one pass."""
-    flat, rows = {}, collections.defaultdict(dict)
-    for ((a, b), f) in table.items():
-        flat[(a, b)] = rows[a][b] = f.numerator * (scale // f.denominator)
-    return flat, dict(rows)
-
-
 class Twist:
     """Sparse table of group phases sigma_G(g,h) and edge phases
     sigma_bowtie(g,e); missing entries are the identity phase.  Phases are
-    ints mod `scale` (1 for the trivial twist).  Each table is kept flat,
-    keyed by pair, and as rows g -> {h: sigma_G(g, h)} and
-    g -> {e: sigma_bowtie(g, e)}, which validate_twist reads; an element
-    without entries has no row."""
+    ints mod `scale` (1 for the trivial twist).  Each table is stored
+    once, as rows g -> {h: sigma_G(g, h)} (_group_rows) and
+    g -> {e: sigma_bowtie(g, e)} (_edge_rows), built here, with a row,
+    perhaps empty, for every element."""
 
     def __init__(self, action, group_entries=(), edge_entries=()):
-        """Each table is a dict (first, second) -> phase, as the loader
-        checks it, or (first, second, phase) rows."""
+        """Each table is given as rows, as a dict (first, second) -> phase
+        or as (first, second, phase) triples."""
         gpd = action.groupoid
         if gpd.kind != "explicit":
             raise TwistError("twists need products; the backend is behavioral")
         self.action = action
-        group, edge = {}, {}
-        for ((g, h), val) in _pairs(group_entries):
-            if gpd.src(g) != gpd.rng(h):
-                raise TwistError("group entry (%r, %r) is not composable"
-                                 % (g, h))
-            group[(g, h)] = phase(val)
-        for ((g, e), val) in _pairs(edge_entries):
-            if gpd.src(g) != action.graph.edge(e).rng:
-                raise TwistError("edge entry (%r, %r): the element does not "
-                                 "act on the edge" % (g, e))
-            edge[(g, e)] = phase(val)
-        self.scale = scale = math.lcm(
-            *(f.denominator for f in (*group.values(), *edge.values())))
-        self._group, self._group_rows = _scaled(group, scale)
-        self._edge, self._edge_rows = _scaled(edge, scale)
+        self._group_rows = group = {g: {} for g in gpd.elements()}
+        self._edge_rows = edge = {g: {} for g in gpd.elements()}
+        for (g, row) in _rows(group_entries).items():
+            for (h, val) in row.items():
+                if gpd.src(g) != gpd.rng(h):
+                    raise TwistError("group entry (%r, %r) is not composable"
+                                     % (g, h))
+                group[g][h] = phase(val)
+        for (g, row) in _rows(edge_entries).items():
+            for (e, val) in row.items():
+                if gpd.src(g) != action.graph.edge(e).rng:
+                    raise TwistError("edge entry (%r, %r): the element does "
+                                     "not act on the edge" % (g, e))
+                edge[g][e] = phase(val)
+        self.scale = scale = math.lcm(*(f.denominator for rows in (group, edge)
+                                        for row in rows.values()
+                                        for f in row.values()))
+        for row in [*group.values(), *edge.values()]:
+            for (x, f) in row.items():
+                row[x] = f.numerator * (scale // f.denominator)
 
     def fraction(self, k):
         """The phase k/scale as a Fraction mod 1, for printing."""
@@ -94,31 +80,30 @@ class Twist:
 
     def group(self, g, h):
         """sigma_G(g, h); (g, h) must compose, as every stored entry does."""
-        return self._group.get((g, h), 0)
+        return self._group_rows[g].get(h, 0)
 
     def edge(self, g, e):
         """sigma_bowtie(g, e); g must act on e, as in every stored entry."""
-        return self._edge.get((g, e), 0)
+        return self._edge_rows[g].get(e, 0)
 
     def group_json(self):
-        return [[g, h, phase_str(self.fraction(v))] for ((g, h), v)
-                in sorted(self._group.items()) if v]
+        return [[g, h, phase_str(self.fraction(v))]
+                for (g, h, v) in _entries(self._group_rows) if v]
 
     def edge_json(self):
-        return [[g, e, phase_str(self.fraction(v))] for ((g, e), v)
-                in sorted(self._edge.items()) if v]
+        return [[g, e, phase_str(self.fraction(v))]
+                for (g, e, v) in _entries(self._edge_rows) if v]
 
 
 def extend_bowtie(twist, g, p):
     """The edge phase extended along a path, front edge first; each step's
-    pair is checked by the restriction that follows its edge read."""
+    pair is checked by its restriction before its edge phase is read."""
     action = twist.action
     if p.base != action.groupoid.src(g):
         raise TwistError("%r does not act on path %s" % (g, p))
     out, h = 0, g
     for e in p.edges:
-        out += twist.edge(h, e)
-        h = action.restrict_edge(h, e)
+        h, out = action.restrict_edge(h, e), out + twist.edge(h, e)
     return out % twist.scale
 
 
@@ -165,18 +150,18 @@ def validate_twist(twist):
     action = twist.action
     gpd, graph = action.groupoid, action.graph
     group, edge, scale = twist._group_rows, twist._edge_rows, twist.scale
-    els, products, units = gpd._elements, gpd.product_rows(), gpd.units
-    rows = action.rows()
+    els, products, units = gpd._elements, gpd._mul_rows, gpd.units
+    act, res = action._act_rows, action._res_rows
     elements = gpd.elements()
     received = graph.received_names
     normal = []
     for g in elements:
-        if (group.get(units[els[g].rng], NO_ROW).get(g, 0)
-                or group.get(g, NO_ROW).get(units[els[g].src], 0)):
+        if (group[units[els[g].rng]].get(g, 0)
+                or group[g].get(units[els[g].src], 0)):
             normal.append("group cocycle is not normalized at %r" % (g,))
     unit_edges = []
     for e in graph.edges:
-        if edge.get(units[e.rng], NO_ROW).get(e.name, 0):
+        if edge[units[e.rng]].get(e.name, 0):
             unit_edges.append("edge phase at the unit is not 1 on %r"
                               % (e.name,))
 
@@ -184,11 +169,11 @@ def validate_twist(twist):
     def identity(middles, outer=None):
         bad, by_rng, tails = [], gpd.by_range(outer), {}
         for h in middles:
-            mul_h, group_h = products[h], group.get(h, NO_ROW)
+            mul_h, group_h = products[h], group[h]
             tails[h] = [(k, mul_h[k], group_h.get(k, 0))
                         for k in by_rng[els[h].src]]
         for (g, h, gh) in gpd.composable_pairs(middles, outer):
-            group_g, group_gh = group.get(g, NO_ROW), group.get(gh, NO_ROW)
+            group_g, group_gh = group[g], group[gh]
             s_gh = group_g.get(h, 0)
             for (k, hk, s_hk) in tails[h]:
                 if (s_gh + group_gh.get(k, 0) - s_hk
@@ -200,18 +185,17 @@ def validate_twist(twist):
     def compatibility(middles, outer=None):
         bad, legs = [], {}
         for h in middles:
-            (act_h, res_h), edge_h = rows.get(h, NO_ROWS), edge.get(h, NO_ROW)
+            act_h, res_h, edge_h = act.get(h, NO_ROW), res.get(h, NO_ROW), edge[h]
             legs[h] = [(e, act_h[e], res_h[e], edge_h.get(e, 0))
                        for e in received(els[h].src)]
         for (g, h, gh) in gpd.composable_pairs(middles, outer):
             if not legs[h]:
                 continue
-            res_g = rows[g][1]
-            edge_g, edge_gh = edge.get(g, NO_ROW), edge.get(gh, NO_ROW)
-            s_gh = group.get(g, NO_ROW).get(h, 0)
+            res_g, edge_g, edge_gh = res[g], edge[g], edge[gh]
+            s_gh = group[g].get(h, 0)
             for (e, he, h_e, s_he) in legs[h]:
                 lhs = s_he - edge_gh.get(e, 0) + edge_g.get(he, 0)
-                rhs = s_gh - group.get(res_g[he], NO_ROW).get(h_e, 0)
+                rhs = s_gh - group[res_g[he]].get(h_e, 0)
                 if (lhs - rhs) % scale:
                     bad.append("edge compatibility fails at "
                                "(%r, %r, %r)" % (g, h, e))
@@ -265,12 +249,12 @@ def _walk(twist, g, q):
     """(g·q, g|_q, edge phase of g along q) in one pass over q, read
     straight from the tables: g must act on q and the action be valid."""
     action = twist.action
-    act, res, edge = action.edge_action, action.restriction, twist._edge
+    act, res, edge = action._act_rows, action._res_rows, twist._edge_rows
     h, image, w = g, [], 0
     for e in q.edges:
-        image.append(act[h, e])
-        w += edge.get((h, e), 0)
-        h = res[h, e]
+        image.append(act[h][e])
+        w += edge[h].get(e, 0)
+        h = res[h][e]
     return (Path(action.groupoid._elements[g].rng, tuple(image)), h,
             w % twist.scale)
 
@@ -342,8 +326,8 @@ def verify_omega_cocycle(twist, bound):
     """
     action = twist.action
     gpd, graph = action.groupoid, action.graph
-    els, mul, inv = gpd._elements, gpd._mul, gpd._inv
-    group, scale = twist._group, twist.scale
+    els, mul, inv = gpd._elements, gpd._mul_rows, gpd._inv
+    group, scale = twist._group_rows, twist.scale
     paths, path_id = _interner()
     srcs = _Memo(lambda i: graph.path_src(paths[i]))
     by_src = {}
@@ -422,7 +406,7 @@ def verify_omega_cocycle(twist, bound):
             p, hi_g1, _ = walks[inv[h], tail]
             a, b = g, inv[hi_g1]
             w = walks[h, p][2]
-        return first, p, mul[a, b], (w + group.get((a, b), 0)) % scale
+        return first, p, mul[a][b], (w + group[a].get(b, 0)) % scale
 
     core = _Memo(lambda rho: _Memo(lambda lam: meet(rho, lam)))
 

@@ -201,6 +201,11 @@ def transformation_action(k=2, m=4, d=2):
     return SelfSimilarAction(graph, gpd, edge_action, restriction)
 
 
+def flat(rows):
+    """The dict (first, second) -> value of a table stored as rows."""
+    return {(a, b): v for (a, row) in rows.items() for (b, v) in row.items()}
+
+
 def single_entry_corruptions(action):
     """Every copy of an action with one entry of its mul, inv,
     edge_action or restriction table changed to another value (every
@@ -213,7 +218,7 @@ def single_entry_corruptions(action):
     els, edges = gpd.elements(), [e.name for e in graph.edges]
     tables, extra = {}, {}
     if gpd.kind == "explicit":
-        tables = {"mul": gpd._mul, "inv": gpd._inv}
+        tables = {"mul": flat(gpd._mul_rows), "inv": gpd._inv}
         extra = {"mul": [("zz", "zz")] + [
                      (a, b) for a in els for b in els
                      if gpd.src(a) != gpd.rng(b)][:1],
@@ -227,30 +232,35 @@ def single_entry_corruptions(action):
         for key in sorted(table):
             for value in list(values) + ["zz", None]:
                 if value != table[key]:
-                    yield name, key, value, _with_entry(action, name, key, value)
+                    yield name, key, value, _with_entries(action, name,
+                                                          {key: value})
         for key in extra[name]:
-            yield name, key, els[0], _with_entry(action, name, key, els[0])
+            yield name, key, els[0], _with_entries(action, name,
+                                                   {key: els[0]})
     # A single changed image breaks the bijection, which an earlier stage
     # reports; swapping two images keeps it, so the (hg)·e law is reached.
+    images = action.edge_action
     for g in els:
         dom = [e.name for e in graph.received_by(gpd.src(g))]
         for (e, f) in itertools.combinations(dom, 2):
-            swapped = _with_entry(action, "edge_action", (g, e),
-                                  action.edge_action[(g, f)])
-            swapped.edge_action[(g, f)] = action.edge_action[(g, e)]
+            swapped = _with_entries(action, "edge_action", {
+                (g, e): images[(g, f)], (g, f): images[(g, e)]})
             yield "edge_action", (g, e, f), "swap", swapped
 
 
-def _with_entry(action, name, key, value):
+def _with_entries(action, name, changes):
+    """A copy of action built from its tables with the entries of table
+    name changed, key -> value, or deleted where value is None."""
     gpd = action.groupoid
     tables = {"edge_action": dict(action.edge_action),
               "restriction": dict(action.restriction)}
     if name in ("mul", "inv"):
-        tables.update(mul=dict(gpd._mul), inv=dict(gpd._inv))
-    if value is None:
-        del tables[name][key]
-    else:
-        tables[name][key] = value
+        tables.update(mul=flat(gpd._mul_rows), inv=dict(gpd._inv))
+    for (key, value) in changes.items():
+        if value is None:
+            del tables[name][key]
+        else:
+            tables[name][key] = value
     if name in ("mul", "inv"):
         gpd = ExplicitGroupoid(gpd.vertices,
                                [gpd._elements[g] for g in gpd.elements()],
@@ -361,18 +371,18 @@ def oracle_groupoid_validate(gpd):
             problems.append("unit %r at %r has src/rng elsewhere" % (u, v))
     if problems:
         return problems
-    els = gpd.elements()
+    els, mul = gpd.elements(), flat(gpd._mul_rows)
     # mul defined exactly on composable pairs, with the right src/rng
     for a in els:
         for b in els:
             composable = gpd.src(a) == gpd.rng(b)
-            present = (a, b) in gpd._mul
+            present = (a, b) in mul
             if composable and not present:
                 problems.append("missing product (%r, %r)" % (a, b))
             elif not composable and present:
                 problems.append("product (%r, %r) should not exist" % (a, b))
             elif present:
-                ab = gpd._mul[(a, b)]
+                ab = mul[(a, b)]
                 if ab not in gpd._elements:
                     problems.append("product (%r, %r) = %r unknown" % (a, b, ab))
                 elif gpd.src(ab) != gpd.src(b) or gpd.rng(ab) != gpd.rng(a):
@@ -381,23 +391,23 @@ def oracle_groupoid_validate(gpd):
         return problems
     for g in els:
         u_r, u_s = gpd.unit_at(gpd.rng(g)), gpd.unit_at(gpd.src(g))
-        if gpd._mul[(u_r, g)] != g or gpd._mul[(g, u_s)] != g:
+        if mul[(u_r, g)] != g or mul[(g, u_s)] != g:
             problems.append("units do not act as identities on %r" % g)
         gi = gpd._inv.get(g)
         if gi is None or gi not in gpd._elements:
             problems.append("missing or unknown inverse for %r" % g)
         elif (gpd.src(gi) != gpd.rng(g) or gpd.rng(gi) != gpd.src(g)
-              or gpd._mul[(gi, g)] != u_s or gpd._mul[(g, gi)] != u_r):
+              or mul[(gi, g)] != u_s or mul[(g, gi)] != u_r):
             problems.append("inverse of %r is wrong" % g)
     for a in els:
         for b in els:
             if gpd.src(a) != gpd.rng(b):
                 continue
-            ab = gpd._mul[(a, b)]
+            ab = mul[(a, b)]
             for c in els:
                 if gpd.src(b) != gpd.rng(c):
                     continue
-                if gpd._mul[(ab, c)] != gpd._mul[(a, gpd._mul[(b, c)])]:
+                if mul[(ab, c)] != mul[(a, mul[(b, c)])]:
                     problems.append(
                         "associativity fails on (%r, %r, %r)" % (a, b, c))
     return problems
@@ -419,10 +429,10 @@ def oracle_action_validate(action):
     for g in gpd.elements():
         for e in graph.received_by(gpd.src(g)):
             composable.add((g, e.name))
-    for key in action.edge_action:
+    for key in sorted(action.edge_action):
         if key not in composable:
             problems.append("edge action on non-composable pair %r" % (key,))
-    for key in action.restriction:
+    for key in sorted(action.restriction):
         if key not in composable:
             problems.append("restriction on non-composable pair %r" % (key,))
     for key in sorted(composable):

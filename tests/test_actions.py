@@ -20,10 +20,10 @@ from selfsim.actions import (BoundaryPoint, FixingAutomaton, SelfSimilarAction,
 from selfsim.germs import point_prepend
 
 from selfsim.graphs import DirectedGraph, Path, path_key
-from selfsim.groupoids import (BehavioralModel, ExplicitGroupoid, Groupoid,
-                               from_group_action, group_bundle)
+from selfsim.groupoids import (NO_ROW, BehavioralModel, ExplicitGroupoid,
+                               Groupoid, from_group_action, group_bundle)
 
-from conftest import (EXPLICIT_FIXTURES, FIXTURES, oracle_action_validate,
+from conftest import (EXPLICIT_FIXTURES, FIXTURES, flat, oracle_action_validate,
                       oracle_groupoid_validate, single_entry_corruptions,
                       strongly_fixes, transformation_action, zn_rotation)
 
@@ -1043,25 +1043,17 @@ class _CountingTable(dict):
         return dict.get(self, key, default)
 
 
-def counting_rows(index, keys=()):
-    """A copy of a row index, first -> row or first -> (row, row), with
-    each row a _CountingTable; each of keys gets empty rows if it has
-    none, so that no read falls back to a shared empty row."""
-    shape = next(iter(index.values()))
-    empty = ({}, {}) if isinstance(shape, tuple) else {}
-    out = {}
-    for k in {**index, **dict.fromkeys(keys)}:
-        rows = index.get(k, empty)
-        out[k] = (tuple(map(_CountingTable, rows)) if isinstance(rows, tuple)
-                  else _CountingTable(rows))
-    return out
+def counting_rows(rows, keys=()):
+    """A copy of a table's rows, first -> row, with each row a
+    _CountingTable; each of keys gets an empty row if it has none, so
+    that no read falls back to a shared empty row."""
+    return {k: _CountingTable(rows.get(k, {}))
+            for k in {**rows, **dict.fromkeys(keys)}}
 
 
-def row_reads(index, part=None):
-    """The reads counted on a counting_rows copy; part picks one row of
-    each pair."""
-    return sum((rows if part is None else rows[part]).reads
-               for rows in index.values())
+def row_reads(rows):
+    """The reads counted on a counting_rows copy."""
+    return sum(row.reads for row in rows.values())
 
 
 def test_validate_makes_subcubic_products(monkeypatch):
@@ -1079,10 +1071,10 @@ def test_validate_makes_subcubic_products(monkeypatch):
 
     monkeypatch.setattr(ExplicitGroupoid, "mul", counting_mul)
     gpd = action.groupoid
-    gpd._rows = counting_rows(gpd.product_rows())
+    gpd._mul_rows = counting_rows(gpd._mul_rows)
     assert action.validate() == []
     assert calls["mul"] < n * n * n // 4
-    assert 0 < row_reads(gpd._rows) < n * n * n // 2
+    assert 0 < row_reads(gpd._mul_rows) < n * n * n // 2
 
 
 def test_the_reduced_law_scans_take_no_unit_outer_factor():
@@ -1105,31 +1097,38 @@ def test_the_reduced_law_scans_take_no_unit_outer_factor():
     gpd = action.groupoid
     assert action.validate() == []
     assert gpd.generators() == ("c0", "c1")
-    gpd._rows = counting_rows(gpd.product_rows())
+    gpd._mul_rows = counting_rows(gpd._mul_rows)
     assert gpd.law_failures(gpd._associativity_failures, True) == []
-    assert row_reads(gpd._rows) == 2 * n * (n - 1)
-    gpd._rows = counting_rows(gpd.product_rows())
-    action._rows = counting_rows(action.rows())
+    assert row_reads(gpd._mul_rows) == 2 * n * (n - 1)
+    gpd._mul_rows = counting_rows(gpd._mul_rows)
+    action._act_rows = counting_rows(action._act_rows)
+    action._res_rows = counting_rows(action._res_rows)
     assert gpd.law_failures(action._law_failures, True) == []
-    assert row_reads(action._rows, 0) == n + 2 * (n - 1) * n
-    assert row_reads(action._rows, 1) == n + 2 * (n - 1) * n
-    assert row_reads(gpd._rows) == (n - 1) * (n + 1)
+    assert row_reads(action._act_rows) == n + 2 * (n - 1) * n
+    assert row_reads(action._res_rows) == n + 2 * (n - 1) * n
+    assert row_reads(gpd._mul_rows) == (n - 1) * (n + 1)
 
 
-def flat(index, part=None):
-    """The flat table (first, second) -> value a row index holds."""
-    return {(k, key): value for (k, rows) in index.items()
-            for (key, value) in (rows if part is None else rows[part]).items()}
+def _given_forms(table):
+    """A table given as a dict (first, second) -> value, in the three
+    forms the constructors take: that dict, (first, second, value)
+    triples, and rows first -> {second: value}."""
+    rows = {}
+    for ((a, b), v) in table.items():
+        rows.setdefault(a, {})[b] = v
+    return [dict(table), [(a, b, v) for ((a, b), v) in table.items()], rows]
 
 
 def test_each_row_index_holds_exactly_its_table(fix, random_actions,
                                                 wide_random_actions):
     """The product rows, and the edge-action and restriction rows, hold
-    exactly the entries of their flat tables, before validate and after
-    it: on the fixtures, zn_rotation(3..6), the sampled actions and every
-    single-entry corruption of them, whose extra keys such as
-    ("zz", "zz") name no element.  The table stage still reports those
-    as entries that should not exist."""
+    exactly the entries handed to the constructors, before validate and
+    after it: on the fixtures, zn_rotation(3..6), the sampled actions and
+    every single-entry corruption of them, whose extra keys such as
+    ("zz", "zz") name no element.  Each table is handed as a dict, as
+    triples and as rows, the form the loader hands; the copy handed rows
+    gives the problems of the original, and keeps its rows.  The table
+    stage still reports ("zz", "zz") as an entry that should not exist."""
     pool = [fix(name).action for name in FIXTURES]
     pool += [zn_rotation(n) for n in range(3, 7)] + list(random_actions)
     pool += [a for a in wide_random_actions if a.groupoid.kind == "explicit"]
@@ -1137,20 +1136,32 @@ def test_each_row_index_holds_exactly_its_table(fix, random_actions,
     for base in pool:
         for action in [base] + [a for (*_, a) in single_entry_corruptions(base)]:
             gpd = action.groupoid
-            for _ in range(2):
-                rows = action.rows()
-                assert flat(rows, 0) == action.edge_action
-                assert flat(rows, 1) == action.restriction
+            tables = [dict(action.edge_action), dict(action.restriction)]
+            if gpd.kind == "explicit":
+                tables.append(flat(gpd._mul_rows))
+            expected = action.validate()
+            for (form, given) in zip(("dict", "triples", "rows"),
+                                     zip(*map(_given_forms, tables))):
+                built_gpd = gpd
                 if gpd.kind == "explicit":
-                    assert flat(gpd.product_rows()) == gpd._mul
-                problems = action.validate()
-            if ("zz", "zz") in getattr(gpd, "_mul", ()):
-                assert gpd.product_rows()["zz"] == {"zz": gpd.elements()[0]}
+                    built_gpd = ExplicitGroupoid(
+                        gpd.vertices, [gpd._elements[g] for g in gpd.elements()],
+                        gpd.units, given[2], gpd._inv)
+                built = SelfSimilarAction(action.graph, built_gpd, *given[:2])
+                held = [built._act_rows, built._res_rows]
+                if gpd.kind == "explicit":
+                    held.append(built_gpd._mul_rows)
+                assert list(map(flat, held)) == tables
+                if form == "rows":
+                    assert built.validate() == expected
+                    assert list(map(flat, held)) == tables
+            if gpd.kind == "explicit" and ("zz", "zz") in tables[2]:
+                assert gpd._mul_rows["zz"] == {"zz": gpd.elements()[0]}
                 assert ("groupoid: product ('zz', 'zz') should not exist"
-                        in problems)
+                        in expected)
                 cases += 1
     assert cases == len(pool) - len(FIXTURES) + len(EXPLICIT_FIXTURES)
-    assert act.NO_ROWS == ({}, {})
+    assert NO_ROW == {}
 
 
 def test_validate_calls_no_checked_accessor_per_entry(monkeypatch):

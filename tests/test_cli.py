@@ -828,7 +828,8 @@ def _table_fibres(doc):
         if "cyclic" in fib:
             t = cyclic_group_table(fib["cyclic"], fib["prefix"])
             fibers[v] = {"elements": t["elements"], "unit": t["unit"],
-                         "mul": [[a, b, c] for ((a, b), c) in t["mul"].items()]}
+                         "mul": [[a, b, c] for (a, row) in t["mul"].items()
+                                 for (b, c) in row.items()]}
     return doc
 
 
@@ -911,14 +912,20 @@ def _rows_of(name, table):
 @pytest.mark.parametrize("name, table", TABLES, ids=TABLE_IDS)
 def test_a_table_that_lists_a_key_twice_is_a_parse_failure(capsys, tmp_path,
                                                           name, table):
-    doc, rows = _rows_of(name, table)
-    (a, b, _) = rows[0]
-    rows.append([a, b, rows[-1][2]])
-    code, out, err = run(capsys, ["validate", write_system(tmp_path, doc)])
-    assert (code, out) == (2, "")
-    assert err.startswith("parse error:")
-    assert repr(table[-1]) in err
-    assert "lists the key %r twice" % ((a, b),) in err
+    """The refusal names the first key, in listing order, that is listed
+    twice: the first row's key A, whether the table lists A ... A or
+    A, B, ..., B, A, where B's repeat is met first."""
+    for between in ([], [["zz", "zz"]]):
+        doc, rows = _rows_of(name, table)
+        (a, b, value) = rows[0]
+        rows[1:1] = [key + [value] for key in between]
+        rows += [key + [value] for key in between] + [[a, b, rows[-1][2]]]
+        code, out, err = run(capsys, ["validate",
+                                      write_system(tmp_path, doc)])
+        assert (code, out) == (2, "")
+        assert err.startswith("parse error:")
+        assert repr(table[-1]) in err
+        assert "lists the key %r twice" % ((a, b),) in err
 
 
 @pytest.mark.parametrize("length", [2, 4])

@@ -30,7 +30,7 @@ from selfsim.verdicts import fails, holds, holds_on_model, requires_explicit
 
 from conftest import (FIXTURES, oracle_has_entrance, random_action,
                       strongly_fixes, zn_rotation)
-from test_actions import (_CountingTable, fixed_chain, oracle_fixed_arrows,
+from test_actions import (counting_rows, fixed_chain, oracle_fixed_arrows,
                           oracle_fixes_all, oracle_sla_witness,
                           oracle_unit_reachable)
 
@@ -811,8 +811,8 @@ def test_report_reads_each_table_entry_once(monkeypatch):
 
     for action in pool:
         assert action.validate() == []
-        action.edge_action = _CountingTable(action.edge_action)
-        action.restriction = _CountingTable(action.restriction)
+        action._act_rows = counting_rows(action._act_rows)
+        action._res_rows = counting_rows(action._res_rows)
     monkeypatch.setattr(act_mod.FixingAutomaton, "__init__", no_automaton)
     reads = collections.Counter()
     for action in pool:
@@ -820,10 +820,11 @@ def test_report_reads_each_table_entry_once(monkeypatch):
         gpd, graph = action.groupoid, action.graph
         composable = {(g, e) for g in gpd.elements()
                       for e in graph.received_names(gpd.src(g))}
-        for table in (action.edge_action, action.restriction):
-            assert set(table.by_key) <= composable
-            reads.update({(id(table), key): n
-                          for (key, n) in table.by_key.items()})
+        for rows in (action._act_rows, action._res_rows):
+            by_pair = {(g, e): n for (g, row) in rows.items()
+                       for (e, n) in row.by_key.items()}
+            assert set(by_pair) <= composable
+            reads.update({(id(rows), key): n for (key, n) in by_pair.items()})
     assert reads and max(reads.values()) == 1
 
 

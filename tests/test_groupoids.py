@@ -10,8 +10,9 @@ from selfsim.groupoids import (BehavioralModel, ExplicitGroupoid,
                                GroupoidError, RequiresExplicitError,
                                cyclic_group_table, from_group_action,
                                group_bundle)
+from selfsim.systems import load_fixture
 
-from conftest import (EXPLICIT_FIXTURES, oracle_groupoid_validate,
+from conftest import (EXPLICIT_FIXTURES, flat, oracle_groupoid_validate,
                       transformation_action, zn_rotation)
 
 
@@ -20,11 +21,13 @@ def test_cyclic_table_is_a_group():
         fib = cyclic_group_table(n, prefix="g")
         els, unit, mul = fib["elements"], fib["unit"], fib["mul"]
         assert len(els) == n
+        assert sorted(mul) == sorted(els)
+        assert all(sorted(mul[a]) == sorted(els) for a in els)
         for a, b, c in itertools.product(els, repeat=3):
-            assert mul[(mul[(a, b)], c)] == mul[(a, mul[(b, c)])]
+            assert mul[mul[a][b]][c] == mul[a][mul[b][c]]
         for a in els:
-            assert mul[(unit, a)] == a and mul[(a, unit)] == a
-            assert any(mul[(a, b)] == unit for b in els)
+            assert mul[unit][a] == a and mul[a][unit] == a
+            assert any(mul[a][b] == unit for b in els)
 
 
 def test_group_bundle_validates_and_exposes_isotropy():
@@ -200,12 +203,13 @@ def test_generators_of_zn_rotation_are_c0_and_c1():
 
 def test_table_stage_walks_the_composable_pairs_only():
     """A 60-vertex bundle of Z_2 fibres with one product removed: the table
-    stage reads the product table and its rows a bounded number of times
-    per composable pair and entry, where a scan of every pair of elements
-    makes |G|² = 14,400 membership tests alone."""
+    stage reads the product rows, the index of rows and each row, a
+    bounded number of times per composable pair and entry, where a scan
+    of every pair of elements makes |G|² = 14,400 membership tests
+    alone."""
     vs = ["v%d" % k for k in range(60)]
     bundle = group_bundle(vs, {v: cyclic_group_table(2, v + "c") for v in vs})
-    mul = dict(bundle._mul)
+    mul = flat(bundle._mul_rows)
     del mul[("v7c1", "v7c1")]
     gpd = ExplicitGroupoid(vs, [bundle._elements[g] for g in bundle.elements()],
                            bundle.units, mul, bundle._inv)
@@ -224,12 +228,34 @@ def test_table_stage_walks_the_composable_pairs_only():
             lookups["mul"] += 1
             return dict.get(self, key, default)
 
-    gpd._mul = CountingTable(mul)
-    gpd._rows = {a: CountingTable(row)
-                 for (a, row) in gpd.product_rows().items()}
+    gpd._mul_rows = CountingTable({a: CountingTable(row)
+                                   for (a, row) in gpd._mul_rows.items()})
     assert gpd.validate() == ["missing product ('v7c1', 'v7c1')"]
     composable = 60 * 2 * 2
     assert 0 < lookups["mul"] <= 4 * (composable + len(mul)), lookups
+
+
+def test_by_range_is_built_once_with_the_element_records():
+    """by_range() returns the one map built with the element records,
+    range -> its elements in elements() order, at every vertex: validate
+    and the law scans read it and leave it as it was, and by_range(keep)
+    filters its lists.  Unvalidated tables get it too."""
+    pool = [zn_rotation(4), transformation_action(2, 4, 2)]
+    pool += [load_fixture(name).action for name in EXPLICIT_FIXTURES]
+    for action in pool:
+        gpd = action.groupoid
+        built = gpd.by_range()
+        literal = {v: [g for g in gpd.elements() if gpd.rng(g) == v]
+                   for v in gpd.vertices}
+        assert built == literal
+        assert action.validate() == []
+        assert gpd.by_range() is built and built == literal
+        keep = set(gpd.elements()[::2])
+        assert gpd.by_range(keep) == {
+            v: [g for g in gs if g in keep] for (v, gs) in literal.items()}
+        assert gpd.by_range() is built and built == literal
+    gpd = ExplicitGroupoid(["v"], [("a", "v", "w")], {"v": "a"}, {}, {})
+    assert gpd.by_range() == {"v": [], "w": ["a"]}
 
 
 def test_table_problems_come_in_pair_order():
@@ -237,7 +263,7 @@ def test_table_problems_come_in_pair_order():
     the order of a scan over every pair of elements."""
     bundle = group_bundle(["v", "w"], {"v": cyclic_group_table(2, "a"),
                                        "w": cyclic_group_table(2, "b")})
-    mul = dict(bundle._mul)
+    mul = flat(bundle._mul_rows)
     del mul[("b1", "b1")]
     mul[("a1", "b0")] = "a0"
     mul[("a0", "a1")] = "b1"
@@ -260,7 +286,7 @@ def test_table_entries_off_the_element_set_are_problems():
              ("mul", ("c1", "zz"), "product ('c1', 'zz') should not exist"),
              ("inv", "zz", "inverse given for unknown element 'zz'")]
     for (table, key, problem) in cases:
-        tables = {"mul": dict(base._mul), "inv": dict(base._inv)}
+        tables = {"mul": flat(base._mul_rows), "inv": dict(base._inv)}
         tables[table][key] = "c0"
         gpd = ExplicitGroupoid(base.vertices,
                                [base._elements[g] for g in base.elements()],

@@ -1,9 +1,11 @@
-"""No answer depends on how a system file lists its graph.
+"""No answer depends on how a system file lists its graph or its tables.
 
 A graph fixes one order when it is built (vertices sorted, edges sorted by
-name), so a file whose vertex and edge lists are reversed or shuffled must
-print the same bytes, on stdout and stderr, with the same exit code, as the
-file listed in name order, for every command that reads the graph."""
+name), and the tables keep the file's order in their rows, which no scan
+may let reach an answer.  So a file whose vertex and edge lists and table
+rows are reversed or shuffled must print the same bytes, on stdout and
+stderr, with the same exit code, as the file listed in name order, for
+every command that reads the graph."""
 
 import json
 import random
@@ -56,15 +58,34 @@ def document(case, fix, random_actions):
     return systems.system_to_json(systems.System(case, picks[int(i)][3]))
 
 
+def table_rows(doc):
+    """The row lists of every table of the document: mul or each fibre's
+    mul, edge_action, restriction, sigma_G and sigma_bowtie."""
+    gpd, twist = doc["groupoid"], doc.get("twist", {})
+    out = [gpd["mul"]] if "mul" in gpd else []
+    out += [fib["mul"] for fib in gpd.get("fibers", {}).values()
+            if "mul" in fib]
+    out += [doc["action"]["edge_action"], doc["action"]["restriction"]]
+    return out + [twist[key] for key in ("sigma_G", "sigma_bowtie")
+                  if key in twist]
+
+
 def listings(doc):
-    """The document with its vertex and edge lists reversed, and shuffled
-    twice."""
+    """The document with its vertex and edge lists, the rows of each
+    table and the keys of inv reversed, and shuffled twice."""
     out = []
     for shuffle in (list.reverse, random.Random(1).shuffle,
                     random.Random(2).shuffle):
         other = json.loads(json.dumps(doc))
         shuffle(other["graph"]["vertices"])
         shuffle(other["graph"]["edges"])
+        for rows in table_rows(other):
+            shuffle(rows)
+        inv = other["groupoid"].get("inv")
+        if inv is not None:
+            keys = list(inv)
+            shuffle(keys)
+            other["groupoid"]["inv"] = {k: inv[k] for k in keys}
         out.append(other)
     return out
 

@@ -1,6 +1,7 @@
 """Tests for circle-valued twists: phases, tables, bowtie extension, omega."""
 
 import collections
+import collections.abc
 import random
 from fractions import Fraction
 
@@ -614,22 +615,15 @@ def test_validate_twist_reads_subcubic_entries():
     assert row_reads(tw._edge_rows) == 2 * n * n
 
 
-def phase_rows(tw):
-    """The twist's two phase tables as row indexes, read back from the
-    flat tables."""
-    out = ({}, {})
-    for (rows, table) in zip(out, (tw._group, tw._edge)):
-        for ((g, x), k) in table.items():
-            rows.setdefault(g, {})[x] = k
-    return out
-
-
 def test_the_phase_rows_hold_exactly_the_tables():
-    """Each twist's rows hold exactly the entries of its flat tables, and
-    validate_twist leaves them so: the fixtures' twists, the Klein
-    bicharacter, and trivial, random and coboundary twists of the
-    fixtures and zn_rotation(3..6).  A twist handed its tables as dicts,
-    as the loader hands them, equals the twist handed them as rows."""
+    """Each twist's rows hold exactly the entries handed to it, with a
+    row, perhaps empty, for every element, and validate_twist leaves them
+    so: the fixtures' twists, the Klein bicharacter, and trivial, random
+    and coboundary twists of the fixtures and zn_rotation(3..6).  A twist
+    handed its entries as a dict, as triples or as rows, as the loader
+    hands them, has the same rows and scale."""
+    from test_actions import _given_forms
+
     rng = random.Random(35)
     cases = [klein_bicharacter_twist()]
     for action in [load_fixture(name).action for name in EXPLICIT_FIXTURES] \
@@ -639,35 +633,45 @@ def test_the_phase_rows_hold_exactly_the_tables():
     cases += [load_fixture(name).twist for name in FIXTURES
               if load_fixture(name).twist is not None]
     for tw in cases:
-        for _ in range(2):
-            assert (tw._group_rows, tw._edge_rows) == phase_rows(tw)
-            validate_twist(tw)
-        group, edge = ({k: phase_str(tw.fraction(v)) for (k, v) in t.items()}
-                       for t in (tw._group, tw._edge))
-        handed = Twist(tw.action, group, edge)
-        assert (handed._group, handed._edge, handed.scale) == \
-            (tw._group, tw._edge, tw.scale)
-        assert (handed._group_rows, handed._edge_rows) == phase_rows(tw)
+        elements = set(tw.action.groupoid.elements())
+        assert set(tw._group_rows) == set(tw._edge_rows) == elements
+        tables = [{(g, x): phase_str(tw.fraction(k)) for (g, row) in rows.items()
+                   for (x, k) in row.items()}
+                  for rows in (tw._group_rows, tw._edge_rows)]
+        for given in zip(*map(_given_forms, tables)):
+            handed = Twist(tw.action, *given)
+            for _ in range(2):
+                assert (handed._group_rows, handed._edge_rows, handed.scale) \
+                    == (tw._group_rows, tw._edge_rows, tw.scale)
+                validate_twist(handed)
 
 
-class _RowsOnly(dict):
-    """A flat table whose entries cannot be read one at a time; iterating
-    it, its len and `in` still work."""
+class _Unread(collections.abc.Mapping):
+    """A (g, e) view of a table that refuses to be read at all."""
 
     def __getitem__(self, key):
-        raise AssertionError("a flat table entry was read: %r" % (key,))
+        raise AssertionError("a table entry was read by its pair: %r" % (key,))
 
-    def get(self, key, default=None):
-        raise AssertionError("a flat table entry was read: %r" % (key,))
+    def __iter__(self):
+        raise AssertionError("a table was read by its pairs")
+
+    def __len__(self):
+        raise AssertionError("a table was read by its pairs")
 
 
-def test_the_validation_scans_read_only_rows():
-    """Once the row indexes are built, validate_system and validate_twist
-    read no entry of the flat tables one at a time: with the product,
-    edge-action, restriction and phase tables refusing item reads, each
-    gives the problems it gives on an untouched copy.  The inputs are the
-    fixtures, the Klein bicharacter, coboundary twists of the fixtures and
-    zn_rotation(3..5), and each of those twists with one phase moved."""
+def _refuse(*args):
+    raise AssertionError("an entry was read through its accessor: %r"
+                         % (args,))
+
+
+def test_the_validation_scans_read_only_rows(monkeypatch):
+    """validate_system and validate_twist read the tables as rows only:
+    with the action's (g, e) views refusing every read, and the
+    accessors that read one product, edge action, restriction or phase
+    refusing too, each gives the problems it gives on an untouched copy.
+    The inputs are the fixtures, the Klein bicharacter, coboundary twists
+    of the fixtures and zn_rotation(3..5), and each of those twists with
+    one phase moved."""
     def systems_and_twists():
         rng = random.Random(3535)
         for name in FIXTURES:
@@ -689,24 +693,21 @@ def test_the_validation_scans_read_only_rows():
             return validate_system(system)
         return validate_twist(tw)
 
-    found = 0
-    for (system, tw) in systems_and_twists():
-        expected = check(system, tw)
-        found += bool(expected)
+    cases = list(systems_and_twists())
+    expected = [check(system, tw) for (system, tw) in cases]
+    for view in ("edge_action", "restriction"):
+        monkeypatch.setattr(SelfSimilarAction, view,
+                            property(lambda self: _Unread()))
+    for ((system, tw), want) in zip(cases, expected):
         twist = tw if system is None else system.twist
         action = (system or twist).action
-        gpd = action.groupoid
-        action.rows()
-        action.edge_action = _RowsOnly(action.edge_action)
-        action.restriction = _RowsOnly(action.restriction)
-        if gpd.kind == "explicit":
-            gpd.product_rows()
-            gpd._mul = _RowsOnly(gpd._mul)
+        action.act_edge = action.restrict_edge = _refuse
+        if action.groupoid.kind == "explicit":
+            action.groupoid.mul = _refuse
         if twist is not None:
-            twist._group = _RowsOnly(twist._group)
-            twist._edge = _RowsOnly(twist._edge)
-        assert check(system, tw) == expected
-    assert found >= 5
+            twist.group = twist.edge = _refuse
+        assert check(system, tw) == want
+    assert sum(map(bool, expected)) >= 5
 
 
 # ---------------------------------------------------------------------------
