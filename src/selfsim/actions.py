@@ -515,7 +515,8 @@ class RestrictionDigraph:
     The derived sets are computed on first use.  The tables are not
     assumed valid: an element whose source is not a vertex raises
     GraphError, and a missing entry, or an arrow into a name the groupoid
-    lacks, raises ActionError.
+    lacks, raises ActionError, with the messages of act_edge and
+    restrict_edge, so the commands that skip validate refuse them.
     """
 
     def __init__(self, action):

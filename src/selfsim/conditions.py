@@ -14,6 +14,9 @@ plus PseudoFree, Faithful, TightlyFaithful and Contracting.  Derived
 verdicts combine these by fixed rules; each carries the rule it used, its
 inputs, and honest scope propagation (a HoldsOnModel input never yields a
 plain Holds, and --scope strict refuses to propagate it at all).
+
+No decider enumerates paths: they read the action's restriction digraph,
+its orbit graph (see the actions module docstring) or its element records.
 """
 
 import collections
@@ -24,38 +27,14 @@ from . import verdicts
 from .verdicts import holds, fails, holds_on_model, requires_explicit
 
 
-# -- scoping ----------------------------------------------------------------
-
-
-def _orbit_scoped(groupoid, witness, witness_note="", model_note=""):
-    """Scoping for orbit-quantified checks: failure witnesses are sound
-    (states are inhabited), a clean sweep needs the full orbit relation."""
-    if witness is not None:
-        return fails(witness, witness_note)
-    if groupoid.orbit_complete:
-        return holds(model_note)
-    return holds_on_model(model_note)
-
-
-def _monotone_scoped(groupoid, witness, witness_note="", model_note=""):
-    """Scoping for checks that can only get easier with more orbit pairs:
-    holding on the model is globally sound, failing needs completeness."""
-    if witness is None:
-        return holds(model_note)
-    if groupoid.orbit_complete:
-        return fails(witness, witness_note)
-    return requires_explicit(
-        "the modeled orbit relation is incomplete, so the failure cannot "
-        "be trusted")
-
-
 # -- the seven conditions ---------------------------------------------------
 
 
 def check_fin(action):
     """Finitely many minimal strongly fixed paths for every element.  An
     element has infinitely many exactly when its fixed walks through
-    non-units reach a pump; the least such element gives the witness."""
+    non-units reach a pump; the least such element gives the witness, and
+    its minimal strongly fixed paths are listed for the witness only."""
     dg = action.digraph
     starts = dg.reaching(dg.pumps, avoid=dg.units)
     witness = None
@@ -96,7 +75,8 @@ def _closing_lengths(orb):
     from its root, keeps per orbit class the depths of the vertices on the
     way down that receive at most one edge; a base's chain closes at the
     nearest of them in its class.  Below a cycle the chain goes round it,
-    so that walk starts with one lap of the cycle on the stacks.
+    so that walk starts with one lap of the cycle on the stacks.  The
+    pass is linear in the graph.
     """
     classes, sources = orb.classes, orb.sources
     step = {u: s[0] for (u, s) in sources.items() if len(s) == 1}
@@ -158,7 +138,7 @@ def check_cyc(action):
             u = e.src
             edges.append(e.name)
         witness = {"op": "has_entrance", "path": edges, "src": u, "rng": base}
-    return _orbit_scoped(
+    return verdicts.orbit_verdict(
         action.groupoid, witness,
         witness_note="an entrance-free path closes up to the orbit relation",
         model_note="every orbit-cycle has an entrance")
@@ -172,7 +152,8 @@ def check_sla(action):
     cycle produces arbitrarily long paths that are fixed but not strongly.
     The kernel is closed under restriction and all its arrows are fixed,
     so those cycle nodes are the digraph's cycle nodes inside the kernel.
-    The witness is the least such element and its least such node.
+    The witness is the least such element and its least such node.  The
+    cycle search runs only when the kernel holds a non-unit.
     """
     gpd, dg = action.groupoid, action.digraph
     succ, kernel = dg.fixed, dg.kernel
@@ -256,7 +237,7 @@ def check_min(action):
             witness = {"op": "invariant_closure", "vertex": v,
                        "closure": sorted(closure)}
             break
-    return _monotone_scoped(
+    return verdicts.monotone_verdict(
         action.groupoid, witness,
         witness_note="a vertex has a proper invariant closure",
         model_note="every vertex generates the full vertex set")
@@ -311,7 +292,7 @@ def check_con(action):
     witness = None
     if left:
         witness = {"op": "path_reachable_vertices", "vertex": min(left)}
-    return _monotone_scoped(
+    return verdicts.monotone_verdict(
         action.groupoid, witness,
         witness_note="a vertex never reaches an orbit-cycle with an entrance",
         model_note="all vertices reach an orbit-cycle with an entrance")

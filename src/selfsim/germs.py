@@ -287,7 +287,9 @@ def hum_for_point(action, x):
     which are not units, so the answer is False at every point with a
     singular class and True only where there is none.  sub is their
     closure under right multiplication by them, which in a finite group
-    is the subgroup they generate."""
+    is the subgroup they generate.  Only those products are formed, each
+    through the checked mul, and one outside the isotropy raises
+    GroupoidError."""
     gpd = action.groupoid
     classes, note = singular_decompositions(action, x)
     if x.is_finite():

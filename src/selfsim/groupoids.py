@@ -227,6 +227,10 @@ class ExplicitGroupoid(Groupoid):
         (xu)y = xy = x(uy), and so does a unit outer factor, since
         (ua)b = ab = u(ab), so the units pass when the unit and inverse
         stage finds nothing.
+
+        Each stage after the first reads the element records and the rows
+        directly, without the checked accessors, since the stages before
+        it proved what it reads.
         """
         problems = []
         vset = set(self.vertices)

@@ -48,7 +48,9 @@ class Twist:
 
     def __init__(self, action, group_entries=(), edge_entries=()):
         """Each table is given as rows, as a dict (first, second) -> phase
-        or as (first, second, phase) triples."""
+        or as (first, second, phase) triples.  Each entry is checked here,
+        once: a group entry whose pair does not compose, or an edge entry
+        whose element does not act on its edge, raises TwistError."""
         gpd = action.groupoid
         if gpd.kind != "explicit":
             raise TwistError("twists need products; the backend is behavioral")

@@ -9,8 +9,15 @@ states; the extra statuses record that:
 * RequiresExplicit — the check cannot be run soundly on this backend
   (it needs products, or a witness would hinge on an unasserted flag).
 
-Witnesses are plain JSON-able dicts and every Fails witness replays
-through the public operations.
+Witnesses are plain JSON-able dicts.  Most base witnesses carry an "op",
+the literal check that the witness fails, whose arguments are the
+witness's other keys; some ops name a definition (has_entrance,
+path_reachable_vertices, restriction_digraph) rather than a function of
+the package, and the PseudoFree, Faithful and TightlyFaithful witnesses
+have none.  No operation replays a witness mechanically yet.
+
+Three rules scope a check's answer on a behavioral model, by the flags
+it asserts: universal_verdict, orbit_verdict and monotone_verdict.
 """
 
 from typing import NamedTuple
@@ -68,3 +75,25 @@ def universal_verdict(groupoid, witness, witness_note="", model_note=""):
     if groupoid.element_complete:
         return holds(model_note)
     return holds_on_model(model_note)
+
+
+def orbit_verdict(groupoid, witness, witness_note="", model_note=""):
+    """Scoping for orbit-quantified checks: failure witnesses are sound
+    (states are inhabited), a clean sweep needs the full orbit relation."""
+    if witness is not None:
+        return fails(witness, witness_note)
+    if groupoid.orbit_complete:
+        return holds(model_note)
+    return holds_on_model(model_note)
+
+
+def monotone_verdict(groupoid, witness, witness_note="", model_note=""):
+    """Scoping for checks that can only get easier with more orbit pairs:
+    holding on the model is globally sound, failing needs completeness."""
+    if witness is None:
+        return holds(model_note)
+    if groupoid.orbit_complete:
+        return fails(witness, witness_note)
+    return requires_explicit(
+        "the modeled orbit relation is incomplete, so the failure cannot "
+        "be trusted")

@@ -567,6 +567,23 @@ REFUSALS = {
     "missing-restriction": (
         _edited("four_loop_z2", lambda doc: doc["action"]["restriction"].pop(0)),
         ["kernel", "SYSTEM"], 1, "error: restriction missing for ('0', 'a')"),
+    # a twist that could not be built is refused before the arguments are
+    # read, so it wins over a path of the wrong shape
+    "twist-edge-bad-path": (
+        _edited("twisted_three_spoke", _zz_edge_phase),
+        ["twist", "SYSTEM", "extend", '"1"', "[]"], 1,
+        "invalid: twist: unknown edge 'zz'"),
+    "twist-group-not-composable": (
+        _edited("twisted_three_spoke",
+                lambda doc: doc["twist"]["sigma_G"].append(["0", "u1", "1/2"])),
+        ["validate", "SYSTEM"], 1,
+        '    "twist: group entry (\'0\', \'u1\') is not composable"'),
+    "nucleus-sources": (
+        _bundled("twisted_three_spoke"), ["nucleus", "SYSTEM"], 1,
+        "error: nucleus needs a graph without sources; 'w1' is one"),
+    "nucleus-behavioral": (
+        _bundled("not_exel_pardo"), ["nucleus", "SYSTEM"], 1,
+        "error: the nucleus concerns the full element set"),
 }
 
 

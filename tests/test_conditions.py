@@ -477,8 +477,8 @@ def _matches_loops(action, checks):
     """Each named decider gives the verdict and witness that its loop
     oracle's witness gets under the same scoping; the Fails are returned."""
     oracles = {"Fin": (check_fin, oracle_check_fin, verdicts.universal_verdict),
-               "Min": (check_min, oracle_check_min, cond._monotone_scoped),
-               "Con": (check_con, oracle_check_con, cond._monotone_scoped)}
+               "Min": (check_min, oracle_check_min, verdicts.monotone_verdict),
+               "Con": (check_con, oracle_check_con, verdicts.monotone_verdict)}
     failed = set()
     for cid in checks:
         (decide, oracle, scope) = oracles[cid]
