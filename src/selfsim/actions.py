@@ -512,7 +512,9 @@ class RestrictionDigraph:
     the elements with an arrow that is not fixed.  Each table entry is
     read once, here, straight from g's rows: every e that src(g)
     receives composes with g, so act_edge's guard has nothing to check.
-    The derived sets are computed on first use.  The tables are not
+    The derived sets are computed on first use.  The deciders share the
+    searches along fixed arrows kept here: reach, reaching, and one
+    breadth-first search, behind pump's witness words.  The tables are not
     assumed valid: an element whose source is not a vertex raises
     GraphError, and a missing entry, or an arrow into a name the groupoid
     lacks, raises ActionError, with the messages of act_edge and
@@ -580,16 +582,49 @@ class RestrictionDigraph:
         return self.reaching(self.units)
 
     @functools.cached_property
+    def live(self):
+        """Non-units that reach a unit along fixed arrows: the nodes a fixed
+        walk can pass through and still end in a strongly fixed path."""
+        return self.can_reach_unit - self.units
+
+    @functools.cached_property
     def cyclic(self):
         """Nodes on a directed cycle of the arrows."""
         return cycle_nodes(self.arrows)
 
     @functools.cached_property
     def pumps(self):
-        """Nodes on a cycle of fixed arrows among the live nodes: non-units
-        that reach a unit along fixed arrows."""
-        live = self.can_reach_unit - self.units
-        return cycle_nodes({h: self.fixed[h] for h in live})
+        """Nodes on a cycle of fixed arrows among the live nodes."""
+        return cycle_nodes({h: self.fixed[h] for h in self.live})
+
+    def _shortest_walk(self, starts, goal):
+        """The first (node, word) with goal(node) in a breadth-first search
+        along fixed arrows from the (node, word) starts, else (None, None).
+        With starts of one length in increasing word order, each word is
+        the shortest, then lexicographically least, from any start: a
+        queue in word order stays so, as arrows go in edge-name order."""
+        queue = collections.deque(starts)
+        seen = {h for (h, _) in starts}
+        while queue:
+            h, word = queue.popleft()
+            if goal(h):
+                return h, word
+            for (e, n) in self.fixed[h]:
+                if n not in seen:
+                    seen.add(n)
+                    queue.append((n, word + (e,)))
+        return None, None
+
+    def pump(self, g, c, goal):
+        """The words of a pumping witness through a cycle node c below g, each
+        the shortest, then least: access from g to c, the non-empty cycle at
+        c (the search started from c's arrows), and exit from c to the
+        first node meeting goal; last that exit node."""
+        _, access = self._shortest_walk([(g, ())], lambda n: n == c)
+        _, cycle = self._shortest_walk([(n, (e,)) for (e, n) in self.fixed[c]],
+                                       lambda n: n == c)
+        node, exit_word = self._shortest_walk([(c, ())], goal)
+        return access, cycle, exit_word, node
 
 
 def components(succ):
@@ -718,36 +753,6 @@ class MinimalFixedResult(NamedTuple):
         return self.status == "finite"
 
 
-def _shortest_walk(succ, sources, goal_test):
-    """Lexicographically smallest shortest edge word from sources to a goal,
-    along the arrows succ[h] = ((e, h|_e), ...)."""
-    queue = collections.deque((s, ()) for s in sorted(set(sources)))
-    seen = set(sources)
-    while queue:
-        h, word = queue.popleft()
-        if goal_test(h):
-            return h, word
-        for (e, n) in succ[h]:
-            if n not in seen:
-                seen.add(n)
-                queue.append((n, word + (e,)))
-    return None, None
-
-
-def _cycle_word(succ, c):
-    """The shortest, then lexicographically least, non-empty closed walk at
-    c, or None."""
-    best = None
-    for (e, n) in succ[c]:
-        if n == c:
-            return (e,)
-        _, back = _shortest_walk(succ, [n], lambda m: m == c)
-        if back is not None and (best is None
-                                 or (len(back) + 1, (e,) + back) < (len(best), best)):
-            best = (e,) + back
-    return best
-
-
 def minimal_strongly_fixed(action, g):
     """The minimal strongly fixed paths of g: no proper prefix strongly fixed.
 
@@ -763,16 +768,13 @@ def minimal_strongly_fixed(action, g):
     if gpd.is_unit(g):
         return MinimalFixedResult("finite", (Path(gpd.src(g)),))
     dg = action.digraph
-    succ = dg.fixed
     pumped = dg.reach([g], avoid=dg.units) & dg.pumps
     if pumped:
-        h = min(pumped)
-        _, access = _shortest_walk(succ, [g], lambda n: n == h)
-        _, exit_word = _shortest_walk(succ, [h], gpd.is_unit)
+        access, cycle, exit_word, _ = dg.pump(g, min(pumped), gpd.is_unit)
         return MinimalFixedResult("infinite", (), {
             "element": g,
             "access": list(access),
-            "cycle": list(_cycle_word(succ, h)),
+            "cycle": list(cycle),
             "exit": list(exit_word),
         })
 
@@ -780,10 +782,10 @@ def minimal_strongly_fixed(action, g):
     out, stack = [], [(g, ())]
     while stack:
         h, word = stack.pop()
-        for (e, n) in succ[h]:
+        for (e, n) in dg.fixed[h]:
             if gpd.is_unit(n):
                 out.append(Path(gpd.src(g), word + (e,)))
-            elif n in dg.can_reach_unit:
+            elif n in dg.live:
                 stack.append((n, word + (e,)))
     return MinimalFixedResult("finite", tuple(sorted(out, key=path_key)))
 

@@ -189,15 +189,12 @@ def _read_args(action, pairs):
     return [_READERS[c](action, data, c) for (c, data) in pairs]
 
 
-def cmd_semigroup(args):
+def cmd_calculus(args):
     """semigroup and germ: the op's output on its arguments."""
     pairs = _op_json(args)
     action = _load(args.system).action
     _emit(_OPS[args.cmd][args.op][1](action, *_read_args(action, pairs)))
     return 0
-
-
-cmd_germ = cmd_semigroup
 
 
 def cmd_twist(args):
@@ -381,8 +378,11 @@ def _parse(argv):
 
 def main(argv=None):
     args = _parse(argv)
+    # semigroup and germ share cmd_calculus; every other command has its own
+    name = ("calculus" if args.cmd in ("semigroup", "germ")
+            else args.cmd.replace("-", "_"))
     try:
-        code = globals()["cmd_" + args.cmd.replace("-", "_")](args)
+        code = globals()["cmd_" + name](args)
         # flush inside the try, so that a closed stdout raises here
         sys.stdout.flush()
         return code

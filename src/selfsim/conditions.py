@@ -156,7 +156,7 @@ def check_sla(action):
     cycle search runs only when the kernel holds a non-unit.
     """
     gpd, dg = action.groupoid, action.digraph
-    succ, kernel = dg.fixed, dg.kernel
+    kernel = dg.kernel
     # fixed walks from the kernel stay inside it, so the kernel nodes that
     # reach a non-unit are those reaching one of kernel - units
     reach = kernel & dg.reaching(kernel - dg.units)
@@ -165,13 +165,10 @@ def check_sla(action):
     witness = None
     if starts:
         g = min(starts)
-        c = min(dg.reach([g]) & bad)
-        node, word = act_mod._shortest_walk(succ, [c],
+        access, cycle, word, node = dg.pump(g, min(dg.reach([g]) & bad),
                                             lambda n: not gpd.is_unit(n))
-        _, access = act_mod._shortest_walk(succ, [g], lambda n: n == c)
         witness = {"op": "restriction_digraph", "element": g,
-                   "access": list(access),
-                   "cycle": list(act_mod._cycle_word(succ, c)),
+                   "access": list(access), "cycle": list(cycle),
                    "to_nonunit": list(word), "nonunit": node}
     return verdicts.universal_verdict(
         gpd, witness,

@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 from . import semigroup as sg
 from .actions import (BoundaryPoint, _closure, act_point, canonical_point,
-                      edge_at, fixes_point, point_from_json, point_phase,
+                      edge_at, point_from_json, point_phase,
                       point_prefix, point_tail, point_to_json,
                       strongly_fixed_prefix, walk)
 from .graphs import UsageError
@@ -187,33 +187,35 @@ class SingularClass(NamedTuple):
                     point_tail(action.graph, x, self.position))
 
 
-def _tail_states_good(action, g, tail):
-    """Every prefix of the tail must keep a strongly fixed extension in
-    reach: each restriction along the tail can reach a unit along the fixed
-    arrows of the restriction digraph.  g fixes the tail, so the walk below
-    only takes fixed arrows."""
-    good = action.digraph.can_reach_unit
-    return all(h in good
-               for (_, _, h) in walk(tail, 0, g, action.restrict_edge))
-
-
 def _singular_candidates(action, x):
     """The (position, element) pairs singular_decompositions starts from,
     in order.  Past the prefix the tail repeats with the period, and equal
     phases mean equal tails, so each distinct tail is built and tested
-    once."""
+    once.  One walk tests each non-unit isotropy element g of the tail: a
+    fixed edge at every step (g fixes the tail) and never a unit state (not
+    strongly); then every state keeps a strongly fixed extension in reach
+    when the last one is live, for each state reaches the next along the
+    fixed arrow it walked.  The digraph is read only after a whole walk."""
     graph, gpd = action.graph, action.groupoid
     bound = len(x.prefix) + len(x.period) * max(1, len(gpd.elements()))
+
+    def passes(g, tail):
+        # the walk goes on past a unit state, so that every entry on it is
+        # read and a missing one raises
+        unit = False
+        for (_, e, h) in walk(tail, 0, g, action.restrict_edge):
+            unit = unit or gpd.is_unit(h)
+            if e is not None and action.act_edge(h, e) != e:
+                return False
+        return not unit and h in action.digraph.live
+
     passing, cands = {}, []
     for i in range(bound + 1):
         phase = point_phase(x, i)
         if phase not in passing:
             tail = point_tail(graph, x, i)
-            passing[phase] = [
-                g for g in gpd.isotropy_at(tail.base)
-                if not gpd.is_unit(g) and fixes_point(action, g, tail)
-                and strongly_fixed_prefix(action, g, tail) is None
-                and _tail_states_good(action, g, tail)]
+            passing[phase] = [g for g in gpd.isotropy_at(tail.base)
+                              if not gpd.is_unit(g) and passes(g, tail)]
         cands.extend(SingularClass(i, g) for g in passing[phase])
     return cands
 

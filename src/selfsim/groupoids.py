@@ -130,9 +130,7 @@ class ExplicitGroupoid(Groupoid):
         self._mul_rows = _rows(mul_table)   # a -> {b: ab}, src(a) = rng(b)
         self._inv = dict(inv_table)         # a -> a^{-1}
         self._generators = None             # generators(), once computed
-        self._by_range = {v: [] for v in self.vertices}     # by_range()
-        for g in self._sorted:
-            self._by_range.setdefault(self._elements[g].rng, []).append(g)
+        self._by_range = None               # by_range(), once computed
 
     def unit_at(self, v):
         try:
@@ -205,7 +203,12 @@ class ExplicitGroupoid(Groupoid):
 
     def by_range(self, keep=None):
         """range -> its elements (those in keep, if given) in elements()
-        order, at every vertex and range: built once, not to be changed."""
+        order, at every vertex and range.  Built on the first call and kept,
+        not to be changed: the commands that never validate never read it."""
+        if self._by_range is None:
+            self._by_range = {v: [] for v in self.vertices}
+            for g in self._sorted:
+                self._by_range.setdefault(self._elements[g].rng, []).append(g)
         if keep is None:
             return self._by_range
         return {r: [g for g in gs if g in keep]

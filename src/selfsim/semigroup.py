@@ -173,7 +173,9 @@ def _corridor_holds(action, g, alpha_bar, forced, start_vertex):
 
     Runs the unique corridor the condition allows; any branch point, or a
     mismatch, refutes it.  A source ends the corridor (vacuously true
-    beyond); a repeated (element, window) state proves it holds forever.
+    beyond), though on a valid action none is reached: the element there
+    would join the source to a vertex that receives an edge.  A repeated
+    (element, window) state proves it holds forever.
     """
     gpd, graph = action.groupoid, action.graph
     s = len(alpha_bar)

@@ -519,6 +519,10 @@ def _bundled(name):
     return lambda tmp_path: name
 
 
+# the triple (v, 1, v) of four_loop_z2
+_ONE = '{"alpha": [], "g": "1", "beta": []}'
+
+
 def _zz_edge_phase(doc):
     doc["twist"]["sigma_bowtie"].append(["1", "zz", "1/2"])
 
@@ -584,6 +588,26 @@ REFUSALS = {
     "nucleus-behavioral": (
         _bundled("not_exel_pardo"), ["nucleus", "SYSTEM"], 1,
         "error: the nucleus concerns the full element set"),
+    # semigroup skips validate: the one-step guards of the groupoid and the
+    # action are the only checks its tables get
+    "missing-product": (
+        _edited("four_loop_z2",
+                lambda doc: doc["groupoid"]["mul"].remove(["1", "1", "0"])),
+        ["semigroup", "SYSTEM", "mul", _ONE, _ONE], 1,
+        "error: product ('1', '1') missing from table"),
+    "missing-inverse": (
+        _edited("four_loop_z2", lambda doc: doc["groupoid"]["inv"].pop("1")),
+        ["semigroup", "SYSTEM", "star", _ONE], 1,
+        "error: inverse of '1' missing from table"),
+    "missing-unit": (
+        _edited("four_loop_z2", lambda doc: doc["groupoid"]["units"].clear()),
+        ["semigroup", "SYSTEM", "conj", _ONE, '["a"]'], 1,
+        "error: no unit at vertex 'v'"),
+    "missing-restriction-one-step": (
+        _edited("four_loop_z2",
+                lambda doc: doc["action"]["restriction"].remove(["1", "a", "0"])),
+        ["semigroup", "SYSTEM", "conj", _ONE, '["a"]'], 1,
+        "error: restriction missing for ('1', 'a')"),
 }
 
 
@@ -1221,7 +1245,35 @@ def test_kernel_command(capsys):
     assert data["TightlyFaithful"]["status"] == "Fails"
 
 
-def test_hum_command(capsys):
+def isotropy_at_two_vertices():
+    """Z2 = {0v, 1v} at v and Z2 x Z2 = {0w, x, y, xy} at w, every element
+    fixing every edge.  Along c (w -> v) 1v restricts to x, along the loop
+    d at w each element to itself, and along c2 and d2 everything to a
+    unit.  At c d^inf the singular classes are 1v at v and y, xy at w."""
+    k4 = ["0w", "x", "y", "xy"]
+    z2 = [["0v", "0v", "0v"], ["0v", "1v", "1v"], ["1v", "0v", "1v"],
+          ["1v", "1v", "0v"]]
+    edges = {"c": ("w", "v"), "c2": ("w", "v"), "d": ("w", "w"),
+             "d2": ("w", "w")}
+    restriction = [["0v", "c", "0w"], ["1v", "c", "x"], ["0v", "c2", "0w"],
+                   ["1v", "c2", "0w"]]
+    restriction += [[g, "d", g] for g in k4] + [[g, "d2", "0w"] for g in k4]
+    return {
+        "graph": {"vertices": ["v", "w"],
+                  "edges": [{"name": e, "src": a, "rng": b}
+                            for (e, (a, b)) in edges.items()]},
+        "groupoid": {"kind": "bundle", "fibers": {
+            "v": {"elements": ["0v", "1v"], "unit": "0v", "mul": z2},
+            "w": {"elements": k4, "unit": "0w",
+                  "mul": [[a, b, k4[k4.index(a) ^ k4.index(b)]]
+                          for a in k4 for b in k4]}}},
+        "action": {"edge_action": [[row[0], row[1], row[1]]
+                                   for row in restriction],
+                   "restriction": restriction},
+    }
+
+
+def test_hum_command(capsys, tmp_path):
     code, data, _ = run_json(capsys, ["hum", "four_loop_z2",
                                       '{"prefix": [], "period": ["e"]}'])
     assert code == 0
@@ -1232,6 +1284,16 @@ def test_hum_command(capsys):
     assert code == 0
     assert data["result"] is True
     assert data["family"] == []
+    path = write_system(tmp_path, isotropy_at_two_vertices())
+    assert run(capsys, ["validate", path])[0] == 0
+    point = '{"prefix": ["c"], "period": ["d"]}'
+    code, data, _ = run_json(capsys, ["germ", path, "xbar", point])
+    assert [(g["g"], g["xi"]["base"]) for g in data["germs"]] == \
+        [("1v", "v"), ("xy", "w"), ("y", "w")]
+    assert run_json(capsys, ["hum", path, point]) == (0, {
+        "result": None,
+        "note": "germ components sit at several vertices; refusing to "
+                "aggregate them into one group"}, "")
 
 
 # ---------------------------------------------------------------------------

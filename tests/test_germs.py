@@ -11,7 +11,8 @@ from selfsim import germs
 from selfsim import semigroup as sg
 from selfsim.actions import (SelfSimilarAction, act_point, boundary_point,
                              boundary_points_from, edge_at, point_phase,
-                             point_prefix, point_tail, strongly_fixed_prefix)
+                             point_prefix, point_tail, strongly_fixed_prefix,
+                             walk)
 from selfsim.germs import (Germ, GermError, SingularClass, classify,
                            cycle_expansion, germ_eq,
                            germ_inv, germ_mul, hum_for_point, in_core,
@@ -415,7 +416,8 @@ def test_singular_decompositions_empty_without_isotropy(fix):
 def oracle_singular_candidates(action, x):
     """The literal per-position loop: at every position up to the search
     bound, test every non-unit isotropy element against the tail afresh,
-    with g·tail = tail decided by building g·tail."""
+    with g·tail = tail decided by building g·tail, and every restriction
+    along the tail able to reach a unit along fixed arrows."""
     graph, gpd = action.graph, action.groupoid
     bound = len(x.prefix) + len(x.period) * max(1, len(gpd.elements()))
     out = []
@@ -425,7 +427,8 @@ def oracle_singular_candidates(action, x):
             if (gpd.src(g) == gpd.rng(g) == tail.base and not gpd.is_unit(g)
                     and act_point(action, g, tail) == tail
                     and strongly_fixed_prefix(action, g, tail) is None
-                    and germs._tail_states_good(action, g, tail)):
+                    and all(h in action.digraph.can_reach_unit for (_, _, h)
+                            in walk(tail, 0, g, action.restrict_edge))):
                 out.append(SingularClass(i, g))
     return out
 

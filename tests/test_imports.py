@@ -16,7 +16,8 @@ module imports dataclasses: the records are named tuples, so importing
 the command line loads neither dataclasses nor inspect.  The benchmark's
 tracer patches methods by name, so each method it lists is a function of
 its class's own namespace, and conditions.BASE_CHECKS stays a list of
-(id, function) pairs."""
+(id, function) pairs.  The tracer keys its wrappers by function object, so
+no module binds a function it defines under a second module-level name."""
 
 import ast
 import importlib
@@ -344,6 +345,39 @@ def test_the_command_line_loads_neither_dataclasses_nor_inspect():
          "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
         env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def function_aliases(source):
+    """(line, name, function) for every module-level assignment that binds a
+    function defined by a module-level def of the same source to a second
+    name."""
+    tree = ast.parse(source)
+    defined = {node.name for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and \
+                isinstance(node.value, ast.Name) and node.value.id in defined:
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            out.extend((node.lineno, t.id, node.value.id) for t in targets
+                       if isinstance(t, ast.Name))
+    return sorted(out)
+
+
+def test_function_aliases_are_found():
+    source = ("def f():\n    pass\ng = f\nh = k = f\nm: object = f\n"
+              "n = len\np = f()\nclass C:\n    q = f\n"
+              "def r():\n    s = f\n")
+    assert function_aliases(source) == [
+        (3, "g", "f"), (4, "h", "f"), (4, "k", "f"), (5, "m", "f")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_module_binds_each_function_it_defines_once(path):
+    """A traced run would charge every call of such a function to one of
+    its names: the one the tracer's wrapper happened to be keyed by."""
+    assert function_aliases(path.read_text(encoding="utf-8")) == []
 
 
 def tracer_rows():

@@ -11,9 +11,10 @@ import random
 import pytest
 
 from selfsim import semigroup as sg
-from selfsim.graphs import comparable
-from selfsim.groupoids import (BehavioralModel, GroupoidError,
-                               RequiresExplicitError)
+from selfsim.actions import SelfSimilarAction
+from selfsim.graphs import DirectedGraph, comparable
+from selfsim.groupoids import (BehavioralModel, ExplicitGroupoid,
+                               GroupoidError, RequiresExplicitError)
 from selfsim.semigroup import (ZERO, SemigroupError, Triple, conj_idempotent,
                                elements_up_to, fixed_by,
                                idempotent, in_S00, is_zero, length_cocycle,
@@ -337,31 +338,68 @@ def test_in_s00_on_a_model_answers_as_the_explicit_action_or_refuses():
 # -- fixedness of idempotents -------------------------------------------------
 
 
+def _acyclic(graph):
+    return not act.cycle_nodes({v: [(e.name, e.src) for e in graph.received_by(v)]
+                                for v in graph.vertices})
+
+
 @pytest.mark.parametrize("name", ["entrance_free_loop", "two_edges",
-                                  "twisted_three_spoke", "not_exel_pardo"])
-def test_fixed_by_matches_bounded_sweep_exactly(fix, name):
-    # these graphs branch little enough that a depth-8 sweep is decisive
-    action = fix(name).action
-    explicit = action.groupoid.kind == "explicit"
-    suite = [s for s in small_suite(action, 2) if not is_zero(s)]
-    if not explicit:
-        # star needs inverses, so a behavioral model only decides the
-        # normalized shapes; the longer-alpha ones refuse loudly
-        longer = [s for s in suite if len(s.alpha.edges) > len(s.beta.edges)]
-        suite = [s for s in suite if len(s.alpha.edges) <= len(s.beta.edges)]
-        if longer:
-            with pytest.raises(RequiresExplicitError):
-                fixed_by(action, longer[0],
-                         action.graph.path((), base=longer[0].beta.base))
-    ps = action.graph.all_paths(2)
-    for t in suite:
-        for p in ps:
-            depth = len(p.edges) + 8
-            breaker = oracle_fixed_breaker_structural(action, t, p, depth)
-            if explicit:
-                assert breaker == oracle_fixed_breaker(action, t, p, depth)
-            assert fixed_by(action, t, p) == (breaker is None), \
-                (name, str(t), str(p), breaker and str(breaker))
+                                  "twisted_three_spoke", "not_exel_pardo",
+                                  "acyclic-random"])
+def test_fixed_by_matches_bounded_sweep_exactly(fix, random_actions, name):
+    # these graphs branch little enough that a depth-8 sweep is decisive;
+    # on the acyclic graphs of the random pool (each with a source) every
+    # extension ends at a source within it
+    if name == "acyclic-random":
+        pool = [a for a in random_actions if _acyclic(a.graph)]
+        assert len(pool) >= 5
+    else:
+        pool = [fix(name).action]
+    for action in pool:
+        explicit = action.groupoid.kind == "explicit"
+        suite = [s for s in small_suite(action, 2) if not is_zero(s)]
+        if not explicit:
+            # star needs inverses, so a behavioral model only decides the
+            # normalized shapes; the longer-alpha ones refuse loudly
+            longer = [s for s in suite if len(s.alpha.edges) > len(s.beta.edges)]
+            suite = [s for s in suite if len(s.alpha.edges) <= len(s.beta.edges)]
+            if longer:
+                with pytest.raises(RequiresExplicitError):
+                    fixed_by(action, longer[0],
+                             action.graph.path((), base=longer[0].beta.base))
+        ps = action.graph.all_paths(2)
+        for t in suite:
+            for p in ps:
+                depth = len(p.edges) + 8
+                breaker = oracle_fixed_breaker_structural(action, t, p, depth)
+                if explicit:
+                    assert breaker == oracle_fixed_breaker(action, t, p, depth)
+                assert fixed_by(action, t, p) == (breaker is None), \
+                    (name, str(t), str(p), breaker and str(breaker))
+
+
+def test_fixed_by_ends_a_corridor_at_a_source_only_on_unvalidated_tables():
+    """On a valid action no corridor reaches a source: the restriction
+    there would join the source to a vertex that receives an edge.  Here
+    g joins the source s to v, which receives x, and nothing acts for
+    g^-1; t = (v, g, x) leaves the corridor at s at once, and the sweep is
+    exhaustive, since every extension of x ends at s."""
+    graph = DirectedGraph(["s", "v"], [("x", "s", "v")])
+    gpd = ExplicitGroupoid(
+        ["s", "v"], [("us", "s", "s"), ("uv", "v", "v"), ("g", "s", "v"),
+                     ("gi", "v", "s")],
+        {"s": "us", "v": "uv"},
+        {("us", "us"): "us", ("uv", "uv"): "uv", ("g", "us"): "g",
+         ("uv", "g"): "g", ("gi", "uv"): "gi", ("us", "gi"): "gi",
+         ("g", "gi"): "uv", ("gi", "g"): "us"},
+        {"us": "us", "uv": "uv", "g": "gi", "gi": "g"})
+    action = SelfSimilarAction(graph, gpd, {("uv", "x"): "x"},
+                               {("uv", "x"): "us"})
+    assert action.validate() != []
+    t = make(action, graph.path((), base="v"), "g", graph.path(["x"]))
+    p = graph.path(["x"])
+    assert fixed_by(action, t, p)
+    assert oracle_fixed_breaker(action, t, p, 8) is None
 
 
 def test_fixed_by_agrees_with_sweep_on_branching_fixture(fix):
