@@ -69,7 +69,7 @@ import collections.abc
 import functools
 from typing import NamedTuple
 
-from .graphs import (Path, GraphError, UsageError, dot_id, json_name,
+from .graphs import (Path, GraphError, UsageError, dot, json_name,
                      json_names, path_key)
 from .groupoids import NO_ROW, RequiresExplicitError, _rows
 from . import verdicts
@@ -77,6 +77,12 @@ from . import verdicts
 
 class ActionError(ValueError):
     pass
+
+
+def _missing(table, g, e):
+    """The refusal of a (g, e) entry that the table lacks: act_edge,
+    restrict_edge and the restriction digraph raise it."""
+    return ActionError("%s missing for (%r, %r)" % (table, g, e))
 
 
 class _PairView(collections.abc.Mapping):
@@ -128,7 +134,7 @@ class SelfSimilarAction:
         try:
             return self._act_rows[g][e]
         except KeyError:
-            raise ActionError("edge action missing for (%r, %r)" % (g, e))
+            raise _missing("edge action", g, e)
 
     def restrict_edge(self, g, e):
         if self.groupoid.src(g) != self.graph.edge(e).rng:
@@ -136,7 +142,7 @@ class SelfSimilarAction:
         try:
             return self._res_rows[g][e]
         except KeyError:
-            raise ActionError("restriction missing for (%r, %r)" % (g, e))
+            raise _missing("restriction", g, e)
 
     # -- path calculus ----------------------------------------------------
 
@@ -490,20 +496,6 @@ def _closure(seeds, step, avoid=frozenset()):
     return out
 
 
-def _dot(name, arrows, is_unit, root=None):
-    lines = ["digraph %s {" % dot_id(name)]
-    for h in sorted(arrows):
-        shape = "doublecircle" if is_unit(h) else "circle"
-        mark = ' style=bold' if h == root else ""
-        lines.append('  %s [shape=%s%s];' % (dot_id(h), shape, mark))
-    for h in sorted(arrows):
-        for (e, n) in arrows[h]:
-            lines.append('  %s -> %s [label=%s];'
-                         % (dot_id(h), dot_id(n), dot_id(e)))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
 class RestrictionDigraph:
     """The arrows g -e-> g|_e of an action, one per composable (g, e).
 
@@ -534,16 +526,14 @@ class RestrictionDigraph:
                 try:
                     h = restricts_g[e]
                 except KeyError:
-                    raise ActionError("restriction missing for (%r, %r)"
-                                      % (g, e))
+                    raise _missing("restriction", g, e)
                 if h not in members:
                     raise ActionError("restriction (%r)|_%r = %r is not an "
                                       "element" % (g, e, h))
                 try:
                     moved = moves_g[e]
                 except KeyError:
-                    raise ActionError("edge action missing for (%r, %r)"
-                                      % (g, e))
+                    raise _missing("edge action", g, e)
                 outs.append((e, h))
                 if moved == e:
                     fixed.append((e, h))
@@ -738,7 +728,10 @@ class FixingAutomaton:
         self.trans = {h: fixed.get(h, ()) for h in action.digraph.reach([root])}
 
     def to_dot(self):
-        return _dot("fixing", self.trans, self.action.groupoid.is_unit, self.root)
+        """The automaton in DOT: unit states double-circled, the root bold."""
+        is_unit, states = self.action.groupoid.is_unit, sorted(self.trans)
+        return dot("fixing", [(h, is_unit(h), h == self.root) for h in states],
+                   [(h, n, e) for h in states for (e, n) in self.trans[h]])
 
 
 # -- minimal strongly fixed paths -------------------------------------------
@@ -860,7 +853,11 @@ def tightly_faithful(action):
 
 
 def restriction_digraph_dot(action):
-    return _dot("restrictions", action.digraph.arrows, action.groupoid.is_unit)
+    """Every arrow of the restriction digraph in DOT, units double-circled."""
+    arrows, is_unit = action.digraph.arrows, action.groupoid.is_unit
+    nodes = sorted(arrows)
+    return dot("restrictions", [(h, is_unit(h), False) for h in nodes],
+               [(h, n, e) for h in nodes for (e, n) in arrows[h]])
 
 
 def nucleus(action):

@@ -352,6 +352,12 @@ def _build_parser():
     p.add_argument("--what", default="graph",
                    help="graph | restriction | fixing:<element>")
 
+    # the top usage, wrapped after "[-h]" and after the choices as argparse
+    # wraps it before Python 3.13, so that the help reads the same on every
+    # version; the subcommands took their prog, "selfsim", when added
+    indent = "\n" + " " * len("usage: selfsim ")
+    parser.usage = ("%(prog)s [-h]" + indent + "{" + ",".join(sub.choices) + "}"
+                    + indent + "...")
     _COMMAND_PARSERS.update(sub.choices)
     return parser
 

@@ -6,6 +6,10 @@ rng(e) = v).  A vertex with vE1(v) empty is a source.  A path is a word
 e1 e2 ... en with src(e_i) = rng(e_{i+1}); it has rng = rng(e1) and
 src = src(en), and it extends by appending edges at its source end.
 Vertices double as the paths of length zero.
+
+This module holds the one DOT writer, dot: the graph's to_dot, the
+restriction digraph's and the fixing automaton's pictures all print
+through it.
 """
 
 import collections
@@ -209,15 +213,10 @@ class DirectedGraph:
         return out
 
     def to_dot(self, name="graph"):
-        lines = ["digraph %s {" % dot_id(name)]
-        for v in self.vertices:
-            shape = "doublecircle" if self.is_source(v) else "circle"
-            lines.append('  %s [shape=%s];' % (dot_id(v), shape))
-        for e in self.edges:
-            lines.append('  %s -> %s [label=%s];'
-                         % (dot_id(e.rng), dot_id(e.src), dot_id(e.name)))
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        """The graph in DOT: a source vertex double-circled, each edge an
+        arrow from its range to its source."""
+        return dot(name, [(v, self.is_source(v), False) for v in self.vertices],
+                   [(e.rng, e.src, e.name) for e in self.edges])
 
 
 def first_repeat(names):
@@ -228,10 +227,26 @@ def first_repeat(names):
                 if n > 1)
 
 
+def dot(name, nodes, arrows):
+    """The one DOT writer: the digraph name, with one line per node
+    (node, double-circled, bold) and then one per arrow (tail, head,
+    label), in the order given."""
+    lines = ["digraph %s {" % dot_id(name)]
+    for (v, double, bold) in nodes:
+        lines.append('  %s [shape=%s%s];' % (
+            dot_id(v), "doublecircle" if double else "circle",
+            " style=bold" if bold else ""))
+    for (tail, head, label) in arrows:
+        lines.append('  %s -> %s [label=%s];'
+                     % (dot_id(tail), dot_id(head), dot_id(label)))
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
 def dot_id(name):
     """name as a quoted DOT ID, its backslashes and double quotes escaped:
-    every ID and label the DOT writers print goes through here, so any
-    name makes valid DOT."""
+    every ID and label dot prints goes through here, so any name makes
+    valid DOT."""
     return '"%s"' % name.replace("\\", "\\\\").replace('"', '\\"')
 
 

@@ -47,11 +47,6 @@ def _rows(table):
     return rows
 
 
-def _entries(rows):
-    """[first, second, value] per entry, in the writers' sorted order."""
-    return [[a, b, v] for a in sorted(rows) for (b, v) in sorted(rows[a].items())]
-
-
 class GroupoidError(ValueError):
     pass
 

@@ -2,25 +2,32 @@
 optional twist, plus the bundled example systems.
 
 All names are strings and phases are "p/q" strings, so files diff cleanly
-and serialization round-trips bit-exactly.
+and serialization round-trips bit-exactly.  This module owns the format:
+the one reader of a file's bytes (load_system, which also reads the
+bundled examples, the files in fixtures/ next to this module), the one
+reader of its document (system_from_json), the listing of its tables
+(_entries) and the one writer of JSON text (json_text).
 """
 
 import itertools
 import json
-from importlib import resources
+import os
 from json.encoder import encode_basestring_ascii as _encode_str
 
 from .actions import SelfSimilarAction
 from .graphs import (DirectedGraph, GraphError, UsageError, first_repeat,
                      json_name, json_names)
 from .groupoids import (BehavioralModel, GroupoidError, ExplicitGroupoid,
-                        _entries, _rows, cyclic_group_table, group_bundle)
-from .twists import Twist, TwistError, validate_twist
+                        _rows, cyclic_group_table, group_bundle)
+from .twists import Twist, TwistError, phase_str, validate_twist
 
 
 # A file's "cyclic" fibers may ask for this many product-table entries in
 # all (the sum of n² over the fibers): "cyclic": 1000 is the largest one.
 _MAX_CYCLIC_ENTRIES = 10 ** 6
+
+# the bundled example systems, one file NAME.json each
+_FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
 
 # `twist verify` checks the cocycle over at most this many triples, so a
 # large --bound is refused before any triple is built (four_loop_z2 has
@@ -66,6 +73,12 @@ def _table(rows, what):
         raise UsageError("%s lists the key %r twice" % (
             what, first_repeat((a, b) for (a, b, _) in rows)))
     return table
+
+
+def _entries(rows):
+    """[first, second, value] per entry of rows first -> {second: value},
+    in the file's sorted order: every table a file lists comes from here."""
+    return [[a, b, v] for a in sorted(rows) for (b, v) in sorted(rows[a].items())]
 
 
 def graph_from_json(data):
@@ -156,7 +169,11 @@ def action_to_json(action):
 
 
 def twist_to_json(twist):
-    return {"sigma_G": twist.group_json(), "sigma_bowtie": twist.edge_json()}
+    """The nonzero phases of each table, as "p/q" strings."""
+    return {key: [[a, b, phase_str(twist.fraction(v))]
+                  for (a, b, v) in _entries(rows) if v]
+            for (key, rows) in (("sigma_G", twist._group_rows),
+                                ("sigma_bowtie", twist._edge_rows))}
 
 
 def system_from_json(data):
@@ -309,12 +326,8 @@ def save_system(system, path):
 
 
 def fixture_names():
-    root = resources.files("selfsim").joinpath("fixtures")
-    return sorted(p.name[:-5] for p in root.iterdir()
-                  if p.name.endswith(".json"))
+    return sorted(f[:-5] for f in os.listdir(_FIXTURES) if f.endswith(".json"))
 
 
 def load_fixture(name):
-    text = (resources.files("selfsim").joinpath("fixtures")
-            .joinpath(name + ".json").read_text(encoding="utf-8"))
-    return system_from_json(json.loads(text))
+    return load_system(os.path.join(_FIXTURES, name + ".json"))

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import semigroup as sg
 from .graphs import Path, is_prefix
-from .groupoids import NO_ROW, _entries, _rows
+from .groupoids import NO_ROW, _rows
 
 
 class TwistError(ValueError):
@@ -87,14 +87,6 @@ class Twist:
     def edge(self, g, e):
         """sigma_bowtie(g, e); g must act on e, as in every stored entry."""
         return self._edge_rows[g].get(e, 0)
-
-    def group_json(self):
-        return [[g, h, phase_str(self.fraction(v))]
-                for (g, h, v) in _entries(self._group_rows) if v]
-
-    def edge_json(self):
-        return [[g, e, phase_str(self.fraction(v))]
-                for (g, e, v) in _entries(self._edge_rows) if v]
 
 
 def extend_bowtie(twist, g, p):

@@ -112,6 +112,18 @@ def test_unreadable_file_bytes_are_a_parse_failure(capsys, tmp_path, content,
     assert err.startswith("parse error: " + message), err
 
 
+def test_a_fixture_is_read_by_load_system(monkeypatch):
+    read = []
+    load = systems.load_system
+    monkeypatch.setattr(systems, "load_system",
+                        lambda path: read.append(path) or load(path))
+    assert systems.load_fixture("two_edges").name == "two_edges"
+    assert read == [os.path.join(os.path.dirname(systems.__file__),
+                                 "fixtures", "two_edges.json")]
+    with pytest.raises(systems.SystemLoadError, match="^cannot read "):
+        systems.load_fixture("no_such_fixture")
+
+
 def test_a_file_with_crlf_line_ends_loads_as_with_lf(capsys, tmp_path):
     text = json.dumps(broken_restriction_system(), indent=2)
     outputs = []

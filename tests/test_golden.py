@@ -9,6 +9,8 @@ verify --bound 2` and a fixed list of `extend` and `omega` calls on
 twisted_three_spoke and on a twist whose phases are sevenths and
 elevenths.  The `hum` transcript runs `selfsim hum` at every point of
 `boundary_points_from(v, 3)`, for every vertex v of every fixture.  The
+DOT transcript runs `export-dot` with `--what graph`, `restriction` and
+`fixing:<g>` for every element g of every fixture.  The
 help transcript pins `selfsim --help` and every subcommand's `--help` at
 80 columns.  To
 re-record them (only when a change of output is intended), run from the
@@ -173,6 +175,32 @@ def test_hum_matches_golden_transcript():
     assert hum_transcript() == expected
 
 
+def dot_transcript():
+    """`selfsim export-dot` on every fixture: the graph, the restriction
+    digraph and the fixing automaton of every element, each call's
+    arguments, stdout, stderr and exit code."""
+    lines = []
+    for name in FIXTURES:
+        elements = systems.load_fixture(name).groupoid.elements()
+        for what in ["graph", "restriction"] + ["fixing:" + g for g in elements]:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                code = cli.main(["export-dot", name, "--what", what])
+            lines.append("$ export-dot %s --what %s\n%s%sexit %d\n"
+                         % (name, what, out.getvalue(), err.getvalue(), code))
+    return "".join(lines)
+
+
+DOT_GOLDEN = os.path.join(GOLDEN_DIR, "dot.txt")
+
+
+def test_dot_matches_golden_transcript():
+    with open(DOT_GOLDEN, encoding="utf-8", newline="") as fh:
+        expected = fh.read()
+    assert dot_transcript() == expected
+
+
 SUBCOMMANDS = ("validate", "report", "semigroup", "germ", "twist", "nucleus",
                "kernel", "hum", "export-dot")
 
@@ -214,6 +242,8 @@ def record(workdir):
             fh.write(twist_transcript(name, system, workdir))
     with open(HUM_GOLDEN, "w", encoding="utf-8", newline="") as fh:
         fh.write(hum_transcript())
+    with open(DOT_GOLDEN, "w", encoding="utf-8", newline="") as fh:
+        fh.write(dot_transcript())
     with open(HELP_GOLDEN, "w", encoding="utf-8", newline="") as fh:
         fh.write(help_transcript())
 
@@ -222,5 +252,5 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         record(tmp)
     print("recorded %d snapshots in %s"
-          % (2 * len(GOLDEN) + len(TWIST_GOLDEN) + 2, GOLDEN_DIR),
+          % (2 * len(GOLDEN) + len(TWIST_GOLDEN) + 3, GOLDEN_DIR),
           file=sys.stderr)

@@ -10,8 +10,12 @@ is a cmd_* handler of the CLI, or UNCALLED_PUBLIC names it with a reason.  Every
 parameter but self and cls is read by the body of its function, unless
 UNREAD_PARAMETERS names the function with a reason.  Only systems.py
 writes JSON documents: no other module calls json.dump, or json.dumps with
-an indent.  Only graphs.py orders a graph: no other module sorts vertices,
-edges or the edges a vertex receives, which a graph keeps sorted.  No
+an indent.  Each format has one home: only graphs.py holds DOT text, only
+systems.py defines or imports _entries, the listing of a file's tables,
+and no module imports importlib.resources, so the bundled examples are
+read as files, by systems.load_system.  Only graphs.py orders a graph: no
+other module sorts vertices, edges or the edges a vertex receives, which
+a graph keeps sorted.  No
 module imports dataclasses: the records are named tuples, so importing
 the command line loads neither dataclasses nor inspect.  The benchmark's
 tracer patches methods by name, so each method it lists is a function of
@@ -253,6 +257,96 @@ def test_only_systems_writes_json_documents():
     from systems.json_text; a compact json.dumps, as for a witness, stays."""
     found = {(path.name,) + w for path in MODULES if path.name != "systems.py"
              for w in json_document_writers(path.read_text(encoding="utf-8"))}
+    assert sorted(found) == []
+
+
+def dot_text_constants(source):
+    """(line, text) for every string constant holding DOT text, a
+    "digraph " or " -> ", docstrings and other bare string statements
+    aside."""
+    tree = ast.parse(source)
+    bare = {id(node.value) for node in ast.walk(tree)
+            if isinstance(node, ast.Expr)}
+    return sorted((node.lineno, node.value) for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and id(node) not in bare
+                  and isinstance(node.value, str)
+                  and ("digraph " in node.value or " -> " in node.value))
+
+
+def test_dot_text_constants_are_found():
+    source = ('"""rows g -> h, a digraph {"""\n'
+              'x = "digraph %s {"\ny = "  %s -> %s;"\nz = "a->b"\n'
+              'def f():\n    "the arrows g -> h"\n    return f"{x} -> y"\n')
+    assert dot_text_constants(source) == [
+        (2, "digraph %s {"), (3, "  %s -> %s;"), (7, " -> y")]
+
+
+def test_only_graphs_holds_dot_text():
+    """graphs.dot is the one DOT writer; every picture prints through it."""
+    found = {(path.name,) + c for path in MODULES if path.name != "graphs.py"
+             for c in dot_text_constants(path.read_text(encoding="utf-8"))}
+    assert sorted(found) == []
+
+
+def entries_homes(source):
+    """(line, how) for every def of _entries and every import of it."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and node.name == "_entries":
+            out.append((node.lineno, "def"))
+        elif isinstance(node, ast.ImportFrom):
+            out.extend((node.lineno, "import") for alias in node.names
+                       if alias.name == "_entries")
+    return sorted(out)
+
+
+def test_entries_homes_are_found():
+    source = ("from .groupoids import _rows, _entries as e\n"
+              "def _entries(rows):\n    pass\nclass K:\n"
+              "    def _entries(self):\n        pass\n_entries2 = 1\n")
+    assert entries_homes(source) == [(1, "import"), (2, "def"), (5, "def")]
+
+
+def test_only_systems_lists_tables():
+    """A file's tables are listed by systems._entries alone."""
+    found = [(path.name, how) for path in MODULES
+             for (_, how) in entries_homes(path.read_text(encoding="utf-8"))]
+    assert found == [("systems.py", "def")]
+
+
+def resources_imports(source):
+    """(line, dotted name) for every import of importlib.resources or of a
+    name in it, relative imports aside."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module + "." + alias.name for alias in node.names]
+        else:
+            continue
+        out.extend((node.lineno, name) for name in names
+                   if (name + ".").startswith("importlib.resources."))
+    return sorted(out)
+
+
+def test_resources_imports_are_found():
+    source = ("import importlib\nimport importlib.resources as r\n"
+              "from importlib import import_module, resources\n"
+              "from importlib.resources import files\n"
+              "from .importlib import resources\n"
+              "def f():\n    import importlib.resources.abc\n")
+    assert resources_imports(source) == [
+        (2, "importlib.resources"), (3, "importlib.resources"),
+        (4, "importlib.resources.files"), (7, "importlib.resources.abc")]
+
+
+def test_no_module_imports_importlib_resources():
+    """Importing it loads inspect on Python 3.12 and later, which the
+    command line must not load."""
+    found = {(path.name,) + i for path in MODULES
+             for i in resources_imports(path.read_text(encoding="utf-8"))}
     assert sorted(found) == []
 
 

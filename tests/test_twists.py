@@ -14,7 +14,7 @@ from selfsim.graphs import DirectedGraph, GraphError, is_prefix
 from selfsim.groupoids import (ExplicitGroupoid, Groupoid, GroupoidError,
                                cyclic_group_table, group_bundle)
 from selfsim.systems import (load_fixture, system_from_json, system_to_json,
-                             validate_system)
+                             twist_to_json, validate_system)
 from selfsim.twists import (
     Twist,
     TwistError,
@@ -362,16 +362,15 @@ def test_twist_defaults_to_trivial_phases():
     assert tw.scale == 1
     assert tw.group("1", "1") == 0
     assert tw.edge("1", "e") == 0
-    assert tw.group_json() == []
-    assert tw.edge_json() == []
+    assert twist_to_json(tw) == {"sigma_G": [], "sigma_bowtie": []}
     assert validate_twist(tw) == []
 
 
 def test_twist_json_lists_nonzero_entries():
     action = load_fixture("four_loop_z2").action
     tw = Twist(action, group_entries=[("0", "1", "1/3")], edge_entries=[("0", "e", "1/3")])
-    assert tw.group_json() == [["0", "1", "1/3"]]
-    assert tw.edge_json() == [["0", "e", "1/3"]]
+    assert twist_to_json(tw) == {"sigma_G": [["0", "1", "1/3"]],
+                                 "sigma_bowtie": [["0", "e", "1/3"]]}
     assert tw.scale == 3
     assert tw.group("0", "1") == tw.edge("0", "e") == 1
     assert tw.fraction(tw.group("0", "1")) == Fraction(1, 3)
